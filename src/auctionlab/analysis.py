@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_table
 from .errors import ConfigError, SchemaError
 from .mechanisms import SimulationResult
 
@@ -280,15 +281,15 @@ def etic_violation_rate(ratios: np.ndarray, epsilon: float) -> float:
 
 
 def write_ratio_csv(table: RatioTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RATIO_CSV_HEADER + "\n")
-        for b, s, r in zip(table.bidder, table.stage, table.ratio):
-            fh.write(f"{int(b)},{int(s)},{repr(float(r))}\n")
+    write_table(path, RATIO_CSV_HEADER, [
+        table.bidder.astype(np.int64), table.stage.astype(np.int64), table.ratio.astype(np.float64),
+    ])
 
 
 def write_metric_summary_csv(rows: list[tuple[str, str, float, float, float]], path: str) -> None:
     """Write (mechanism, metric, upper, lower, mean) summary rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(METRIC_SUMMARY_CSV_HEADER + "\n")
-        for mechanism, metric, upper, lower, mean in rows:
-            fh.write(f"{mechanism},{metric},{repr(float(upper))},{repr(float(lower))},{repr(float(mean))}\n")
+    write_table(path, METRIC_SUMMARY_CSV_HEADER, [
+        [row[0] for row in rows],
+        [row[1] for row in rows],
+        *(np.array([row[i] for row in rows], dtype=np.float64) for i in (2, 3, 4)),
+    ])

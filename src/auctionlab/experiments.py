@@ -34,6 +34,7 @@ from .analysis import (
     write_ratio_csv,
 )
 from .controllers import DebtController
+from .csvio import write_table
 from .errors import ConfigError, MissingInputError
 from .market import MarketConfig, generate_market
 from .mechanisms import (
@@ -79,8 +80,8 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate mechanism labels in {labels}")
         if self.agent not in AGENT_KINDS:
             raise ConfigError(f"unknown agent kind {self.agent!r}, expected one of {AGENT_KINDS}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ConfigError(f"epsilon must be a positive finite number, got {self.epsilon}")
         if self.tau is not None and self.tau < 1:
             raise ConfigError(f"tau must be at least 1, got {self.tau}")
         if self.chernoff is not None:
@@ -114,6 +115,17 @@ def _as_mapping(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(obj).__name__}")
     return obj
+
+
+def _as_int(value, key: str) -> int:
+    """An integer config value. A whole float such as 2.0 is taken as its
+    integer; a fractional float, bool or string is refused rather than
+    truncated or coerced."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _parse_market(section: dict) -> MarketConfig:
@@ -165,10 +177,13 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"mechanisms[{i}] needs a kind")
         mechanisms.append(MechanismConfig(**entry))
 
+    seeds = data["seeds"]
+    if not isinstance(seeds, list):
+        raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
     kwargs: dict = {
         "market": market,
         "mechanisms": tuple(mechanisms),
-        "seeds": tuple(int(s) for s in data["seeds"]),
+        "seeds": tuple(_as_int(s, f"seeds[{i}]") for i, s in enumerate(seeds)),
     }
     if "agent" in data:
         kwargs["agent"] = data["agent"]
@@ -179,7 +194,7 @@ def load_config(path: str) -> ExperimentConfig:
     if "epsilon" in data:
         kwargs["epsilon"] = float(data["epsilon"])
     if "tau" in data and data["tau"] is not None:
-        kwargs["tau"] = int(data["tau"])
+        kwargs["tau"] = _as_int(data["tau"], "tau")
     if "chernoff" in data and data["chernoff"] is not None:
         section = _as_mapping(data["chernoff"], "chernoff")
         _check_keys(section, _CHERNOFF_KEYS, "chernoff")
@@ -301,24 +316,16 @@ def _make_controller(mech: MechanismConfig, market, config: ExperimentConfig, rl
 
 
 def _write_fluctuation_csv(path: str, table) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(FLUCTUATION_CSV_HEADER + "\n")
-        for b, var, rng in zip(table.bidder, table.variance, table.value_range):
-            fh.write(f"{int(b)},{repr(float(var))},{repr(float(rng))}\n")
+    write_table(path, FLUCTUATION_CSV_HEADER, [table.bidder, table.variance, table.value_range])
 
 
 def _write_etic_csv(path: str, rows: list[tuple[str, float, float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ETIC_CSV_HEADER + "\n")
-        for name, eps, rate in rows:
-            fh.write(f"{name},{repr(float(eps))},{repr(float(rate))}\n")
+    names, epsilons, rates = zip(*rows)
+    write_table(path, ETIC_CSV_HEADER, [names, np.array(epsilons, dtype=np.float64), np.array(rates, dtype=np.float64)])
 
 
 def _write_drift_csv(path: str, drift: np.ndarray, withdrawn: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(DRIFT_CSV_HEADER + "\n")
-        for m in range(drift.size):
-            fh.write(f"{m},{repr(float(drift[m]))},{int(withdrawn[m])}\n")
+    write_table(path, DRIFT_CSV_HEADER, [np.arange(drift.size), drift, withdrawn])
 
 
 def _summary_stats(values: np.ndarray) -> tuple[float, float, float]:
@@ -331,6 +338,63 @@ def _summary_stats(values: np.ndarray) -> tuple[float, float, float]:
     )
 
 
+@dataclass
+class _Pooled:
+    """One mechanism's per-seed results, appended in seed order."""
+
+    run_dirs: list[str] = field(default_factory=list)
+    stage: list[np.ndarray] = field(default_factory=list)
+    checkpoint: list[np.ndarray] = field(default_factory=list)
+    variance: list[np.ndarray] = field(default_factory=list)
+    tau: list[np.ndarray] = field(default_factory=list)
+    etic_rates: list[float] = field(default_factory=list)
+    drift_means: list[float] = field(default_factory=list)
+
+
+def _run_one(config: ExperimentConfig, mech: MechanismConfig, market, run_dir: str,
+             rl_checkpoint: str | None, pool: _Pooled) -> None:
+    """Simulate one (mechanism, seed) pair, write its run directory, pool its metrics.
+
+    A function of its own so the result and controller are freed on return,
+    before the caller generates the next seed's market.
+    """
+    agents = make_agents(config, market.num_bidders)
+    controller = _make_controller(mech, market, config, rl_checkpoint)
+    result = run_auction(market, mech, agents, controller=controller)
+
+    os.makedirs(run_dir, exist_ok=True)
+    write_rounds_csv(result, os.path.join(run_dir, "rounds.csv"))
+    write_summary_csv(result, os.path.join(run_dir, "summary.csv"))
+
+    stage_table = cpa_ratio_table(result)
+    ckpt_table = checkpoint_ratio_table(result)
+    write_ratio_csv(stage_table, os.path.join(run_dir, "ratios.csv"))
+    write_ratio_csv(ckpt_table, os.path.join(run_dir, "checkpoint_ratios.csv"))
+
+    fluct = payment_fluctuation(result)
+    _write_fluctuation_csv(os.path.join(run_dir, "fluctuation.csv"), fluct)
+
+    etic_stage = etic_violation_rate(stage_table.ratio, config.epsilon)
+    etic_ckpt = etic_violation_rate(ckpt_table.ratio, config.epsilon)
+    _write_etic_csv(
+        os.path.join(run_dir, "etic.csv"),
+        [("per_stage", config.epsilon, etic_stage), ("checkpoint", config.epsilon, etic_ckpt)],
+    )
+
+    drift = bid_drift_metric(result)
+    _write_drift_csv(os.path.join(run_dir, "drift.csv"), drift.drift, result.withdrawn)
+
+    pool.stage.append(stage_table.ratio)
+    pool.checkpoint.append(ckpt_table.ratio)
+    pool.variance.append(fluct.variance)
+    pool.etic_rates.append(etic_ckpt)
+    pool.drift_means.append(drift.mean_drift)
+    if config.tau is not None and mech.kind == "CFP":
+        rollup = cfp_tau_rollup(result.stage_conversions, result.stage_payments, result.tcpa, config.tau)
+        pool.tau.append(rollup.ratio)
+    pool.run_dirs.append(run_dir)
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | None = None) -> dict:
     """Run every (mechanism, seed) pair and write the artifact tree.
 
@@ -338,70 +402,34 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     fluctuation,etic,drift}.csv plus top-level summary.csv, optional
     chernoff.csv and cfp_tau.csv, and manifest.json (written last).
 
-    Returns a dict with the run directories and pooled summary rows.
+    Each seed's market is generated once and shared by every mechanism, then
+    dropped before the next seed, so one market is live at a time. Pooled
+    metrics are concatenated per mechanism in seed order, which fixes the
+    bits of their means and quantiles.
+
+    Returns a dict with the run directories (mechanism-major, as in the
+    config) and pooled summary rows.
     """
     os.makedirs(out_dir, exist_ok=True)
-    run_dirs: list[str] = []
+    pools = {mech.label: _Pooled() for mech in config.mechanisms}
+    for seed in config.seeds:
+        market = generate_market(replace(config.market, seed=seed))
+        for mech in config.mechanisms:
+            run_dir = os.path.join(out_dir, mech.label.replace(":", "_"), f"seed_{seed}")
+            _run_one(config, mech, market, run_dir, rl_checkpoint, pools[mech.label])
+        del market
+
+    run_dirs = [d for pool in pools.values() for d in pool.run_dirs]
     summary_rows: list[tuple[str, str, float, float, float]] = []
     tau_rows: list[tuple[str, str, float, float, float]] = []
-
-    for mech in config.mechanisms:
-        label = mech.label
-        pooled_stage: list[np.ndarray] = []
-        pooled_checkpoint: list[np.ndarray] = []
-        pooled_variance: list[np.ndarray] = []
-        pooled_tau: list[np.ndarray] = []
-        etic_rates: list[float] = []
-        drift_means: list[float] = []
-
-        for seed in config.seeds:
-            market = generate_market(replace(config.market, seed=seed))
-            agents = make_agents(config, market.num_bidders)
-            controller = _make_controller(mech, market, config, rl_checkpoint)
-            result = run_auction(market, mech, agents, controller=controller)
-
-            run_dir = os.path.join(out_dir, label.replace(":", "_"), f"seed_{seed}")
-            os.makedirs(run_dir, exist_ok=True)
-            write_rounds_csv(result, os.path.join(run_dir, "rounds.csv"))
-            write_summary_csv(result, os.path.join(run_dir, "summary.csv"))
-
-            stage_table = cpa_ratio_table(result)
-            ckpt_table = checkpoint_ratio_table(result)
-            write_ratio_csv(stage_table, os.path.join(run_dir, "ratios.csv"))
-            write_ratio_csv(ckpt_table, os.path.join(run_dir, "checkpoint_ratios.csv"))
-
-            fluct = payment_fluctuation(result)
-            _write_fluctuation_csv(os.path.join(run_dir, "fluctuation.csv"), fluct)
-
-            etic_stage = etic_violation_rate(stage_table.ratio, config.epsilon)
-            etic_ckpt = etic_violation_rate(ckpt_table.ratio, config.epsilon)
-            _write_etic_csv(
-                os.path.join(run_dir, "etic.csv"),
-                [("per_stage", config.epsilon, etic_stage), ("checkpoint", config.epsilon, etic_ckpt)],
-            )
-
-            drift = bid_drift_metric(result)
-            _write_drift_csv(os.path.join(run_dir, "drift.csv"), drift.drift, result.withdrawn)
-
-            pooled_stage.append(stage_table.ratio)
-            pooled_checkpoint.append(ckpt_table.ratio)
-            pooled_variance.append(fluct.variance)
-            etic_rates.append(etic_ckpt)
-            drift_means.append(drift.mean_drift)
-            if config.tau is not None and mech.kind == "CFP":
-                rollup = cfp_tau_rollup(
-                    result.stage_conversions, result.stage_payments, result.tcpa, config.tau
-                )
-                pooled_tau.append(rollup.ratio)
-            run_dirs.append(run_dir)
-
-        summary_rows.append((label, "stage_ratio", *_summary_stats(np.concatenate(pooled_stage))))
-        summary_rows.append((label, "checkpoint_ratio", *_summary_stats(np.concatenate(pooled_checkpoint))))
-        summary_rows.append((label, "fluctuation_var", *_summary_stats(np.concatenate(pooled_variance))))
-        summary_rows.append((label, "etic_rate", *_summary_stats(np.array(etic_rates))))
-        summary_rows.append((label, "bid_drift", *_summary_stats(np.array(drift_means))))
-        if pooled_tau:
-            tau_rows.append((label, f"tau_{config.tau}_ratio", *_summary_stats(np.concatenate(pooled_tau))))
+    for label, pool in pools.items():
+        summary_rows.append((label, "stage_ratio", *_summary_stats(np.concatenate(pool.stage))))
+        summary_rows.append((label, "checkpoint_ratio", *_summary_stats(np.concatenate(pool.checkpoint))))
+        summary_rows.append((label, "fluctuation_var", *_summary_stats(np.concatenate(pool.variance))))
+        summary_rows.append((label, "etic_rate", *_summary_stats(np.array(pool.etic_rates))))
+        summary_rows.append((label, "bid_drift", *_summary_stats(np.array(pool.drift_means))))
+        if pool.tau:
+            tau_rows.append((label, f"tau_{config.tau}_ratio", *_summary_stats(np.concatenate(pool.tau))))
 
     write_metric_summary_csv(summary_rows, os.path.join(out_dir, "summary.csv"))
     if tau_rows:
@@ -411,9 +439,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
         min_clicks = chernoff_min_clicks(eps, cvr)
         ctr_mid = 0.5 * (config.market.ctr_range[0] + config.market.ctr_range[1])
         rate = chernoff_empirical_check(ctr_mid, cvr, eps, trials=2000, seed=config.market.seed)
-        with open(os.path.join(out_dir, "chernoff.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CHERNOFF_CSV_HEADER + "\n")
-            fh.write(f"{repr(float(eps))},{repr(float(cvr))},{min_clicks},{repr(float(rate))}\n")
+        write_table(
+            os.path.join(out_dir, "chernoff.csv"),
+            CHERNOFF_CSV_HEADER,
+            [[float(eps)], [float(cvr)], [min_clicks], [float(rate)]],
+        )
 
     manifest = {
         "config": asdict(config),

@@ -28,10 +28,12 @@ leading 1 in the counter). A uniform double is ``(word >> 11) * 2**-53``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_table
 from .errors import ConfigError, ContractViolation, SchemaError
 
 MARKET_CSV_HEADER = "round,bidder,slot,ctr,cvr,value,click,conversion"
@@ -360,10 +362,6 @@ def apply_feedback_delay(
     return FeedbackView(visible=visible, true=conv.sum(axis=0))
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_market_csv(log: MarketLog, path: str) -> None:
     """Export the market as replay rows, one per (round, bidder, slot).
 
@@ -372,18 +370,13 @@ def write_market_csv(log: MarketLog, path: str) -> None:
     live run exactly, whatever the allocation turns out to be.
     """
     N, M, K = log.num_rounds, log.num_bidders, log.num_slots
-    rr, mm, kk = np.meshgrid(np.arange(N), np.arange(M), np.arange(K), indexing="ij")
-    rr, mm, kk = rr.ravel(), mm.ravel(), kk.ravel()
+    rr, mm, kk = (a.ravel() for a in np.indices((N, M, K)))
     y, z = sample_outcomes(log, rr, mm, kk)
-    with open(path, "w", newline="") as fh:
-        fh.write(MARKET_CSV_HEADER + "\n")
-        ctr, cvr, value = log.ctr, log.cvr, log.value
-        for i in range(rr.size):
-            n, m, k = int(rr[i]), int(mm[i]), int(kk[i])
-            fh.write(
-                f"{n},{m},{k},{_fmt(ctr[n, m, k])},{_fmt(cvr[n, m])},{_fmt(value[n, m])},"
-                f"{int(y[i])},{int(z[i])}\n"
-            )
+    write_table(
+        path,
+        MARKET_CSV_HEADER,
+        [rr, mm, kk, log.ctr.ravel(), np.repeat(log.cvr.ravel(), K), np.repeat(log.value.ravel(), K), y, z],
+    )
 
 
 def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, seed: int = 0) -> MarketLog:
@@ -396,45 +389,61 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
     optional but must appear together.
 
     Raises:
-        SchemaError: wrong header, gaps or duplicates in the grid, invariant
-            violations, or a lone outcome column.
+        SchemaError: wrong header, no data rows, a cell that is not a number,
+            a row of the wrong width, a round/bidder/slot that is not a
+            non-negative integer, non-finite rates, outcomes other than 0/1,
+            gaps or duplicates in the grid, invariant violations, or a lone
+            outcome column.
     """
+    base_cols = MARKET_CSV_HEADER.split(",")
     with open(path, newline="") as fh:
         header = fh.readline().strip()
-        base_cols = MARKET_CSV_HEADER.split(",")
         if header == MARKET_CSV_HEADER:
             has_outcomes = True
         elif header == ",".join(base_cols[:6]):
             has_outcomes = False
         else:
             raise SchemaError(f"unexpected market CSV header: {header!r}")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    if not rows:
-        raise SchemaError("market CSV has no data rows")
+        # Blank and whitespace-only lines are skipped. loadtxt warns on input
+        # without data, so the first row is looked for before parsing.
+        lines = (line for line in fh if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise SchemaError("market CSV has no data rows")
+        try:
+            data = np.loadtxt(itertools.chain((first,), lines), delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise SchemaError(f"market CSV is not a table of numbers: {exc}") from exc
     width = 8 if has_outcomes else 6
-    if any(len(r) != width for r in rows):
+    if data.shape[1] != width:
         raise SchemaError("market CSV row width does not match its header")
 
-    idx = np.array([[int(r[0]), int(r[1]), int(r[2])] for r in rows], dtype=np.int64)
-    N, M, K = (int(idx[:, j].max()) + 1 for j in range(3))
-    if len(rows) != N * M * K:
-        raise SchemaError(f"expected a dense {N}x{M}x{K} grid, got {len(rows)} rows")
-    ctr = np.full((N, M, K), np.nan)
-    cvr_all = np.full((N, M, K), np.nan)
-    value_all = np.full((N, M, K), np.nan)
-    click = np.zeros((N, M, K), dtype=np.uint8)
-    conv = np.zeros((N, M, K), dtype=np.uint8)
-    for r in rows:
-        n, m, k = int(r[0]), int(r[1]), int(r[2])
-        ctr[n, m, k] = float(r[3])
-        cvr_all[n, m, k] = float(r[4])
-        value_all[n, m, k] = float(r[5])
-        if has_outcomes:
-            click[n, m, k] = int(r[6])
-            conv[n, m, k] = int(r[7])
-    for name, arr in (("ctr", ctr), ("cvr", cvr_all), ("value", value_all)):
-        if np.isnan(arr).any():
-            raise SchemaError(f"duplicate rows left gaps in the {name} grid")
+    idx = data[:, :3]
+    if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
+        raise SchemaError("round, bidder and slot must be non-negative integers")
+    if not np.all(np.isfinite(data[:, 3:6])):
+        raise SchemaError("ctr, cvr and value must be finite")
+    if has_outcomes and not np.all((data[:, 6:] == 0) | (data[:, 6:] == 1)):
+        raise SchemaError("click and conversion must be 0 or 1")
+    N, M, K = (int(top) + 1 for top in idx.max(axis=0))
+    rows = data.shape[0]
+    if rows != N * M * K:
+        raise SchemaError(f"expected a dense {N}x{M}x{K} grid, got {rows} rows")
+    n, m, k = (idx[:, j].astype(np.int64) for j in range(3))
+    flat = (n * M + m) * K + k
+    seen = np.zeros(rows, dtype=bool)
+    seen[flat] = True
+    if not seen.all():
+        raise SchemaError("duplicate rows left gaps in the (round, bidder, slot) grid")
+
+    def grid(j: int, dtype=np.float64) -> np.ndarray:
+        out = np.empty(rows, dtype=dtype)
+        out[flat] = data[:, j]
+        return out.reshape(N, M, K)
+
+    ctr, cvr_all, value_all = grid(3), grid(4), grid(5)
+    click = grid(6, np.uint8) if has_outcomes else None
+    conv = grid(7, np.uint8) if has_outcomes else None
     if np.any(np.diff(ctr, axis=2) > 0):
         raise SchemaError("ctr must be weakly decreasing across slots")
     for name, arr in (("cvr", cvr_all), ("value", value_all)):
@@ -463,6 +472,6 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
         ctr=ctr,
         cvr=cvr_all[:, :, 0].copy(),
         value=value_all[:, :, 0].copy(),
-        click_override=click if has_outcomes else None,
-        conv_override=conv if has_outcomes else None,
+        click_override=click,
+        conv_override=conv,
     )

@@ -29,6 +29,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from .csvio import write_table
 from .errors import ConfigError, ContractViolation
 from .market import MarketLog, OutcomeSampler, sample_outcomes, stage_starts
 
@@ -105,7 +106,6 @@ class BidderLedger:
     impressions: int = 0
     clicks: int = 0
     conversions: int = 0
-    visible_conversions: int = 0
     expected_clicks: float = 0.0
     expected_conversions: float = 0.0
     expected_payment: float = 0.0
@@ -474,7 +474,6 @@ def _final_ledgers(
             impressions=int(imps[:, m].sum()),
             clicks=int(clicks[:, m].sum()),
             conversions=int(convs[:, m].sum()),
-            visible_conversions=int(convs[:, m].sum()),
             expected_clicks=float(e_clicks[:, m].sum()),
             expected_conversions=float(e_convs[:, m].sum()),
             expected_payment=float(e_pay[:, m].sum()),
@@ -486,31 +485,20 @@ def _final_ledgers(
     ]
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_rounds_csv(result: SimulationResult, path: str) -> None:
     """One row per displayed (round, slot), in round order."""
     r = result.rounds
-    with open(path, "w", newline="") as fh:
-        fh.write(ROUNDS_CSV_HEADER + "\n")
-        for i in range(r.round.size):
-            fh.write(
-                f"{int(r.round[i])},{int(r.stage[i])},{int(r.bidder[i])},{int(r.slot[i])},"
-                f"{_fmt(r.score[i])},{int(r.click[i])},{int(r.conversion[i])},"
-                f"{_fmt(r.payment[i])},{_fmt(r.bid[i])}\n"
-            )
+    write_table(path, ROUNDS_CSV_HEADER, [getattr(r, name) for name in ROUNDS_CSV_HEADER.split(",")])
 
 
 def write_summary_csv(result: SimulationResult, path: str) -> None:
     """Final per-bidder ledger totals."""
-    with open(path, "w", newline="") as fh:
-        fh.write(SUMMARY_CSV_HEADER + "\n")
-        for m, led in enumerate(result.ledgers):
-            fh.write(
-                f"{m},{_fmt(led.tcpa)},{_fmt(led.bid)},{led.impressions},{led.clicks},"
-                f"{led.conversions},{_fmt(led.expected_clicks)},{_fmt(led.expected_conversions)},"
-                f"{_fmt(led.expected_payment)},{_fmt(led.payment)},{_fmt(led.utility)},"
-                f"{int(result.withdrawn[m])}\n"
-            )
+    fields = (
+        "tcpa", "bid", "impressions", "clicks", "conversions", "expected_clicks",
+        "expected_conversions", "expected_payment", "payment", "utility",
+    )
+    write_table(path, SUMMARY_CSV_HEADER, [
+        np.arange(result.num_bidders),
+        *([getattr(led, name) for led in result.ledgers] for name in fields),
+        result.withdrawn,
+    ])

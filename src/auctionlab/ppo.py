@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .agents import TruthfulAgent
+from .csvio import write_table
 from .errors import ConfigError, MissingInputError, NumericalFault, SchemaError
 from .market import MarketConfig, generate_market
 from .mechanisms import MechanismConfig, SimulationResult, run_auction
@@ -758,8 +759,7 @@ def load_checkpoint(path: str) -> tuple[GaussianPolicy, MLP]:
 
 
 def write_curves_csv(curves: list[dict[str, float]], path: str) -> None:
-    cols = CURVES_CSV_HEADER.split(",")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CURVES_CSV_HEADER + "\n")
-        for row in curves:
-            fh.write(",".join(repr(float(row[c])) if c != "update" else str(int(row[c])) for c in cols) + "\n")
+    write_table(path, CURVES_CSV_HEADER, [
+        np.array([row[c] for row in curves], dtype=np.int64 if c == "update" else np.float64)
+        for c in CURVES_CSV_HEADER.split(",")
+    ])

@@ -1,0 +1,92 @@
+"""write_table against the per-row f-string writer it replaced."""
+
+import numpy as np
+import pytest
+
+from auctionlab.csvio import CHUNK_ROWS, write_table
+from auctionlab.errors import ContractViolation
+
+
+def reference_write(path, header, columns):
+    """The per-row, per-cell writer the artifact CSVs were first written with:
+    repr(float(v)) for float columns, int(v) for integer ones."""
+    kinds = [np.asarray(c).dtype.kind for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            cells = [repr(float(v)) if kind == "f" else f"{int(v)}" for v, kind in zip(row, kinds)]
+            fh.write(f"{','.join(cells)}\n")
+
+
+def assert_same_bytes(tmp_path, header, columns):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_table(str(got), header, columns)
+    reference_write(str(want), header, columns)
+    assert got.read_bytes() == want.read_bytes()
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-05, 0.1 + 0.2, 1.0, -2.5]
+
+
+@pytest.mark.parametrize("repeats", [1, 40])
+def test_special_floats(tmp_path, repeats):
+    # 40 repeats make the column mostly repeated values, the format-once path.
+    values = np.array(SPECIAL_FLOATS * repeats)
+    assert_same_bytes(tmp_path, "x,y", [values, values[::-1].copy()])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.5, 0.0, 2.25] * 100,  # repeated values, no -0.0
+        [1.5, -0.0, 2.25] * 100,  # -0.0 alongside ...
+        [1.5, -0.0, 0.0, 2.25] * 100,  # ... and together with 0.0
+        [1.5, np.nan, 2.25] * 100,
+        list(np.random.default_rng(0).random(1000)),  # all distinct
+    ],
+)
+def test_repeated_and_distinct_float_columns(tmp_path, values):
+    assert_same_bytes(tmp_path, "v", [np.array(values)])
+
+
+def test_integer_columns(tmp_path):
+    near = 2 ** 53
+    big = np.array([near - 1, near, near + 1, -near, 0, 2 ** 63 - 1, -(2 ** 63)] * 3, dtype=np.int64)
+    small = np.arange(big.size, dtype=np.int64) % 4
+    assert_same_bytes(tmp_path, "big,small", [big, small])
+
+
+def test_narrow_integer_dtypes(tmp_path):
+    u8 = np.array([0, 1, 255, 7, 1, 0] * 50, dtype=np.uint8)
+    i8 = np.array([-100, 100, 0, -1] * 75, dtype=np.int8)
+    i16 = np.array([-32768, 32767] * 150, dtype=np.int16)
+    flag = np.array([True, False, False] * 100)
+    assert_same_bytes(tmp_path, "u8,i8,i16,flag", [u8, i8, i16, flag])
+
+
+def test_header_only_table(tmp_path):
+    empty = np.zeros(0)
+    assert_same_bytes(tmp_path, "a,b", [empty, empty.astype(np.int64)])
+    assert (tmp_path / "got.csv").read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_chunk_boundaries(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    index = np.arange(rows, dtype=np.int64)
+    score = rng.random(rows)
+    bid = rng.choice([0.5, 1.25, 3.0], size=rows)
+    click = (rng.random(rows) < 0.5).astype(np.uint8)
+    assert_same_bytes(tmp_path, "round,score,bid,click", [index, score, bid, click])
+
+
+def test_string_columns_and_lists(tmp_path):
+    write_table(str(tmp_path / "t.csv"), "name,rate", [["per_stage", "checkpoint"], [0.5, float("nan")]])
+    assert (tmp_path / "t.csv").read_text() == "name,rate\nper_stage,0.5\ncheckpoint,nan\n"
+
+
+def test_mismatched_columns_are_refused(tmp_path):
+    with pytest.raises(ContractViolation):
+        write_table(str(tmp_path / "t.csv"), "a,b", [np.zeros(3)])
+    with pytest.raises(ContractViolation):
+        write_table(str(tmp_path / "t.csv"), "a,b", [np.zeros(3), np.zeros(2)])

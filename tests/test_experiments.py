@@ -120,6 +120,51 @@ seeds: [0]
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "snippet,needle",
+    [
+        ("epsilon: .nan", "epsilon"),
+        ("tau: 1.7", "tau"),
+        ("seeds: 3", "seeds"),
+    ],
+)
+def test_load_config_rejects_bad_values(tmp_path, snippet, needle):
+    body = """
+market:
+  num_bidders: 2
+  num_slots: 1
+  stage_plan: [5]
+  seed: 0
+mechanisms:
+  - kind: CFP
+"""
+    if not snippet.startswith("seeds:"):
+        body += "seeds: [0]\n"
+    path = tmp_path / "c.yaml"
+    path.write_text(body + snippet + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert needle in str(err.value)
+
+
+def test_load_config_takes_whole_floats_as_integers(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text("""
+market:
+  num_bidders: 2
+  num_slots: 1
+  stage_plan: [5]
+  seed: 0
+mechanisms:
+  - kind: CFP
+seeds: [1.0, 2]
+tau: 2.0
+""")
+    cfg = load_config(str(path))
+    assert cfg.tau == 2 and isinstance(cfg.tau, int)
+    assert cfg.seeds == (1, 2) and all(isinstance(s, int) for s in cfg.seeds)
+
+
 def test_load_config_structural_errors(tmp_path):
     with pytest.raises(MissingInputError):
         load_config(str(tmp_path / "absent.yaml"))
@@ -192,6 +237,28 @@ def test_run_experiment_artifact_tree(tmp_path):
     assert labels == {"CFP", "DFP:debt"}
     metrics = {row[1] for row in out["summary_rows"] if row[0] == "CFP"}
     assert metrics == {"stage_ratio", "checkpoint_ratio", "fluctuation_var", "etic_rate", "bid_drift"}
+
+
+def test_run_experiment_generates_each_market_once(tmp_path, monkeypatch):
+    import auctionlab.experiments as experiments
+
+    generated = []
+    real = experiments.generate_market
+
+    def counting(market_config):
+        generated.append(market_config.seed)
+        return real(market_config)
+
+    monkeypatch.setattr(experiments, "generate_market", counting)
+    config = _tiny_config(seeds=(3, 1, 2))
+    out = run_experiment(config, str(tmp_path))
+    assert generated == [3, 1, 2]
+    # Mechanism-major, seeds in config order within each mechanism.
+    assert out["run_dirs"] == [
+        os.path.join(str(tmp_path), label, f"seed_{seed}")
+        for label in ("CFP", "DFP_debt")
+        for seed in (3, 1, 2)
+    ]
 
 
 def test_rerun_is_byte_identical_outside_manifest(tmp_path):

@@ -1,5 +1,7 @@
 """Market generation: RNG streams, outcome sampling, stages, feedback, CSV replay."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -370,6 +372,58 @@ def test_market_csv_schema_errors(tmp_path):
     _write_lines(bad, [lines[0]])
     with pytest.raises(SchemaError):
         read_market_csv(bad, cfg.stage_plan, log.tcpa)
+
+
+def test_market_csv_skips_blank_lines(tmp_path):
+    cfg = _tiny_config(seed=8)
+    log = generate_market(cfg)
+    path = str(tmp_path / "m.csv")
+    write_market_csv(log, path)
+    lines = open(path).read().splitlines()
+    spaced = str(tmp_path / "spaced.csv")
+    with open(spaced, "w") as fh:
+        fh.writelines(line + "\n\n  \n" for line in lines)
+    back = read_market_csv(spaced, cfg.stage_plan, log.tcpa)
+    np.testing.assert_array_equal(back.ctr, log.ctr)
+    np.testing.assert_array_equal(back.click_override, read_market_csv(path, cfg.stage_plan, log.tcpa).click_override)
+
+
+def _edit_cell(lines, row, col, value):
+    cells = lines[row].split(",")
+    cells[col] = value
+    return lines[:row] + [",".join(cells)] + lines[row + 1:]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda lines: [], id="empty_file"),
+        pytest.param(lambda lines: lines[:1], id="header_only"),
+        pytest.param(lambda lines: lines[:1] + ["", "  "], id="header_and_blank_lines"),
+        pytest.param(lambda lines: _edit_cell(lines, 3, 3, "high"), id="non_numeric_cell"),
+        pytest.param(lambda lines: _edit_cell(lines, 2, 0, "0.5"), id="fractional_round"),
+        pytest.param(lambda lines: _edit_cell(lines, 2, 1, "-1"), id="negative_bidder"),
+        pytest.param(lambda lines: _edit_cell(lines, 2, 2, "inf"), id="infinite_slot"),
+        pytest.param(lambda lines: _edit_cell(lines, 2, 0, "1e300"), id="huge_round"),
+        pytest.param(lambda lines: _edit_cell(lines, 2, 4, "nan"), id="nan_rate"),
+        pytest.param(lambda lines: _edit_cell(lines, 2, 6, "2"), id="click_not_binary"),
+        pytest.param(lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:], id="short_row"),
+        pytest.param(lambda lines: lines[:1] + ["#" + lines[1]] + lines[2:], id="comment_row"),
+        pytest.param(lambda lines: lines[:1] + lines[1:3] + lines[2:-1], id="duplicate_row"),
+    ],
+)
+def test_market_csv_hostile_inputs(tmp_path, edit):
+    cfg = _tiny_config(seed=8)
+    log = generate_market(cfg)
+    path = str(tmp_path / "m.csv")
+    write_market_csv(log, path)
+    bad = str(tmp_path / "bad.csv")
+    with open(bad, "w") as fh:
+        fh.writelines(line + "\n" for line in edit(open(path).read().splitlines()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError):
+            read_market_csv(bad, cfg.stage_plan, log.tcpa)
 
 
 def test_replay_overrides_gate_conversions_by_click():
