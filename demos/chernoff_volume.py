@@ -19,8 +19,8 @@ print("\nempirical failure rates over 4000 binomial trials (seed 0):")
 print(f"{'epsilon':>8} {'cvr':>6} {'volume':>8} {'rate':>8} {'bound':>6}")
 for eps, cvr in [(0.1, 0.05), (0.2, 0.1)]:
     n = chernoff_min_clicks(eps, cvr)
-    at_n = chernoff_empirical_check(0.5, cvr, eps, trials=4000, click_volume=n)
-    starved = chernoff_empirical_check(0.5, cvr, eps, trials=4000, click_volume=n // 100)
+    at_n = chernoff_empirical_check(cvr, eps, trials=4000, click_volume=n)
+    starved = chernoff_empirical_check(cvr, eps, trials=4000, click_volume=n // 100)
     print(f"{eps:8.2f} {cvr:6.2f} {n:8d} {at_n:8.4f} {'<= ' + str(eps):>6}")
     print(f"{eps:8.2f} {cvr:6.2f} {n // 100:8d} {starved:8.4f} {'blown':>6}")
 

@@ -10,13 +10,7 @@ import filecmp
 import os
 import tempfile
 
-from auctionlab import (
-    ExperimentConfig,
-    MarketConfig,
-    MechanismConfig,
-    config_digest,
-    run_experiment,
-)
+from auctionlab import ExperimentConfig, MarketConfig, MechanismConfig, config_digest, run_experiment
 
 config = ExperimentConfig(
     market=MarketConfig(

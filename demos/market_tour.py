@@ -8,7 +8,7 @@ their outputs is the mechanism's doing.
 
 import numpy as np
 
-from auctionlab import MarketConfig, generate_market, sample_round, stage_of
+from auctionlab import MarketConfig, generate_market, sample_outcomes, stage_starts
 
 config = MarketConfig(
     num_bidders=8,
@@ -28,9 +28,11 @@ print("value shape:                       ", market.value.shape)
 assert np.all(np.diff(market.ctr, axis=2) <= 0)
 print("ctr weakly decreasing along slots: ok")
 
-# stage_of maps a round index back to its stage
+# stage_starts gives each stage's first round; searching it maps a round back to its stage
+starts = stage_starts(config.stage_plan)
+print("stage starts:", starts.tolist())
 for r in (0, 199, 200, 599):
-    print(f"round {r} is in stage {stage_of(r, config.stage_plan)}")
+    print(f"round {r} is in stage {int(np.searchsorted(starts, r, side='right')) - 1}")
 
 # same config, fresh call: bit-identical market
 again = generate_market(config)
@@ -49,10 +51,10 @@ print("seed 43 shares no tcpa values with seed 42:",
 
 # outcome sampling is keyed by (round, bidder, slot), so replaying a round
 # gives the same clicks no matter what happened before it
-allocation = np.zeros((8, 3), dtype=np.uint8)
-allocation[0, 0] = allocation[1, 1] = allocation[2, 2] = 1  # bidders 0..2 take slots 0..2
-outcome_a = sample_round(market, 17, allocation)
-outcome_b = sample_round(market, 17, allocation)
-assert np.array_equal(outcome_a.click, outcome_b.click)
-assert np.array_equal(outcome_a.conversion, outcome_b.conversion)
-print("round 17 replay: clicks", outcome_a.click.sum(), "conversions", outcome_a.conversion.sum())
+rounds, bidders, slots = np.full(3, 17), np.arange(3), np.arange(3)  # bidders 0..2 take slots 0..2
+clicks_a, convs_a = sample_outcomes(market, rounds, bidders, slots)
+clicks_b, convs_b = sample_outcomes(market, rounds, bidders, slots)
+assert np.array_equal(clicks_a, clicks_b)
+assert np.array_equal(convs_a, convs_b)
+assert np.all(convs_a <= clicks_a)
+print("round 17 replay: clicks", clicks_a.sum(), "conversions", convs_a.sum())

@@ -17,14 +17,16 @@ from auctionlab import (
     evaluate_debt_controller,
     evaluate_rl_controller,
     load_checkpoint,
+    load_config,
     save_checkpoint,
-    toy_training_config,
     train,
 )
 
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs", "toy_train.yaml")
+
 
 def main() -> None:
-    config = toy_training_config()
+    config = load_config(CONFIG)
     rl = RLConfig()
     print(f"market: {config.market.num_bidders} bidder, {config.market.num_rounds} rounds, "
           f"{len(config.market.stage_plan)} stages")

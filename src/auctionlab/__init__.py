@@ -5,34 +5,14 @@ conversion feedback, offline CPA and pacing baselines, an online debt
 payer, a learned payment policy, and the accuracy metrics used to compare
 them. Everything is seeded and counter-based: equal configs give
 bit-identical markets, runs, and CSV artifacts.
+
+The names below are the ones the README, the demos and the CLI use; the
+rest of the package is reached through its submodules.
 """
 
 from ._version import __version__
-from .agents import (
-    FixedBidAgent,
-    RiskAverseAgent,
-    RiskAverseParams,
-    TruthfulAgent,
-    bid_drift_metric,
-    deviation_sweep,
-    risk_averse_update,
-)
-from .analysis import (
-    FluctuationTable,
-    RatioTable,
-    cfp_tau_rollup,
-    checkpoint_ratio_table,
-    chernoff_empirical_check,
-    chernoff_min_clicks,
-    conversion_ratio,
-    cpa_ratio_table,
-    etic_violation_rate,
-    fluctuation_stats,
-    payment_fluctuation,
-    pplt_objective,
-    write_metric_summary_csv,
-    write_ratio_csv,
-)
+from .agents import RiskAverseAgent, TruthfulAgent, bid_drift_metric, deviation_sweep
+from .analysis import checkpoint_ratio_table, chernoff_empirical_check, chernoff_min_clicks, payment_fluctuation
 from .controllers import (
     ControllerState,
     DebtController,
@@ -50,77 +30,25 @@ from .errors import (
 )
 from .experiments import (
     ExperimentConfig,
-    checkpoint_abs_error,
     config_digest,
-    desk_default_config,
     evaluate_debt_controller,
     evaluate_rl_controller,
     load_config,
-    payment_smoothness,
     run_experiment,
-    sparse_config,
-    toy_training_config,
 )
-from .market import (
-    FeedbackView,
-    MarketConfig,
-    MarketLog,
-    OutcomeSampler,
-    RoundOutcome,
-    apply_feedback_delay,
-    generate_market,
-    philox4x64,
-    read_market_csv,
-    sample_outcomes,
-    sample_round,
-    stage_of,
-    stage_starts,
-    validate_allocation,
-    write_market_csv,
-)
-from .mechanisms import (
-    BidderLedger,
-    MechanismConfig,
-    SimulationResult,
-    cfp_payment,
-    cpa_offline_payment,
-    pacing_offline_payment,
-    rank_and_allocate,
-    ranking_rule_violations,
-    ranking_score,
-    register_ranking_rule,
-    run_auction,
-    write_rounds_csv,
-    write_summary_csv,
-)
-from .nets import MLP, Adam
-from .ppo import (
-    DFPTrainingEnv,
-    GaussianPolicy,
-    RLConfig,
-    RLPaymentController,
-    TrainResult,
-    Trajectory,
-    accuracy_reward,
-    build_state_features,
-    combined_loss,
-    compute_reward,
-    critic_loss,
-    discounted_returns,
-    gae,
-    gaussian_log_prob,
-    load_checkpoint,
-    loss_and_grads,
-    policy_entropy,
-    ppo_clip_loss,
-    save_checkpoint,
-    smoothness_reward,
-    softplus,
-    td_errors,
-    train,
-    trajectory_targets,
-    value_estimate,
-    write_curves_csv,
-)
+from .market import MarketConfig, generate_market, sample_outcomes, stage_starts, write_market_csv
+from .mechanisms import MechanismConfig, run_auction
+from .ppo import RLConfig, load_checkpoint, save_checkpoint, train, write_curves_csv
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "RiskAverseAgent", "TruthfulAgent", "bid_drift_metric", "deviation_sweep",
+    "checkpoint_ratio_table", "chernoff_empirical_check", "chernoff_min_clicks", "payment_fluctuation",
+    "ControllerState", "DebtController", "debt_controller_step", "expected_conversion_estimate",
+    "stage_pacing_oracle",
+    "AuctionLabError", "ConfigError", "ContractViolation", "MissingInputError", "NumericalFault", "SchemaError",
+    "ExperimentConfig", "config_digest", "evaluate_debt_controller", "evaluate_rl_controller", "load_config",
+    "run_experiment",
+    "MarketConfig", "generate_market", "sample_outcomes", "stage_starts", "write_market_csv",
+    "MechanismConfig", "run_auction",
+    "RLConfig", "load_checkpoint", "save_checkpoint", "train", "write_curves_csv",
+]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .market import MarketLog
-from .mechanisms import RANKING_RULES, MechanismConfig, SimulationResult, _stage_allocation
+from .mechanisms import MechanismConfig, SimulationResult, _stage_allocation, ranking_score
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,12 @@ def deviation_sweep(
         raise ConfigError("beta grid must include 1.0")
     if not 0 <= bidder < market.num_bidders:
         raise ConfigError(f"bidder {bidder} outside [0, {market.num_bidders})")
-    rule = RANKING_RULES[mech.ranking]
     tcpa = market.tcpa
     out: list[SweepRow] = []
     for beta in betas:
         bids = tcpa.copy()
         bids[bidder] = beta * tcpa[bidder]
-        scores = np.asarray(rule(bids[None, :], market.ctr[:, :, 0], market.cvr), dtype=np.float64)
+        scores = ranking_score(bids[None, :], market.ctr[:, :, 0], market.cvr)
         winner, valid = _stage_allocation(scores, market.num_slots)
         rows, slots = np.nonzero(valid & (winner == bidder))
         ctr_at = market.ctr[rows, bidder, slots]

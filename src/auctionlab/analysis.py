@@ -45,46 +45,39 @@ class RatioTable:
 
     def summary(self) -> dict[str, float]:
         """Upper/lower quartiles and mean of the ratio column."""
-        if self.ratio.size == 0:
-            return {"upper": float("nan"), "lower": float("nan"), "mean": float("nan")}
-        return {
-            "upper": float(np.quantile(self.ratio, 0.75)),
-            "lower": float(np.quantile(self.ratio, 0.25)),
-            "mean": float(np.mean(self.ratio)),
-        }
+        return dict(zip(("upper", "lower", "mean"), summary_stats(self.ratio)))
 
 
-def conversion_ratio(conversions: float, payment: float, tcpa: float) -> float:
-    """Target-to-paid ratio tCPA * Z / P for one eligible window."""
-    if conversions < 1.0:
-        raise ConfigError(f"ratio needs at least one conversion, got {conversions}")
-    if payment < 0.0:
-        raise ConfigError(f"payment must be nonnegative, got {payment}")
-    if payment == 0.0:
-        return float("inf")
-    return conversions * tcpa / payment
+def summary_stats(values: np.ndarray) -> tuple[float, float, float]:
+    """(upper quartile, lower quartile, mean) of values; all nan when empty."""
+    if values.size == 0:
+        return float("nan"), float("nan"), float("nan")
+    return float(np.quantile(values, 0.75)), float(np.quantile(values, 0.25)), float(np.mean(values))
+
+
+def conversion_ratio(conversions, payment, tcpa):
+    """Target-to-paid ratio tCPA * Z / P per eligible window; broadcasts.
+
+    A window with zero payment gets an infinite ratio.
+    """
+    conversions, payment, tcpa = np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.float64) for a in (conversions, payment, tcpa))
+    )
+    if np.any(conversions < 1.0):
+        raise ConfigError(f"ratio needs at least one conversion, got {conversions.min()}")
+    if np.any(payment < 0.0):
+        raise ConfigError(f"payment must be nonnegative, got {payment.min()}")
+    ratio = np.full(conversions.shape, np.inf)
+    np.divide(conversions * tcpa, payment, out=ratio, where=payment > 0.0)
+    return ratio[()]
 
 
 def _table_from_windows(conversions: np.ndarray, payments: np.ndarray, tcpa: np.ndarray) -> RatioTable:
-    """Build a ratio table from (window, bidder) conversion/payment arrays."""
-    T, M = conversions.shape
-    bidders = []
-    stages = []
-    ratios = []
-    for m in range(M):
-        for t in range(T):
-            z = conversions[t, m]
-            if z < 1.0:
-                continue
-            bidders.append(m)
-            stages.append(t)
-            p = payments[t, m]
-            ratios.append(z * tcpa[m] / p if p > 0.0 else float("inf"))
-    return RatioTable(
-        np.array(bidders, dtype=np.int64),
-        np.array(stages, dtype=np.int64),
-        np.array(ratios, dtype=np.float64),
-    )
+    """Build a ratio table from (window, bidder) conversion/payment arrays,
+    bidder-major: all of bidder 0's eligible windows, then bidder 1's."""
+    bidders, windows = np.nonzero(conversions.T >= 1.0)
+    ratio = conversion_ratio(conversions[windows, bidders], payments[windows, bidders], tcpa[bidders])
+    return RatioTable(bidders.astype(np.int64), windows.astype(np.int64), ratio)
 
 
 def cpa_ratio_table(result: SimulationResult) -> RatioTable:
@@ -187,15 +180,6 @@ class FluctuationTable:
     variance: np.ndarray
     value_range: np.ndarray
 
-    def summary(self) -> dict[str, float]:
-        if self.bidder.size == 0:
-            return {"upper": float("nan"), "lower": float("nan"), "mean": float("nan")}
-        return {
-            "upper": float(np.quantile(self.variance, 0.75)),
-            "lower": float(np.quantile(self.variance, 0.25)),
-            "mean": float(np.mean(self.variance)),
-        }
-
 
 def payment_fluctuation(result: SimulationResult) -> FluctuationTable:
     """Dispersion of per-click payments (zero payments included) per bidder.
@@ -240,7 +224,6 @@ def chernoff_min_clicks(epsilon: float, cvr: float) -> int:
 
 
 def chernoff_empirical_check(
-    ctr: float,
     cvr: float,
     epsilon: float,
     trials: int,
@@ -252,8 +235,7 @@ def chernoff_empirical_check(
     Each trial draws a Binomial(click_volume, cvr) conversion count and
     flags a violation when it deviates from its mean by more than epsilon
     relatively. click_volume defaults to chernoff_min_clicks(epsilon, cvr).
-    ctr is accepted for interface symmetry; conditioning on clicks makes
-    the click-through rate drop out of the bound.
+    The click-through rate does not enter: the bound conditions on clicks.
     """
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")

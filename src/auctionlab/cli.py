@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import AuctionLabError, ConfigError, MissingInputError
+from .errors import AuctionLabError, ConfigError, MissingInputError, SchemaError
 from .experiments import load_config, run_experiment
 from .market import generate_market, write_market_csv
 from .ppo import save_checkpoint, train, write_curves_csv
@@ -109,10 +109,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not os.path.exists(summary_path):
         raise MissingInputError(f"no summary.csv under {args.artifacts}")
     with open(summary_path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    widths = [max(len(row.split(",")[i]) for row in lines) for i in range(5)]
-    for row in lines:
-        cells = row.split(",")
+        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    if not rows:
+        raise SchemaError(f"{summary_path} is empty")
+    for n, cells in enumerate(rows, start=1):
+        if len(cells) != 5:
+            raise SchemaError(f"{summary_path} row {n} has {len(cells)} columns, expected 5")
+    widths = [max(len(cells[i]) for cells in rows) for i in range(5)]
+    for cells in rows:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)))
     manifest_path = os.path.join(args.artifacts, "manifest.json")
     if os.path.exists(manifest_path):

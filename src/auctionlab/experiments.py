@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -30,6 +31,7 @@ from .analysis import (
     cpa_ratio_table,
     etic_violation_rate,
     payment_fluctuation,
+    summary_stats,
     write_metric_summary_csv,
     write_ratio_csv,
 )
@@ -90,22 +92,7 @@ class ExperimentConfig:
             object.__setattr__(self, "chernoff", (float(self.chernoff[0]), float(self.chernoff[1])))
 
 
-_TOP_KEYS = ("market", "mechanisms", "seeds", "agent", "agent_params", "epsilon", "tau", "chernoff", "rl")
-_MARKET_KEYS = (
-    "num_bidders", "num_rounds", "num_slots", "stage_plan",
-    "ctr_range", "cvr_range", "value_range", "tcpa_range", "seed",
-)
-_MECH_KEYS = ("kind", "ranking", "controller")
-_AGENT_PARAM_KEYS = ("epsilon", "step", "patience")
-_RL_KEYS = (
-    "gamma", "lam", "clip", "zeta", "xi", "alphas", "lr", "epochs",
-    "minibatch", "updates", "hidden", "sigma_floor", "adv_norm",
-)
-_CHERNOFF_KEYS = ("epsilon", "cvr")
-_PLAN_KEYS = ("stages", "rounds_per_stage")
-
-
-def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
+def _check_keys(section: dict, allowed, where: str) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown config key {key!r} in {where} (allowed: {', '.join(allowed)})")
@@ -128,27 +115,90 @@ def _as_int(value, key: str) -> int:
     return value
 
 
-def _parse_market(section: dict) -> MarketConfig:
-    _check_keys(section, _MARKET_KEYS, "market")
-    kwargs = dict(section)
-    plan = kwargs.get("stage_plan")
-    if plan is None:
-        raise ConfigError("market.stage_plan is required")
-    if isinstance(plan, dict):
-        _check_keys(plan, _PLAN_KEYS, "market.stage_plan")
-        if "stages" not in plan or "rounds_per_stage" not in plan:
-            raise ConfigError("market.stage_plan mapping needs both stages and rounds_per_stage")
-        kwargs["stage_plan"] = (int(plan["rounds_per_stage"]),) * int(plan["stages"])
-    else:
-        kwargs["stage_plan"] = tuple(int(n) for n in plan)
-    kwargs.setdefault("num_rounds", sum(kwargs["stage_plan"]))
-    for key in ("ctr_range", "cvr_range", "value_range", "tcpa_range"):
-        if key in kwargs:
-            rng = kwargs[key]
-            if not isinstance(rng, (list, tuple)) or len(rng) != 2:
-                raise ConfigError(f"market.{key} must be a two-element list, got {rng!r}")
-            kwargs[key] = (float(rng[0]), float(rng[1]))
-    return MarketConfig(**kwargs)
+def _as_float(value, key: str) -> float:
+    """A finite number. A string that parses as one is taken too, because
+    PyYAML reads an exponent written without a dot, such as 1e-3, as a string."""
+    number = None
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+    if number is None or not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _as_float_or_none(value, key: str) -> float | None:
+    return None if value is None else _as_float(value, key)
+
+
+def _as_bool(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _as_list(value, key: str, item, length: int | None = None) -> tuple:
+    """A list whose entries each go through item(entry, "key[i]")."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        size = "list" if length is None else f"{length}-element list"
+        raise ConfigError(f"{key} must be a {size}, got {value!r}")
+    return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+def _as_ints(value, key: str) -> tuple[int, ...]:
+    return _as_list(value, key, _as_int)
+
+
+def _as_floats(value, key: str) -> tuple[float, ...]:
+    return _as_list(value, key, _as_float)
+
+
+def _as_range(value, key: str) -> tuple[float, float]:
+    return _as_list(value, key, _as_float, length=2)
+
+
+def _as_stage_plan(plan, key: str) -> tuple[int, ...]:
+    """An explicit list of stage lengths, or {stages, rounds_per_stage}."""
+    if not isinstance(plan, dict):
+        return _as_ints(plan, key)
+    _check_keys(plan, ("stages", "rounds_per_stage"), key)
+    if "stages" not in plan or "rounds_per_stage" not in plan:
+        raise ConfigError(f"{key} mapping needs both stages and rounds_per_stage")
+    length = _as_int(plan["rounds_per_stage"], f"{key}.rounds_per_stage")
+    return (length,) * _as_int(plan["stages"], f"{key}.stages")
+
+
+# Every section's keys, each with the parser its value goes through.
+_MARKET_FIELDS = {
+    "num_bidders": _as_int, "num_rounds": _as_int, "num_slots": _as_int, "stage_plan": _as_stage_plan,
+    "ctr_range": _as_range, "cvr_range": _as_range, "value_range": _as_range, "tcpa_range": _as_range,
+    "seed": _as_int,
+}
+_AGENT_PARAM_FIELDS = {"epsilon": _as_float, "step": _as_float, "patience": _as_int}
+_CHERNOFF_FIELDS = {"epsilon": _as_float, "cvr": _as_float}
+_RL_FIELDS = {
+    "gamma": _as_float, "lam": _as_float, "clip": _as_float, "zeta": _as_float, "xi": _as_float_or_none,
+    "alphas": _as_floats, "lr": _as_float, "epochs": _as_int, "minibatch": _as_int, "updates": _as_int,
+    "hidden": _as_ints, "sigma_floor": _as_float, "adv_norm": _as_bool,
+}
+_TOP_KEYS = ("market", "mechanisms", "seeds", "agent", "agent_params", "epsilon", "tau", "chernoff", "rl")
+_MECH_KEYS = ("kind", "controller")
+
+
+def _parse_section(obj, fields: dict, where: str) -> dict:
+    section = _as_mapping(obj, where)
+    _check_keys(section, fields, where)
+    return {key: fields[key](value, f"{where}.{key}") for key, value in section.items()}
+
+
+def _parse_mechanism(entry, where: str) -> MechanismConfig:
+    entry = _as_mapping(entry, where)
+    _check_keys(entry, _MECH_KEYS, where)
+    if "kind" not in entry:
+        raise ConfigError(f"{where} needs a kind")
+    return MechanismConfig(**entry)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -167,129 +217,33 @@ def load_config(path: str) -> ExperimentConfig:
     if "mechanisms" not in data or "seeds" not in data:
         raise ConfigError("config needs mechanisms and seeds")
 
-    market = _parse_market(_as_mapping(data["market"], "market"))
-
-    mechanisms = []
-    for i, entry in enumerate(data["mechanisms"]):
-        entry = _as_mapping(entry, f"mechanisms[{i}]")
-        _check_keys(entry, _MECH_KEYS, f"mechanisms[{i}]")
-        if "kind" not in entry:
-            raise ConfigError(f"mechanisms[{i}] needs a kind")
-        mechanisms.append(MechanismConfig(**entry))
-
-    seeds = data["seeds"]
-    if not isinstance(seeds, list):
-        raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
+    market = _parse_section(data["market"], _MARKET_FIELDS, "market")
+    for key in ("num_bidders", "num_slots", "stage_plan"):
+        if key not in market:
+            raise ConfigError(f"market.{key} is required")
+    market.setdefault("num_rounds", sum(market["stage_plan"]))
     kwargs: dict = {
-        "market": market,
-        "mechanisms": tuple(mechanisms),
-        "seeds": tuple(_as_int(s, f"seeds[{i}]") for i, s in enumerate(seeds)),
+        "market": MarketConfig(**market),
+        "mechanisms": _as_list(data["mechanisms"], "mechanisms", _parse_mechanism),
+        "seeds": _as_ints(data["seeds"], "seeds"),
     }
     if "agent" in data:
         kwargs["agent"] = data["agent"]
     if "agent_params" in data:
-        section = _as_mapping(data["agent_params"], "agent_params")
-        _check_keys(section, _AGENT_PARAM_KEYS, "agent_params")
-        kwargs["agent_params"] = RiskAverseParams(**section)
+        params = _parse_section(data["agent_params"], _AGENT_PARAM_FIELDS, "agent_params")
+        kwargs["agent_params"] = RiskAverseParams(**params)
     if "epsilon" in data:
-        kwargs["epsilon"] = float(data["epsilon"])
-    if "tau" in data and data["tau"] is not None:
+        kwargs["epsilon"] = _as_float(data["epsilon"], "epsilon")
+    if data.get("tau") is not None:
         kwargs["tau"] = _as_int(data["tau"], "tau")
-    if "chernoff" in data and data["chernoff"] is not None:
-        section = _as_mapping(data["chernoff"], "chernoff")
-        _check_keys(section, _CHERNOFF_KEYS, "chernoff")
-        if "epsilon" not in section or "cvr" not in section:
+    if data.get("chernoff") is not None:
+        section = _parse_section(data["chernoff"], _CHERNOFF_FIELDS, "chernoff")
+        if len(section) != 2:
             raise ConfigError("chernoff needs both epsilon and cvr")
-        kwargs["chernoff"] = (float(section["epsilon"]), float(section["cvr"]))
+        kwargs["chernoff"] = (section["epsilon"], section["cvr"])
     if "rl" in data:
-        section = _as_mapping(data["rl"], "rl")
-        _check_keys(section, _RL_KEYS, "rl")
-        rl_kwargs = dict(section)
-        if "alphas" in rl_kwargs:
-            rl_kwargs["alphas"] = tuple(float(a) for a in rl_kwargs["alphas"])
-        if "hidden" in rl_kwargs:
-            rl_kwargs["hidden"] = tuple(int(h) for h in rl_kwargs["hidden"])
-        kwargs["rl"] = RLConfig(**rl_kwargs)
+        kwargs["rl"] = RLConfig(**_parse_section(data["rl"], _RL_FIELDS, "rl"))
     return ExperimentConfig(**kwargs)
-
-
-def desk_default_config() -> ExperimentConfig:
-    """Mid-size benchmark: 50 bidders, 5 slots, 31 stages of 1800 rounds."""
-    market = MarketConfig(
-        num_bidders=50,
-        num_rounds=55800,
-        num_slots=5,
-        stage_plan=(1800,) * 31,
-        ctr_range=(0.3, 0.9),
-        cvr_range=(0.05, 0.15),
-        value_range=(1.0, 5.0),
-        tcpa_range=(1.0, 10.0),
-        seed=0,
-    )
-    mechanisms = (
-        MechanismConfig("CFP"),
-        MechanismConfig("CPA_OFFLINE"),
-        MechanismConfig("PACING_OFFLINE"),
-        MechanismConfig("DFP", controller="debt"),
-        MechanismConfig("DFP", controller="oracle"),
-    )
-    return ExperimentConfig(
-        market=market,
-        mechanisms=mechanisms,
-        seeds=(0, 1, 2, 3, 4),
-        agent="risk_averse",
-        epsilon=0.1,
-        tau=4,
-        chernoff=(0.1, 0.05),
-    )
-
-
-def sparse_config() -> ExperimentConfig:
-    """Low click-volume stress case: roughly 100-150 clicks per stage per bidder."""
-    market = MarketConfig(
-        num_bidders=10,
-        num_rounds=18600,
-        num_slots=4,
-        stage_plan=(600,) * 31,
-        ctr_range=(0.4, 0.8),
-        cvr_range=(0.05, 0.15),
-        value_range=(1.0, 5.0),
-        tcpa_range=(2.0, 6.0),
-        seed=0,
-    )
-    return ExperimentConfig(
-        market=market,
-        mechanisms=(MechanismConfig("DFP", controller="debt"),),
-        seeds=(0, 1, 2, 3, 4),
-        agent="truthful",
-        epsilon=0.1,
-    )
-
-
-def toy_training_config() -> ExperimentConfig:
-    """Single-bidder market small enough to train the payment policy quickly.
-
-    The conversion rate is pinned so per-click payment scale is not
-    dominated by cvr noise when comparing payers.
-    """
-    market = MarketConfig(
-        num_bidders=1,
-        num_rounds=6200,
-        num_slots=1,
-        stage_plan=(200,) * 31,
-        ctr_range=(0.45, 0.55),
-        cvr_range=(0.1, 0.1),
-        value_range=(1.0, 5.0),
-        tcpa_range=(2.0, 2.0),
-        seed=0,
-    )
-    return ExperimentConfig(
-        market=market,
-        mechanisms=(MechanismConfig("DFP", controller="debt"),),
-        seeds=(0, 1, 2, 3, 4),
-        agent="truthful",
-        epsilon=0.1,
-    )
 
 
 def make_agents(config: ExperimentConfig, num_bidders: int) -> list:
@@ -326,16 +280,6 @@ def _write_etic_csv(path: str, rows: list[tuple[str, float, float]]) -> None:
 
 def _write_drift_csv(path: str, drift: np.ndarray, withdrawn: np.ndarray) -> None:
     write_table(path, DRIFT_CSV_HEADER, [np.arange(drift.size), drift, withdrawn])
-
-
-def _summary_stats(values: np.ndarray) -> tuple[float, float, float]:
-    if values.size == 0:
-        return float("nan"), float("nan"), float("nan")
-    return (
-        float(np.quantile(values, 0.75)),
-        float(np.quantile(values, 0.25)),
-        float(np.mean(values)),
-    )
 
 
 @dataclass
@@ -423,13 +367,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     summary_rows: list[tuple[str, str, float, float, float]] = []
     tau_rows: list[tuple[str, str, float, float, float]] = []
     for label, pool in pools.items():
-        summary_rows.append((label, "stage_ratio", *_summary_stats(np.concatenate(pool.stage))))
-        summary_rows.append((label, "checkpoint_ratio", *_summary_stats(np.concatenate(pool.checkpoint))))
-        summary_rows.append((label, "fluctuation_var", *_summary_stats(np.concatenate(pool.variance))))
-        summary_rows.append((label, "etic_rate", *_summary_stats(np.array(pool.etic_rates))))
-        summary_rows.append((label, "bid_drift", *_summary_stats(np.array(pool.drift_means))))
+        summary_rows.append((label, "stage_ratio", *summary_stats(np.concatenate(pool.stage))))
+        summary_rows.append((label, "checkpoint_ratio", *summary_stats(np.concatenate(pool.checkpoint))))
+        summary_rows.append((label, "fluctuation_var", *summary_stats(np.concatenate(pool.variance))))
+        summary_rows.append((label, "etic_rate", *summary_stats(np.array(pool.etic_rates))))
+        summary_rows.append((label, "bid_drift", *summary_stats(np.array(pool.drift_means))))
         if pool.tau:
-            tau_rows.append((label, f"tau_{config.tau}_ratio", *_summary_stats(np.concatenate(pool.tau))))
+            tau_rows.append((label, f"tau_{config.tau}_ratio", *summary_stats(np.concatenate(pool.tau))))
 
     write_metric_summary_csv(summary_rows, os.path.join(out_dir, "summary.csv"))
     if tau_rows:
@@ -437,8 +381,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     if config.chernoff is not None:
         eps, cvr = config.chernoff
         min_clicks = chernoff_min_clicks(eps, cvr)
-        ctr_mid = 0.5 * (config.market.ctr_range[0] + config.market.ctr_range[1])
-        rate = chernoff_empirical_check(ctr_mid, cvr, eps, trials=2000, seed=config.market.seed)
+        rate = chernoff_empirical_check(cvr, eps, trials=2000, seed=config.market.seed)
         write_table(
             os.path.join(out_dir, "chernoff.csv"),
             CHERNOFF_CSV_HEADER,

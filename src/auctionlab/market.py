@@ -29,12 +29,12 @@ leading 1 in the counter). A uniform double is ``(word >> 11) * 2**-53``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import write_table
-from .errors import ConfigError, ContractViolation, SchemaError
+from .errors import ConfigError, SchemaError
 
 MARKET_CSV_HEADER = "round,bidder,slot,ctr,cvr,value,click,conversion"
 
@@ -256,110 +256,9 @@ def sample_outcomes(
     return y.astype(np.uint8), z.astype(np.uint8)
 
 
-@dataclass
-class RoundOutcome:
-    """Allocation, click, conversion, and payment matrices for one round (M x K)."""
-
-    allocation: np.ndarray
-    click: np.ndarray
-    conversion: np.ndarray
-    payment: np.ndarray
-
-    def __post_init__(self) -> None:
-        x, y, z = self.allocation, self.click, self.conversion
-        if not (np.all(z <= y) and np.all(y <= x)):
-            raise ContractViolation("round outcome must satisfy conversion <= click <= allocation")
-
-
-def validate_allocation(allocation: np.ndarray, num_slots: int) -> None:
-    """Raise unless allocation is 0/1 with <=1 slot per bidder and <=1 bidder per slot."""
-    x = np.asarray(allocation)
-    if x.ndim != 2 or x.shape[1] != num_slots:
-        raise ContractViolation(f"allocation must be (num_bidders, {num_slots}), got {x.shape}")
-    if not np.isin(x, (0, 1)).all():
-        raise ContractViolation("allocation entries must be 0 or 1")
-    if (x.sum(axis=1) > 1).any():
-        raise ContractViolation("a bidder may hold at most one slot per round")
-    if (x.sum(axis=0) > 1).any():
-        raise ContractViolation("a slot may be held by at most one bidder")
-
-
-def sample_round(
-    log: MarketLog,
-    round_index: int,
-    allocation: np.ndarray,
-    sampler: OutcomeSampler | None = None,
-) -> RoundOutcome:
-    """Sample one round's outcomes for a given allocation; payments start at 0.
-
-    Exactly two RNG uniforms are addressed per displayed slot (click, then
-    conversion; the conversion uniform is consumed even for unclicked slots).
-    Unallocated slots draw nothing, which is safe because every triple owns
-    its sub-stream.
-    """
-    validate_allocation(allocation, log.num_slots)
-    x = np.asarray(allocation, dtype=np.uint8)
-    y = np.zeros_like(x)
-    z = np.zeros_like(x)
-    bidders, slots = np.nonzero(x)
-    if bidders.size:
-        rounds = np.full(bidders.shape, round_index)
-        y[bidders, slots], z[bidders, slots] = sample_outcomes(log, rounds, bidders, slots, sampler)
-    return RoundOutcome(allocation=x, click=y, conversion=z, payment=np.zeros(x.shape, dtype=np.float64))
-
-
-def stage_of(round_index: int, stage_plan: tuple[int, ...]) -> int:
-    """Stage index t whose round range [sum(plan[:t]), sum(plan[:t+1])) contains round_index."""
-    ends = np.cumsum(stage_plan)
-    n = int(ends[-1])
-    if not 0 <= round_index < n:
-        raise IndexError(f"round_index {round_index} outside [0, {n})")
-    return int(np.searchsorted(ends, round_index, side="right"))
-
-
 def stage_starts(stage_plan: tuple[int, ...]) -> np.ndarray:
     """First round index of each stage."""
     return np.concatenate(([0], np.cumsum(stage_plan)[:-1])).astype(np.int64)
-
-
-@dataclass
-class FeedbackView:
-    """Per-bidder conversion counts: what controllers may see vs what happened.
-
-    visible updates only at stage boundaries and is therefore constant within
-    a stage; true accumulates every completed round.
-    """
-
-    visible: np.ndarray
-    true: np.ndarray
-
-
-def apply_feedback_delay(
-    conversions_by_round: np.ndarray,
-    stage_plan: tuple[int, ...],
-    current_round: int,
-) -> FeedbackView:
-    """Delayed conversion feedback as of the start of current_round.
-
-    Args:
-        conversions_by_round: (R, M) conversion counts of completed rounds.
-        stage_plan: stage lengths.
-        current_round: index of the round about to run; pass sum(stage_plan)
-            (or anything past the end) for the view after the final boundary.
-
-    Returns:
-        FeedbackView whose visible column sums rounds in fully completed
-        stages only (0 before the first boundary) and whose true column sums
-        every provided round.
-    """
-    conv = np.atleast_2d(np.asarray(conversions_by_round))
-    n = int(sum(stage_plan))
-    if current_round >= n:
-        boundary = n
-    else:
-        boundary = int(stage_starts(stage_plan)[stage_of(current_round, stage_plan)])
-    visible = conv[:boundary].sum(axis=0)
-    return FeedbackView(visible=visible, true=conv.sum(axis=0))
 
 
 def write_market_csv(log: MarketLog, path: str) -> None:

@@ -24,11 +24,12 @@ keep bids static (agents receive no mid-run updates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
+from .controllers import stage_pacing_oracle
 from .csvio import write_table
 from .errors import ConfigError, ContractViolation
 from .market import MarketLog, OutcomeSampler, sample_outcomes, stage_starts
@@ -42,47 +43,25 @@ SUMMARY_CSV_HEADER = (
 MECHANISM_KINDS = ("CFP", "DFP", "CPA_OFFLINE", "PACING_OFFLINE")
 
 
-def ranking_score(bid: float, ctr: float, cvr: float) -> float:
-    """Default ranking score: expected spend per impression, bid * ctr * cvr.
+def ranking_score(bid, ctr, cvr):
+    """The ranking score: expected spend per impression, bid * ctr * cvr.
 
-    Weakly increasing in bid, which allocation monotonicity relies on.
+    Broadcasts over arrays. Weakly increasing in bid, which allocation
+    monotonicity relies on.
     """
     return bid * ctr * cvr
 
 
-RANKING_RULES: dict[str, Callable] = {"expected_spend": lambda bid, ctr, cvr: bid * ctr * cvr}
-
-
-def register_ranking_rule(name: str, rule: Callable) -> None:
-    """Register a ranking rule; it must broadcast over numpy arrays and be
-    weakly increasing in bid (checked by ranking_rule_violations in tests)."""
-    RANKING_RULES[name] = rule
-
-
-def ranking_rule_violations(rule: Callable, samples: int = 2000, seed: int = 0) -> int:
-    """Property hook: count sampled (ctr, cvr, b1 <= b2) triples where the
-    rule's score decreases as the bid rises. Registered rules must return 0."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, 97]))
-    ctr = rng.uniform(0.05, 1.0, samples)
-    cvr = rng.uniform(0.001, 0.05, samples)
-    b1 = rng.uniform(0.0, 20.0, samples)
-    b2 = b1 + rng.uniform(0.0, 20.0, samples)
-    return int(np.sum(rule(b2, ctr, cvr) < rule(b1, ctr, cvr)))
-
-
 @dataclass(frozen=True)
 class MechanismConfig:
-    """Which payment rule runs, with its ranking rule and (for DFP) controller."""
+    """Which payment rule runs and, for DFP, its controller."""
 
     kind: str
-    ranking: str = "expected_spend"
     controller: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in MECHANISM_KINDS:
             raise ConfigError(f"unknown mechanism kind {self.kind!r}, expected one of {MECHANISM_KINDS}")
-        if self.ranking not in RANKING_RULES:
-            raise ConfigError(f"unknown ranking rule {self.ranking!r}")
         if (self.kind == "DFP") != (self.controller is not None):
             raise ConfigError("a controller must be given for DFP and only for DFP")
 
@@ -110,44 +89,17 @@ class BidderLedger:
     expected_conversions: float = 0.0
     expected_payment: float = 0.0
     payment: float = 0.0
-    last_nonzero_payment: float = 0.0
     utility: float = 0.0
 
 
-def rank_and_allocate(scores: np.ndarray, num_slots: int) -> np.ndarray:
-    """Allocate slot k to the k-th highest score; ties go to the lowest
-    bidder index; zero (or negative) scores are never allocated.
-
-    Returns a (num_bidders, num_slots) 0/1 matrix.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    x = np.zeros((scores.size, num_slots), dtype=np.uint8)
-    for k in range(min(num_slots, scores.size)):
-        m = order[k]
-        if scores[m] <= 0.0:
-            break
-        x[m, k] = 1
-    return x
-
-
-def cfp_payment(bid: float, click: int, cvr: float) -> float:
-    """Coupled first-price per-click payment: bid * click * cvr."""
+def cfp_payment(bid, click, cvr):
+    """Coupled first-price per-click payment: bid * click * cvr. Broadcasts."""
     return bid * click * cvr
 
 
-def cpa_offline_payment(conversion: int, tcpa: float) -> float:
-    """Offline CPA billing: tcpa per conversion, nothing otherwise."""
+def cpa_offline_payment(conversion, tcpa):
+    """Offline CPA billing: tcpa per conversion, nothing otherwise. Broadcasts."""
     return conversion * tcpa
-
-
-def pacing_offline_payment(click: int, total_conversions: float, total_clicks: float, tcpa: float) -> float:
-    """Offline pacing: every click pays total_conversions * tcpa / total_clicks."""
-    if not click:
-        return 0.0
-    if total_clicks <= 0:
-        raise ContractViolation("pacing payment on a click requires total_clicks > 0")
-    return total_conversions * tcpa / total_clicks
 
 
 class OnlineController(Protocol):
@@ -225,10 +177,11 @@ class SimulationResult:
 
 
 def _stage_allocation(scores: np.ndarray, num_slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized rank_and_allocate over a block of rounds.
+    """Top-K allocation for a block of rounds: slot k of round n goes to the
+    k-th highest score, ties to the lowest bidder index.
 
     Returns (winner, valid): winner[n, k] is the bidder in slot k of round n
-    (meaningful where valid[n, k]); zero scores never win.
+    (meaningful where valid[n, k]); zero or negative scores never win.
     """
     order = np.argsort(-scores, axis=1, kind="stable")[:, :num_slots]
     valid = np.take_along_axis(scores, order, axis=1) > 0.0
@@ -272,7 +225,6 @@ def run_auction(
     dynamic_bids = mech.kind in ("CFP", "CPA_OFFLINE") or online_dfp
 
     sampler = market.sampler()
-    rule = RANKING_RULES[mech.ranking]
     tcpa = market.tcpa
     bids = np.array([float(agents[m].initial_bid(float(tcpa[m]))) for m in range(M)])
 
@@ -304,7 +256,7 @@ def run_auction(
         bid_by_stage[t] = bids
         ctr0 = market.ctr[sl, :, 0]
         cvr = market.cvr[sl]
-        scores = np.asarray(rule(bids[None, :], ctr0, cvr), dtype=np.float64)
+        scores = ranking_score(bids[None, :], ctr0, cvr)
         winner, valid = _stage_allocation(scores, K)
 
         rows, slots = np.nonzero(valid)
@@ -320,9 +272,9 @@ def run_auction(
         e_pay = bids[bidders] * e_convs
 
         if mech.kind == "CFP":
-            pay = y * bids[bidders] * cvr_at
+            pay = cfp_payment(bids[bidders], y, cvr_at)
         elif mech.kind == "CPA_OFFLINE":
-            pay = z * tcpa[bidders]
+            pay = cpa_offline_payment(z, tcpa[bidders])
         elif mech.kind == "PACING_OFFLINE" or oracle_run:
             pay = np.zeros(y.shape)
         else:
@@ -395,7 +347,7 @@ def run_auction(
         _reprice_oracle(rounds, stage_payments, stage_clicks, stage_conversions, tcpa)
 
     ledgers = _final_ledgers(
-        rounds, tcpa, bids, stage_impressions, stage_clicks, stage_conversions,
+        tcpa, bids, stage_impressions, stage_clicks, stage_conversions,
         stage_e_clicks, stage_e_convs, stage_e_pay, stage_payments, stage_value,
     )
     return SimulationResult(
@@ -424,7 +376,7 @@ def _reprice_pacing(rounds: RoundsTable, stage_payments: np.ndarray, tcpa: np.nd
     clicked = rounds.click == 1
     total_clicks = np.bincount(rounds.bidder[clicked], minlength=M).astype(np.float64)
     total_convs = np.bincount(rounds.bidder[clicked], weights=rounds.conversion[clicked], minlength=M)
-    per_click = np.divide(total_convs * tcpa, total_clicks, out=np.zeros(M), where=total_clicks > 0)
+    per_click = stage_pacing_oracle(total_clicks, total_convs, tcpa)
     rounds.payment[clicked] = per_click[rounds.bidder[clicked]]
     for t in range(stage_payments.shape[0]):
         in_stage = clicked & (rounds.stage == t)
@@ -441,8 +393,6 @@ def _reprice_oracle(
     tcpa: np.ndarray,
 ) -> None:
     """Hindsight per-stage settlement: clicks in stage t pay conversions_t * tcpa / clicks_t."""
-    from .controllers import stage_pacing_oracle
-
     T, M = stage_payments.shape
     clicked = rounds.click == 1
     for t in range(T):
@@ -452,21 +402,8 @@ def _reprice_oracle(
         stage_payments[t] = per_click * stage_clicks[t]
 
 
-def _final_ledgers(
-    rounds: RoundsTable,
-    tcpa: np.ndarray,
-    final_bids: np.ndarray,
-    *tables: np.ndarray,
-) -> list[BidderLedger]:
+def _final_ledgers(tcpa: np.ndarray, final_bids: np.ndarray, *tables: np.ndarray) -> list[BidderLedger]:
     (imps, clicks, convs, e_clicks, e_convs, e_pay, pays, value) = tables
-    M = tcpa.size
-    last_nonzero = np.zeros(M)
-    pos = np.nonzero(rounds.payment > 0)[0]
-    if pos.size:
-        last_row = np.full(M, -1, dtype=np.int64)
-        np.maximum.at(last_row, rounds.bidder[pos], pos)
-        has = last_row >= 0
-        last_nonzero[has] = rounds.payment[last_row[has]]
     return [
         BidderLedger(
             bid=float(final_bids[m]),
@@ -478,10 +415,9 @@ def _final_ledgers(
             expected_conversions=float(e_convs[:, m].sum()),
             expected_payment=float(e_pay[:, m].sum()),
             payment=float(pays[:, m].sum()),
-            last_nonzero_payment=float(last_nonzero[m]),
             utility=float(value[:, m].sum()),
         )
-        for m in range(M)
+        for m in range(tcpa.size)
     ]
 
 

@@ -361,23 +361,19 @@ def loss_and_grads(policy: GaussianPolicy, critic: MLP, batch: TrainingBatch, cf
     sigma = np.maximum(sigma_exp, policy.sigma_floor)
     not_floored = (sigma_exp >= policy.sigma_floor).astype(np.float64)
     z = (batch.actions_raw - mu) / sigma
-    logp = -0.5 * z * z - np.log(sigma) - _HALF_LOG_2PI
-    rho = np.exp(logp - batch.old_log_probs)
-
-    surr1 = rho * batch.advantages
-    surr2 = np.clip(rho, 1.0 - cfg.clip, 1.0 + cfg.clip) * batch.advantages
-    pick1 = surr1 <= surr2
-    actor = float(-np.mean(np.minimum(surr1, surr2)))
+    rho = np.exp(gaussian_log_prob(batch.actions_raw, mu, sigma) - batch.old_log_probs)
+    actor = ppo_clip_loss(rho, batch.advantages, cfg.clip)
 
     v_out, v_acts = critic.forward(batch.features)
     v = v_out[:, 0]
-    crit = float(np.mean((v - batch.returns) ** 2))
-
-    log_sigma = np.log(sigma)
-    entropy = float(np.mean(_ENTROPY_CONST + log_sigma))
+    crit = critic_loss(v, batch.returns)
+    entropy = policy_entropy(np.log(sigma))
     total = combined_loss(actor, crit, entropy, cfg.alphas)
 
     # Actor backward: dtotal/dmin_i = -a1/B, then through the picked branch.
+    surr1 = rho * batch.advantages
+    surr2 = np.clip(rho, 1.0 - cfg.clip, 1.0 + cfg.clip) * batch.advantages
+    pick1 = surr1 <= surr2
     inside = ((rho > 1.0 - cfg.clip) & (rho < 1.0 + cfg.clip)).astype(np.float64)
     dmin_drho = np.where(pick1, batch.advantages, batch.advantages * inside)
     dlogp = (-a1 / B) * dmin_drho * rho
@@ -716,8 +712,25 @@ def _rebuild_net(params: dict[str, np.ndarray], prefix: str) -> MLP:
     return net
 
 
+def _checkpoint_floats(line: str, what: str) -> np.ndarray:
+    try:
+        values = np.array([float(x) for x in line.split()])
+    except ValueError as exc:
+        raise SchemaError(f"checkpoint {what} holds a value that is not a number: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise SchemaError(f"checkpoint {what} holds a non-finite value")
+    return values
+
+
 def load_checkpoint(path: str) -> tuple[GaussianPolicy, MLP]:
-    """Reconstruct (policy, critic) from a text checkpoint."""
+    """Reconstruct (policy, critic) from a text checkpoint.
+
+    Raises:
+        SchemaError: a wrong header, a value that is not a finite number, a
+            malformed or truncated param block, layers that do not chain, a
+            sigma_floor that is not positive, or networks of the wrong width
+            (policy FEATURE_DIM -> 2, critic FEATURE_DIM -> 1).
+    """
     if not os.path.exists(path):
         raise MissingInputError(f"checkpoint not found: {path}")
     with open(path, encoding="utf-8") as fh:
@@ -726,36 +739,43 @@ def load_checkpoint(path: str) -> tuple[GaussianPolicy, MLP]:
         raise SchemaError(f"not a checkpoint file: {path}")
     if len(lines) < 2 or not lines[1].startswith("sigma_floor "):
         raise SchemaError("checkpoint is missing the sigma_floor line")
-    sigma_floor = float(lines[1].split(" ", 1)[1])
+    floor = _checkpoint_floats(lines[1].split(" ", 1)[1], "sigma_floor")
+    if floor.size != 1 or floor[0] <= 0.0:
+        raise SchemaError(f"checkpoint sigma_floor must be one positive number, got {lines[1]!r}")
 
     params: dict[str, np.ndarray] = {}
     i = 2
     while i < len(lines) and lines[i] != "end":
         head = lines[i].split()
-        if head[0] != "param" or len(head) not in (3, 4):
+        if len(head) not in (3, 4) or head[0] != "param":
             raise SchemaError(f"malformed checkpoint line {i + 1}: {lines[i]!r}")
         name = head[1]
-        if len(head) == 3:
-            size = int(head[2])
-            values = np.array([float(x) for x in lines[i + 1].split()])
-            if values.size != size:
-                raise SchemaError(f"checkpoint param {name} expected {size} values, got {values.size}")
-            params[name] = values
-            i += 2
-        else:
-            rows, cols = int(head[2]), int(head[3])
-            block = [[float(x) for x in lines[i + 1 + r].split()] for r in range(rows)]
-            values = np.array(block)
-            if values.shape != (rows, cols):
-                raise SchemaError(f"checkpoint param {name} expected shape ({rows}, {cols})")
-            params[name] = values
-            i += 1 + rows
+        try:
+            shape = tuple(int(d) for d in head[2:])
+        except ValueError:
+            raise SchemaError(f"malformed checkpoint line {i + 1}: {lines[i]!r}") from None
+        if min(shape) < 1:
+            raise SchemaError(f"checkpoint param {name} has a non-positive dimension: {shape}")
+        rows = shape[0] if len(shape) == 2 else 1
+        if i + 1 + rows > len(lines):
+            raise SchemaError(f"checkpoint param {name} is truncated")
+        block = [_checkpoint_floats(lines[i + 1 + r], f"param {name}") for r in range(rows)]
+        if any(row.size != shape[-1] for row in block):
+            raise SchemaError(f"checkpoint param {name} expected shape {shape}")
+        params[name] = np.array(block).reshape(shape)
+        i += 1 + rows
     if i >= len(lines):
         raise SchemaError("checkpoint is missing the end marker")
 
     policy_net = _rebuild_net(params, "policy")
     critic = _rebuild_net(params, "critic")
-    return GaussianPolicy(policy_net, sigma_floor), critic
+    for prefix, net, outputs in (("policy", policy_net, 2), ("critic", critic, 1)):
+        if net.sizes[0] != FEATURE_DIM or net.sizes[-1] != outputs:
+            raise SchemaError(
+                f"checkpoint {prefix} maps {net.sizes[0]} inputs to {net.sizes[-1]} outputs, "
+                f"expected {FEATURE_DIM} to {outputs}"
+            )
+    return GaussianPolicy(policy_net, float(floor[0])), critic
 
 
 def write_curves_csv(curves: list[dict[str, float]], path: str) -> None:

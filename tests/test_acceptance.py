@@ -6,6 +6,7 @@ runs are seeded and deterministic: a pass here is reproducible bit for
 bit. Budgeted tests assert their own wall-clock limits.
 """
 
+import os
 import time
 from dataclasses import replace
 
@@ -17,37 +18,38 @@ from auctionlab import (
     MarketConfig,
     MechanismConfig,
     RiskAverseAgent,
-    RiskAverseParams,
     RLConfig,
     TruthfulAgent,
     bid_drift_metric,
-    cfp_tau_rollup,
     checkpoint_ratio_table,
     chernoff_empirical_check,
     chernoff_min_clicks,
-    cpa_ratio_table,
-    desk_default_config,
     deviation_sweep,
+    generate_market,
+    load_config,
+    payment_fluctuation,
+    run_auction,
+    run_experiment,
+    train,
+)
+from auctionlab.agents import RiskAverseParams
+from auctionlab.analysis import cfp_tau_rollup, cpa_ratio_table, pplt_objective
+from auctionlab.experiments import ExperimentConfig, evaluate_rl_controller, payment_smoothness
+from auctionlab.nets import MLP
+from auctionlab.ppo import (
+    FEATURE_DIM,
+    GaussianPolicy,
+    TrainingBatch,
     discounted_returns,
     gae,
     gaussian_log_prob,
-    generate_market,
-    payment_fluctuation,
-    payment_smoothness,
+    loss_and_grads,
     ppo_clip_loss,
-    pplt_objective,
-    run_auction,
-    run_experiment,
-    sparse_config,
     td_errors,
-    toy_training_config,
-    train,
 )
-from auctionlab.experiments import ExperimentConfig, evaluate_rl_controller
-from auctionlab.nets import MLP
-from auctionlab.ppo import FEATURE_DIM, GaussianPolicy, TrainingBatch, loss_and_grads
 
-DESK = desk_default_config()
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+DESK = load_config(os.path.join(CONFIGS, "desk.yaml"))
 
 # Sparse stress market where several bidders settle at 100-150 clicks per
 # stage, the regime where per-stage conversion counts are too noisy for
@@ -161,10 +163,10 @@ def test_acceptance_05_click_volume_bound():
     assert chernoff_min_clicks(0.2, 0.1) == 886
     for eps, cvr in ((0.1, 0.05), (0.2, 0.1)):
         volume = chernoff_min_clicks(eps, cvr)
-        rate = chernoff_empirical_check(0.5, cvr, eps, trials=10**4, seed=0)
+        rate = chernoff_empirical_check(cvr, eps, trials=10**4, seed=0)
         assert rate <= eps
         starved = chernoff_empirical_check(
-            0.5, cvr, eps, trials=10**4, click_volume=max(volume // 100, 1), seed=0
+            cvr, eps, trials=10**4, click_volume=max(volume // 100, 1), seed=0
         )
         assert starved > eps
     assert time.monotonic() - t0 < 120.0
@@ -270,7 +272,7 @@ def test_acceptance_09_learned_payment_policy_efficacy():
     """Trained payment policy beats its own untrained initialization on
     held-out markets and pays at least as smoothly as the debt payer."""
     t0 = time.monotonic()
-    config = toy_training_config()
+    config = load_config(os.path.join(CONFIGS, "toy_train.yaml"))
     rl = RLConfig()
     train_seed = 1
     out = train(config.market, rl, seed=train_seed)
@@ -317,7 +319,7 @@ def test_acceptance_10_risk_averse_bid_stability():
     assert np.all(report.drift == 0.0)
     assert report.withdrawals == 0
 
-    sparse = sparse_config()
+    sparse = load_config(os.path.join(CONFIGS, "sparse.yaml"))
     wins = 0
     for seed in range(10):
         market = generate_market(replace(sparse.market, seed=seed))
@@ -367,8 +369,6 @@ def test_acceptance_11_deterministic_experiment_replay(tmp_path):
     first = run_experiment(config, str(tmp_path / "a"))
     second = run_experiment(config, str(tmp_path / "b"))
     assert len(first["run_dirs"]) == len(second["run_dirs"]) == 10
-    import os
-
     for root, _, files in os.walk(tmp_path / "a"):
         for name in files:
             if not name.endswith(".csv"):

@@ -7,18 +7,16 @@ import pytest
 
 from auctionlab import (
     ConfigError,
-    FixedBidAgent,
     MarketConfig,
     MechanismConfig,
     RiskAverseAgent,
-    RiskAverseParams,
     TruthfulAgent,
     bid_drift_metric,
     deviation_sweep,
     generate_market,
-    risk_averse_update,
     run_auction,
 )
+from auctionlab.agents import FixedBidAgent, RiskAverseParams, risk_averse_update
 
 P = RiskAverseParams(epsilon=0.1, step=0.1, patience=3)
 

@@ -7,25 +7,29 @@ from auctionlab import (
     ConfigError,
     MarketConfig,
     MechanismConfig,
-    RatioTable,
     SchemaError,
     TruthfulAgent,
-    cfp_tau_rollup,
     chernoff_empirical_check,
     chernoff_min_clicks,
     checkpoint_ratio_table,
+    generate_market,
+    payment_fluctuation,
+    run_auction,
+)
+from auctionlab.analysis import (
+    METRIC_SUMMARY_CSV_HEADER,
+    RATIO_CSV_HEADER,
+    RatioTable,
+    cfp_tau_rollup,
     conversion_ratio,
     cpa_ratio_table,
     etic_violation_rate,
     fluctuation_stats,
-    generate_market,
-    payment_fluctuation,
     pplt_objective,
-    run_auction,
     write_metric_summary_csv,
     write_ratio_csv,
 )
-from auctionlab.analysis import METRIC_SUMMARY_CSV_HEADER, RATIO_CSV_HEADER
+from reference import ratio_table
 
 
 def _market(**kw):
@@ -55,6 +59,15 @@ def test_conversion_ratio_values():
         conversion_ratio(0.5, 1.0, 2.0)
     with pytest.raises(ConfigError):
         conversion_ratio(1.0, -1.0, 2.0)
+
+
+def test_conversion_ratio_broadcasts():
+    ratio = conversion_ratio(np.array([50.0, 1.0, 2.0]), np.array([95.0, 0.0, 4.0]), 2.0)
+    np.testing.assert_array_equal(ratio, [50.0 * 2.0 / 95.0, np.inf, 1.0])
+    with pytest.raises(ConfigError):
+        conversion_ratio(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 2.0)
+    with pytest.raises(ConfigError):
+        conversion_ratio(np.array([1.0, 1.0]), np.array([1.0, -1.0]), 2.0)
 
 
 def test_ratio_table_summary_quartiles():
@@ -103,6 +116,31 @@ def test_checkpoint_table_matches_cumulative_recomputation():
     for b, s, r in zip(table.bidder, table.stage, table.ratio):
         want = z[s, b] * result.tcpa[b] / p[s, b] if p[s, b] > 0 else float("inf")
         assert r == want
+
+
+def test_ratio_tables_match_loop_reference():
+    market = _market(seed=35)
+    result = run_auction(market, MechanismConfig("CFP"), _truthful(market))
+    rng = np.random.default_rng(5)
+    z = rng.integers(0, 3, size=(6, 4)).astype(np.float64)
+    p = np.where(rng.random((6, 4)) < 0.3, 0.0, rng.uniform(0.1, 2.0, (6, 4)))
+    tcpa = np.array([1.0, 2.5, 4.0, 0.5])
+    cases = [
+        (cpa_ratio_table(result), result.stage_conversions, result.stage_payments, result.tcpa),
+        (
+            checkpoint_ratio_table(result),
+            np.cumsum(result.stage_conversions, axis=0),
+            np.cumsum(result.stage_payments, axis=0),
+            result.tcpa,
+        ),
+        (cfp_tau_rollup(z, p, tcpa, tau=1), z, p, tcpa),
+    ]
+    for table, conversions, payments, targets in cases:
+        bidders, windows, ratios = ratio_table(conversions, payments, targets)
+        np.testing.assert_array_equal(table.bidder, bidders)
+        np.testing.assert_array_equal(table.stage, windows)
+        np.testing.assert_array_equal(table.ratio, ratios)
+    assert np.isinf(cases[-1][0].ratio).any()
 
 
 def test_tau_rollup_group_totals():
@@ -211,15 +249,15 @@ def test_chernoff_min_clicks_values():
 
 
 def test_chernoff_empirical_rates():
-    rate = chernoff_empirical_check(0.5, 0.05, 0.1, trials=2000, seed=0)
+    rate = chernoff_empirical_check(0.05, 0.1, trials=2000, seed=0)
     assert rate <= 0.1
-    starved = chernoff_empirical_check(0.5, 0.05, 0.1, trials=2000, click_volume=96, seed=0)
+    starved = chernoff_empirical_check(0.05, 0.1, trials=2000, click_volume=96, seed=0)
     assert starved > 0.1
-    again = chernoff_empirical_check(0.5, 0.05, 0.1, trials=2000, seed=0)
+    again = chernoff_empirical_check(0.05, 0.1, trials=2000, seed=0)
     assert rate == again
-    assert chernoff_empirical_check(0.5, 0.05, 0.1, trials=10, click_volume=0) == 0.0
+    assert chernoff_empirical_check(0.05, 0.1, trials=10, click_volume=0) == 0.0
     with pytest.raises(ConfigError):
-        chernoff_empirical_check(0.5, 0.05, 0.1, trials=0)
+        chernoff_empirical_check(0.05, 0.1, trials=0)
 
 
 def test_etic_violation_rate():

@@ -141,6 +141,21 @@ def test_report_missing_summary(capsys, tmp_path):
     assert _last_stderr_line(capsys).startswith("ERROR MissingInputError:")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("", id="empty"),
+        pytest.param("mechanism,metric,upper,lower,mean\nCFP,stage_ratio,1.0\n", id="short_row"),
+        pytest.param("bidder,tcpa,final_bid,impressions,clicks,conversions,expected_clicks,"
+                     "expected_conversions,expected_payment,payment,utility,withdrawn\n", id="per_bidder_summary"),
+    ],
+)
+def test_report_malformed_summary(capsys, tmp_path, text):
+    (tmp_path / "summary.csv").write_text(text)
+    assert main(["report", str(tmp_path)]) == 1
+    assert _last_stderr_line(capsys).startswith("ERROR SchemaError:")
+
+
 def test_train_then_run_learned_controller(capsys, train_config, tmp_path):
     out = str(tmp_path / "ckpt")
     assert main(["train", "--config", train_config, "--out", out, "--seed", "3"]) == 0

@@ -12,19 +12,17 @@ from auctionlab import (
     MarketConfig,
     MechanismConfig,
     MissingInputError,
-    checkpoint_abs_error,
+    RLConfig,
+    TruthfulAgent,
     config_digest,
-    desk_default_config,
     evaluate_debt_controller,
     generate_market,
     load_config,
-    payment_smoothness,
     run_auction,
     run_experiment,
-    sparse_config,
-    toy_training_config,
 )
-from auctionlab.agents import TruthfulAgent
+from auctionlab.agents import RiskAverseParams
+from auctionlab.experiments import checkpoint_abs_error, payment_smoothness
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -53,16 +51,37 @@ def _tiny_config(**kw):
     return ExperimentConfig(**base)
 
 
-@pytest.mark.parametrize(
-    "path,builder",
-    [
-        ("configs/desk.yaml", desk_default_config),
-        ("configs/sparse.yaml", sparse_config),
-        ("configs/toy_train.yaml", toy_training_config),
-    ],
-)
-def test_shipped_configs_match_builders(path, builder):
-    assert load_config(os.path.join(REPO, path)) == builder()
+SHIPPED = {
+    "desk.yaml": dict(
+        market=(50, 55800, 5, (1800,) * 31, (0.3, 0.9), (0.05, 0.15), (1.0, 5.0), (1.0, 10.0)),
+        mechanisms=["CFP", "CPA_OFFLINE", "PACING_OFFLINE", "DFP:debt", "DFP:oracle"],
+        agent="risk_averse", tau=4, chernoff=(0.1, 0.05),
+    ),
+    "sparse.yaml": dict(
+        market=(10, 18600, 4, (600,) * 31, (0.4, 0.8), (0.05, 0.15), (1.0, 5.0), (2.0, 6.0)),
+        mechanisms=["DFP:debt"], agent="truthful", tau=None, chernoff=None,
+    ),
+    "toy_train.yaml": dict(
+        market=(1, 6200, 1, (200,) * 31, (0.45, 0.55), (0.1, 0.1), (1.0, 5.0), (2.0, 2.0)),
+        mechanisms=["DFP:debt"], agent="truthful", tau=None, chernoff=None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_configs_pin_dimensions_mechanisms_and_seeds(name):
+    want = SHIPPED[name]
+    cfg = load_config(os.path.join(REPO, "configs", name))
+    m = cfg.market
+    assert (
+        m.num_bidders, m.num_rounds, m.num_slots, m.stage_plan,
+        m.ctr_range, m.cvr_range, m.value_range, m.tcpa_range,
+    ) == want["market"]
+    assert m.seed == 0
+    assert [mech.label for mech in cfg.mechanisms] == want["mechanisms"]
+    assert cfg.seeds == (0, 1, 2, 3, 4)
+    assert (cfg.agent, cfg.agent_params, cfg.epsilon) == (want["agent"], RiskAverseParams(), 0.1)
+    assert (cfg.tau, cfg.chernoff, cfg.rl) == (want["tau"], want["chernoff"], RLConfig())
 
 
 def test_load_config_stage_plan_forms(tmp_path):
@@ -126,18 +145,29 @@ seeds: [0]
         ("epsilon: .nan", "epsilon"),
         ("tau: 1.7", "tau"),
         ("seeds: 3", "seeds"),
+        ("market: {num_bidders: two, num_slots: 1, stage_plan: [5], seed: 0}", "market.num_bidders"),
+        ("market: {num_bidders: 2, num_slots: 1, stage_plan: {stages: two, rounds_per_stage: 5}}", "stages"),
+        ("market: {num_bidders: 2, num_slots: 1, stage_plan: [5], ctr_range: [0.5, high]}", "ctr_range[1]"),
+        ("market: {num_slots: 1, stage_plan: [5]}", "market.num_bidders"),
+        ("rl: {hidden: 5}", "rl.hidden"),
+        ("rl: {hidden: [4, 2.5]}", "rl.hidden[1]"),
+        ("rl: {updates: 2.5}", "rl.updates"),
+        ("rl: {epochs: 1.5}", "rl.epochs"),
+        ("rl: {lr: fast}", "rl.lr"),
+        ("rl: {adv_norm: 1}", "rl.adv_norm"),
+        ('agent_params: {patience: "3"}', "agent_params.patience"),
+        ("epsilon: abc", "epsilon"),
+        ("chernoff: {epsilon: x, cvr: 0.05}", "chernoff.epsilon"),
+        ("mechanisms: CFP", "mechanisms"),
+        ("mechanisms: [{kind: CFP, ranking: expected_spend}]", "'ranking' in mechanisms[0]"),
     ],
 )
 def test_load_config_rejects_bad_values(tmp_path, snippet, needle):
-    body = """
-market:
-  num_bidders: 2
-  num_slots: 1
-  stage_plan: [5]
-  seed: 0
-mechanisms:
-  - kind: CFP
-"""
+    body = "market:\n  num_bidders: 2\n  num_slots: 1\n  stage_plan: [5]\n  seed: 0\n"
+    if snippet.startswith("market:"):
+        body = ""
+    if not snippet.startswith("mechanisms:"):
+        body += "mechanisms:\n  - kind: CFP\n"
     if not snippet.startswith("seeds:"):
         body += "seeds: [0]\n"
     path = tmp_path / "c.yaml"
@@ -159,10 +189,15 @@ mechanisms:
   - kind: CFP
 seeds: [1.0, 2]
 tau: 2.0
+epsilon: 1e-3
+rl: {hidden: [4.0], lr: 1, xi: null}
 """)
     cfg = load_config(str(path))
     assert cfg.tau == 2 and isinstance(cfg.tau, int)
     assert cfg.seeds == (1, 2) and all(isinstance(s, int) for s in cfg.seeds)
+    # PyYAML reads 1e-3 (no dot) as a string; it is taken as the number it spells.
+    assert cfg.epsilon == 0.001
+    assert cfg.rl.hidden == (4,) and cfg.rl.lr == 1.0 and cfg.rl.xi is None
 
 
 def test_load_config_structural_errors(tmp_path):

@@ -1,4 +1,4 @@
-"""Market generation: RNG streams, outcome sampling, stages, feedback, CSV replay."""
+"""Market generation: RNG streams, outcome sampling, stages, CSV replay, and the per-round reference."""
 
 import warnings
 
@@ -8,23 +8,15 @@ import pytest
 from auctionlab import (
     ConfigError,
     ContractViolation,
-    FeedbackView,
     MarketConfig,
-    MarketLog,
-    OutcomeSampler,
-    RoundOutcome,
     SchemaError,
-    apply_feedback_delay,
     generate_market,
-    philox4x64,
-    read_market_csv,
     sample_outcomes,
-    sample_round,
-    stage_of,
     stage_starts,
-    validate_allocation,
     write_market_csv,
 )
+from auctionlab.market import MarketLog, OutcomeSampler, philox4x64, read_market_csv
+from reference import RoundOutcome, sample_round, stage_of, validate_allocation
 
 _MASK = (1 << 64) - 1
 
@@ -268,17 +260,6 @@ def test_stage_of_boundaries():
 def test_stage_starts_values():
     np.testing.assert_array_equal(stage_starts((2, 5, 4)), [0, 2, 7])
     np.testing.assert_array_equal(stage_starts((4,)), [0])
-
-
-def test_apply_feedback_delay_releases_at_boundaries():
-    conv = np.array([[1], [0], [1], [1]])
-    plan = (2, 2)
-    views = [apply_feedback_delay(conv, plan, r) for r in range(5)]
-    assert [int(v.visible[0]) for v in views] == [0, 0, 1, 1, 3]
-    assert all(int(v.true[0]) == 3 for v in views)
-    assert isinstance(views[0], FeedbackView)
-    # Far past the end behaves like the final boundary.
-    assert int(apply_feedback_delay(conv, plan, 100).visible[0]) == 3
 
 
 def test_market_csv_roundtrip(tmp_path):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from auctionlab import MLP, Adam, SchemaError
+from auctionlab import SchemaError
+from auctionlab.nets import MLP, Adam
 
 
 def test_empty_hidden_is_pure_linear():

@@ -1,19 +1,27 @@
 """Payment policy: rewards, estimators, losses, hand backprop, training loop."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from auctionlab import (
-    MLP,
     ConfigError,
-    DFPTrainingEnv,
-    GaussianPolicy,
     MarketConfig,
     MissingInputError,
     NumericalFault,
     RLConfig,
-    RLPaymentController,
     SchemaError,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+    write_curves_csv,
+)
+from auctionlab.nets import MLP
+from auctionlab.ppo import (
+    DFPTrainingEnv,
+    GaussianPolicy,
+    RLPaymentController,
     Trajectory,
     accuracy_reward,
     combined_loss,
@@ -22,18 +30,14 @@ from auctionlab import (
     discounted_returns,
     gae,
     gaussian_log_prob,
-    load_checkpoint,
     loss_and_grads,
     policy_entropy,
     ppo_clip_loss,
-    save_checkpoint,
     smoothness_reward,
     softplus,
     td_errors,
-    train,
     trajectory_targets,
     value_estimate,
-    write_curves_csv,
 )
 from auctionlab.ppo import CURVES_CSV_HEADER, FEATURE_DIM, TrainingBatch, build_state_features, resolve_xi
 
@@ -498,6 +502,57 @@ def test_checkpoint_error_paths(tmp_path):
         fh.write("\n".join(tampered) + "\n")
     with pytest.raises(SchemaError):
         load_checkpoint(bad)
+
+
+def _checkpoint_lines(tmp_path, policy_in=FEATURE_DIM, policy_out=2, critic_in=FEATURE_DIM, critic_out=1):
+    rng = np.random.default_rng(10)
+    policy = SimpleNamespace(net=MLP(policy_in, (3,), policy_out, rng=rng), sigma_floor=1e-3)
+    critic = MLP(critic_in, (3,), critic_out, rng=rng)
+    path = str(tmp_path / "ckpt.txt")
+    save_checkpoint(policy, critic, path)
+    return open(path).read().splitlines()
+
+
+def _line_after(lines, prefix, offset, value):
+    """Replace the line `offset` lines after the first one starting with prefix."""
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix)) + offset
+    return lines[:i] + [value] + lines[i + 1:]
+
+
+def _first_value(lines, prefix, value):
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix)) + 1
+    return _line_after(lines, prefix, 1, " ".join([value] + lines[i].split()[1:]))
+
+
+def _cut_after(lines, prefix, keep):
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    return lines[: i + keep]
+
+
+@pytest.mark.parametrize(
+    "nets,edit",
+    [
+        pytest.param({}, lambda lines: _line_after(lines, "sigma_floor", 0, "sigma_floor abc"), id="sigma_floor_text"),
+        pytest.param({}, lambda lines: _line_after(lines, "sigma_floor", 0, "sigma_floor nan"), id="sigma_floor_nan"),
+        pytest.param({}, lambda lines: _line_after(lines, "sigma_floor", 0, "sigma_floor 0.0"), id="sigma_floor_zero"),
+        pytest.param({}, lambda lines: _first_value(lines, "param policy.W0", "abc"), id="weight_text"),
+        pytest.param({}, lambda lines: _first_value(lines, "param policy.W0", "nan"), id="weight_nan"),
+        pytest.param({}, lambda lines: _first_value(lines, "param critic.b1", "inf"), id="bias_inf"),
+        pytest.param({}, lambda lines: _cut_after(lines, "param critic.W0", 3), id="truncated_param_block"),
+        pytest.param({}, lambda lines: _line_after(lines, "param policy.b0", 0, "param policy.b0 x"), id="shape_text"),
+        pytest.param({}, lambda lines: _line_after(lines, "param policy.b0", 0, "param policy.b0 0"), id="shape_zero"),
+        pytest.param({}, lambda lines: _line_after(lines, "param policy.b0", 0, ""), id="blank_param_line"),
+        pytest.param(dict(policy_in=5), lambda lines: lines, id="policy_input_width"),
+        pytest.param(dict(policy_out=3), lambda lines: lines, id="policy_three_outputs"),
+        pytest.param(dict(critic_in=4), lambda lines: lines, id="critic_input_width"),
+        pytest.param(dict(critic_out=2), lambda lines: lines, id="critic_two_outputs"),
+    ],
+)
+def test_checkpoint_hostile_inputs(tmp_path, nets, edit):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(edit(_checkpoint_lines(tmp_path, **nets))) + "\n")
+    with pytest.raises(SchemaError):
+        load_checkpoint(str(bad))
 
 
 def test_write_curves_csv(tmp_path):
