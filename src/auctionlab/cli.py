@@ -115,13 +115,20 @@ def cmd_report(args: argparse.Namespace) -> int:
     for n, cells in enumerate(rows, start=1):
         if len(cells) != 5:
             raise SchemaError(f"{summary_path} row {n} has {len(cells)} columns, expected 5")
+    manifest_path = os.path.join(args.artifacts, "manifest.json")
+    manifest = None
+    if os.path.exists(manifest_path):
+        with open(manifest_path, encoding="utf-8") as fh:
+            try:
+                manifest = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+                raise SchemaError(f"{manifest_path} is not valid JSON: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise SchemaError(f"{manifest_path} must hold a JSON object, got {type(manifest).__name__}")
     widths = [max(len(cells[i]) for cells in rows) for i in range(5)]
     for cells in rows:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)))
-    manifest_path = os.path.join(args.artifacts, "manifest.json")
-    if os.path.exists(manifest_path):
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+    if manifest is not None:
         print(f"config sha256: {manifest.get('config_sha256', '?')}")
         print(f"created: {manifest.get('created', '?')}")
     return 0

@@ -196,12 +196,18 @@ def generate_market(config: MarketConfig) -> MarketLog:
     seed = config.seed
 
     def scale(u: np.ndarray, rng: tuple[float, float]) -> np.ndarray:
-        return rng[0] + (rng[1] - rng[0]) * u
+        # lo + (hi - lo) * u, in place: the (N, M, K) ctr block is the
+        # largest array a run holds, so no full-size temporaries.
+        u *= rng[1] - rng[0]
+        u += rng[0]
+        return u
 
     tcpa = scale(_stream(seed, _TCPA_STREAM).random(M), config.tcpa_range)
     ctr = scale(_stream(seed, _CTR_STREAM).random((N, M, K)), config.ctr_range)
-    # Slot position effect: best slot first.
-    ctr = -np.sort(-ctr, axis=2)
+    # Slot position effect: best slot first (a descending sort, in place).
+    np.negative(ctr, out=ctr)
+    ctr.sort(axis=2)
+    np.negative(ctr, out=ctr)
     cvr = scale(_stream(seed, _CVR_STREAM).random((N, M)), config.cvr_range)
     value = scale(_stream(seed, _VALUE_STREAM).random((N, M)), config.value_range)
     return MarketLog(config=config, tcpa=tcpa, ctr=ctr, cvr=cvr, value=value)

@@ -284,14 +284,21 @@ def run_auction(
             x_ctr[rows, bidders] = ctr_at
             suffix = np.vstack([np.cumsum(x_ctr[::-1], axis=0)[::-1][1:], np.zeros((1, M))])
             controller.begin_stage(t, x_ctr.sum(axis=0), (x_ctr * cvr).sum(axis=0), bids, s0, n_t)
-            pay = np.zeros(y.shape)
-            for i in np.nonzero(y)[0]:
-                m = int(bidders[i])
-                pay[i] = controller.on_click(
-                    m, int(rounds_global[i]), float(cvr_at[i]), float(suffix[rows[i], m])
+            clicked = np.flatnonzero(y)
+            on_click = controller.on_click
+            paid = np.array([
+                on_click(m, n, c, r)
+                for m, n, c, r in zip(
+                    bidders[clicked].tolist(),
+                    rounds_global[clicked].tolist(),
+                    cvr_at[clicked].tolist(),
+                    suffix[rows[clicked], bidders[clicked]].tolist(),
                 )
-                if pay[i] < 0:
-                    raise ContractViolation("controller returned a negative payment")
+            ], dtype=np.float64)
+            if not (np.isfinite(paid) & (paid >= 0.0)).all():
+                raise ContractViolation("controller returned a negative or non-finite payment")
+            pay = np.zeros(y.shape)
+            pay[clicked] = paid
 
         np.add.at(stage_impressions[t], bidders, 1)
         np.add.at(stage_clicks[t], bidders, y)

@@ -39,26 +39,37 @@ class MLP:
         """Batched forward pass.
 
         Args:
-            x: (batch, in_dim) inputs.
+            x: (batch, in_dim) inputs, or one (in_dim,) row as a batch of one.
 
         Returns:
-            (outputs (batch, out_dim), cache of layer activations for backward).
+            (outputs (batch, out_dim), cache of layer activations for backward;
+            a single row's cache holds vectors).
+
+        A single row goes through as a vector (BLAS gemv), a batch as a
+        matrix (gemm), each layer biased and squashed in place. gemv and gemm
+        can round a row's sums differently, so a row's output depends on
+        whether it is sent alone or in a batch, but not on whether it arrives
+        as (in_dim,) or (1, in_dim).
         """
-        acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
-        h = acts[0]
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i != last:
-                h = np.tanh(h)
+        h = np.asarray(x, dtype=np.float64)
+        row = h.ndim < 2
+        if row:
+            h = h.reshape(-1)
+        acts = [h]
+        hidden = len(self.weights) - 1
+        for w, b in zip(self.weights, self.biases):
+            h = np.dot(h, w)
+            h += b
+            if len(acts) <= hidden:
+                np.tanh(h, out=h)
             acts.append(h)
-        return h, acts
+        return (h.reshape(1, -1) if row else h), acts
 
     def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> list[np.ndarray]:
         """Gradients of sum(dout * output) w.r.t. parameters.
 
         Args:
-            acts: cache from forward.
+            acts: cache from forward (vectors for a single row).
             dout: (batch, out_dim) upstream gradient.
 
         Returns:
@@ -68,7 +79,7 @@ class MLP:
         delta = np.asarray(dout, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
             grads.append(delta.sum(axis=0))          # db
-            grads.append(acts[i].T @ delta)          # dW
+            grads.append(acts[i].reshape(len(delta), -1).T @ delta)  # dW
             if i > 0:
                 # tanh' = 1 - tanh^2, and acts[i] already holds tanh values.
                 delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)

@@ -18,6 +18,8 @@ sampling, 13 minibatch shuffling, 14 the per-update market seed sequence.
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -134,19 +136,25 @@ def build_state_features(
     )
 
 
-def accuracy_reward(paid: np.ndarray, targets: np.ndarray, floor: float = ACCURACY_FLOOR) -> float:
+def accuracy_reward(paid: np.ndarray | list[float], targets: np.ndarray | list[float],
+                    floor: float = ACCURACY_FLOOR) -> float:
     """Negative log of the summed absolute ratio error across active bidders.
 
     A total error of 1 maps to reward 0; smaller errors are rewarded on a
-    log scale, floored so a perfect stage stays finite.
+    log scale, floored so a perfect stage stays finite. The online payer
+    calls this once per click with a handful of bidders, so the terms are
+    formed in Python floats (the same IEEE operations NumPy would apply
+    elementwise) and summed by np.add.reduce, the reduction behind np.sum.
     """
     paid = np.asarray(paid, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if paid.shape != targets.shape:
         raise SchemaError(f"paid shape {paid.shape} does not match targets shape {targets.shape}")
-    if np.any(targets <= 0.0):
+    target_list = targets.ravel().tolist()
+    if any(t <= 0.0 for t in target_list):
         raise SchemaError("accuracy targets must be positive")
-    total = float(np.sum(np.abs(paid / targets - 1.0)))
+    terms = [abs(p / t - 1.0) for p, t in zip(paid.ravel().tolist(), target_list)]
+    total = float(np.add.reduce(np.array(terms, dtype=np.float64)))
     return float(-np.log(max(total, floor)))
 
 
@@ -167,7 +175,7 @@ def softplus(g: float | np.ndarray) -> float | np.ndarray:
 
 
 def gaussian_log_prob(g: float | np.ndarray, mu: float | np.ndarray, sigma: float | np.ndarray) -> float | np.ndarray:
-    z = (np.asarray(g) - mu) / sigma
+    z = (g - mu) / sigma
     return -0.5 * z * z - np.log(sigma) - _HALF_LOG_2PI
 
 
@@ -199,13 +207,12 @@ class GaussianPolicy:
         Raises:
             NumericalFault: if the network emits a non-finite head.
         """
-        out, _ = self.net.forward(features.reshape(1, -1))
-        mu = float(out[0, 0])
-        log_sigma_raw = float(out[0, 1])
-        if not (np.isfinite(mu) and np.isfinite(log_sigma_raw)):
+        out, _ = self.net.forward(features)
+        [[mu, log_sigma_raw]] = out.tolist()
+        if not (math.isfinite(mu) and math.isfinite(log_sigma_raw)):
             raise NumericalFault(f"policy head is not finite: mu={mu}, log_sigma_raw={log_sigma_raw}")
         sigma = max(float(np.exp(log_sigma_raw)), self.sigma_floor)
-        if not np.isfinite(sigma):
+        if not math.isfinite(sigma):
             raise NumericalFault(f"policy stddev overflowed: log_sigma_raw={log_sigma_raw}")
         if deterministic:
             g = mu
@@ -215,15 +222,15 @@ class GaussianPolicy:
             g = mu + sigma * float(rng.standard_normal())
         logp = float(gaussian_log_prob(g, mu, sigma))
         action = float(softplus(g))
-        if not (np.isfinite(g) and np.isfinite(action) and np.isfinite(logp)):
+        if not (math.isfinite(g) and math.isfinite(action) and math.isfinite(logp)):
             raise NumericalFault(f"action is not finite: g={g}")
         return action, g, logp
 
 
 def value_estimate(critic: MLP, features: np.ndarray) -> float:
-    out, _ = critic.forward(features.reshape(1, -1))
-    v = float(out[0, 0])
-    if not np.isfinite(v):
+    out, _ = critic.forward(features)
+    [[v]] = out.tolist()
+    if not math.isfinite(v):
         raise NumericalFault(f"critic output is not finite: {v}")
     return v
 
@@ -418,26 +425,30 @@ class RLPaymentController:
     ):
         self.policy = policy
         self.critic = critic
-        self.tcpa = np.asarray(tcpa, dtype=np.float64)
+        # Per-bidder values are kept in Python floats: every click reads and
+        # writes one bidder's entries, which NumPy scalars make slow.
+        tcpa = np.asarray(tcpa, dtype=np.float64)
+        self.tcpa = tcpa.tolist()
         self.zeta = float(zeta)
-        self.xi = resolve_xi(xi, self.tcpa)
+        self.xi = resolve_xi(xi, tcpa).tolist()
         self.rng = rng
         self.deterministic = deterministic
         self.collect = collect
 
-        m = self.tcpa.size
-        self.clicks = np.zeros(m)
-        self.visible = np.zeros(m)
-        self.stage_z_est = np.zeros(m)
-        self.stage_clicks = np.zeros(m, dtype=np.int64)
-        self.paid_stage = np.zeros(m)
-        self.paid_total = np.zeros(m)
-        self.last_nonzero_payment = np.zeros(m)
-        self.expected_paid_completed = np.zeros(m)
+        m = len(self.tcpa)
+        self.clicks = [0.0] * m
+        self.visible = [0.0] * m
+        self.stage_z_est = [0.0] * m
+        self.stage_clicks = [0] * m
+        self.active: list[int] = []  # bidders with a click this stage, ascending
+        self.paid_stage = [0.0] * m
+        self.paid_total = [0.0] * m
+        self.last_nonzero_payment = [0.0] * m
+        self.expected_paid_completed = [0.0] * m
 
-        self.bids = np.zeros(m)
-        self.expected_stage_clicks = np.zeros(m)
-        self.expected_stage_conversions = np.zeros(m)
+        self.bids = [0.0] * m
+        self.expected_stage_clicks = [0.0] * m
+        self.expected_stage_conversions = [0.0] * m
         self.stage_start = 0
         self.stage_len = 1
 
@@ -452,34 +463,38 @@ class RLPaymentController:
 
     def begin_stage(self, stage: int, expected_clicks: np.ndarray, expected_conversions: np.ndarray,
                     bids: np.ndarray, stage_start: int, stage_len: int) -> None:
-        self.bids = np.asarray(bids, dtype=np.float64).copy()
-        self.expected_stage_clicks = np.asarray(expected_clicks, dtype=np.float64)
-        self.expected_stage_conversions = np.asarray(expected_conversions, dtype=np.float64)
+        m = len(self.tcpa)
+        self.bids = np.asarray(bids, dtype=np.float64).tolist()
+        self.expected_stage_clicks = np.asarray(expected_clicks, dtype=np.float64).tolist()
+        self.expected_stage_conversions = np.asarray(expected_conversions, dtype=np.float64).tolist()
         self.stage_start = int(stage_start)
         self.stage_len = int(stage_len)
-        self.stage_z_est[:] = 0.0
-        self.stage_clicks[:] = 0
-        self.paid_stage[:] = 0.0
+        self.stage_z_est = [0.0] * m
+        self.stage_clicks = [0] * m
+        self.active = []
+        self.paid_stage = [0.0] * m
         self._steps_this_stage = 0
 
     def on_click(self, bidder: int, round_index: int, cvr: float, expected_remaining_clicks: float) -> float:
         m = bidder
-        self.stage_z_est[m] += cvr
+        z_est, paid_stage, active = self.stage_z_est, self.paid_stage, self.active
+        z_est[m] += cvr
         self.clicks[m] += 1.0
         self.stage_clicks[m] += 1
+        if self.stage_clicks[m] == 1:
+            bisect.insort(active, m)
         progress = (round_index - self.stage_start + 1) / self.stage_len
-        expected_paid = (
-            self.expected_paid_completed[m]
-            + self.bids[m] * self.expected_stage_conversions[m] * progress
-        )
+        bid = self.bids[m]
+        expected_paid = self.expected_paid_completed[m] + bid * self.expected_stage_conversions[m] * progress
+        last_payment = self.last_nonzero_payment[m]
         feats = build_state_features(
             clicks=self.clicks[m],
             visible_conversions=self.visible[m],
-            pending_conversions=self.stage_z_est[m],
+            pending_conversions=z_est[m],
             paid_total=self.paid_total[m],
             expected_paid=expected_paid,
-            paid_stage=self.paid_stage[m],
-            last_nonzero_payment=self.last_nonzero_payment[m],
+            paid_stage=paid_stage[m],
+            last_nonzero_payment=last_payment,
             stage_progress=progress,
             expected_stage_clicks=self.expected_stage_clicks[m],
             expected_stage_conversions=self.expected_stage_conversions[m],
@@ -487,14 +502,13 @@ class RLPaymentController:
             xi=self.xi[m],
         )
         action, g, logp = self.policy.act(feats, rng=self.rng, deterministic=self.deterministic)
-        payment = action * self.bids[m] * cvr
-        self.paid_stage[m] += payment
+        payment = action * bid * cvr
+        paid_stage[m] += payment
         self.paid_total[m] += payment
 
-        active = self.stage_clicks >= 1
-        targets = self.stage_z_est[active] * self.tcpa[active] + self.xi[active]
-        r1 = accuracy_reward(self.paid_stage[active], targets)
-        r2 = smoothness_reward(payment, self.last_nonzero_payment[m])
+        tcpa, xi = self.tcpa, self.xi
+        r1 = accuracy_reward([paid_stage[i] for i in active], [z_est[i] * tcpa[i] + xi[i] for i in active])
+        r2 = smoothness_reward(payment, last_payment)
         reward = compute_reward(r1, r2, self.zeta)
 
         if payment > 0.0:
@@ -510,19 +524,23 @@ class RLPaymentController:
 
     def end_stage(self, visible_conversions: np.ndarray) -> None:
         visible = np.asarray(visible_conversions, dtype=np.float64)
-        stage_true = visible - self.visible
-        active = self.stage_clicks >= 1
-        if np.any(active):
-            targets = stage_true[active] * self.tcpa[active] + self.xi[active]
-            self.stage_true_errors.append(float(np.mean(np.abs(self.paid_stage[active] / targets - 1.0))))
+        active = self.active
+        if active:
+            paid = np.array(self.paid_stage)[active]
+            stage_true = (visible - np.array(self.visible))[active]
+            targets = stage_true * np.array(self.tcpa)[active] + np.array(self.xi)[active]
+            self.stage_true_errors.append(float(np.mean(np.abs(paid / targets - 1.0))))
             if self.collect and self._steps_this_stage > 0:
                 # Feedback release: reward the stage's final step with the
                 # accuracy score under the true conversion counts.
-                self._rewards[-1] += accuracy_reward(self.paid_stage[active], targets)
+                self._rewards[-1] += accuracy_reward(paid, targets)
         if self.collect and self._steps_this_stage > 0:
             self._episode_lengths.append(self._steps_this_stage)
-        self.expected_paid_completed += self.bids * self.expected_stage_conversions
-        self.visible = visible.copy()
+        self.expected_paid_completed = [
+            done + bid * conv
+            for done, bid, conv in zip(self.expected_paid_completed, self.bids, self.expected_stage_conversions)
+        ]
+        self.visible = visible.tolist()
 
     def trajectory(self) -> Trajectory:
         if not self._feats:

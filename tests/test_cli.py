@@ -141,19 +141,40 @@ def test_report_missing_summary(capsys, tmp_path):
     assert _last_stderr_line(capsys).startswith("ERROR MissingInputError:")
 
 
+GOOD_SUMMARY = "mechanism,metric,upper,lower,mean\nCFP,stage_ratio,1.1,0.9,1.0\n"
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text,manifest",
     [
-        pytest.param("", id="empty"),
-        pytest.param("mechanism,metric,upper,lower,mean\nCFP,stage_ratio,1.0\n", id="short_row"),
+        pytest.param("", None, id="empty"),
+        pytest.param("mechanism,metric,upper,lower,mean\nCFP,stage_ratio,1.0\n", None, id="short_row"),
         pytest.param("bidder,tcpa,final_bid,impressions,clicks,conversions,expected_clicks,"
-                     "expected_conversions,expected_payment,payment,utility,withdrawn\n", id="per_bidder_summary"),
+                     "expected_conversions,expected_payment,payment,utility,withdrawn\n", None,
+                     id="per_bidder_summary"),
+        pytest.param(GOOD_SUMMARY, b"{bad", id="corrupt_manifest"),
+        pytest.param(GOOD_SUMMARY, b"\xff\xfe{}", id="manifest_not_utf8"),
+        pytest.param(GOOD_SUMMARY, b"[1, 2]", id="manifest_not_an_object"),
     ],
 )
-def test_report_malformed_summary(capsys, tmp_path, text):
+def test_report_malformed_summary(capsys, tmp_path, text, manifest):
     (tmp_path / "summary.csv").write_text(text)
+    if manifest is not None:
+        (tmp_path / "manifest.json").write_bytes(manifest)
     assert main(["report", str(tmp_path)]) == 1
-    assert _last_stderr_line(capsys).startswith("ERROR SchemaError:")
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines()[-1].startswith("ERROR SchemaError:")
+    # The table is printed only once every input has been read.
+    assert captured.out == ""
+
+
+def test_report_prints_summary_and_manifest(capsys, tmp_path):
+    (tmp_path / "summary.csv").write_text(GOOD_SUMMARY)
+    (tmp_path / "manifest.json").write_text(json.dumps({"config_sha256": "abc", "created": "now"}))
+    assert main(["report", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split() == ["CFP", "stage_ratio", "1.1", "0.9", "1.0"]
+    assert out[-2:] == ["config sha256: abc", "created: now"]
 
 
 def test_train_then_run_learned_controller(capsys, train_config, tmp_path):

@@ -300,6 +300,23 @@ def test_negative_controller_payment_rejected():
         )
 
 
+class _ConstantController(_NegativeController):
+    def __init__(self, payment):
+        self.payment = payment
+
+    def on_click(self, bidder, round_index, cvr, expected_remaining_clicks):
+        return self.payment
+
+
+@pytest.mark.parametrize("payment", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_controller_payment_rejected(payment):
+    market = _market(seed=47, ctr_range=(0.9, 0.9), cvr_range=(0.1, 0.1))
+    with pytest.raises(ContractViolation, match="non-finite"):
+        run_auction(
+            market, MechanismConfig("DFP", controller="debt"), _truthful(market), _ConstantController(payment)
+        )
+
+
 def test_online_dfp_requires_controller_instance():
     market = _market()
     with pytest.raises(ContractViolation):

@@ -5,6 +5,7 @@ import pytest
 
 from auctionlab import SchemaError
 from auctionlab.nets import MLP, Adam
+from reference import reference_forward
 
 
 def test_empty_hidden_is_pure_linear():
@@ -80,6 +81,32 @@ def test_backward_sums_over_batch():
         _, acts_i = net.forward(x[i : i + 1])
         parts += MLP.flatten_grads(net.backward(acts_i, dout[i : i + 1]))
     np.testing.assert_allclose(full, parts, rtol=0, atol=1e-12)
+
+
+def test_forward_matches_reference_bits():
+    rng = np.random.default_rng(2)
+    net = MLP(9, (64, 64), 2, rng=rng)
+    net.set_flat(net.get_flat() + rng.standard_normal(net.num_params) * 0.1)
+    for _ in range(100):
+        row = rng.standard_normal(9) * rng.choice([0.1, 1.0, 10.0])
+        want = reference_forward(net, row[None, :])
+        for x in (row, row[None, :]):
+            out, acts = net.forward(x)
+            assert out.shape == (1, 2) and out.tobytes() == want.tobytes()
+            assert acts[-1].tobytes() == want.tobytes()
+    for batch in (2, 7, 128, 300):
+        x = rng.standard_normal((batch, 9))
+        assert net.forward(x)[0].tobytes() == reference_forward(net, x).tobytes()
+
+
+def test_single_row_cache_backpropagates_like_a_batch_of_one():
+    rng = np.random.default_rng(3)
+    net = MLP(4, (5,), 2, rng=rng)
+    x = rng.standard_normal(4)
+    dout = rng.standard_normal((1, 2))
+    by_row = MLP.flatten_grads(net.backward(net.forward(x)[1], dout))
+    by_batch = MLP.flatten_grads(net.backward(net.forward(x[None, :])[1], dout))
+    assert by_row.tobytes() == by_batch.tobytes()
 
 
 def test_adam_first_step_magnitude():

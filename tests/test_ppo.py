@@ -1,5 +1,7 @@
 """Payment policy: rewards, estimators, losses, hand backprop, training loop."""
 
+import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,11 +10,16 @@ import pytest
 from auctionlab import (
     ConfigError,
     MarketConfig,
+    MechanismConfig,
     MissingInputError,
     NumericalFault,
     RLConfig,
     SchemaError,
+    TruthfulAgent,
+    generate_market,
     load_checkpoint,
+    load_config,
+    run_auction,
     save_checkpoint,
     train,
     write_curves_csv,
@@ -40,6 +47,16 @@ from auctionlab.ppo import (
     value_estimate,
 )
 from auctionlab.ppo import CURVES_CSV_HEADER, FEATURE_DIM, TrainingBatch, build_state_features, resolve_xi
+from reference import (
+    ReferenceRLController,
+    online_dfp_reference,
+    reference_accuracy_reward,
+    reference_act,
+    reference_value_estimate,
+)
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def _zero_policy(hidden=()):
@@ -66,6 +83,21 @@ def test_accuracy_reward_values():
         accuracy_reward(np.array([1.0, 2.0]), np.array([1.0]))
     with pytest.raises(SchemaError):
         accuracy_reward(np.array([1.0]), np.array([0.0]))
+
+
+def test_accuracy_reward_matches_reference_bits():
+    rng = np.random.default_rng(0)
+    for n in list(range(12)) + [50, 200]:
+        for _ in range(20):
+            paid = rng.random(n) * rng.choice([1e-3, 1.0, 1e3])
+            targets = rng.random(n) * 2.0 + 1e-9
+            want = reference_accuracy_reward(paid, targets)
+            assert np.float64(accuracy_reward(paid, targets)).tobytes() == np.float64(want).tobytes()
+            assert np.float64(accuracy_reward(paid.tolist(), targets.tolist())).tobytes() == np.float64(want).tobytes()
+    # A NaN target is not refused (as before) and yields a NaN reward.
+    assert np.isnan(accuracy_reward([1.0, 1.0], [np.nan, 1.0]))
+    with pytest.raises(SchemaError):
+        accuracy_reward([1.0, 1.0], [np.nan, -1.0])
 
 
 def test_smoothness_reward_values():
@@ -214,6 +246,20 @@ def test_value_estimate_linear_and_fault():
     critic.set_flat(np.full(critic.num_params, np.inf))
     with pytest.raises(NumericalFault):
         value_estimate(critic, np.ones(FEATURE_DIM))
+
+
+def test_act_and_value_match_reference_bits():
+    rng = np.random.default_rng(4)
+    policy = GaussianPolicy(MLP(FEATURE_DIM, (64, 64), 2, rng=rng), 1e-3)
+    critic = MLP(FEATURE_DIM, (64, 64), 1, rng=rng)
+    for _ in range(200):
+        feats = rng.standard_normal(FEATURE_DIM) * rng.choice([0.1, 1.0, 10.0])
+        got = policy.act(feats, rng=np.random.Generator(np.random.Philox(key=[3, 12])))
+        want = reference_act(policy, feats, rng=np.random.Generator(np.random.Philox(key=[3, 12])))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert policy.act(feats, deterministic=True) == reference_act(policy, feats, deterministic=True)
+        assert np.float64(value_estimate(critic, feats)).tobytes() == np.float64(
+            reference_value_estimate(critic, feats)).tobytes()
 
 
 def test_resolve_xi():
@@ -419,6 +465,29 @@ def test_rollout_shapes_and_mechanism():
     assert sum(traj.episode_lengths) == traj.num_steps
     assert len(errors) <= result.num_stages
     assert np.all(result.rounds.payment >= 0.0)
+
+
+def test_rl_controller_matches_reference_on_training_market():
+    config = load_config(os.path.join(CONFIGS, "toy_train.yaml"))
+    market = generate_market(replace(config.market, stage_plan=(200, 200, 200), num_rounds=600, seed=7))
+    rng_init = np.random.Generator(np.random.Philox(key=[0, 11]))
+    policy = GaussianPolicy(MLP(FEATURE_DIM, config.rl.hidden, 2, rng_init), config.rl.sigma_floor)
+    critic = MLP(FEATURE_DIM, config.rl.hidden, 1, rng_init)
+
+    def controller(cls):
+        rng = np.random.Generator(np.random.Philox(key=[0, 12]))
+        return cls(policy, critic, market.tcpa, zeta=config.rl.zeta, xi=config.rl.xi, rng=rng)
+
+    ctrl, ref = controller(RLPaymentController), controller(ReferenceRLController)
+    result = run_auction(market, MechanismConfig("DFP", controller="rl"), [TruthfulAgent()], ctrl)
+    columns, _ = online_dfp_reference(market, [TruthfulAgent()], ref)
+    assert result.rounds.payment.tobytes() == columns["payment"].tobytes()
+    traj, want = ctrl.trajectory(), ref.trajectory()
+    assert traj.num_steps > 200
+    for name in ("features", "actions_raw", "log_probs", "rewards", "values"):
+        assert getattr(traj, name).tobytes() == getattr(want, name).tobytes(), name
+    assert traj.episode_lengths == want.episode_lengths
+    assert ctrl.stage_true_errors == ref.stage_true_errors
 
 
 def test_train_is_deterministic():

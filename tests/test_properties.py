@@ -2,7 +2,8 @@
 
 The per-round reference in reference.py states the invariants one round at
 a time; these properties hold the stage-vectorized engine's own output to
-them, for every mechanism, on markets hypothesis generates.
+them, for every mechanism, on markets hypothesis generates. The online DFP
+payers are also held bit for bit to the per-click reference forms there.
 """
 
 import numpy as np
@@ -13,13 +14,16 @@ from auctionlab import (
     DebtController,
     MarketConfig,
     MechanismConfig,
+    RiskAverseAgent,
     TruthfulAgent,
     checkpoint_ratio_table,
     generate_market,
     run_auction,
 )
+from auctionlab.controllers import DEFAULT_CAP_FACTOR
 from auctionlab.nets import MLP
 from auctionlab.ppo import FEATURE_DIM, GaussianPolicy, RLPaymentController
+from reference import ROUNDS_COLUMNS, ReferenceRLController, online_dfp_reference
 
 MECHANISMS = (
     MechanismConfig("CFP"),
@@ -90,3 +94,57 @@ def test_engine_invariants_hold_for_every_mechanism(config):
     for label in ("CPA_OFFLINE", "DFP:oracle"):
         ratios = checkpoint_ratio_table(results[label]).ratio
         np.testing.assert_allclose(ratios, 1.0, rtol=0, atol=1e-12, err_msg=label)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_matches_reference(result, reference):
+    columns, bid_by_stage = reference
+    for name in ROUNDS_COLUMNS:
+        assert _same_bits(getattr(result.rounds, name), columns[name]), name
+    assert _same_bits(result.bid_by_stage, bid_by_stage)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(market_configs(), st.sampled_from([(4,), (64, 64)]), st.booleans())
+def test_online_dfp_matches_per_click_reference(config, hidden, risk_averse):
+    market = generate_market(config)
+    debt = MechanismConfig("DFP", controller="debt")
+    rl = MechanismConfig("DFP", controller="rl")
+
+    def agents():
+        return [RiskAverseAgent() if risk_averse else TruthfulAgent() for _ in range(market.num_bidders)]
+
+    result = run_auction(market, debt, agents(), DebtController(market.tcpa))
+    _assert_matches_reference(result, online_dfp_reference(market, agents(), DebtController(market.tcpa)))
+
+    net_rng = np.random.default_rng(config.seed)
+    policy = GaussianPolicy(MLP(FEATURE_DIM, hidden, 2, rng=net_rng))
+    critic = MLP(FEATURE_DIM, hidden, 1, rng=net_rng)
+
+    def act_rng():
+        return np.random.Generator(np.random.Philox(key=[config.seed, 12]))
+
+    ctrl = RLPaymentController(policy, critic, market.tcpa, rng=act_rng())
+    ref = ReferenceRLController(policy, critic, market.tcpa, rng=act_rng())
+    result = run_auction(market, rl, agents(), ctrl)
+    _assert_matches_reference(result, online_dfp_reference(market, agents(), ref))
+    traj, ref_traj = ctrl.trajectory(), ref.trajectory()
+    for name in ("features", "actions_raw", "log_probs", "rewards", "values"):
+        assert _same_bits(getattr(traj, name), getattr(ref_traj, name)), name
+    assert traj.episode_lengths == ref_traj.episode_lengths
+    assert _same_bits(ctrl.stage_true_errors, ref.stage_true_errors)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(market_configs(), st.booleans(), st.sampled_from([0.05, 0.5, DEFAULT_CAP_FACTOR]))
+def test_debt_payments_stay_within_cap(config, risk_averse, cap_factor):
+    market = generate_market(config)
+    agents = [RiskAverseAgent() if risk_averse else TruthfulAgent() for _ in range(market.num_bidders)]
+    ctrl = DebtController(market.tcpa, cap_factor=cap_factor)
+    r = run_auction(market, MechanismConfig("DFP", controller="debt"), agents, ctrl).rounds
+    assert np.all(r.payment >= 0.0)
+    assert np.all(r.payment <= cap_factor * market.tcpa[r.bidder])
