@@ -182,10 +182,31 @@ def _stage_allocation(scores: np.ndarray, num_slots: int) -> tuple[np.ndarray, n
 
     Returns (winner, valid): winner[n, k] is the bidder in slot k of round n
     (meaningful where valid[n, k]); zero or negative scores never win.
+
+    One argmax pass per slot over a working copy, each winner masked to
+    -inf before the next pass: argmax returns the first maximum, so ties go
+    to the lowest index exactly as a stable descending sort orders them,
+    without sorting the whole row. Scores must not be NaN, which argmax
+    would rank first; run_auction refuses non-finite bids for that reason.
     """
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :num_slots]
-    valid = np.take_along_axis(scores, order, axis=1) > 0.0
-    return order, valid
+    work = scores.copy()
+    row = np.arange(scores.shape[0])
+    winner = np.empty((scores.shape[0], min(num_slots, scores.shape[1])), dtype=np.intp)
+    for k in range(winner.shape[1]):
+        col = work.argmax(axis=1)
+        winner[:, k] = col
+        work[row, col] = -np.inf
+    valid = np.take_along_axis(scores, winner, axis=1) > 0.0
+    return winner, valid
+
+
+def _check_bids(bids: np.ndarray, source: str) -> None:
+    """Refuse a NaN or infinite bid: it would corrupt the ranking (argmax
+    puts a NaN score first) and every payment built on the bid."""
+    bad = np.flatnonzero(~np.isfinite(bids))
+    if bad.size:
+        m = int(bad[0])
+        raise ContractViolation(f"bidder {m} returned a non-finite bid {float(bids[m])!r} from {source}")
 
 
 def run_auction(
@@ -211,6 +232,12 @@ def run_auction(
 
     Returns:
         SimulationResult with the rounds table, stage tables, and ledgers.
+
+    Raises:
+        ContractViolation: wrong agent count, a missing online controller,
+            a NaN or infinite bid from ``initial_bid`` or ``stage_update``
+            (naming the bidder and stage), or a negative or non-finite
+            controller payment.
     """
     cfg = market.config
     M, K = cfg.num_bidders, cfg.num_slots
@@ -227,6 +254,7 @@ def run_auction(
     sampler = market.sampler()
     tcpa = market.tcpa
     bids = np.array([float(agents[m].initial_bid(float(tcpa[m]))) for m in range(M)])
+    _check_bids(bids, "initial_bid for stage 0")
 
     starts = stage_starts(plan)
     shape = (T, M)
@@ -300,14 +328,16 @@ def run_auction(
             pay = np.zeros(y.shape)
             pay[clicked] = paid
 
-        np.add.at(stage_impressions[t], bidders, 1)
-        np.add.at(stage_clicks[t], bidders, y)
-        np.add.at(stage_conversions[t], bidders, z)
-        np.add.at(stage_payments[t], bidders, pay)
-        np.add.at(stage_e_clicks[t], bidders, e_clicks)
-        np.add.at(stage_e_convs[t], bidders, e_convs)
-        np.add.at(stage_e_pay[t], bidders, e_pay)
-        np.add.at(stage_value[t], bidders, market.value[rounds_global, bidders] * z)
+        # bincount sums each bidder's entries in input order from 0.0; the
+        # tables' bits depend on that order.
+        stage_impressions[t] = np.bincount(bidders, minlength=M)
+        stage_clicks[t] = np.bincount(bidders, weights=y, minlength=M)
+        stage_conversions[t] = np.bincount(bidders, weights=z, minlength=M)
+        stage_payments[t] = np.bincount(bidders, weights=pay, minlength=M)
+        stage_e_clicks[t] = np.bincount(bidders, weights=e_clicks, minlength=M)
+        stage_e_convs[t] = np.bincount(bidders, weights=e_convs, minlength=M)
+        stage_e_pay[t] = np.bincount(bidders, weights=e_pay, minlength=M)
+        stage_value[t] = np.bincount(bidders, weights=market.value[rounds_global, bidders] * z, minlength=M)
 
         col_round.append(rounds_global)
         col_stage.append(np.full(rounds_global.shape, t, dtype=np.int64))
@@ -334,6 +364,7 @@ def run_auction(
                 new_bids[m] = agents[m].stage_update(
                     float(bids[m]), float(tcpa[m]), ratio, bool(paid_cum[m] > 0)
                 )
+            _check_bids(new_bids, f"stage_update at the end of stage {t}")
             bids = new_bids
 
     rounds = RoundsTable(

@@ -145,15 +145,22 @@ def accuracy_reward(paid: np.ndarray | list[float], targets: np.ndarray | list[f
     calls this once per click with a handful of bidders, so the terms are
     formed in Python floats (the same IEEE operations NumPy would apply
     elementwise) and summed by np.add.reduce, the reduction behind np.sum.
+
+    Raises:
+        SchemaError: mismatched shapes, a target that is not positive and
+            finite, or a payment that is not finite.
     """
     paid = np.asarray(paid, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if paid.shape != targets.shape:
         raise SchemaError(f"paid shape {paid.shape} does not match targets shape {targets.shape}")
     target_list = targets.ravel().tolist()
-    if any(t <= 0.0 for t in target_list):
-        raise SchemaError("accuracy targets must be positive")
-    terms = [abs(p / t - 1.0) for p, t in zip(paid.ravel().tolist(), target_list)]
+    paid_list = paid.ravel().tolist()
+    if not all(0.0 < t < math.inf for t in target_list):
+        raise SchemaError("accuracy targets must be positive and finite")
+    if not all(-math.inf < p < math.inf for p in paid_list):
+        raise SchemaError("accuracy payments must be finite")
+    terms = [abs(p / t - 1.0) for p, t in zip(paid_list, target_list)]
     total = float(np.add.reduce(np.array(terms, dtype=np.float64)))
     return float(-np.log(max(total, floor)))
 

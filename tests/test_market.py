@@ -15,7 +15,7 @@ from auctionlab import (
     stage_starts,
     write_market_csv,
 )
-from auctionlab.market import MarketLog, OutcomeSampler, philox4x64, read_market_csv
+from auctionlab.market import _PHILOX_BLOCK, MarketLog, OutcomeSampler, philox4x64, read_market_csv
 from reference import RoundOutcome, sample_round, stage_of, validate_allocation
 
 _MASK = (1 << 64) - 1
@@ -87,6 +87,56 @@ def test_philox_vectorization_matches_elementwise():
     for i in range(32):
         single = philox4x64((11, 22), tuple(np.array([w[i]]) for w in c))
         assert all(int(batch[j][i]) == int(single[j][0]) for j in range(4))
+
+
+def _numpy_block(key, counter):
+    """numpy's Philox output for counter words 0..3 (word 0 >= 1): numpy
+    increments word 0 before emitting, so it starts one below."""
+    c0, c1, c2, c3 = (int(c) for c in counter)
+    # As uint64 arrays: numpy turns a list holding an int of 2**63 or more into float64.
+    key = np.array(key, dtype=np.uint64)
+    counter = np.array([c0 - 1, c1, c2, c3], dtype=np.uint64)
+    return [int(r) for r in np.random.Philox(key=key, counter=counter).random_raw(4)]
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def test_philox_blocks_match_block_by_block_and_numpy():
+    n = 3 * _PHILOX_BLOCK + 5
+    meta = np.random.Generator(np.random.PCG64(17))
+    counter = _read_only(*(meta.integers(1, 1 << 64, size=n, dtype=np.uint64) for _ in range(4)))
+    before = [c.copy() for c in counter]
+    key = (2**63 + 5, 77)
+    words = philox4x64(key, counter)
+    assert all(np.array_equal(c, b) for c, b in zip(counter, before))
+    assert all(w.shape == (n,) and w.dtype == np.uint64 for w in words)
+    for start in range(0, n, _PHILOX_BLOCK):
+        part = philox4x64(key, tuple(c[start:start + _PHILOX_BLOCK] for c in counter))
+        for w, p in zip(words, part):
+            np.testing.assert_array_equal(w[start:start + _PHILOX_BLOCK], p)
+    edges = [0, _PHILOX_BLOCK - 1, _PHILOX_BLOCK, 2 * _PHILOX_BLOCK + 1, n - 5, n - 1]
+    for i in edges + meta.integers(0, n, size=20).tolist():
+        assert [int(w[i]) for w in words] == _numpy_block(key, [c[i] for c in counter])
+
+
+def test_philox_broadcasts_2d_counter_words():
+    slots = np.arange(3, dtype=np.uint64)[None, :]
+    bidders = np.arange(4, dtype=np.uint64)[:, None]
+    rounds = np.array([[7], [8], [55799], [0]], dtype=np.int64)
+    _read_only(slots, bidders, rounds)
+    key = (31, 5)
+    words = philox4x64(key, (1, slots, bidders, rounds))
+    assert all(w.shape == (4, 3) and w.dtype == np.uint64 for w in words)
+    full = tuple(np.broadcast_to(np.asarray(c, dtype=np.uint64), (4, 3)).ravel() for c in (1, slots, bidders, rounds))
+    for w, f in zip(words, philox4x64(key, full)):
+        np.testing.assert_array_equal(w.ravel(), f)
+    for m in range(4):
+        for k in range(3):
+            assert [int(w[m, k]) for w in words] == _numpy_block(key, (1, k, m, rounds[m, 0]))
 
 
 def test_generation_streams_match_numpy_generators():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from auctionlab import (
     ConfigError,
@@ -86,6 +89,43 @@ def test_stage_allocation_matches_scalar_rule():
             if valid[n, k]:
                 ref[winner[n, k], k] = 1
         np.testing.assert_array_equal(x, ref)
+
+
+def _allocation_matrix(winner, valid, n, num_bidders, num_slots):
+    x = np.zeros((num_bidders, num_slots), dtype=np.uint8)
+    for k in range(winner.shape[1]):
+        if valid[n, k]:
+            x[winner[n, k], k] = 1
+    return x
+
+
+# Few distinct values force ties; zeros (either sign) and negatives never win.
+_SCORES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]) | st.floats(-1.0, 3.0, width=16)
+
+
+@st.composite
+def _score_blocks(draw):
+    rounds = draw(st.integers(1, 12))
+    bidders = draw(st.integers(1, 7))
+    scores = draw(arrays(np.float64, (rounds, bidders), elements=_SCORES))
+    return scores, draw(st.integers(1, bidders + 2))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_score_blocks())
+@example((np.array([[2.0, 2.0, 2.0], [1.0, 0.0, 1.0], [-1.0, 0.0, -0.0]]), 3))  # K == M
+@example((np.array([[1.0, 3.0], [0.0, 1.0], [0.0, 0.0]]), 4))  # K > M
+def test_stage_allocation_matches_reference_on_ties(block):
+    scores, num_slots = block
+    before = scores.copy()
+    winner, valid = _stage_allocation(scores, num_slots)
+    rounds, bidders = scores.shape
+    assert winner.shape == valid.shape == (rounds, min(num_slots, bidders))
+    assert np.array_equal(scores, before)
+    for n in range(rounds):
+        np.testing.assert_array_equal(
+            _allocation_matrix(winner, valid, n, bidders, num_slots), rank_and_allocate(scores[n], num_slots)
+        )
 
 
 def _monotonicity_violations(rule, samples=2000, seed=0):
@@ -315,6 +355,35 @@ def test_non_finite_controller_payment_rejected(payment):
         run_auction(
             market, MechanismConfig("DFP", controller="debt"), _truthful(market), _ConstantController(payment)
         )
+
+
+class _NonFiniteBidAgent:
+    """Truthful, except that initial_bid or stage_update returns a fixed bid."""
+
+    def __init__(self, bid, source):
+        self.bid, self.source = bid, source
+
+    def initial_bid(self, tcpa):
+        return self.bid if self.source == "initial_bid" else tcpa
+
+    def stage_update(self, bid, tcpa, ratio, paid):
+        return self.bid if self.source == "stage_update" else bid
+
+
+@pytest.mark.parametrize("kind,bid,source,where", [
+    ("CFP", float("nan"), "initial_bid", "initial_bid for stage 0"),
+    ("CFP", float("inf"), "initial_bid", "initial_bid for stage 0"),
+    ("PACING_OFFLINE", float("nan"), "initial_bid", "initial_bid for stage 0"),
+    ("CFP", float("nan"), "stage_update", "stage_update at the end of stage 0"),
+    ("CFP", float("inf"), "stage_update", "stage_update at the end of stage 0"),
+    ("CPA_OFFLINE", float("-inf"), "stage_update", "stage_update at the end of stage 0"),
+])
+def test_non_finite_bid_rejected(kind, bid, source, where):
+    market = _market(seed=29)
+    agents = _truthful(market)
+    agents[2] = _NonFiniteBidAgent(bid, source)
+    with pytest.raises(ContractViolation, match=f"bidder 2 returned a non-finite bid {bid!r} from {where}$"):
+        run_auction(market, MechanismConfig(kind), agents)
 
 
 def test_online_dfp_requires_controller_instance():

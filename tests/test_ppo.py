@@ -94,10 +94,16 @@ def test_accuracy_reward_matches_reference_bits():
             want = reference_accuracy_reward(paid, targets)
             assert np.float64(accuracy_reward(paid, targets)).tobytes() == np.float64(want).tobytes()
             assert np.float64(accuracy_reward(paid.tolist(), targets.tolist())).tobytes() == np.float64(want).tobytes()
-    # A NaN target is not refused (as before) and yields a NaN reward.
-    assert np.isnan(accuracy_reward([1.0, 1.0], [np.nan, 1.0]))
-    with pytest.raises(SchemaError):
-        accuracy_reward([1.0, 1.0], [np.nan, -1.0])
+    # Non-finite targets and payments are refused, not turned into a NaN reward.
+    for paid, targets in [
+        ([1.0, 1.0], [np.nan, 1.0]),
+        ([1.0, 1.0], [np.nan, -1.0]),
+        ([1.0, 1.0], [1.0, np.inf]),
+        ([np.nan, 1.0], [1.0, 1.0]),
+        ([1.0, -np.inf], [1.0, 1.0]),
+    ]:
+        with pytest.raises(SchemaError):
+            accuracy_reward(paid, targets)
 
 
 def test_smoothness_reward_values():
