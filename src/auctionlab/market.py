@@ -39,20 +39,20 @@ from .errors import ConfigError, SchemaError
 
 MARKET_CSV_HEADER = "round,bidder,slot,ctr,cvr,value,click,conversion"
 
-# Philox-4x64 round multipliers, each with its 32-bit limbs for the
-# 64x64 -> 128-bit multiply, and the Weyl key increments.
+# Philox-4x64 round multipliers, split into 32-bit limbs for the
+# 64x64 -> 128-bit multiply, and the Weyl key increments of the ten rounds.
 _M0 = 0xD2E7470EE14C6C93
 _M1 = 0xCA5A826395121157
-_W0 = 0x9E3779B97F4A7C15
-_W1 = 0xBB67AE8584CAA73B
 _MUL0, _MUL1 = ((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)) for m in (_M0, _M1))
+_KEY_STEPS = np.arange(10, dtype=np.uint64)[:, None] * np.array(
+    [0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64
+)
 _MASK32 = np.uint64(0xFFFFFFFF)
-_MASK64 = (1 << 64) - 1
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
 _INV53 = 2.0 ** -53
-# Counters per pass of the block function: a block's ten working arrays
-# (1.3 MB) stay in a 2 MB L2 cache across all ten rounds.
+# Counters per pass of the block function, so that a pass's temporaries
+# stay in cache across all ten rounds.
 _PHILOX_BLOCK = 16384
 
 _TCPA_STREAM = 1
@@ -62,53 +62,33 @@ _VALUE_STREAM = 4
 _OUTCOME_STREAM = 5
 
 
-def _mulhilo(x: np.ndarray, mul: tuple, hi: np.ndarray, lo: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
-    """hi, lo = high and low 64 bits of x * m, via 32-bit limbs.
-
-    mul is (m, m_lo, m_hi). Overwrites x; t and u are scratch.
-    """
-    m, m_lo, m_hi = mul
-    np.multiply(x, m, out=lo)
-    np.right_shift(x, _S32, out=t)  # x_hi
-    x &= _MASK32  # x_lo
-    np.multiply(x, m_lo, out=hi)
-    hi >>= _S32
-    x *= m_hi
-    x += hi  # mid = x_lo * m_hi + (x_lo * m_lo >> 32), below 2**64
-    np.multiply(t, m_lo, out=u)
-    np.bitwise_and(x, _MASK32, out=hi)
-    hi += u  # (mid & mask) + x_hi * m_lo, below 2**64
-    hi >>= _S32
-    x >>= _S32
-    t *= m_hi
-    hi += x
-    hi += t
+def _mulhi(a: np.ndarray, b_lo: np.uint64, b_hi: np.uint64) -> np.ndarray:
+    """High 64 bits of a * (b_hi * 2**32 + b_lo), via 32-bit limbs."""
+    a_lo = a & _MASK32
+    a_hi = a >> _S32
+    lo = a_lo * b_lo
+    mid = a_hi * b_lo + (lo >> _S32)
+    mid_lo = (mid & _MASK32) + a_lo * b_hi
+    return a_hi * b_hi + (mid >> _S32) + (mid_lo >> _S32)
 
 
-def _philox_rounds(x: list[np.ndarray], spare: list[np.ndarray], keys: list) -> tuple[np.ndarray, ...]:
-    """Ten Philox rounds on the counter words x, in place.
-
-    spare is six more buffers of the same length. Returns the four buffers
-    that hold the output words; every buffer passed in is overwritten.
-    """
-    x0, x1, x2, x3 = x
-    hi0, lo0, hi1, lo1, t, u = spare
+def _philox_rounds(keys: np.ndarray, x0, x1, x2, x3) -> tuple[np.ndarray, ...]:
+    """Ten Philox rounds on the counter words x0..x3, one row of keys each."""
+    (m0, m0_lo, m0_hi), (m1, m1_lo, m1_hi) = _MUL0, _MUL1
     for k0, k1 in keys:
-        _mulhilo(x0, _MUL0, hi0, lo0, t, u)
-        _mulhilo(x2, _MUL1, hi1, lo1, t, u)
-        hi1 ^= x1
-        hi1 ^= k0
-        hi0 ^= x3
-        hi0 ^= k1
-        x0, x1, x2, x3, hi0, lo0, hi1, lo1 = hi1, lo1, hi0, lo0, x0, x1, x2, x3
+        hi0 = _mulhi(x0, m0_lo, m0_hi)
+        lo0 = m0 * x0
+        hi1 = _mulhi(x2, m1_lo, m1_hi)
+        lo1 = m1 * x2
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
     return x0, x1, x2, x3
 
 
 def philox4x64(key: tuple[int, int], counter: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Raw 10-round Philox-4x64 block function, vectorized over counters.
 
-    Counters are processed ``_PHILOX_BLOCK`` at a time in buffers of its
-    own, so the caller's arrays are never written.
+    Counters are processed ``_PHILOX_BLOCK`` at a time; the caller's arrays
+    are only read.
 
     Args:
         key: two 64-bit key words.
@@ -119,22 +99,19 @@ def philox4x64(key: tuple[int, int], counter: tuple[np.ndarray, np.ndarray, np.n
         Four uint64 arrays of the broadcast shape: the output block words 0..3.
     """
     words = [np.asarray(c, dtype=np.uint64) for c in counter]
-    shape = np.broadcast_shapes(*(w.shape for w in words))
-    words = [w.reshape(()) if w.size == 1 else np.broadcast_to(w, shape).reshape(-1) for w in words]
-    k0, k1 = int(np.uint64(key[0])), int(np.uint64(key[1]))
-    keys = [
-        (np.uint64((k0 + r * _W0) & _MASK64), np.uint64((k1 + r * _W1) & _MASK64)) for r in range(10)
+    shape = np.broadcast(*words).shape
+    words = [
+        w.reshape(()) if w.size == 1 else (w if w.shape == shape else np.broadcast_to(w, shape)).reshape(-1)
+        for w in words
     ]
+    keys = _KEY_STEPS + np.array(key, dtype=np.uint64)
     n = math.prod(shape)
     out = [np.empty(n, dtype=np.uint64) for _ in range(4)]
-    bufs = [np.empty(min(n, _PHILOX_BLOCK), dtype=np.uint64) for _ in range(10)]
-    for start in range(0, n, _PHILOX_BLOCK):
-        stop = min(start + _PHILOX_BLOCK, n)
-        block = [buf[: stop - start] for buf in bufs]
-        for dst, w in zip(block, words):
-            np.copyto(dst, w if w.ndim == 0 else w[start:stop])
-        for dst, src in zip(out, _philox_rounds(block[:4], block[4:], keys)):
-            dst[start:stop] = src
+    with np.errstate(over="ignore"):
+        for start in range(0, n, _PHILOX_BLOCK):
+            block = (w if w.ndim == 0 else w[start:start + _PHILOX_BLOCK] for w in words)
+            for dst, src in zip(out, _philox_rounds(keys, *block)):
+                dst[start:start + _PHILOX_BLOCK] = src
     return tuple(o.reshape(shape) for o in out)
 
 
