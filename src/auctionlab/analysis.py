@@ -181,18 +181,31 @@ class FluctuationTable:
     value_range: np.ndarray
 
 
+def clicked_payments_by_bidder(result: SimulationResult) -> list[np.ndarray]:
+    """Each bidder's per-click payments (zero payments included), in round order.
+
+    One stable sort of the clicked rows by bidder, then a contiguous slice
+    per bidder: the same values in the same order as masking the rounds
+    table once per bidder, at one pass instead of M.
+    """
+    r = result.rounds
+    clicked = np.flatnonzero(r.click)
+    bidder = r.bidder[clicked]
+    pays = r.payment[clicked[np.argsort(bidder, kind="stable")]]
+    ends = np.cumsum(np.bincount(bidder, minlength=result.num_bidders))
+    return np.split(pays, ends[:-1])
+
+
 def payment_fluctuation(result: SimulationResult) -> FluctuationTable:
     """Dispersion of per-click payments (zero payments included) per bidder.
 
     Bidders with no clicks are excluded; payments are normalized by the
     bidder's tCPA before computing variance and range.
     """
-    clicked = result.rounds.click == 1
     bidders = []
     variances = []
     ranges = []
-    for m in range(result.num_bidders):
-        pays = result.rounds.payment[clicked & (result.rounds.bidder == m)]
+    for m, pays in enumerate(clicked_payments_by_bidder(result)):
         if pays.size == 0:
             continue
         var, rng = fluctuation_stats(pays, float(result.tcpa[m]))

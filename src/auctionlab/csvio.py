@@ -10,6 +10,14 @@ formatted whole (``tolist`` plus ``map``) and joined into one string, so peak
 memory holds one chunk's cells rather than a Python string per cell of the
 whole table. A numeric column that repeats few distinct values formats each
 of them once and gathers the strings by index. A bool column prints 1/0.
+
+A float chunk with mostly distinct values (a rounds table's ``score``) costs
+one ``repr`` per cell, the bulk of writing a table. Tables written one after
+another through the same ``ReuseMemo`` reuse that text: the memo keeps, per
+(column, chunk) position, the chunk's dtype and bytes and its cells joined
+by newlines, and a chunk whose dtype and bytes equal the kept ones takes the
+kept text. So it holds at most one chunk's bytes and text (8 + 25 bytes a
+float64 cell) per position that a plain float chunk has taken.
 """
 
 from __future__ import annotations
@@ -20,14 +28,44 @@ import numpy as np
 
 from .errors import ContractViolation
 
-CHUNK_ROWS = 1 << 16
+CHUNK_ROWS = 1 << 14
 # Numeric columns whose first _PROBE values are at most half distinct take the
 # format-once path; a mostly distinct column would only pay for the sort.
 _PROBE = 256
 
 
-def _format_column(col: np.ndarray) -> list[str]:
-    """The cells of one nonempty chunk of a column, top to bottom."""
+class ReuseMemo:
+    """One kept value per position, matched by an exact key.
+
+    A miss replaces the value at a position only if that value has never
+    been reused, so a value that two callers shared survives a third caller
+    that differs. Memory is bounded by the number of positions.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict = {}  # position -> [key, value, reused]
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, position, key):
+        """The value kept at position if it was kept under key, else None."""
+        entry = self._entries.get(position)
+        if entry is None or entry[0] != key:
+            return None
+        entry[2] = True
+        return entry[1]
+
+    def put(self, position, key, value) -> None:
+        """Keep value at position, unless the value there has been reused."""
+        entry = self._entries.get(position)
+        if entry is None or not entry[2]:
+            self._entries[position] = [key, value, False]
+
+
+def _format_column(col: np.ndarray, memo: ReuseMemo | None, position: tuple) -> list[str]:
+    """The cells of one nonempty chunk of a column, top to bottom; a plain
+    float chunk goes through memo at position (column, chunk start)."""
     if col.dtype.kind == "b":
         col = col.view(np.uint8)  # 1/0, as int(v) prints a bool
     kind = col.dtype.kind
@@ -42,16 +80,27 @@ def _format_column(col: np.ndarray) -> list[str]:
     ):
         distinct, inverse = np.unique(col, return_inverse=True)
         return np.array(list(map(to_str, distinct.tolist())), dtype=object)[inverse].tolist()
-    return list(map(to_str, col.tolist()))
+    if memo is None or kind != "f":
+        return list(map(to_str, col.tolist()))
+    key = (col.dtype.str, col.tobytes())
+    text = memo.get(position, key)
+    if text is not None:
+        return text.split("\n")
+    cells = list(map(repr, col.tolist()))
+    memo.put(position, key, "\n".join(cells))
+    return cells
 
 
-def write_table(path: str, header: str, columns: Sequence) -> None:
+def write_table(path: str, header: str, columns: Sequence, memo: ReuseMemo | None = None) -> None:
     """Write equal-length columns under a comma-separated header line.
 
     Args:
         path: output file, overwritten.
         header: the first line, without its newline.
         columns: one array-like per header field, all the same length.
+        memo: optional memo of plain float chunks' text, shared by tables
+            written one after another (see the module docstring). The bytes
+            written are the same with or without it.
 
     Raises:
         ContractViolation: column count or lengths do not match.
@@ -66,5 +115,5 @@ def write_table(path: str, header: str, columns: Sequence) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for start in range(0, n, CHUNK_ROWS):
-            cells = [_format_column(c[start:start + CHUNK_ROWS]) for c in cols]
+            cells = [_format_column(c[start:start + CHUNK_ROWS], memo, (j, start)) for j, c in enumerate(cols)]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

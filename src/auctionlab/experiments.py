@@ -28,6 +28,7 @@ from .analysis import (
     checkpoint_ratio_table,
     chernoff_empirical_check,
     chernoff_min_clicks,
+    clicked_payments_by_bidder,
     cpa_ratio_table,
     etic_violation_rate,
     payment_fluctuation,
@@ -36,7 +37,7 @@ from .analysis import (
     write_ratio_csv,
 )
 from .controllers import DebtController
-from .csvio import write_table
+from .csvio import ReuseMemo, write_table
 from .errors import ConfigError, MissingInputError
 from .market import MarketConfig, generate_market
 from .mechanisms import (
@@ -296,18 +297,19 @@ class _Pooled:
 
 
 def _run_one(config: ExperimentConfig, mech: MechanismConfig, market, run_dir: str,
-             rl_checkpoint: str | None, pool: _Pooled) -> None:
+             rl_checkpoint: str | None, pool: _Pooled, rounds_memo: ReuseMemo) -> None:
     """Simulate one (mechanism, seed) pair, write its run directory, pool its metrics.
 
     A function of its own so the result and controller are freed on return,
-    before the caller generates the next seed's market.
+    before the caller generates the next seed's market. rounds_memo is the
+    seed's ``write_table`` memo for the rounds tables.
     """
     agents = make_agents(config, market.num_bidders)
     controller = _make_controller(mech, market, config, rl_checkpoint)
     result = run_auction(market, mech, agents, controller=controller)
 
     os.makedirs(run_dir, exist_ok=True)
-    write_rounds_csv(result, os.path.join(run_dir, "rounds.csv"))
+    write_rounds_csv(result, os.path.join(run_dir, "rounds.csv"), memo=rounds_memo)
     write_summary_csv(result, os.path.join(run_dir, "summary.csv"))
 
     stage_table = cpa_ratio_table(result)
@@ -347,7 +349,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     chernoff.csv and cfp_tau.csv, and manifest.json (written last).
 
     Each seed's market is generated once and shared by every mechanism, then
-    dropped before the next seed, so one market is live at a time. Pooled
+    dropped before the next seed, so one market is live at a time. The
+    mechanisms of a seed share the market's memoised outcome pass and one
+    memo of formatted rounds cells, both dropped with the market. Pooled
     metrics are concatenated per mechanism in seed order, which fixes the
     bits of their means and quantiles.
 
@@ -358,10 +362,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     pools = {mech.label: _Pooled() for mech in config.mechanisms}
     for seed in config.seeds:
         market = generate_market(replace(config.market, seed=seed))
+        rounds_memo = ReuseMemo()
         for mech in config.mechanisms:
             run_dir = os.path.join(out_dir, mech.label.replace(":", "_"), f"seed_{seed}")
-            _run_one(config, mech, market, run_dir, rl_checkpoint, pools[mech.label])
-        del market
+            _run_one(config, mech, market, run_dir, rl_checkpoint, pools[mech.label], rounds_memo)
+        del market, rounds_memo
 
     run_dirs = [d for pool in pools.values() for d in pool.run_dirs]
     summary_rows: list[tuple[str, str, float, float, float]] = []
@@ -428,10 +433,8 @@ def payment_smoothness(result: SimulationResult) -> float:
     averaged over all consecutive positive-payment click pairs, pooled
     across bidders. nan when no bidder has two positive payments.
     """
-    clicked = result.rounds.click == 1
     steps: list[np.ndarray] = []
-    for m in range(result.num_bidders):
-        pays = result.rounds.payment[clicked & (result.rounds.bidder == m)]
+    for pays in clicked_payments_by_bidder(result):
         pays = pays[pays > 0.0]
         if pays.size >= 2:
             steps.append(np.abs(np.diff(pays)) / pays[:-1])

@@ -19,8 +19,9 @@ RNG layout (Philox-4x64-10 throughout, one purpose id per quantity):
                         uniform, word 1 the conversion uniform
 
 Generation streams (1-4) draw doubles from numpy's
-``Generator(Philox(key=[seed, purpose]))``. Outcome sub-streams are evaluated
-with the vectorized raw Philox block below, bit-identical to
+``Generator(Philox(key=np.array([seed, purpose], dtype=np.uint64)))``.
+Outcome sub-streams are evaluated with the vectorized raw Philox block
+below, bit-identical to
 ``numpy.random.Philox(key=[seed, 5], counter=[0, k, m, n]).random_raw()``
 (numpy increments counter word 0 before emitting its first block, hence the
 leading 1 in the counter). A uniform double is ``(word >> 11) * 2**-53``.
@@ -30,11 +31,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import write_table
+from .csvio import ReuseMemo, write_table
 from .errors import ConfigError, SchemaError
 
 MARKET_CSV_HEADER = "round,bidder,slot,ctr,cvr,value,click,conversion"
@@ -120,7 +121,9 @@ def _uniform_doubles(words: np.ndarray) -> np.ndarray:
 
 
 def _stream(seed: int, purpose: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, purpose]))
+    # A uint64 array: numpy turns a plain list holding an int of 2**63 or
+    # more into float64, which would drop the seed's low bits.
+    return np.random.Generator(np.random.Philox(key=np.array([seed, purpose], dtype=np.uint64)))
 
 
 def _check_range(name: str, rng: tuple[float, float], lo_ok: float, hi_ok: float) -> None:
@@ -183,6 +186,12 @@ class MarketLog:
     cvr and value have shape (N, M) and are constant across slots by
     construction. Optional 0/1 override arrays (shape (N, M, K)) replace
     sampled outcomes during replay; both are present or both are None.
+
+    outcome_memo keeps the engine's outcome pass, one per stage under the
+    bid vector it was computed for, so that mechanisms run on the same log
+    share it (see ``mechanisms.run_auction``). It is never copied: a log
+    made with ``dataclasses.replace`` starts with an empty memo, and the
+    arrays above must not be changed in place once a run has used the log.
     """
 
     config: MarketConfig
@@ -192,6 +201,7 @@ class MarketLog:
     value: np.ndarray
     click_override: np.ndarray | None = None
     conv_override: np.ndarray | None = None
+    outcome_memo: ReuseMemo = field(default_factory=ReuseMemo, init=False, repr=False, compare=False)
 
     @property
     def num_bidders(self) -> int:

@@ -16,7 +16,11 @@ Four payment rules share one allocation pipeline (top-K by ranking score):
 
 Bids are frozen within a stage, so each stage's allocation is deterministic
 given the bids at its start; the engine exploits that to vectorize scoring,
-allocation, and outcome sampling stage by stage. Agent bid updates fire at
+allocation, and outcome sampling stage by stage. Each stage runs two passes:
+the outcome pass (score -> allocate -> sample), a function of the market,
+the stage and the bid vector alone, and the pricing pass that sets the
+payments. The outcome pass is memoised on the MarketLog, so mechanisms run
+on the same log that meet the same bids share it. Agent bid updates fire at
 stage boundaries for CFP, CPA_OFFLINE, and online DFP. PACING_OFFLINE and
 the DFP oracle price clicks only after outcomes are fixed, so those runs
 keep bids static (agents receive no mid-run updates).
@@ -30,7 +34,7 @@ from typing import Protocol
 import numpy as np
 
 from .controllers import stage_pacing_oracle
-from .csvio import write_table
+from .csvio import ReuseMemo, write_table
 from .errors import ConfigError, ContractViolation
 from .market import MarketLog, OutcomeSampler, sample_outcomes, stage_starts
 
@@ -209,6 +213,40 @@ def _check_bids(bids: np.ndarray, source: str) -> None:
         raise ContractViolation(f"bidder {m} returned a non-finite bid {float(bids[m])!r} from {source}")
 
 
+def _outcome_pass(
+    market: MarketLog, t: int, s0: int, bids: np.ndarray, sampler: OutcomeSampler
+) -> tuple[np.ndarray, ...]:
+    """Score -> allocate -> sample for stage t under the stage's bids.
+
+    The result depends only on (market, stage, bid vector): outcomes come
+    from counter-addressed Philox streams, never from payments. It is kept
+    in ``market.outcome_memo``, one entry per stage holding the bid vector's
+    bytes, so a later run on the same log that meets the same bids in that
+    stage reads it back instead of recomputing it. A miss replaces the
+    stage's entry only if that entry was never reused: the static bids of
+    the offline baselines stay kept across a run whose bids move.
+
+    Returns read-only (rows, slots, bidders, click, conversion): the
+    displayed (stage row, slot) pairs in round-then-slot order and their
+    winners as int32, and the uint8 outcomes of ``sample_outcomes``.
+    """
+    key = bids.tobytes()
+    kept = market.outcome_memo.get(t, key)
+    if kept is not None:
+        return kept
+    sl = slice(s0, s0 + market.config.stage_plan[t])
+    scores = ranking_score(bids[None, :], market.ctr[sl, :, 0], market.cvr[sl])
+    winner, valid = _stage_allocation(scores, market.num_slots)
+    rows, slots = np.nonzero(valid)
+    bidders = winner[rows, slots]
+    y, z = sample_outcomes(market, rows + s0, bidders, slots, sampler)
+    kept = (rows.astype(np.int32), slots.astype(np.int32), bidders.astype(np.int32), y, z)
+    for column in kept:
+        column.flags.writeable = False
+    market.outcome_memo.put(t, key, kept)
+    return kept
+
+
 def run_auction(
     market: MarketLog,
     mech: MechanismConfig,
@@ -217,11 +255,19 @@ def run_auction(
 ) -> SimulationResult:
     """Simulate every round of the market under one mechanism.
 
-    Per stage: score -> allocate -> sample outcomes -> pay -> accumulate; at
-    each boundary conversions are released and (for CFP, CPA_OFFLINE, and
-    online DFP) agents update bids from their cumulative checkpoint ratio
-    conversions * tcpa / payments. PACING_OFFLINE and DFP "oracle" runs are
-    repriced after outcomes are fixed and keep bids static throughout.
+    Per stage: the outcome pass (score -> allocate -> sample outcomes),
+    then the pricing pass (pay -> accumulate); at each boundary conversions
+    are released and (for CFP, CPA_OFFLINE, and online DFP) agents update
+    bids from their cumulative checkpoint ratio conversions * tcpa /
+    payments. PACING_OFFLINE and DFP "oracle" runs are repriced after
+    outcomes are fixed and keep bids static throughout.
+
+    The outcome pass is memoised per market in ``market.outcome_memo``,
+    one entry per stage keyed by the bid vector's bytes: a later run on the
+    same log that meets the same bids in a stage reuses the allocation and
+    outcomes, with the same bits as recomputing them. The log's arrays must
+    therefore not be changed in place between runs; ``dataclasses.replace``
+    gives a copy with an empty memo.
 
     Args:
         market: generated or replayed market log.
@@ -240,7 +286,7 @@ def run_auction(
             controller payment.
     """
     cfg = market.config
-    M, K = cfg.num_bidders, cfg.num_slots
+    M = cfg.num_bidders
     plan = cfg.stage_plan
     T = len(plan)
     if len(agents) != M:
@@ -280,27 +326,21 @@ def run_auction(
     for t in range(T):
         s0 = int(starts[t])
         n_t = plan[t]
-        sl = slice(s0, s0 + n_t)
         bid_by_stage[t] = bids
-        ctr0 = market.ctr[sl, :, 0]
-        cvr = market.cvr[sl]
-        scores = ranking_score(bids[None, :], ctr0, cvr)
-        winner, valid = _stage_allocation(scores, K)
+        rows, slots, bidders, y, z = _outcome_pass(market, t, s0, bids, sampler)
+        rounds_global = rows.astype(np.int64) + s0
 
-        rows, slots = np.nonzero(valid)
-        bidders = winner[rows, slots]
-        rounds_global = rows + s0
-        y, z = sample_outcomes(market, rounds_global, bidders, slots, sampler)
-
+        # Pricing pass.
         ctr_at = market.ctr[rounds_global, bidders, slots]
         cvr_at = market.cvr[rounds_global, bidders]
+        bid_at = bids[bidders]
         # Expected quantities under the stage's fixed allocation.
         e_clicks = ctr_at
         e_convs = ctr_at * cvr_at
-        e_pay = bids[bidders] * e_convs
+        e_pay = bid_at * e_convs
 
         if mech.kind == "CFP":
-            pay = cfp_payment(bids[bidders], y, cvr_at)
+            pay = cfp_payment(bid_at, y, cvr_at)
         elif mech.kind == "CPA_OFFLINE":
             pay = cpa_offline_payment(z, tcpa[bidders])
         elif mech.kind == "PACING_OFFLINE" or oracle_run:
@@ -311,6 +351,7 @@ def run_auction(
             x_ctr = np.zeros((n_t, M))
             x_ctr[rows, bidders] = ctr_at
             suffix = np.vstack([np.cumsum(x_ctr[::-1], axis=0)[::-1][1:], np.zeros((1, M))])
+            cvr = market.cvr[s0:s0 + n_t]
             controller.begin_stage(t, x_ctr.sum(axis=0), (x_ctr * cvr).sum(axis=0), bids, s0, n_t)
             clicked = np.flatnonzero(y)
             on_click = controller.on_click
@@ -343,11 +384,12 @@ def run_auction(
         col_stage.append(np.full(rounds_global.shape, t, dtype=np.int64))
         col_bidder.append(bidders.astype(np.int64))
         col_slot.append(slots.astype(np.int64))
-        col_score.append(scores[rows, bidders])
+        # Gathered, the same products as the stage's score matrix (slot 0's ctr).
+        col_score.append(ranking_score(bid_at, market.ctr[rounds_global, bidders, 0], cvr_at))
         col_click.append(y)
         col_conv.append(z)
         col_pay.append(pay)
-        col_bid.append(bids[bidders])
+        col_bid.append(bid_at)
 
         # Boundary: conversions for stages <= t become visible.
         visible = stage_conversions[: t + 1].sum(axis=0)
@@ -410,17 +452,17 @@ def run_auction(
 
 def _reprice_pacing(rounds: RoundsTable, stage_payments: np.ndarray, tcpa: np.ndarray) -> None:
     """Assign every click its bidder's constant whole-run pacing price."""
-    M = tcpa.size
-    clicked = rounds.click == 1
-    total_clicks = np.bincount(rounds.bidder[clicked], minlength=M).astype(np.float64)
-    total_convs = np.bincount(rounds.bidder[clicked], weights=rounds.conversion[clicked], minlength=M)
-    per_click = stage_pacing_oracle(total_clicks, total_convs, tcpa)
-    rounds.payment[clicked] = per_click[rounds.bidder[clicked]]
-    for t in range(stage_payments.shape[0]):
-        in_stage = clicked & (rounds.stage == t)
-        stage_payments[t] = np.bincount(
-            rounds.bidder[in_stage], weights=rounds.payment[in_stage], minlength=M
-        )
+    T, M = stage_payments.shape
+    clicked = np.flatnonzero(rounds.click)
+    bidder = rounds.bidder[clicked]
+    total_clicks = np.bincount(bidder, minlength=M).astype(np.float64)
+    total_convs = np.bincount(bidder, weights=rounds.conversion[clicked], minlength=M)
+    pay = stage_pacing_oracle(total_clicks, total_convs, tcpa)[bidder]
+    rounds.payment[clicked] = pay
+    # One (stage, bidder) bin per entry; each bin sums its clicks in round order.
+    stage_payments[:] = np.bincount(
+        rounds.stage[clicked] * M + bidder, weights=pay, minlength=T * M
+    ).reshape(T, M)
 
 
 def _reprice_oracle(
@@ -431,13 +473,10 @@ def _reprice_oracle(
     tcpa: np.ndarray,
 ) -> None:
     """Hindsight per-stage settlement: clicks in stage t pay conversions_t * tcpa / clicks_t."""
-    T, M = stage_payments.shape
-    clicked = rounds.click == 1
-    for t in range(T):
-        per_click = stage_pacing_oracle(stage_clicks[t], stage_conversions[t], tcpa)
-        in_stage = clicked & (rounds.stage == t)
-        rounds.payment[in_stage] = per_click[rounds.bidder[in_stage]]
-        stage_payments[t] = per_click * stage_clicks[t]
+    per_click = stage_pacing_oracle(stage_clicks, stage_conversions, tcpa[None, :])
+    clicked = np.flatnonzero(rounds.click)
+    rounds.payment[clicked] = per_click[rounds.stage[clicked], rounds.bidder[clicked]]
+    stage_payments[:] = per_click * stage_clicks
 
 
 def _final_ledgers(tcpa: np.ndarray, final_bids: np.ndarray, *tables: np.ndarray) -> list[BidderLedger]:
@@ -459,10 +498,14 @@ def _final_ledgers(tcpa: np.ndarray, final_bids: np.ndarray, *tables: np.ndarray
     ]
 
 
-def write_rounds_csv(result: SimulationResult, path: str) -> None:
-    """One row per displayed (round, slot), in round order."""
+def write_rounds_csv(result: SimulationResult, path: str, memo: ReuseMemo | None = None) -> None:
+    """One row per displayed (round, slot), in round order.
+
+    ``memo`` is passed to ``write_table``: the rounds tables of one market's
+    mechanisms, written through one memo, reuse each other's float text.
+    """
     r = result.rounds
-    write_table(path, ROUNDS_CSV_HEADER, [getattr(r, name) for name in ROUNDS_CSV_HEADER.split(",")])
+    write_table(path, ROUNDS_CSV_HEADER, [getattr(r, name) for name in ROUNDS_CSV_HEADER.split(",")], memo)
 
 
 def write_summary_csv(result: SimulationResult, path: str) -> None:

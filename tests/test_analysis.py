@@ -21,6 +21,7 @@ from auctionlab.analysis import (
     RATIO_CSV_HEADER,
     RatioTable,
     cfp_tau_rollup,
+    clicked_payments_by_bidder,
     conversion_ratio,
     cpa_ratio_table,
     etic_violation_rate,
@@ -235,6 +236,18 @@ def test_fluctuation_counts_zero_payment_clicks():
     assert np.max(table.variance) > 0.0
     clicked_bidders = set(result.rounds.bidder[result.rounds.click == 1].tolist())
     assert set(table.bidder.tolist()) == clicked_bidders
+
+
+@pytest.mark.parametrize("kind", ["CFP", "CPA_OFFLINE"])
+def test_clicked_payments_by_bidder_match_per_bidder_masks(kind):
+    market = _market(num_bidders=5, seed=17)
+    result = run_auction(market, MechanismConfig(kind), _truthful(market))
+    r = result.rounds
+    groups = clicked_payments_by_bidder(result)
+    assert len(groups) == market.num_bidders
+    for m, pays in enumerate(groups):
+        want = r.payment[(r.click == 1) & (r.bidder == m)]
+        assert pays.dtype == want.dtype and pays.tobytes() == want.tobytes(), m
 
 
 def test_chernoff_min_clicks_values():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from auctionlab.csvio import CHUNK_ROWS, write_table
+from auctionlab.csvio import CHUNK_ROWS, ReuseMemo, write_table
 from auctionlab.errors import ContractViolation
 
 
@@ -90,3 +90,82 @@ def test_mismatched_columns_are_refused(tmp_path):
         write_table(str(tmp_path / "t.csv"), "a,b", [np.zeros(3)])
     with pytest.raises(ContractViolation):
         write_table(str(tmp_path / "t.csv"), "a,b", [np.zeros(3), np.zeros(2)])
+
+
+def _tables(rows):
+    """Tables written one after another: some share float chunks with an
+    earlier one, some differ from it in one cell or in dtype, some hold
+    -0.0 and nan, the last is one row shorter."""
+    rng = np.random.default_rng(rows)
+    index = np.arange(rows, dtype=np.int64)
+    score = rng.random(rows)
+    moved = score.copy()
+    moved[rows // 2:] = rng.random(rows - rows // 2)  # later chunks differ
+    one_cell = score.copy()
+    one_cell[-1] = np.nextafter(one_cell[-1], 2.0)
+    signed = score.copy()
+    signed[::7] = -0.0
+    holes = score.copy()
+    holes[::5] = np.nan
+    pay = rng.random(rows)
+    as_f32 = score.astype(np.float32)
+    tables = [
+        [index, score, pay],
+        [index, score, np.zeros(rows)],
+        [index, moved, pay],
+        [index, score, pay[::-1].copy()],
+        [index, one_cell, pay],
+        [index, signed, holes],
+        [index, holes, signed],
+        [index, score, pay],
+        [index, as_f32, score.view(np.int64)],
+        [index, score.view(">f8"), pay],  # the same bytes under another dtype
+        [index[:-1], score[:-1], pay[:-1]],
+    ]
+    return tables
+
+
+@pytest.mark.parametrize("rows", [300, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
+def test_memo_gives_the_same_bytes(tmp_path, rows):
+    memo = ReuseMemo()
+    for i, columns in enumerate(_tables(rows)):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        write_table(str(got), "round,score,payment", columns, memo=memo)
+        write_table(str(want), "round,score,payment", columns)
+        assert got.read_bytes() == want.read_bytes(), i
+    # One kept chunk per (float column, chunk) position, never more.
+    assert len(memo) <= 2 * -(-rows // CHUNK_ROWS)
+
+
+def test_memo_keeps_reused_text_across_a_differing_table(tmp_path):
+    rows = CHUNK_ROWS + 3
+    rng = np.random.default_rng(1)
+    static, moved = rng.random(rows), rng.random(rows)
+    formatted = []
+
+    class Spy(ReuseMemo):
+        def put(self, position, key, value):
+            formatted.append(position)
+            super().put(position, key, value)
+
+    memo = Spy()
+    for column in (moved, static, static, moved, static):
+        write_table(str(tmp_path / "t.csv"), "score", [column], memo=memo)
+    # moved is formatted; static replaces it and is then reused, so the
+    # second moved table is formatted without evicting static, whose last
+    # table hits again.
+    two_chunks = [(0, 0), (0, CHUNK_ROWS)]
+    assert formatted == two_chunks * 3
+    assert (tmp_path / "t.csv").read_text() == "score\n" + "".join(f"{v!r}\n" for v in static.tolist())
+
+
+def test_reuse_memo_policy():
+    memo = ReuseMemo()
+    memo.put("p", b"a", 1)
+    assert memo.get("p", b"b") is None
+    memo.put("p", b"b", 2)  # never reused: replaced
+    assert memo.get("p", b"a") is None and memo.get("p", b"b") == 2
+    memo.put("p", b"c", 3)  # reused: kept
+    assert memo.get("p", b"c") is None and memo.get("p", b"b") == 2
+    memo.put("q", b"c", 3)
+    assert len(memo) == 2 and memo.get("q", b"c") == 3

@@ -1,5 +1,6 @@
 """Market generation: RNG streams, outcome sampling, stages, CSV replay, and the per-round reference."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,8 +10,11 @@ from auctionlab import (
     ConfigError,
     ContractViolation,
     MarketConfig,
+    MechanismConfig,
     SchemaError,
+    TruthfulAgent,
     generate_market,
+    run_auction,
     sample_outcomes,
     stage_starts,
     write_market_csv,
@@ -179,6 +183,45 @@ def test_generation_bit_identical_across_calls():
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     c = generate_market(_tiny_config(seed=100))
     assert c.ctr.tobytes() != a.ctr.tobytes()
+
+
+def test_seeds_from_two_to_the_63_keep_every_bit():
+    # Generation streams are keyed by a uint64 array: a Python list holding a
+    # seed of 2**63 or more would become float64 and lose the low bits.
+    a = generate_market(_tiny_config(seed=2**63))
+    b = generate_market(_tiny_config(seed=2**63 + 5))
+    for name in ("tcpa", "ctr", "cvr", "value"):
+        assert getattr(a, name).tobytes() != getattr(b, name).tobytes(), name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = generate_market(_tiny_config(seed=2**64 - 1))
+    lo, hi = top.config.tcpa_range
+    u = np.random.Generator(np.random.Philox(key=np.array([2**64 - 1, 1], dtype=np.uint64))).random(3)
+    np.testing.assert_array_equal(top.tcpa, lo + (hi - lo) * u)
+
+
+def test_seeds_below_two_to_the_63_keep_their_list_keyed_streams():
+    for seed in (7, 2**63 - 1):
+        log = generate_market(_tiny_config(seed=seed))
+        lo, hi = log.config.tcpa_range
+        u = np.random.Generator(np.random.Philox(key=[seed, 1])).random(3)
+        np.testing.assert_array_equal(log.tcpa, lo + (hi - lo) * u)
+
+
+def test_replaced_market_starts_with_an_empty_outcome_memo():
+    market = generate_market(_tiny_config())
+    agents = [TruthfulAgent() for _ in range(market.num_bidders)]
+    before = run_auction(market, MechanismConfig("CFP"), agents)
+    assert len(market.outcome_memo) == len(market.config.stage_plan)
+    assert "outcome_memo" not in repr(market)
+
+    twin = dataclasses.replace(market, ctr=market.ctr * 0.5)
+    assert len(twin.outcome_memo) == 0 and twin.outcome_memo is not market.outcome_memo
+    after = run_auction(twin, MechanismConfig("CFP"), agents)
+    direct = MarketLog(market.config, market.tcpa, market.ctr * 0.5, market.cvr, market.value)
+    want = run_auction(direct, MechanismConfig("CFP"), agents)
+    assert after.rounds.score.tobytes() == want.rounds.score.tobytes()
+    assert after.rounds.score.tobytes() != before.rounds.score.tobytes()
 
 
 def test_degenerate_ranges_force_exact_values():

@@ -3,7 +3,8 @@
 The per-round reference in reference.py states the invariants one round at
 a time; these properties hold the stage-vectorized engine's own output to
 them, for every mechanism, on markets hypothesis generates. The online DFP
-payers are also held bit for bit to the per-click reference forms there.
+payers are also held bit for bit to the per-click reference forms there,
+and runs that share a log's memoised outcome pass to runs on fresh logs.
 """
 
 import numpy as np
@@ -90,6 +91,10 @@ def test_engine_invariants_hold_for_every_mechanism(config):
         assert np.all(r.payment[r.click == 0] == 0.0), label
         clicks = np.bincount(r.bidder, weights=r.click, minlength=config.num_bidders)
         np.testing.assert_array_equal(result.stage_clicks.sum(axis=0), clicks)
+        # The stage payment table is the rounds log's payments per (stage, bidder).
+        T, M = result.stage_payments.shape
+        paid = np.bincount(r.stage * M + r.bidder, weights=r.payment, minlength=T * M).reshape(T, M)
+        np.testing.assert_allclose(result.stage_payments, paid, rtol=1e-12, atol=0, err_msg=label)
 
     for label in ("CPA_OFFLINE", "DFP:oracle"):
         ratios = checkpoint_ratio_table(results[label]).ratio
@@ -148,3 +153,32 @@ def test_debt_payments_stay_within_cap(config, risk_averse, cap_factor):
     r = run_auction(market, MechanismConfig("DFP", controller="debt"), agents, ctrl).rounds
     assert np.all(r.payment >= 0.0)
     assert np.all(r.payment <= cap_factor * market.tcpa[r.bidder])
+
+
+SHARED_MECHANISMS = MECHANISMS[:5]  # every mechanism but the learned payer
+STAGE_TABLES = (
+    "stage_impressions", "stage_clicks", "stage_conversions", "stage_payments", "stage_expected_clicks",
+    "stage_expected_conversions", "stage_expected_payments", "stage_value", "bid_by_stage",
+)
+
+
+def _assert_same_run(result, fresh, label):
+    for name in ROUNDS_COLUMNS:
+        assert _same_bits(getattr(result.rounds, name), getattr(fresh.rounds, name)), (label, name)
+    for name in (*STAGE_TABLES, "final_bids", "withdrawn"):
+        assert _same_bits(getattr(result, name), getattr(fresh, name)), (label, name)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(market_configs(), st.booleans())
+def test_memoised_outcome_pass_matches_fresh_markets(config, risk_averse):
+    # Every mechanism, twice over, back to back on one log (so each run meets
+    # the outcome memo in another state) against runs on fresh logs.
+    def run(market, mech):
+        agents = [RiskAverseAgent() if risk_averse else TruthfulAgent() for _ in range(market.num_bidders)]
+        return run_auction(market, mech, agents, controller=_controller(mech, market))
+
+    shared = generate_market(config)
+    for mech in SHARED_MECHANISMS * 2:
+        _assert_same_run(run(shared, mech), run(generate_market(config), mech), mech.label)
+    assert 0 < len(shared.outcome_memo) <= len(config.stage_plan)
