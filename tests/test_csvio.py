@@ -70,7 +70,9 @@ def test_header_only_table(tmp_path):
     assert (tmp_path / "got.csv").read_text() == "a,b\n"
 
 
-@pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+# A table one chunk long, and one of 65,536 rows (four whole chunks, the
+# chunk size before it became 16,384), each one row short and one row over.
+@pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 65535, 65536, 65537])
 def test_chunk_boundaries(tmp_path, rows):
     rng = np.random.default_rng(rows)
     index = np.arange(rows, dtype=np.int64)
