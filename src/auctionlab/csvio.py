@@ -8,8 +8,10 @@ The same table therefore always gives the same bytes.
 Tables are written CHUNK_ROWS rows at a time: each chunk's columns are
 formatted whole (``tolist`` plus ``map``) and joined into one string, so peak
 memory holds one chunk's cells rather than a Python string per cell of the
-whole table. A numeric column that repeats few distinct values formats each
-of them once and gathers the strings by index. A bool column prints 1/0.
+whole table. An integer chunk whose values span less than twice its length
+formats each value of the span once and gathers the strings by offset; any
+other numeric chunk that repeats few distinct values formats each of them
+once and gathers the strings by index. A bool column prints 1/0.
 
 A float chunk with mostly distinct values (a rounds table's ``score``) costs
 one ``repr`` per cell, the bulk of writing a table. Tables written one after
@@ -71,6 +73,15 @@ def _format_column(col: np.ndarray, memo: ReuseMemo | None, position: tuple) -> 
     kind = col.dtype.kind
     if kind not in "iuf":
         return list(map(str, col.tolist()))
+    if kind in "iu":
+        lo, hi = col.min(), col.max()
+        if int(hi) - int(lo) < 2 * col.size:
+            # A dense range: format each value in it once and gather by the
+            # offset from lo, taken in the unsigned type of the same width,
+            # where it cannot overflow.
+            unsigned = np.dtype(f"u{col.itemsize}")
+            offset = col.view(unsigned) - np.asarray(lo).view(unsigned)
+            return np.array(list(map(str, range(int(lo), int(hi) + 1))), dtype=object)[offset].tolist()
     to_str = repr if kind == "f" else str
     head = col[:_PROBE]
     if (

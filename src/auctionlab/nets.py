@@ -39,26 +39,30 @@ class MLP:
         """Batched forward pass.
 
         Args:
-            x: (batch, in_dim) inputs, or one (in_dim,) row as a batch of one.
+            x: (batch, in_dim) inputs, one (in_dim,) row as a batch of one, or
+                (batch, 1, in_dim) stacked rows, each computed alone.
 
         Returns:
-            (outputs (batch, out_dim), cache of layer activations for backward;
-            a single row's cache holds vectors).
+            (outputs (batch, out_dim), or (batch, 1, out_dim) for stacked rows;
+            cache of layer activations for backward, where a single row's
+            cache holds vectors).
 
         A single row goes through as a vector (BLAS gemv), a batch as a
         matrix (gemm), each layer biased and squashed in place. gemv and gemm
         can round a row's sums differently, so a row's output depends on
-        whether it is sent alone or in a batch, but not on whether it arrives
-        as (in_dim,) or (1, in_dim).
+        whether it is sent in a (batch, in_dim) matrix, but not on whether it
+        arrives as (in_dim,), (1, in_dim) or one of stacked (batch, 1, in_dim)
+        rows: `@` on stacked rows runs one gemv per row, the single row's call.
         """
         h = np.asarray(x, dtype=np.float64)
         row = h.ndim < 2
         if row:
             h = h.reshape(-1)
+        product = np.matmul if h.ndim == 3 else np.dot
         acts = [h]
         hidden = len(self.weights) - 1
         for w, b in zip(self.weights, self.biases):
-            h = np.dot(h, w)
+            h = product(h, w)
             h += b
             if len(acts) <= hidden:
                 np.tanh(h, out=h)

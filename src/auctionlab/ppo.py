@@ -234,12 +234,23 @@ class GaussianPolicy:
         return action, g, logp
 
 
-def value_estimate(critic: MLP, features: np.ndarray) -> float:
-    out, _ = critic.forward(features)
-    [[v]] = out.tolist()
-    if not math.isfinite(v):
-        raise NumericalFault(f"critic output is not finite: {v}")
-    return v
+def value_estimate(critic: MLP, features: np.ndarray) -> float | np.ndarray:
+    """Critic value of one (FEATURE_DIM,) row as a float, or of each row of a
+    (steps, FEATURE_DIM) batch as a (steps,) array.
+
+    Rows go through the net stacked as (steps, 1, FEATURE_DIM), each computed
+    alone, so a batched value has the same bits as the row's own value.
+
+    Raises:
+        NumericalFault: a non-finite value, naming the first bad step.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    out, _ = critic.forward(features.reshape(-1, 1, features.shape[-1]))
+    values = out[:, 0, 0]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericalFault(f"critic output is not finite at step {bad[0]}: {values[bad[0]]}")
+    return float(values[0]) if features.ndim == 1 else values
 
 
 def td_errors(rewards: np.ndarray, values: np.ndarray, gamma: float) -> np.ndarray:
@@ -416,7 +427,9 @@ class RLPaymentController:
     Implements the engine's controller protocol. In collection mode every
     click appends one trajectory step; at the stage boundary the accuracy
     reward is recomputed with the released true conversions and added to
-    the stage's last step, and the episode is closed.
+    the stage's last step, and the episode is closed. The critic is not run
+    per click: GAE needs its values only once the rollout is collected, so
+    trajectory() computes them all in one call.
     """
 
     def __init__(
@@ -462,7 +475,6 @@ class RLPaymentController:
         self._feats: list[np.ndarray] = []
         self._gs: list[float] = []
         self._logps: list[float] = []
-        self._values: list[float] = []
         self._rewards: list[float] = []
         self._episode_lengths: list[int] = []
         self._steps_this_stage = 0
@@ -524,7 +536,6 @@ class RLPaymentController:
             self._feats.append(feats)
             self._gs.append(g)
             self._logps.append(logp)
-            self._values.append(value_estimate(self.critic, feats))
             self._rewards.append(reward)
             self._steps_this_stage += 1
         return payment
@@ -550,16 +561,18 @@ class RLPaymentController:
         self.visible = visible.tolist()
 
     def trajectory(self) -> Trajectory:
+        """The collected steps, valued by the critic as it is now."""
         if not self._feats:
             return Trajectory(
                 np.zeros((0, FEATURE_DIM)), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0), []
             )
+        features = np.stack(self._feats)
         return Trajectory(
-            np.stack(self._feats),
+            features,
             np.array(self._gs),
             np.array(self._logps),
             np.array(self._rewards),
-            np.array(self._values),
+            value_estimate(self.critic, features),
             list(self._episode_lengths),
         )
 

@@ -56,6 +56,23 @@ def test_integer_columns(tmp_path):
     assert_same_bytes(tmp_path, "big,small", [big, small])
 
 
+# n = 300 values spanning 2n - 1 (each offset formatted once) or 2n (the other
+# paths), from the bottom and the top of each dtype's range.
+@pytest.mark.parametrize(
+    "dtype,lo",
+    [(np.int64, -(2 ** 63)), (np.int64, -7), (np.int64, 2 ** 63 - 601), (np.uint64, 0),
+     (np.uint64, 2 ** 64 - 601), (np.int16, 32767 - 600)],
+)
+def test_dense_integer_ranges(tmp_path, dtype, lo):
+    n = 300
+    offsets = np.random.default_rng(lo % 1000).integers(0, 2 * n - 1, size=n)
+    columns = []
+    for top in (2 * n - 1, 2 * n):
+        offsets[:2] = (0, top)
+        columns.append(np.array([lo + int(o) for o in offsets], dtype=dtype))
+    assert_same_bytes(tmp_path, "dense,wide", columns)
+
+
 def test_narrow_integer_dtypes(tmp_path):
     u8 = np.array([0, 1, 255, 7, 1, 0] * 50, dtype=np.uint8)
     i8 = np.array([-100, 100, 0, -1] * 75, dtype=np.int8)

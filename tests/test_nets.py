@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlab import SchemaError
 from auctionlab.nets import MLP, Adam
@@ -97,6 +99,21 @@ def test_forward_matches_reference_bits():
     for batch in (2, 7, 128, 300):
         x = rng.standard_normal((batch, 9))
         assert net.forward(x)[0].tobytes() == reference_forward(net, x).tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([(), (4,), (64, 64)]), st.sampled_from([1, 2]), st.sampled_from([1, 2, 7, 300]),
+       st.integers(0, 2**32 - 1))
+def test_stacked_rows_match_single_rows_bits(hidden, out_dim, batch, seed):
+    rng = np.random.default_rng(seed)
+    net = MLP(9, hidden, out_dim, rng=rng)
+    net.set_flat(net.get_flat() + rng.standard_normal(net.num_params) * 0.1)
+    # Each row at its own scale, from 1e-3 to 1e3.
+    x = rng.standard_normal((batch, 9)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(batch, 1))
+    out, _ = net.forward(x[:, None, :])
+    assert out.shape == (batch, 1, out_dim)
+    for row, got in zip(x, out):
+        assert got.tobytes() == net.forward(row)[0].tobytes() == reference_forward(net, row[None, :]).tobytes()
 
 
 def test_single_row_cache_backpropagates_like_a_batch_of_one():

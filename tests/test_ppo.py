@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlab import (
     ConfigError,
@@ -266,6 +268,48 @@ def test_act_and_value_match_reference_bits():
         assert policy.act(feats, deterministic=True) == reference_act(policy, feats, deterministic=True)
         assert np.float64(value_estimate(critic, feats)).tobytes() == np.float64(
             reference_value_estimate(critic, feats)).tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([(), (4,), (64, 64)]), st.sampled_from([1, 2, 7, 300]), st.integers(0, 2**32 - 1))
+def test_batched_values_match_per_row_bits(hidden, steps, seed):
+    rng = np.random.default_rng(seed)
+    critic = MLP(FEATURE_DIM, hidden, 1, rng=rng)
+    # Each step at its own scale, from 1e-3 to 1e3.
+    feats = rng.standard_normal((steps, FEATURE_DIM)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(steps, 1))
+    values = value_estimate(critic, feats)
+    assert values.shape == (steps,)
+    for row, got in zip(feats, values.tolist()):
+        assert np.float64(got).tobytes() == np.float64(value_estimate(critic, row)).tobytes()
+        assert np.float64(got).tobytes() == np.float64(reference_value_estimate(critic, row)).tobytes()
+
+
+def test_batched_value_fault_names_the_step():
+    critic = MLP(FEATURE_DIM, (), 1, rng=np.random.default_rng(0))
+    critic.set_flat(np.ones(critic.num_params))
+    feats = np.ones((7, FEATURE_DIM))
+    assert np.all(value_estimate(critic, feats) == FEATURE_DIM + 1.0)
+    feats[4] = 1e308  # only this step's sum overflows
+    with np.errstate(over="ignore"), pytest.raises(NumericalFault, match="step 4"):
+        value_estimate(critic, feats)
+
+
+def test_critic_runs_once_per_rollout(monkeypatch):
+    env = DFPTrainingEnv(_toy_market(), _toy_rl())
+    rng = np.random.default_rng(0)
+    policy = GaussianPolicy(MLP(FEATURE_DIM, (4,), 2, rng=rng), 1e-3)
+    critic = MLP(FEATURE_DIM, (4,), 1, rng=rng)
+    shapes = []
+    forward = critic.forward
+
+    def recording_forward(x):
+        shapes.append(np.shape(x))
+        return forward(x)
+
+    monkeypatch.setattr(critic, "forward", recording_forward)
+    traj, _, _ = env.rollout(policy, critic, 123, np.random.default_rng(1))
+    assert traj.num_steps > 1
+    assert shapes == [(traj.num_steps, 1, FEATURE_DIM)]
 
 
 def test_resolve_xi():

@@ -182,3 +182,34 @@ def test_memoised_outcome_pass_matches_fresh_markets(config, risk_averse):
     for mech in SHARED_MECHANISMS * 2:
         _assert_same_run(run(shared, mech), run(generate_market(config), mech), mech.label)
     assert 0 < len(shared.outcome_memo) <= len(config.stage_plan)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(market_configs(), st.booleans(), st.sampled_from([0.05, 0.5, DEFAULT_CAP_FACTOR]))
+def test_debt_carry_is_visible_value_less_lifetime_payments(config, risk_averse, cap_factor):
+    # At every feedback release, carry = visible * tcpa - paid_total per
+    # bidder, with visible and paid_total recounted from the run's own log.
+    market = generate_market(config)
+    agents = [RiskAverseAgent() if risk_averse else TruthfulAgent() for _ in range(market.num_bidders)]
+    ctrl = DebtController(market.tcpa, cap_factor=cap_factor)
+    releases = []
+    end_stage = ctrl.end_stage
+
+    def recording_end_stage(visible):
+        end_stage(visible)
+        releases.append([(s.carry, s.visible_conversions, s.paid_total) for s in ctrl.states])
+
+    ctrl.end_stage = recording_end_stage
+    result = run_auction(market, MechanismConfig("DFP", controller="debt"), agents, ctrl)
+    r = result.rounds
+    assert len(releases) == len(config.stage_plan)
+    for t, states in enumerate(releases):
+        visible = result.stage_conversions[: t + 1].sum(axis=0)
+        for m, (carry, seen, paid_total) in enumerate(states):
+            # The controller adds each click's payment in round order from 0.0.
+            paid = 0.0
+            for p in r.payment[(r.stage <= t) & (r.bidder == m) & (r.click == 1)].tolist():
+                paid += p
+            assert seen == visible[m]
+            assert paid_total == paid
+            assert carry == visible[m] * market.tcpa[m] - paid
