@@ -219,6 +219,15 @@ def payment_fluctuation(result: SimulationResult) -> FluctuationTable:
     )
 
 
+def check_chernoff_args(epsilon: float, cvr: float, where: str = "") -> None:
+    """Refuse a click-volume bound's arguments outside their domain; ``where``
+    prefixes the argument's name in the error (a config section, say)."""
+    if not epsilon > 0.0:
+        raise ConfigError(f"{where}epsilon must be positive, got {epsilon}")
+    if not 0.0 < cvr <= 1.0:
+        raise ConfigError(f"{where}cvr must lie in (0, 1], got {cvr}")
+
+
 def chernoff_min_clicks(epsilon: float, cvr: float) -> int:
     """Click volume above which conversion counts concentrate within epsilon.
 
@@ -226,10 +235,7 @@ def chernoff_min_clicks(epsilon: float, cvr: float) -> int:
     the multiplicative bound is vacuous: a warning is issued and 0 is
     returned.
     """
-    if epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < cvr <= 1.0:
-        raise ConfigError(f"cvr must lie in (0, 1], got {cvr}")
+    check_chernoff_args(epsilon, cvr)
     if epsilon >= 1.0:
         warnings.warn(f"relative deviation {epsilon} >= 1 makes the bound vacuous; returning 0")
         return 0

@@ -25,6 +25,7 @@ from ._version import __version__
 from .agents import RiskAverseAgent, RiskAverseParams, TruthfulAgent, bid_drift_metric
 from .analysis import (
     cfp_tau_rollup,
+    check_chernoff_args,
     checkpoint_ratio_table,
     chernoff_empirical_check,
     chernoff_min_clicks,
@@ -90,7 +91,9 @@ class ExperimentConfig:
         if self.chernoff is not None:
             if len(self.chernoff) != 2:
                 raise ConfigError(f"chernoff must be (epsilon, cvr), got {self.chernoff}")
-            object.__setattr__(self, "chernoff", (float(self.chernoff[0]), float(self.chernoff[1])))
+            eps, cvr = float(self.chernoff[0]), float(self.chernoff[1])
+            check_chernoff_args(eps, cvr, "chernoff.")
+            object.__setattr__(self, "chernoff", (eps, cvr))
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
@@ -253,21 +256,18 @@ def make_agents(config: ExperimentConfig, num_bidders: int) -> list:
     return [RiskAverseAgent(config.agent_params) for _ in range(num_bidders)]
 
 
-def _make_controller(mech: MechanismConfig, market, config: ExperimentConfig, rl_checkpoint: str | None):
-    if mech.kind != "DFP" or mech.controller == "oracle":
-        return None
+def _make_controller(mech: MechanismConfig, market, config: ExperimentConfig, rl_nets):
+    """The online payer a DFP run needs, or None; rl_nets is the loaded (policy, critic)."""
     if mech.controller == "debt":
         return DebtController(market.tcpa)
     if mech.controller == "rl":
-        if rl_checkpoint is None:
-            raise ConfigError("mechanism DFP:rl needs an rl_checkpoint path")
-        policy, critic = load_checkpoint(rl_checkpoint)
+        policy, critic = rl_nets
         return RLPaymentController(
             policy, critic, market.tcpa,
             zeta=config.rl.zeta, xi=config.rl.xi,
             deterministic=True, collect=False,
         )
-    raise ConfigError(f"unknown DFP controller {mech.controller!r}")
+    return None
 
 
 def _write_fluctuation_csv(path: str, table) -> None:
@@ -297,7 +297,7 @@ class _Pooled:
 
 
 def _run_one(config: ExperimentConfig, mech: MechanismConfig, market, run_dir: str,
-             rl_checkpoint: str | None, pool: _Pooled, rounds_memo: ReuseMemo) -> None:
+             rl_nets, pool: _Pooled, rounds_memo: ReuseMemo) -> None:
     """Simulate one (mechanism, seed) pair, write its run directory, pool its metrics.
 
     A function of its own so the result and controller are freed on return,
@@ -305,7 +305,7 @@ def _run_one(config: ExperimentConfig, mech: MechanismConfig, market, run_dir: s
     seed's ``write_table`` memo for the rounds tables.
     """
     agents = make_agents(config, market.num_bidders)
-    controller = _make_controller(mech, market, config, rl_checkpoint)
+    controller = _make_controller(mech, market, config, rl_nets)
     result = run_auction(market, mech, agents, controller=controller)
 
     os.makedirs(run_dir, exist_ok=True)
@@ -355,9 +355,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     metrics are concatenated per mechanism in seed order, which fixes the
     bits of their means and quantiles.
 
+    A DFP:rl checkpoint is loaded once, before the first run, so a missing
+    one fails before any artifact is written.
+
     Returns a dict with the run directories (mechanism-major, as in the
     config) and pooled summary rows.
     """
+    rl_nets = None
+    if any(mech.controller == "rl" for mech in config.mechanisms):
+        if rl_checkpoint is None:
+            raise ConfigError("mechanism DFP:rl needs an rl_checkpoint path")
+        rl_nets = load_checkpoint(rl_checkpoint)
     os.makedirs(out_dir, exist_ok=True)
     pools = {mech.label: _Pooled() for mech in config.mechanisms}
     for seed in config.seeds:
@@ -365,7 +373,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
         rounds_memo = ReuseMemo()
         for mech in config.mechanisms:
             run_dir = os.path.join(out_dir, mech.label.replace(":", "_"), f"seed_{seed}")
-            _run_one(config, mech, market, run_dir, rl_checkpoint, pools[mech.label], rounds_memo)
+            _run_one(config, mech, market, run_dir, rl_nets, pools[mech.label], rounds_memo)
         del market, rounds_memo
 
     run_dirs = [d for pool in pools.values() for d in pool.run_dirs]

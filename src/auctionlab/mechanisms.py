@@ -12,7 +12,8 @@ Four payment rules share one allocation pipeline (top-K by ranking score):
                     runs the outcome pass first and reprices afterwards.
     DFP             per-click payments chosen online by a pluggable
                     controller ("debt" or an RL policy), or in hindsight by
-                    the per-stage pacing oracle ("oracle").
+                    the per-stage pacing oracle ("oracle"), priced at each
+                    stage end from that stage's clicks and conversions.
 
 Bids are frozen within a stage, so each stage's allocation is deterministic
 given the bids at its start; the engine exploits that to vectorize scoring,
@@ -20,10 +21,11 @@ allocation, and outcome sampling stage by stage. Each stage runs two passes:
 the outcome pass (score -> allocate -> sample), a function of the market,
 the stage and the bid vector alone, and the pricing pass that sets the
 payments. The outcome pass is memoised on the MarketLog, so mechanisms run
-on the same log that meet the same bids share it. Agent bid updates fire at
-stage boundaries for CFP, CPA_OFFLINE, and online DFP. PACING_OFFLINE and
-the DFP oracle price clicks only after outcomes are fixed, so those runs
-keep bids static (agents receive no mid-run updates).
+on the same log that meet the same bids share it. Each stage yields one
+record: a row of every stage table (one (8, T, M) block) and one tuple of
+rounds columns. Agent bid updates fire at stage boundaries for CFP,
+CPA_OFFLINE, and online DFP. PACING_OFFLINE and the DFP oracle price clicks
+only after outcomes are fixed, so those runs keep bids static.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ SUMMARY_CSV_HEADER = (
 )
 
 MECHANISM_KINDS = ("CFP", "DFP", "CPA_OFFLINE", "PACING_OFFLINE")
+_DFP_CONTROLLERS = ("debt", "oracle", "rl")
 
 
 def ranking_score(bid, ctr, cvr):
@@ -68,6 +71,8 @@ class MechanismConfig:
             raise ConfigError(f"unknown mechanism kind {self.kind!r}, expected one of {MECHANISM_KINDS}")
         if (self.kind == "DFP") != (self.controller is not None):
             raise ConfigError("a controller must be given for DFP and only for DFP")
+        if self.kind == "DFP" and self.controller not in _DFP_CONTROLLERS:
+            raise ConfigError(f"unknown DFP controller {self.controller!r}, expected one of {_DFP_CONTROLLERS}")
 
     @property
     def label(self) -> str:
@@ -180,6 +185,14 @@ class SimulationResult:
         return len(self.stage_plan)
 
 
+# The stage tables, views of one (8, T, M) block in this order: BidderLedger's
+# order of totals.
+_STAGE_TABLES = (
+    "stage_impressions", "stage_clicks", "stage_conversions", "stage_expected_clicks",
+    "stage_expected_conversions", "stage_expected_payments", "stage_payments", "stage_value",
+)
+
+
 def _stage_allocation(scores: np.ndarray, num_slots: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-K allocation for a block of rounds: slot k of round n goes to the
     k-th highest score, ties to the lowest bidder index.
@@ -259,8 +272,9 @@ def run_auction(
     then the pricing pass (pay -> accumulate); at each boundary conversions
     are released and (for CFP, CPA_OFFLINE, and online DFP) agents update
     bids from their cumulative checkpoint ratio conversions * tcpa /
-    payments. PACING_OFFLINE and DFP "oracle" runs are repriced after
-    outcomes are fixed and keep bids static throughout.
+    payments. The DFP "oracle" prices each stage at its end from that
+    stage's own clicks and conversions; PACING_OFFLINE, whose price needs
+    the whole run, is repriced after it. Both keep bids static throughout.
 
     The outcome pass is memoised per market in ``market.outcome_memo``,
     one entry per stage keyed by the bid vector's bytes: a later run on the
@@ -303,25 +317,10 @@ def run_auction(
     _check_bids(bids, "initial_bid for stage 0")
 
     starts = stage_starts(plan)
-    shape = (T, M)
-    stage_impressions = np.zeros(shape)
-    stage_clicks = np.zeros(shape)
-    stage_conversions = np.zeros(shape)
-    stage_payments = np.zeros(shape)
-    stage_e_clicks = np.zeros(shape)
-    stage_e_convs = np.zeros(shape)
-    stage_e_pay = np.zeros(shape)
-    stage_value = np.zeros(shape)
-    bid_by_stage = np.zeros(shape)
-    col_round: list[np.ndarray] = []
-    col_stage: list[np.ndarray] = []
-    col_bidder: list[np.ndarray] = []
-    col_slot: list[np.ndarray] = []
-    col_score: list[np.ndarray] = []
-    col_click: list[np.ndarray] = []
-    col_conv: list[np.ndarray] = []
-    col_pay: list[np.ndarray] = []
-    col_bid: list[np.ndarray] = []
+    tables = np.zeros((len(_STAGE_TABLES), T, M))
+    clicks_table, convs_table, pay_table = tables[1], tables[2], tables[6]
+    bid_by_stage = np.zeros((T, M))
+    stage_rows: list[tuple[np.ndarray, ...]] = []
 
     for t in range(T):
         s0 = int(starts[t])
@@ -334,20 +333,17 @@ def run_auction(
         ctr_at = market.ctr[rounds_global, bidders, slots]
         cvr_at = market.cvr[rounds_global, bidders]
         bid_at = bids[bidders]
-        # Expected quantities under the stage's fixed allocation.
-        e_clicks = ctr_at
+        # Expected conversions under the stage's fixed allocation.
         e_convs = ctr_at * cvr_at
-        e_pay = bid_at * e_convs
 
+        pay = np.zeros(y.shape)  # PACING_OFFLINE and the oracle are priced once outcomes are known
         if mech.kind == "CFP":
             pay = cfp_payment(bid_at, y, cvr_at)
         elif mech.kind == "CPA_OFFLINE":
             pay = cpa_offline_payment(z, tcpa[bidders])
-        elif mech.kind == "PACING_OFFLINE" or oracle_run:
-            pay = np.zeros(y.shape)
-        else:
-            # Online DFP: expected-click suffix schedule, then clicks in
-            # (round, slot) order through the controller.
+        elif online_dfp:
+            # Expected-click suffix schedule, then clicks in (round, slot)
+            # order through the controller.
             x_ctr = np.zeros((n_t, M))
             x_ctr[rows, bidders] = ctr_at
             suffix = np.vstack([np.cumsum(x_ctr[::-1], axis=0)[::-1][1:], np.zeros((1, M))])
@@ -366,37 +362,33 @@ def run_auction(
             ], dtype=np.float64)
             if not (np.isfinite(paid) & (paid >= 0.0)).all():
                 raise ContractViolation("controller returned a negative or non-finite payment")
-            pay = np.zeros(y.shape)
             pay[clicked] = paid
 
-        # bincount sums each bidder's entries in input order from 0.0; the
-        # tables' bits depend on that order.
-        stage_impressions[t] = np.bincount(bidders, minlength=M)
-        stage_clicks[t] = np.bincount(bidders, weights=y, minlength=M)
-        stage_conversions[t] = np.bincount(bidders, weights=z, minlength=M)
-        stage_payments[t] = np.bincount(bidders, weights=pay, minlength=M)
-        stage_e_clicks[t] = np.bincount(bidders, weights=e_clicks, minlength=M)
-        stage_e_convs[t] = np.bincount(bidders, weights=e_convs, minlength=M)
-        stage_e_pay[t] = np.bincount(bidders, weights=e_pay, minlength=M)
-        stage_value[t] = np.bincount(bidders, weights=market.value[rounds_global, bidders] * z, minlength=M)
+        # One weight column per stage table, in _STAGE_TABLES order. bincount
+        # sums each bidder's entries in input order from 0.0; the tables'
+        # bits depend on that order.
+        weights = (None, y, z, ctr_at, e_convs, bid_at * e_convs, pay, market.value[rounds_global, bidders] * z)
+        for k, w in enumerate(weights):
+            tables[k, t] = np.bincount(bidders, weights=w, minlength=M)
+        if oracle_run:
+            # Hindsight settlement: each click pays conversions_t * tcpa / clicks_t.
+            per_click = stage_pacing_oracle(clicks_table[t], convs_table[t], tcpa)
+            pay = np.where(y, per_click[bidders], 0.0)
+            pay_table[t] = per_click * clicks_table[t]
 
-        col_round.append(rounds_global)
-        col_stage.append(np.full(rounds_global.shape, t, dtype=np.int64))
-        col_bidder.append(bidders.astype(np.int64))
-        col_slot.append(slots.astype(np.int64))
-        # Gathered, the same products as the stage's score matrix (slot 0's ctr).
-        col_score.append(ranking_score(bid_at, market.ctr[rounds_global, bidders, 0], cvr_at))
-        col_click.append(y)
-        col_conv.append(z)
-        col_pay.append(pay)
-        col_bid.append(bid_at)
+        # Gathered, the score is the same product as the stage's score matrix (slot 0's ctr).
+        score = ranking_score(bid_at, market.ctr[rounds_global, bidders, 0], cvr_at)
+        stage_rows.append((
+            rounds_global, np.full(rounds_global.shape, t, dtype=np.int64), bidders.astype(np.int64),
+            slots.astype(np.int64), score, y, z, pay, bid_at,
+        ))
 
         # Boundary: conversions for stages <= t become visible.
-        visible = stage_conversions[: t + 1].sum(axis=0)
+        visible = convs_table[: t + 1].sum(axis=0)
         if online_dfp:
             controller.end_stage(visible)
         if dynamic_bids:
-            paid_cum = stage_payments[: t + 1].sum(axis=0)
+            paid_cum = pay_table[: t + 1].sum(axis=0)
             new_bids = bids.copy()
             for m in range(M):
                 if visible[m] >= 1.0:
@@ -409,41 +401,18 @@ def run_auction(
             _check_bids(new_bids, f"stage_update at the end of stage {t}")
             bids = new_bids
 
-    rounds = RoundsTable(
-        round=np.concatenate(col_round),
-        stage=np.concatenate(col_stage),
-        bidder=np.concatenate(col_bidder),
-        slot=np.concatenate(col_slot),
-        score=np.concatenate(col_score),
-        click=np.concatenate(col_click).astype(np.uint8),
-        conversion=np.concatenate(col_conv).astype(np.uint8),
-        payment=np.concatenate(col_pay),
-        bid=np.concatenate(col_bid),
-    )
-
+    # One concatenate per column; the stage tuples hold the columns in field order.
+    rounds = RoundsTable(*(np.concatenate(column) for column in zip(*stage_rows)))
     if mech.kind == "PACING_OFFLINE":
-        _reprice_pacing(rounds, stage_payments, tcpa)
-    elif oracle_run:
-        _reprice_oracle(rounds, stage_payments, stage_clicks, stage_conversions, tcpa)
+        _reprice_pacing(rounds, pay_table, tcpa)
 
-    ledgers = _final_ledgers(
-        tcpa, bids, stage_impressions, stage_clicks, stage_conversions,
-        stage_e_clicks, stage_e_convs, stage_e_pay, stage_payments, stage_value,
-    )
     return SimulationResult(
         mechanism=mech.label,
         stage_plan=plan,
         tcpa=tcpa.copy(),
         rounds=rounds,
-        ledgers=ledgers,
-        stage_impressions=stage_impressions,
-        stage_clicks=stage_clicks,
-        stage_conversions=stage_conversions,
-        stage_payments=stage_payments,
-        stage_expected_clicks=stage_e_clicks,
-        stage_expected_conversions=stage_e_convs,
-        stage_expected_payments=stage_e_pay,
-        stage_value=stage_value,
+        ledgers=_final_ledgers(tcpa, bids, tables),
+        **dict(zip(_STAGE_TABLES, tables)),
         bid_by_stage=bid_by_stage,
         final_bids=bids.copy(),
         withdrawn=(bids == 0.0),
@@ -465,37 +434,13 @@ def _reprice_pacing(rounds: RoundsTable, stage_payments: np.ndarray, tcpa: np.nd
     ).reshape(T, M)
 
 
-def _reprice_oracle(
-    rounds: RoundsTable,
-    stage_payments: np.ndarray,
-    stage_clicks: np.ndarray,
-    stage_conversions: np.ndarray,
-    tcpa: np.ndarray,
-) -> None:
-    """Hindsight per-stage settlement: clicks in stage t pay conversions_t * tcpa / clicks_t."""
-    per_click = stage_pacing_oracle(stage_clicks, stage_conversions, tcpa[None, :])
-    clicked = np.flatnonzero(rounds.click)
-    rounds.payment[clicked] = per_click[rounds.stage[clicked], rounds.bidder[clicked]]
-    stage_payments[:] = per_click * stage_clicks
-
-
-def _final_ledgers(tcpa: np.ndarray, final_bids: np.ndarray, *tables: np.ndarray) -> list[BidderLedger]:
-    (imps, clicks, convs, e_clicks, e_convs, e_pay, pays, value) = tables
-    return [
-        BidderLedger(
-            bid=float(final_bids[m]),
-            tcpa=float(tcpa[m]),
-            impressions=int(imps[:, m].sum()),
-            clicks=int(clicks[:, m].sum()),
-            conversions=int(convs[:, m].sum()),
-            expected_clicks=float(e_clicks[:, m].sum()),
-            expected_conversions=float(e_convs[:, m].sum()),
-            expected_payment=float(e_pay[:, m].sum()),
-            payment=float(pays[:, m].sum()),
-            utility=float(value[:, m].sum()),
-        )
-        for m in range(tcpa.size)
-    ]
+def _final_ledgers(tcpa: np.ndarray, final_bids: np.ndarray, tables: np.ndarray) -> list[BidderLedger]:
+    """Each bidder's run totals: its column of every stage table, summed over stages."""
+    ledgers = []
+    for m in range(tcpa.size):
+        imps, clicks, convs, *floats = (float(table[:, m].sum()) for table in tables)
+        ledgers.append(BidderLedger(float(final_bids[m]), float(tcpa[m]), int(imps), int(clicks), int(convs), *floats))
+    return ledgers
 
 
 def write_rounds_csv(result: SimulationResult, path: str, memo: ReuseMemo | None = None) -> None:

@@ -142,26 +142,22 @@ def accuracy_reward(paid: np.ndarray | list[float], targets: np.ndarray | list[f
 
     A total error of 1 maps to reward 0; smaller errors are rewarded on a
     log scale, floored so a perfect stage stays finite. The online payer
-    calls this once per click with a handful of bidders, so the terms are
-    formed in Python floats (the same IEEE operations NumPy would apply
-    elementwise) and summed by np.add.reduce, the reduction behind np.sum.
+    calls this once per click with a handful of bidders in Python lists, so
+    the terms are formed from the values as given (the same IEEE operations
+    NumPy would apply elementwise) and summed by np.add.reduce, the
+    reduction behind np.sum.
 
     Raises:
-        SchemaError: mismatched shapes, a target that is not positive and
+        SchemaError: mismatched lengths, a target that is not positive and
             finite, or a payment that is not finite.
     """
-    paid = np.asarray(paid, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if paid.shape != targets.shape:
-        raise SchemaError(f"paid shape {paid.shape} does not match targets shape {targets.shape}")
-    target_list = targets.ravel().tolist()
-    paid_list = paid.ravel().tolist()
-    if not all(0.0 < t < math.inf for t in target_list):
+    if len(paid) != len(targets):
+        raise SchemaError(f"{len(paid)} payments do not match {len(targets)} targets")
+    if not all(0.0 < t < math.inf for t in targets):
         raise SchemaError("accuracy targets must be positive and finite")
-    if not all(-math.inf < p < math.inf for p in paid_list):
+    if not all(-math.inf < p < math.inf for p in paid):
         raise SchemaError("accuracy payments must be finite")
-    terms = [abs(p / t - 1.0) for p, t in zip(paid_list, target_list)]
-    total = float(np.add.reduce(np.array(terms, dtype=np.float64)))
+    total = float(np.add.reduce(np.array([abs(p / t - 1.0) for p, t in zip(paid, targets)], dtype=np.float64)))
     return float(-np.log(max(total, floor)))
 
 
@@ -370,6 +366,24 @@ class LossOutput:
     critic_grad: np.ndarray
 
 
+def _loss_forward(policy: GaussianPolicy, critic: MLP, batch: TrainingBatch, cfg: RLConfig):
+    """The forward half of loss_and_grads: its loss terms, with zero-size
+    gradients, and the forward values its backward pass reuses."""
+    mu, lsr, acts = policy.head(batch.features)
+    sigma_exp = np.exp(lsr)
+    sigma = np.maximum(sigma_exp, policy.sigma_floor)
+    rho = np.exp(gaussian_log_prob(batch.actions_raw, mu, sigma) - batch.old_log_probs)
+    actor = ppo_clip_loss(rho, batch.advantages, cfg.clip)
+
+    v_out, v_acts = critic.forward(batch.features)
+    v = v_out[:, 0]
+    crit = critic_loss(v, batch.returns)
+    entropy = policy_entropy(np.log(sigma))
+    total = combined_loss(actor, crit, entropy, cfg.alphas)
+    loss = LossOutput(total, actor, crit, entropy, np.zeros(0), np.zeros(0))
+    return loss, (mu, sigma_exp, sigma, rho, acts, v, v_acts)
+
+
 def loss_and_grads(policy: GaussianPolicy, critic: MLP, batch: TrainingBatch, cfg: RLConfig) -> LossOutput:
     """Combined loss and analytic parameter gradients for one minibatch.
 
@@ -380,20 +394,9 @@ def loss_and_grads(policy: GaussianPolicy, critic: MLP, batch: TrainingBatch, cf
     """
     a1, a2, a3 = cfg.alphas
     B = batch.features.shape[0]
-
-    mu, lsr, acts = policy.head(batch.features)
-    sigma_exp = np.exp(lsr)
-    sigma = np.maximum(sigma_exp, policy.sigma_floor)
+    loss, (mu, sigma_exp, sigma, rho, acts, v, v_acts) = _loss_forward(policy, critic, batch, cfg)
     not_floored = (sigma_exp >= policy.sigma_floor).astype(np.float64)
     z = (batch.actions_raw - mu) / sigma
-    rho = np.exp(gaussian_log_prob(batch.actions_raw, mu, sigma) - batch.old_log_probs)
-    actor = ppo_clip_loss(rho, batch.advantages, cfg.clip)
-
-    v_out, v_acts = critic.forward(batch.features)
-    v = v_out[:, 0]
-    crit = critic_loss(v, batch.returns)
-    entropy = policy_entropy(np.log(sigma))
-    total = combined_loss(actor, crit, entropy, cfg.alphas)
 
     # Actor backward: dtotal/dmin_i = -a1/B, then through the picked branch.
     surr1 = rho * batch.advantages
@@ -406,19 +409,11 @@ def loss_and_grads(policy: GaussianPolicy, critic: MLP, batch: TrainingBatch, cf
     dlsr = dlogp * (z * z - 1.0) * not_floored
     # Entropy enters the total with weight -a3.
     dlsr = dlsr - (a3 / B) * not_floored
-    policy_grads = policy.net.backward(acts, np.stack([dmu, dlsr], axis=1))
+    loss.policy_grad = MLP.flatten_grads(policy.net.backward(acts, np.stack([dmu, dlsr], axis=1)))
 
     dv = (a2 * 2.0 / B) * (v - batch.returns)
-    critic_grads = critic.backward(v_acts, dv[:, None])
-
-    return LossOutput(
-        total=total,
-        actor=actor,
-        critic=crit,
-        entropy=entropy,
-        policy_grad=MLP.flatten_grads(policy_grads),
-        critic_grad=MLP.flatten_grads(critic_grads),
-    )
+    loss.critic_grad = MLP.flatten_grads(critic.backward(v_acts, dv[:, None]))
+    return loss
 
 
 class RLPaymentController:
@@ -667,7 +662,7 @@ def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResu
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         batch = TrainingBatch(traj.features, traj.actions_raw, traj.log_probs, advantages, returns)
 
-        pre = loss_and_grads(policy, critic, batch, rl)
+        pre, _ = _loss_forward(policy, critic, batch, rl)  # the curve logs the losses before the update
         err = float(np.mean(errors)) if errors else float("nan")
         curves.append(_curve_row(update, float(traj.rewards.mean()), err, pre))
 

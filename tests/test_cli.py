@@ -195,6 +195,17 @@ def test_train_then_run_learned_controller(capsys, train_config, tmp_path):
     assert _last_stderr_line(capsys).startswith("ERROR ConfigError:")
 
 
+def test_run_without_checkpoint_writes_nothing(capsys, tmp_path):
+    # CFP runs first in the config, yet the missing DFP:rl checkpoint stops
+    # the run before any artifact is written.
+    path = tmp_path / "mixed.yaml"
+    path.write_text(RUN_YAML.replace("controller: debt", "controller: rl"))
+    out = tmp_path / "art"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert _last_stderr_line(capsys).startswith("ERROR ConfigError:")
+    assert [f for _, _, files in os.walk(out) for f in files if f.endswith(".csv")] == []
+
+
 def test_rerun_produces_identical_rounds(capsys, run_config, tmp_path):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")

@@ -158,6 +158,10 @@ seeds: [0]
         ('agent_params: {patience: "3"}', "agent_params.patience"),
         ("epsilon: abc", "epsilon"),
         ("chernoff: {epsilon: x, cvr: 0.05}", "chernoff.epsilon"),
+        ("chernoff: {epsilon: -1.0, cvr: 0.05}", "chernoff.epsilon must be positive"),
+        ("chernoff: {epsilon: 0.1, cvr: 0}", "chernoff.cvr must lie in (0, 1]"),
+        ("chernoff: {epsilon: 0.1, cvr: 1.5}", "chernoff.cvr must lie in (0, 1]"),
+        ("mechanisms: [{kind: DFP, controller: dept}]", "unknown DFP controller 'dept'"),
         ("mechanisms: CFP", "mechanisms"),
         ("mechanisms: [{kind: CFP, ranking: expected_spend}]", "'ranking' in mechanisms[0]"),
     ],

@@ -4,7 +4,8 @@ The per-round reference in reference.py states the invariants one round at
 a time; these properties hold the stage-vectorized engine's own output to
 them, for every mechanism, on markets hypothesis generates. The online DFP
 payers are also held bit for bit to the per-click reference forms there,
-and runs that share a log's memoised outcome pass to runs on fresh logs.
+runs that share a log's memoised outcome pass to runs on fresh logs, and
+the stage tables to their recount from the rounds log.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from auctionlab import (
     generate_market,
     run_auction,
 )
-from auctionlab.controllers import DEFAULT_CAP_FACTOR
+from auctionlab.controllers import DEFAULT_CAP_FACTOR, stage_pacing_oracle
 from auctionlab.nets import MLP
 from auctionlab.ppo import FEATURE_DIM, GaussianPolicy, RLPaymentController
 from reference import ROUNDS_COLUMNS, ReferenceRLController, online_dfp_reference
@@ -213,3 +214,47 @@ def test_debt_carry_is_visible_value_less_lifetime_payments(config, risk_averse,
             assert seen == visible[m]
             assert paid_total == paid
             assert carry == visible[m] * market.tcpa[m] - paid
+
+
+def _recount(r, T, M, weights):
+    """Per-(stage, bidder) sums of one weight per rounds row, each bin in row order."""
+    return np.bincount(r.stage * M + r.bidder, weights=weights, minlength=T * M).reshape(T, M)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(market_configs(), st.booleans())
+def test_stage_tables_equal_their_recount_from_the_rounds_log(config, risk_averse):
+    # Each of the eight stage tables, bit for bit, recounted from the rounds
+    # log and the market. Payments are recounted from each rule's per-click
+    # price where the rule has one; the oracle's table is per_click * clicks.
+    market = generate_market(config)
+    tcpa = market.tcpa
+    for mech in MECHANISMS:
+        agents = [RiskAverseAgent() if risk_averse else TruthfulAgent() for _ in range(market.num_bidders)]
+        result = run_auction(market, mech, agents, controller=_controller(mech, market))
+        r = result.rounds
+        T, M = result.stage_payments.shape
+        ctr = market.ctr[r.round, r.bidder, r.slot]
+        e_convs = ctr * market.cvr[r.round, r.bidder]
+        clicks = _recount(r, T, M, r.click)
+        convs = _recount(r, T, M, r.conversion)
+        per_click = stage_pacing_oracle(clicks, convs, tcpa[None, :])
+        pay = {
+            "CFP": r.bid * r.click * market.cvr[r.round, r.bidder],
+            "CPA_OFFLINE": r.conversion * tcpa[r.bidder],
+            "PACING_OFFLINE": stage_pacing_oracle(clicks.sum(axis=0), convs.sum(axis=0), tcpa)[r.bidder] * r.click,
+            "DFP:oracle": per_click[r.stage, r.bidder] * r.click,
+        }.get(mech.label, r.payment)
+        assert _same_bits(r.payment, pay), mech.label
+        want = {
+            "stage_impressions": _recount(r, T, M, None).astype(np.float64),
+            "stage_clicks": clicks,
+            "stage_conversions": convs,
+            "stage_expected_clicks": _recount(r, T, M, ctr),
+            "stage_expected_conversions": _recount(r, T, M, e_convs),
+            "stage_expected_payments": _recount(r, T, M, r.bid * e_convs),
+            "stage_payments": per_click * clicks if mech.label == "DFP:oracle" else _recount(r, T, M, pay),
+            "stage_value": _recount(r, T, M, market.value[r.round, r.bidder] * r.conversion),
+        }
+        for name, table in want.items():
+            assert _same_bits(getattr(result, name), table), (mech.label, name)
