@@ -106,10 +106,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     summary_path = os.path.join(args.artifacts, "summary.csv")
-    if not os.path.exists(summary_path):
+    if not os.path.isfile(summary_path):
         raise MissingInputError(f"no summary.csv under {args.artifacts}")
-    with open(summary_path, encoding="utf-8") as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    try:
+        with open(summary_path, encoding="utf-8") as fh:
+            rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{summary_path} is not UTF-8 text: {exc}") from None
     if not rows:
         raise SchemaError(f"{summary_path} is empty")
     for n, cells in enumerate(rows, start=1):

@@ -207,13 +207,15 @@ def _parse_mechanism(entry, where: str) -> MechanismConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse a YAML experiment config, naming any offending key on failure."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise MissingInputError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     data = _as_mapping(data, "config")
     _check_keys(data, _TOP_KEYS, "config")
     if "market" not in data:
@@ -256,17 +258,13 @@ def make_agents(config: ExperimentConfig, num_bidders: int) -> list:
     return [RiskAverseAgent(config.agent_params) for _ in range(num_bidders)]
 
 
-def _make_controller(mech: MechanismConfig, market, config: ExperimentConfig, rl_nets):
+def _make_controller(mech: MechanismConfig, tcpa: np.ndarray, rl: RLConfig | None, rl_nets):
     """The online payer a DFP run needs, or None; rl_nets is the loaded (policy, critic)."""
     if mech.controller == "debt":
-        return DebtController(market.tcpa)
+        return DebtController(tcpa)
     if mech.controller == "rl":
         policy, critic = rl_nets
-        return RLPaymentController(
-            policy, critic, market.tcpa,
-            zeta=config.rl.zeta, xi=config.rl.xi,
-            deterministic=True, collect=False,
-        )
+        return RLPaymentController(policy, critic, tcpa, zeta=rl.zeta, xi=rl.xi, deterministic=True, collect=False)
     return None
 
 
@@ -305,7 +303,7 @@ def _run_one(config: ExperimentConfig, mech: MechanismConfig, market, run_dir: s
     seed's ``write_table`` memo for the rounds tables.
     """
     agents = make_agents(config, market.num_bidders)
-    controller = _make_controller(mech, market, config, rl_nets)
+    controller = _make_controller(mech, market.tcpa, config.rl, rl_nets)
     result = run_auction(market, mech, agents, controller=controller)
 
     os.makedirs(run_dir, exist_ok=True)
@@ -451,16 +449,13 @@ def payment_smoothness(result: SimulationResult) -> float:
     return float(np.mean(np.concatenate(steps)))
 
 
-def _evaluate_runs(
-    market_config: MarketConfig,
-    seeds: tuple[int, ...],
-    make_run,
-) -> dict[str, float]:
+def _evaluate_runs(market_config: MarketConfig, seeds: tuple[int, ...], mech: MechanismConfig,
+                   rl: RLConfig | None = None, rl_nets=None) -> dict[str, float]:
     errs = []
     smooth = []
     for seed in seeds:
         market = generate_market(replace(market_config, seed=seed))
-        mech, controller = make_run(market)
+        controller = _make_controller(mech, market.tcpa, rl, rl_nets)
         agents = [TruthfulAgent() for _ in range(market.num_bidders)]
         result = run_auction(market, mech, agents, controller=controller)
         errs.append(checkpoint_abs_error(result))
@@ -475,9 +470,7 @@ def _evaluate_runs(
 
 def evaluate_debt_controller(market_config: MarketConfig, seeds: tuple[int, ...]) -> dict[str, float]:
     """Checkpoint accuracy and payment smoothness of the debt payer."""
-    def make_run(market):
-        return MechanismConfig("DFP", controller="debt"), DebtController(market.tcpa)
-    return _evaluate_runs(market_config, seeds, make_run)
+    return _evaluate_runs(market_config, seeds, MechanismConfig("DFP", controller="debt"))
 
 
 def evaluate_rl_controller(
@@ -488,10 +481,4 @@ def evaluate_rl_controller(
     rl: RLConfig,
 ) -> dict[str, float]:
     """Same metrics for the learned payer, acting deterministically."""
-    def make_run(market):
-        controller = RLPaymentController(
-            policy, critic, market.tcpa, zeta=rl.zeta, xi=rl.xi,
-            deterministic=True, collect=False,
-        )
-        return MechanismConfig("DFP", controller="rl"), controller
-    return _evaluate_runs(market_config, seeds, make_run)
+    return _evaluate_runs(market_config, seeds, MechanismConfig("DFP", controller="rl"), rl, (policy, critic))

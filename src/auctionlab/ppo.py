@@ -19,8 +19,10 @@ sampling, 13 minibatch shuffling, 14 the per-update market seed sequence.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 import os
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -619,14 +621,8 @@ class TrainResult:
 
 
 def _curve_row(update: int, mean_reward: float, err: float, loss: LossOutput) -> dict[str, float]:
-    return {
-        "update": float(update),
-        "mean_reward": mean_reward,
-        "mean_abs_ratio_err": err,
-        "actor_loss": loss.actor,
-        "critic_loss": loss.critic,
-        "entropy": loss.entropy,
-    }
+    values = (float(update), mean_reward, err, loss.actor, loss.critic, loss.entropy)
+    return dict(zip(CURVES_CSV_HEADER.split(","), values))
 
 
 def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResult:
@@ -653,162 +649,118 @@ def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResu
     for update in range(rl.updates):
         traj, errors, _ = env.rollout(policy, critic, int(market_seeds[update]), rng_act)
         if traj.num_steps == 0:
-            curves.append(_curve_row(update, float("nan"), float("nan"),
-                                     LossOutput(0.0, float("nan"), float("nan"), float("nan"),
-                                                np.zeros(0), np.zeros(0))))
+            nan = float("nan")
+            curves.append(_curve_row(update, nan, nan, LossOutput(0.0, nan, nan, nan, np.zeros(0), np.zeros(0))))
             continue
         advantages, returns = trajectory_targets(traj, rl.gamma, rl.lam)
         if rl.adv_norm:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         batch = TrainingBatch(traj.features, traj.actions_raw, traj.log_probs, advantages, returns)
 
-        pre, _ = _loss_forward(policy, critic, batch, rl)  # the curve logs the losses before the update
+        pre = _loss_forward(policy, critic, batch, rl)[0]  # the curve logs the losses before the update
         err = float(np.mean(errors)) if errors else float("nan")
         curves.append(_curve_row(update, float(traj.rewards.mean()), err, pre))
 
-        snap_policy = policy.net.get_flat()
-        snap_critic = critic.get_flat()
-        snap_state = (opt_policy.m.copy(), opt_policy.v.copy(), opt_policy.t,
-                      opt_critic.m.copy(), opt_critic.v.copy(), opt_critic.t)
-        ok = True
+        snapshot = copy.deepcopy((policy.net, critic, opt_policy, opt_critic))
         n = traj.num_steps
-        for _ in range(rl.epochs):
-            perm = rng_shuffle.permutation(n)
-            for start in range(0, n, rl.minibatch):
-                sub = batch.subset(perm[start:start + rl.minibatch])
-                out = loss_and_grads(policy, critic, sub, rl)
-                if not np.isfinite(out.total):
-                    ok = False
-                    break
-                policy.net.set_flat(opt_policy.step(policy.net.get_flat(), out.policy_grad))
-                critic.set_flat(opt_critic.step(critic.get_flat(), out.critic_grad))
-            if not ok:
+        # One permutation per epoch, drawn as the epoch starts, so an update
+        # cut short leaves the later draws to the next update.
+        perms = (rng_shuffle.permutation(n) for _ in range(rl.epochs))
+        for idx in (perm[start:start + rl.minibatch] for perm in perms for start in range(0, n, rl.minibatch)):
+            out = loss_and_grads(policy, critic, batch.subset(idx), rl)
+            if not np.isfinite(out.total):
+                policy.net, critic, opt_policy, opt_critic = snapshot
+                aborted += 1
                 break
-        if not ok:
-            policy.net.set_flat(snap_policy)
-            critic.set_flat(snap_critic)
-            opt_policy.m, opt_policy.v, opt_policy.t = snap_state[0], snap_state[1], snap_state[2]
-            opt_critic.m, opt_critic.v, opt_critic.t = snap_state[3], snap_state[4], snap_state[5]
-            aborted += 1
+            policy.net.set_flat(opt_policy.step(policy.net.get_flat(), out.policy_grad))
+            critic.set_flat(opt_critic.step(critic.get_flat(), out.critic_grad))
 
     return TrainResult(policy=policy, critic=critic, curves=curves, aborted_updates=aborted)
 
 
-def _write_param(fh, name: str, array: np.ndarray) -> None:
-    if array.ndim == 1:
-        fh.write(f"param {name} {array.size}\n")
-        fh.write(" ".join(repr(float(x)) for x in array) + "\n")
-    else:
-        fh.write(f"param {name} {array.shape[0]} {array.shape[1]}\n")
-        for row in array:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+def _checkpoint_text(policy: GaussianPolicy, critic: MLP) -> str:
+    """The one checkpoint layout, written by save_checkpoint and required by
+    load_checkpoint: a magic line, the stddev floor, a `param <name> <shape>`
+    header per weight (a line per row) and bias, policy before critic, then
+    `end`. Floats are written by repr, which reads back bit for bit."""
+    lines = [CHECKPOINT_MAGIC, f"sigma_floor {policy.sigma_floor!r}"]
+    for prefix, net in (("policy", policy.net), ("critic", critic)):
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            lines.append(f"param {prefix}.W{i} {w.shape[0]} {w.shape[1]}")
+            lines += [" ".join(map(repr, row)) for row in w.tolist()]
+            lines += [f"param {prefix}.b{i} {b.size}", " ".join(map(repr, b.tolist()))]
+    return "\n".join(lines + ["end", ""])
 
 
 def save_checkpoint(policy: GaussianPolicy, critic: MLP, path: str) -> None:
-    """Write both networks to a plain-text checkpoint.
-
-    Layout: a magic header, the stddev floor, then one `param <name>
-    <shape>` block per weight or bias with repr-formatted float64 rows,
-    closed by `end`. repr round-trips every value bit for bit.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write(f"sigma_floor {repr(policy.sigma_floor)}\n")
-        for i, (w, b) in enumerate(zip(policy.net.weights, policy.net.biases)):
-            _write_param(fh, f"policy.W{i}", w)
-            _write_param(fh, f"policy.b{i}", b)
-        for i, (w, b) in enumerate(zip(critic.weights, critic.biases)):
-            _write_param(fh, f"critic.W{i}", w)
-            _write_param(fh, f"critic.b{i}", b)
-        fh.write("end\n")
+    """Write both networks to a plain-text checkpoint (see _checkpoint_text)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_checkpoint_text(policy, critic))
 
 
-def _rebuild_net(params: dict[str, np.ndarray], prefix: str) -> MLP:
-    weights = []
-    i = 0
-    while f"{prefix}.W{i}" in params:
-        w = params[f"{prefix}.W{i}"]
-        b = params.get(f"{prefix}.b{i}")
-        if b is None or b.shape != (w.shape[1],):
-            raise SchemaError(f"checkpoint bias {prefix}.b{i} is missing or mis-shaped")
-        weights.append((w, b))
-        i += 1
-    if not weights:
-        raise SchemaError(f"checkpoint has no {prefix} layers")
-    sizes = [weights[0][0].shape[0]] + [w.shape[1] for w, _ in weights]
-    for (w, _), (a, b) in zip(weights, zip(sizes[:-1], sizes[1:])):
-        if w.shape != (a, b):
-            raise SchemaError(f"checkpoint {prefix} layer shapes do not chain: {w.shape} vs ({a}, {b})")
-    net = MLP(sizes[0], tuple(sizes[1:-1]), sizes[-1])
-    net.weights = [w.copy() for w, _ in weights]
-    net.biases = [b.copy() for _, b in weights]
-    return net
-
-
-def _checkpoint_floats(line: str, what: str) -> np.ndarray:
-    try:
-        values = np.array([float(x) for x in line.split()])
-    except ValueError as exc:
-        raise SchemaError(f"checkpoint {what} holds a value that is not a number: {exc}") from None
-    if not np.all(np.isfinite(values)):
-        raise SchemaError(f"checkpoint {what} holds a non-finite value")
-    return values
+# `param <policy|critic>.W<i> <in> <out>`; at most 18 digits keeps int() cheap.
+_WEIGHT_HEADER = re.compile(r"param (policy|critic)\.W[0-9]+ ([1-9][0-9]{0,17}) ([1-9][0-9]{0,17})")
 
 
 def load_checkpoint(path: str) -> tuple[GaussianPolicy, MLP]:
     """Reconstruct (policy, critic) from a text checkpoint.
 
+    Layer shapes come from the weight headers, the numbers (stddev floor
+    first) from the other lines in file order. The layers must chain (policy
+    FEATURE_DIM -> ... -> 2, critic FEATURE_DIM -> ... -> 1) and fit the count
+    of numbers before a network is built; the file is then accepted only if
+    it equals _checkpoint_text of the networks read.
+
     Raises:
-        SchemaError: a wrong header, a value that is not a finite number, a
-            malformed or truncated param block, layers that do not chain, a
-            sigma_floor that is not positive, or networks of the wrong width
-            (policy FEATURE_DIM -> 2, critic FEATURE_DIM -> 1).
+        MissingInputError: path is not a file.
+        SchemaError: text that is not UTF-8, a value that is not a finite
+            number, layers that do not chain or fit, a sigma_floor that is not
+            positive, or any line that differs from the writer's (named).
     """
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise MissingInputError(f"checkpoint not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"checkpoint {path} is not UTF-8 text: {exc}") from None
+    if lines[0] != CHECKPOINT_MAGIC:
         raise SchemaError(f"not a checkpoint file: {path}")
-    if len(lines) < 2 or not lines[1].startswith("sigma_floor "):
-        raise SchemaError("checkpoint is missing the sigma_floor line")
-    floor = _checkpoint_floats(lines[1].split(" ", 1)[1], "sigma_floor")
-    if floor.size != 1 or floor[0] <= 0.0:
-        raise SchemaError(f"checkpoint sigma_floor must be one positive number, got {lines[1]!r}")
+    shapes: dict[str, list[tuple[int, int]]] = {"policy": [], "critic": []}
+    numbers: list[float] = []
+    for n, line in enumerate(lines[1:], start=2):
+        header = _WEIGHT_HEADER.fullmatch(line)
+        if header:
+            shapes[header[1]].append((int(header[2]), int(header[3])))
+        elif line != "end" and not line.startswith("param "):
+            try:
+                values = [float(token) for token in line.removeprefix("sigma_floor ").split()]
+            except ValueError:
+                raise SchemaError(f"checkpoint line {n} holds a value that is not a number: {line!r:.80}") from None
+            if not all(map(math.isfinite, values)):
+                raise SchemaError(f"checkpoint line {n} holds a value that is not finite")
+            numbers += values
 
-    params: dict[str, np.ndarray] = {}
-    i = 2
-    while i < len(lines) and lines[i] != "end":
-        head = lines[i].split()
-        if len(head) not in (3, 4) or head[0] != "param":
-            raise SchemaError(f"malformed checkpoint line {i + 1}: {lines[i]!r}")
-        name = head[1]
-        try:
-            shape = tuple(int(d) for d in head[2:])
-        except ValueError:
-            raise SchemaError(f"malformed checkpoint line {i + 1}: {lines[i]!r}") from None
-        if min(shape) < 1:
-            raise SchemaError(f"checkpoint param {name} has a non-positive dimension: {shape}")
-        rows = shape[0] if len(shape) == 2 else 1
-        if i + 1 + rows > len(lines):
-            raise SchemaError(f"checkpoint param {name} is truncated")
-        block = [_checkpoint_floats(lines[i + 1 + r], f"param {name}") for r in range(rows)]
-        if any(row.size != shape[-1] for row in block):
-            raise SchemaError(f"checkpoint param {name} expected shape {shape}")
-        params[name] = np.array(block).reshape(shape)
-        i += 1 + rows
-    if i >= len(lines):
-        raise SchemaError("checkpoint is missing the end marker")
+    nets = (("policy", 2), ("critic", 1))
+    for prefix, outputs in nets:
+        dims = [FEATURE_DIM] + [b for _, b in shapes[prefix]]
+        if len(dims) < 2 or dims[-1] != outputs or [a for a, _ in shapes[prefix]] != dims[:-1]:
+            raise SchemaError(f"checkpoint {prefix} layers do not chain {FEATURE_DIM} -> ... -> {outputs}")
+    needed = 1 + sum(a * b + b for layers in shapes.values() for a, b in layers)
+    if len(numbers) != needed:
+        raise SchemaError(f"checkpoint holds {len(numbers)} numbers, its sigma_floor and layers need {needed}")
+    if numbers[0] <= 0.0:
+        raise SchemaError(f"checkpoint sigma_floor must be positive, got {numbers[0]!r}")
+    policy_net, critic = (MLP(FEATURE_DIM, tuple(b for _, b in shapes[p][:-1]), out) for p, out in nets)
+    policy_net.set_flat(numbers[1:1 + policy_net.num_params])
+    critic.set_flat(numbers[1 + policy_net.num_params:])
+    policy = GaussianPolicy(policy_net, numbers[0])
 
-    policy_net = _rebuild_net(params, "policy")
-    critic = _rebuild_net(params, "critic")
-    for prefix, net, outputs in (("policy", policy_net, 2), ("critic", critic, 1)):
-        if net.sizes[0] != FEATURE_DIM or net.sizes[-1] != outputs:
-            raise SchemaError(
-                f"checkpoint {prefix} maps {net.sizes[0]} inputs to {net.sizes[-1]} outputs, "
-                f"expected {FEATURE_DIM} to {outputs}"
-            )
-    return GaussianPolicy(policy_net, float(floor[0])), critic
+    written = _checkpoint_text(policy, critic).split("\n")
+    if written != lines:
+        n, got = next((i, b) for i, (a, b) in enumerate(zip(written + [None], lines + ["(missing)"])) if a != b)
+        raise SchemaError(f"checkpoint line {n + 1} is not what the writer puts there: {got!r:.80}")
+    return policy, critic
 
 
 def write_curves_csv(curves: list[dict[str, float]], path: str) -> None:

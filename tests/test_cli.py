@@ -206,6 +206,38 @@ def test_run_without_checkpoint_writes_nothing(capsys, tmp_path):
     assert [f for _, _, files in os.walk(out) for f in files if f.endswith(".csv")] == []
 
 
+
+NOT_UTF8 = b"market:\n  seed: \xff\xfe\n"
+
+
+@pytest.mark.parametrize(
+    "command,kind",
+    [
+        pytest.param(["run", "--config", "{bytes}"], "ConfigError", id="config_not_utf8"),
+        pytest.param(["run", "--config", "{dir}"], "MissingInputError", id="config_is_a_directory"),
+        pytest.param(["run", "--config", "{train}", "--checkpoint", "{bytes}"], "SchemaError",
+                     id="checkpoint_not_utf8"),
+        pytest.param(["run", "--config", "{train}", "--checkpoint", "."], "MissingInputError",
+                     id="checkpoint_is_a_directory"),
+        pytest.param(["report", "{bad_summary}"], "SchemaError", id="summary_not_utf8"),
+        pytest.param(["report", "{dir_summary}"], "MissingInputError", id="summary_is_a_directory"),
+    ],
+)
+def test_unreadable_inputs_end_in_one_error_line(capsys, tmp_path, train_config, command, kind):
+    (tmp_path / "bytes").write_bytes(NOT_UTF8)
+    (tmp_path / "bad_summary").mkdir()
+    (tmp_path / "bad_summary" / "summary.csv").write_bytes(GOOD_SUMMARY.encode() + b"\xff\n")
+    (tmp_path / "dir_summary" / "summary.csv").mkdir(parents=True)
+    paths = dict(bytes=tmp_path / "bytes", dir=tmp_path, train=train_config,
+                 bad_summary=tmp_path / "bad_summary", dir_summary=tmp_path / "dir_summary")
+    argv = [arg.format(**paths) for arg in command]
+    if argv[0] == "run":
+        argv += ["--out", str(tmp_path / "art")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"ERROR {kind}:")
+    assert sum(line.startswith("ERROR") for line in err) == 1
+
 def test_rerun_produces_identical_rounds(capsys, run_config, tmp_path):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")

@@ -1,6 +1,8 @@
 """Payment policy: rewards, estimators, losses, hand backprop, training loop."""
 
 import os
+import pathlib
+import tempfile
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -26,7 +28,8 @@ from auctionlab import (
     train,
     write_curves_csv,
 )
-from auctionlab.nets import MLP
+from auctionlab import ppo
+from auctionlab.nets import MLP, Adam
 from auctionlab.ppo import (
     DFPTrainingEnv,
     GaussianPolicy,
@@ -572,6 +575,31 @@ def test_divergence_guard_rolls_back_update():
     assert np.isfinite(out.curves[0]["mean_reward"])
 
 
+def test_divergence_guard_restores_optimizer_state(monkeypatch):
+    # Update 0 takes two Adam steps per net before its third minibatch loss
+    # turns NaN; update 1 must start from the optimisers' state before it.
+    real_loss, real_step = ppo.loss_and_grads, Adam.step
+    calls, seen = [], []
+
+    def loss(*args):
+        out = real_loss(*args)
+        calls.append(out)
+        if len(calls) == 3:
+            out.total = float("nan")
+        return out
+
+    def step(self, params, grad):
+        seen.append((self.t, not self.m.any() and not self.v.any()))
+        return real_step(self, params, grad)
+
+    monkeypatch.setattr(ppo, "loss_and_grads", loss)
+    monkeypatch.setattr(Adam, "step", step)
+    out = train(_toy_market(), _toy_rl(updates=2, epochs=2, minibatch=2), seed=3)
+    assert out.aborted_updates == 1
+    assert seen[:4] == [(0, True), (0, True), (1, False), (1, False)]
+    assert seen[4:6] == [(0, True), (0, True)]
+
+
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(8)
     policy = GaussianPolicy(MLP(FEATURE_DIM, (6, 3), 2, rng=rng), sigma_floor=2e-3)
@@ -665,6 +693,9 @@ def _cut_after(lines, prefix, keep):
         pytest.param(dict(policy_out=3), lambda lines: lines, id="policy_three_outputs"),
         pytest.param(dict(critic_in=4), lambda lines: lines, id="critic_input_width"),
         pytest.param(dict(critic_out=2), lambda lines: lines, id="critic_two_outputs"),
+        pytest.param({}, lambda lines: _line_after(
+            _line_after(lines, "param policy.W0", 0, f"param policy.W0 {FEATURE_DIM} {10**12}"),
+            "param policy.W1", 0, f"param policy.W1 {10**12} 2"), id="huge_chained_hidden_layer"),
     ],
 )
 def test_checkpoint_hostile_inputs(tmp_path, nets, edit):
@@ -672,6 +703,80 @@ def test_checkpoint_hostile_inputs(tmp_path, nets, edit):
     bad.write_text("\n".join(edit(_checkpoint_lines(tmp_path, **nets))) + "\n")
     with pytest.raises(SchemaError):
         load_checkpoint(str(bad))
+
+
+# Finite float64 values, with the edge cases repr has to carry through.
+CHECKPOINT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def checkpoint_nets(draw):
+    """(policy, critic) with hidden sizes (), (k,) or (a, b), each 1 to 6.
+
+    The weights are picked from a drawn pool of up to eight floats, which
+    keeps a draw cheap next to one float drawn per weight.
+    """
+    pool = np.array(draw(st.lists(CHECKPOINT_FLOATS, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    nets = []
+    for outputs in (2, 1):
+        net = MLP(FEATURE_DIM, tuple(draw(st.lists(st.integers(1, 6), max_size=2))), outputs)
+        net.set_flat(rng.choice(pool, size=net.num_params))
+        nets.append(net)
+    floor = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return GaussianPolicy(nets[0], floor), nets[1]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(nets=checkpoint_nets())
+def test_checkpoint_roundtrip_keeps_every_bit(nets):
+    policy, critic = nets
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ckpt.txt")
+        save_checkpoint(policy, critic, path)
+        policy2, critic2 = load_checkpoint(path)
+    assert policy2.sigma_floor == policy.sigma_floor
+    assert policy2.net.get_flat().tobytes() == policy.net.get_flat().tobytes()
+    assert critic2.get_flat().tobytes() == critic.get_flat().tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    nets=checkpoint_nets(),
+    edit=st.sampled_from(["delete", "duplicate", "append", "swap"]),
+    line=st.integers(0, 10**6),
+    token=st.integers(0, 10**6),
+    new=st.one_of(st.sampled_from(["nan", "abc", "1e0"]), CHECKPOINT_FLOATS.map(repr)),
+)
+def test_checkpoint_one_line_edit_is_refused_or_reproduced(nets, edit, line, token, new):
+    """After any one-line edit the reader raises SchemaError, or reads nets
+    that the writer turns back into exactly the edited text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "ckpt.txt"
+        save_checkpoint(*nets, str(path))
+        lines = path.read_bytes().decode().split("\n")[:-1]
+        i = line % len(lines)
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "append":
+            lines.append(new)
+        else:
+            tokens = lines[i].split(" ")
+            tokens[token % len(tokens)] = new
+            lines[i] = " ".join(tokens)
+        edited = "\n".join(lines) + "\n"
+        path.write_bytes(edited.encode())
+        try:
+            policy, critic = load_checkpoint(str(path))
+        except SchemaError:
+            return
+        save_checkpoint(policy, critic, str(path))
+        assert path.read_bytes().decode() == edited
 
 
 def test_write_curves_csv(tmp_path):
