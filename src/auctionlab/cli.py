@@ -121,6 +121,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     manifest_path = os.path.join(args.artifacts, "manifest.json")
     manifest = None
     if os.path.exists(manifest_path):
+        if not os.path.isfile(manifest_path):
+            raise SchemaError(f"{manifest_path} is not a file")
         with open(manifest_path, encoding="utf-8") as fh:
             try:
                 manifest = json.load(fh)

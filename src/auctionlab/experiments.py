@@ -15,8 +15,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -133,10 +135,6 @@ def _as_float(value, key: str) -> float:
     return number
 
 
-def _as_float_or_none(value, key: str) -> float | None:
-    return None if value is None else _as_float(value, key)
-
-
 def _as_bool(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
@@ -151,22 +149,10 @@ def _as_list(value, key: str, item, length: int | None = None) -> tuple:
     return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
 
 
-def _as_ints(value, key: str) -> tuple[int, ...]:
-    return _as_list(value, key, _as_int)
-
-
-def _as_floats(value, key: str) -> tuple[float, ...]:
-    return _as_list(value, key, _as_float)
-
-
-def _as_range(value, key: str) -> tuple[float, float]:
-    return _as_list(value, key, _as_float, length=2)
-
-
 def _as_stage_plan(plan, key: str) -> tuple[int, ...]:
     """An explicit list of stage lengths, or {stages, rounds_per_stage}."""
     if not isinstance(plan, dict):
-        return _as_ints(plan, key)
+        return _as_list(plan, key, _as_int)
     _check_keys(plan, ("stages", "rounds_per_stage"), key)
     if "stages" not in plan or "rounds_per_stage" not in plan:
         raise ConfigError(f"{key} mapping needs both stages and rounds_per_stage")
@@ -174,35 +160,57 @@ def _as_stage_plan(plan, key: str) -> tuple[int, ...]:
     return (length,) * _as_int(plan["stages"], f"{key}.stages")
 
 
-# Every section's keys, each with the parser its value goes through.
-_MARKET_FIELDS = {
-    "num_bidders": _as_int, "num_rounds": _as_int, "num_slots": _as_int, "stage_plan": _as_stage_plan,
-    "ctr_range": _as_range, "cvr_range": _as_range, "value_range": _as_range, "tcpa_range": _as_range,
-    "seed": _as_int,
-}
-_AGENT_PARAM_FIELDS = {"epsilon": _as_float, "step": _as_float, "patience": _as_int}
-_CHERNOFF_FIELDS = {"epsilon": _as_float, "cvr": _as_float}
-_RL_FIELDS = {
-    "gamma": _as_float, "lam": _as_float, "clip": _as_float, "zeta": _as_float, "xi": _as_float_or_none,
-    "alphas": _as_floats, "lr": _as_float, "epochs": _as_int, "minibatch": _as_int, "updates": _as_int,
-    "hidden": _as_ints, "sigma_floor": _as_float, "adv_norm": _as_bool,
-}
-_TOP_KEYS = ("market", "mechanisms", "seeds", "agent", "agent_params", "epsilon", "tau", "chernoff", "rl")
-_MECH_KEYS = ("kind", "controller")
+def _as_market(obj, key: str) -> MarketConfig:
+    """The market section, whose num_rounds defaults to the sum of its stage plan."""
+    section = _as_mapping(obj, key)
+    if "num_rounds" not in section:
+        # With no stage_plan, 0 stands in, so the error names stage_plan rather than num_rounds.
+        plan = _as_stage_plan(section["stage_plan"], f"{key}.stage_plan") if "stage_plan" in section else ()
+        section = {**section, "num_rounds": sum(plan)}
+    return _as_section(section, MarketConfig, key)
 
 
-def _parse_section(obj, fields: dict, where: str) -> dict:
+def _as_chernoff(obj, key: str) -> tuple[float, float]:
+    """The {epsilon, cvr} mapping, held as an (epsilon, cvr) pair."""
+    section = _as_mapping(obj, key)
+    _check_keys(section, ("epsilon", "cvr"), key)
+    pair = {name: _as_float(value, f"{key}.{name}") for name, value in section.items()}
+    if len(pair) != 2:
+        raise ConfigError(f"{key} needs both epsilon and cvr")
+    return pair["epsilon"], pair["cvr"]
+
+
+# The fields whose YAML form differs from their type, by key.
+_YAML_FORMS = {"market": _as_market, "market.stage_plan": _as_stage_plan, "chernoff": _as_chernoff}
+
+
+def _as_value(value, hint, key: str):
+    """A config value parsed by its field's annotation; a str is left for its dataclass to check."""
+    if isinstance(hint, UnionType):  # X | None
+        return None if value is None else _as_value(value, get_args(hint)[0], key)
+    if key in _YAML_FORMS:
+        return _YAML_FORMS[key](value, key)
+    if is_dataclass(hint):
+        return _as_section(value, hint, key)
+    args = get_args(hint)
+    if get_origin(hint) is tuple:  # tuple[T, ...] or a fixed tuple[T, T], all of one type
+        length = None if args[-1] is Ellipsis else len(args)
+        return _as_list(value, key, lambda v, k: _as_value(v, args[0], k), length)
+    parse = {int: _as_int, float: _as_float, bool: _as_bool}.get(hint)
+    return value if parse is None else parse(value, key)
+
+
+def _as_section(obj, cls, where: str):
+    """The YAML mapping at key path where ("config" at the top) read as the dataclass cls, keyed by its fields."""
     section = _as_mapping(obj, where)
-    _check_keys(section, fields, where)
-    return {key: fields[key](value, f"{where}.{key}") for key, value in section.items()}
-
-
-def _parse_mechanism(entry, where: str) -> MechanismConfig:
-    entry = _as_mapping(entry, where)
-    _check_keys(entry, _MECH_KEYS, where)
-    if "kind" not in entry:
-        raise ConfigError(f"{where} needs a kind")
-    return MechanismConfig(**entry)
+    _check_keys(section, [f.name for f in fields(cls)], where)
+    hints = get_type_hints(cls)
+    prefix = "" if where == "config" else f"{where}."
+    kwargs = {name: _as_value(value, hints[name], prefix + name) for name, value in section.items()}
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{prefix}{f.name} is required")
+    return cls(**kwargs)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -216,40 +224,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    data = _as_mapping(data, "config")
-    _check_keys(data, _TOP_KEYS, "config")
-    if "market" not in data:
-        raise ConfigError("config needs a market section")
-    if "mechanisms" not in data or "seeds" not in data:
-        raise ConfigError("config needs mechanisms and seeds")
-
-    market = _parse_section(data["market"], _MARKET_FIELDS, "market")
-    for key in ("num_bidders", "num_slots", "stage_plan"):
-        if key not in market:
-            raise ConfigError(f"market.{key} is required")
-    market.setdefault("num_rounds", sum(market["stage_plan"]))
-    kwargs: dict = {
-        "market": MarketConfig(**market),
-        "mechanisms": _as_list(data["mechanisms"], "mechanisms", _parse_mechanism),
-        "seeds": _as_ints(data["seeds"], "seeds"),
-    }
-    if "agent" in data:
-        kwargs["agent"] = data["agent"]
-    if "agent_params" in data:
-        params = _parse_section(data["agent_params"], _AGENT_PARAM_FIELDS, "agent_params")
-        kwargs["agent_params"] = RiskAverseParams(**params)
-    if "epsilon" in data:
-        kwargs["epsilon"] = _as_float(data["epsilon"], "epsilon")
-    if data.get("tau") is not None:
-        kwargs["tau"] = _as_int(data["tau"], "tau")
-    if data.get("chernoff") is not None:
-        section = _parse_section(data["chernoff"], _CHERNOFF_FIELDS, "chernoff")
-        if len(section) != 2:
-            raise ConfigError("chernoff needs both epsilon and cvr")
-        kwargs["chernoff"] = (section["epsilon"], section["cvr"])
-    if "rl" in data:
-        kwargs["rl"] = RLConfig(**_parse_section(data["rl"], _RL_FIELDS, "rl"))
-    return ExperimentConfig(**kwargs)
+    return _as_section(data, ExperimentConfig, "config")
 
 
 def make_agents(config: ExperimentConfig, num_bidders: int) -> list:
@@ -281,22 +256,9 @@ def _write_drift_csv(path: str, drift: np.ndarray, withdrawn: np.ndarray) -> Non
     write_table(path, DRIFT_CSV_HEADER, [np.arange(drift.size), drift, withdrawn])
 
 
-@dataclass
-class _Pooled:
-    """One mechanism's per-seed results, appended in seed order."""
-
-    run_dirs: list[str] = field(default_factory=list)
-    stage: list[np.ndarray] = field(default_factory=list)
-    checkpoint: list[np.ndarray] = field(default_factory=list)
-    variance: list[np.ndarray] = field(default_factory=list)
-    tau: list[np.ndarray] = field(default_factory=list)
-    etic_rates: list[float] = field(default_factory=list)
-    drift_means: list[float] = field(default_factory=list)
-
-
 def _run_one(config: ExperimentConfig, mech: MechanismConfig, market, run_dir: str,
-             rl_nets, pool: _Pooled, rounds_memo: ReuseMemo) -> None:
-    """Simulate one (mechanism, seed) pair, write its run directory, pool its metrics.
+             rl_nets, pool: dict[str, list[np.ndarray]], rounds_memo: ReuseMemo) -> None:
+    """Simulate one (mechanism, seed) pair, write its run directory, append its metrics to pool.
 
     A function of its own so the result and controller are freed on return,
     before the caller generates the next seed's market. rounds_memo is the
@@ -328,15 +290,18 @@ def _run_one(config: ExperimentConfig, mech: MechanismConfig, market, run_dir: s
     drift = bid_drift_metric(result)
     _write_drift_csv(os.path.join(run_dir, "drift.csv"), drift.drift, result.withdrawn)
 
-    pool.stage.append(stage_table.ratio)
-    pool.checkpoint.append(ckpt_table.ratio)
-    pool.variance.append(fluct.variance)
-    pool.etic_rates.append(etic_ckpt)
-    pool.drift_means.append(drift.mean_drift)
+    metrics = {
+        "stage_ratio": stage_table.ratio,
+        "checkpoint_ratio": ckpt_table.ratio,
+        "fluctuation_var": fluct.variance,
+        "etic_rate": etic_ckpt,
+        "bid_drift": drift.mean_drift,
+    }
     if config.tau is not None and mech.kind == "CFP":
         rollup = cfp_tau_rollup(result.stage_conversions, result.stage_payments, result.tcpa, config.tau)
-        pool.tau.append(rollup.ratio)
-    pool.run_dirs.append(run_dir)
+        metrics[f"tau_{config.tau}_ratio"] = rollup.ratio
+    for name, values in metrics.items():
+        pool.setdefault(name, []).append(np.atleast_1d(values))
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | None = None) -> dict:
@@ -354,37 +319,38 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     bits of their means and quantiles.
 
     A DFP:rl checkpoint is loaded once, before the first run, so a missing
-    one fails before any artifact is written.
+    one fails before any artifact is written; so does a checkpoint given to
+    a config without DFP:rl, which would go unused.
 
     Returns a dict with the run directories (mechanism-major, as in the
     config) and pooled summary rows.
     """
+    labels = [mech.label for mech in config.mechanisms]
     rl_nets = None
     if any(mech.controller == "rl" for mech in config.mechanisms):
         if rl_checkpoint is None:
             raise ConfigError("mechanism DFP:rl needs an rl_checkpoint path")
         rl_nets = load_checkpoint(rl_checkpoint)
+    elif rl_checkpoint is not None:
+        raise ConfigError(f"a checkpoint is given but no mechanism is DFP:rl (has: {', '.join(labels)})")
     os.makedirs(out_dir, exist_ok=True)
-    pools = {mech.label: _Pooled() for mech in config.mechanisms}
+    run_dirs: dict[str, list[str]] = {label: [] for label in labels}
+    pools: dict[str, dict[str, list[np.ndarray]]] = {label: {} for label in labels}
     for seed in config.seeds:
         market = generate_market(replace(config.market, seed=seed))
         rounds_memo = ReuseMemo()
         for mech in config.mechanisms:
             run_dir = os.path.join(out_dir, mech.label.replace(":", "_"), f"seed_{seed}")
             _run_one(config, mech, market, run_dir, rl_nets, pools[mech.label], rounds_memo)
+            run_dirs[mech.label].append(run_dir)
         del market, rounds_memo
 
-    run_dirs = [d for pool in pools.values() for d in pool.run_dirs]
     summary_rows: list[tuple[str, str, float, float, float]] = []
     tau_rows: list[tuple[str, str, float, float, float]] = []
     for label, pool in pools.items():
-        summary_rows.append((label, "stage_ratio", *summary_stats(np.concatenate(pool.stage))))
-        summary_rows.append((label, "checkpoint_ratio", *summary_stats(np.concatenate(pool.checkpoint))))
-        summary_rows.append((label, "fluctuation_var", *summary_stats(np.concatenate(pool.variance))))
-        summary_rows.append((label, "etic_rate", *summary_stats(np.array(pool.etic_rates))))
-        summary_rows.append((label, "bid_drift", *summary_stats(np.array(pool.drift_means))))
-        if pool.tau:
-            tau_rows.append((label, f"tau_{config.tau}_ratio", *summary_stats(np.concatenate(pool.tau))))
+        for metric, values in pool.items():
+            rows = tau_rows if metric.startswith("tau_") else summary_rows
+            rows.append((label, metric, *summary_stats(np.concatenate(values))))
 
     write_metric_summary_csv(summary_rows, os.path.join(out_dir, "summary.csv"))
     if tau_rows:
@@ -402,7 +368,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     manifest = {
         "config": asdict(config),
         "config_sha256": config_digest(config),
-        "mechanisms": [m.label for m in config.mechanisms],
+        "mechanisms": labels,
         "seeds": list(config.seeds),
         "versions": {
             "python": sys.version.split()[0],
@@ -415,7 +381,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    return {"out_dir": out_dir, "run_dirs": run_dirs, "summary_rows": summary_rows}
+    return {"out_dir": out_dir, "run_dirs": [d for ds in run_dirs.values() for d in ds], "summary_rows": summary_rows}
 
 
 def config_digest(config: ExperimentConfig) -> str:

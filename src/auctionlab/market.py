@@ -324,8 +324,8 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
         SchemaError: wrong header, no data rows, a cell that is not a number,
             a row of the wrong width, a round/bidder/slot that is not a
             non-negative integer, non-finite rates, outcomes other than 0/1,
-            gaps or duplicates in the grid, invariant violations, or a lone
-            outcome column.
+            gaps or duplicates in the grid, invariant violations, a lone
+            outcome column, or rates or a stage_plan that MarketConfig refuses.
     """
     base_cols = MARKET_CSV_HEADER.split(",")
     with open(path, newline="") as fh:
@@ -387,17 +387,20 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
     tcpa = np.asarray(tcpa, dtype=np.float64)
     if tcpa.shape != (M,):
         raise SchemaError(f"tcpa must have shape ({M},), got {tcpa.shape}")
-    config = MarketConfig(
-        num_bidders=M,
-        num_rounds=N,
-        num_slots=K,
-        stage_plan=tuple(stage_plan),
-        ctr_range=(float(ctr.min()), float(ctr.max())),
-        cvr_range=(float(cvr_all.min()), float(cvr_all.max())),
-        value_range=(float(value_all.min()), float(value_all.max())),
-        tcpa_range=(float(tcpa.min()), float(tcpa.max())),
-        seed=seed,
-    )
+    try:
+        config = MarketConfig(
+            num_bidders=M,
+            num_rounds=N,
+            num_slots=K,
+            stage_plan=tuple(stage_plan),
+            ctr_range=(float(ctr.min()), float(ctr.max())),
+            cvr_range=(float(cvr_all.min()), float(cvr_all.max())),
+            value_range=(float(value_all.min()), float(value_all.max())),
+            tcpa_range=(float(tcpa.min()), float(tcpa.max())),
+            seed=seed,
+        )
+    except ConfigError as exc:
+        raise SchemaError(f"market CSV {path}: {exc}") from None
     return MarketLog(
         config=config,
         tcpa=tcpa,

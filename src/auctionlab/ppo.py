@@ -587,25 +587,14 @@ class DFPTrainingEnv:
         critic: MLP,
         market_seed: int,
         rng: np.random.Generator | None,
-        deterministic: bool = False,
-        collect: bool = True,
     ) -> tuple[Trajectory, list[float], SimulationResult]:
-        """Run one full market under the policy.
+        """Run one full market under the sampling policy, collecting every click.
 
         Returns the trajectory, the per-stage true absolute ratio errors,
         and the simulation result.
         """
         market = generate_market(replace(self.market_config, seed=market_seed))
-        controller = RLPaymentController(
-            policy,
-            critic,
-            market.tcpa,
-            zeta=self.rl.zeta,
-            xi=self.rl.xi,
-            rng=rng,
-            deterministic=deterministic,
-            collect=collect,
-        )
+        controller = RLPaymentController(policy, critic, market.tcpa, zeta=self.rl.zeta, xi=self.rl.xi, rng=rng)
         mech = MechanismConfig("DFP", controller="rl")
         agents: list = [TruthfulAgent() for _ in range(market.num_bidders)]
         result = run_auction(market, mech, agents, controller=controller)

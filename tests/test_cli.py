@@ -206,6 +206,20 @@ def test_run_without_checkpoint_writes_nothing(capsys, tmp_path):
     assert [f for _, _, files in os.walk(out) for f in files if f.endswith(".csv")] == []
 
 
+def test_checkpoint_without_rl_mechanism_writes_nothing(capsys, tmp_path):
+    # RUN_YAML has no DFP:rl mechanism, so the checkpoint would go unused; it
+    # is refused before it is read (the path does not exist) and before any artifact.
+    path = tmp_path / "run.yaml"
+    path.write_text(RUN_YAML)
+    out = tmp_path / "art"
+    argv = ["run", "--config", str(path), "--out", str(out), "--checkpoint", str(tmp_path / "checkpoint.txt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("ERROR ConfigError:") and "CFP, DFP:debt" in err[-1]
+    assert sum(line.startswith("ERROR") for line in err) == 1
+    assert [f for _, _, files in os.walk(out) for f in files if f.endswith(".csv")] == []
+
+
 
 NOT_UTF8 = b"market:\n  seed: \xff\xfe\n"
 
@@ -221,6 +235,7 @@ NOT_UTF8 = b"market:\n  seed: \xff\xfe\n"
                      id="checkpoint_is_a_directory"),
         pytest.param(["report", "{bad_summary}"], "SchemaError", id="summary_not_utf8"),
         pytest.param(["report", "{dir_summary}"], "MissingInputError", id="summary_is_a_directory"),
+        pytest.param(["report", "{dir_manifest}"], "SchemaError", id="manifest_is_a_directory"),
     ],
 )
 def test_unreadable_inputs_end_in_one_error_line(capsys, tmp_path, train_config, command, kind):
@@ -228,8 +243,11 @@ def test_unreadable_inputs_end_in_one_error_line(capsys, tmp_path, train_config,
     (tmp_path / "bad_summary").mkdir()
     (tmp_path / "bad_summary" / "summary.csv").write_bytes(GOOD_SUMMARY.encode() + b"\xff\n")
     (tmp_path / "dir_summary" / "summary.csv").mkdir(parents=True)
+    (tmp_path / "dir_manifest" / "manifest.json").mkdir(parents=True)
+    (tmp_path / "dir_manifest" / "summary.csv").write_text(GOOD_SUMMARY)
     paths = dict(bytes=tmp_path / "bytes", dir=tmp_path, train=train_config,
-                 bad_summary=tmp_path / "bad_summary", dir_summary=tmp_path / "dir_summary")
+                 bad_summary=tmp_path / "bad_summary", dir_summary=tmp_path / "dir_summary",
+                 dir_manifest=tmp_path / "dir_manifest")
     argv = [arg.format(**paths) for arg in command]
     if argv[0] == "run":
         argv += ["--out", str(tmp_path / "art")]

@@ -1,10 +1,12 @@
 """Experiment configs, artifact trees, and reproducibility."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
+import yaml
 
 from auctionlab import (
     ConfigError,
@@ -164,6 +166,7 @@ seeds: [0]
         ("mechanisms: [{kind: DFP, controller: dept}]", "unknown DFP controller 'dept'"),
         ("mechanisms: CFP", "mechanisms"),
         ("mechanisms: [{kind: CFP, ranking: expected_spend}]", "'ranking' in mechanisms[0]"),
+        ("market: {num_bidders: 2, num_slots: 1, seed: 0}", "market.stage_plan"),
     ],
 )
 def test_load_config_rejects_bad_values(tmp_path, snippet, needle):
@@ -202,6 +205,92 @@ rl: {hidden: [4.0], lr: 1, xi: null}
     # PyYAML reads 1e-3 (no dot) as a string; it is taken as the number it spells.
     assert cfg.epsilon == 0.001
     assert cfg.rl.hidden == (4,) and cfg.rl.lr == 1.0 and cfg.rl.xi is None
+
+
+EVERY_FIELD_YAML = """
+market:
+  num_bidders: 3
+  num_rounds: 12
+  num_slots: 2
+  stage_plan: [5, 7]
+  ctr_range: [0.4, 0.8]
+  cvr_range: [0.1, 0.2]
+  value_range: [2.0, 4.0]
+  tcpa_range: [1.5, 3.5]
+  seed: 9
+mechanisms:
+  - {kind: CFP, controller: null}
+  - {kind: DFP, controller: oracle}
+seeds: [3, 1]
+agent: truthful
+agent_params: {epsilon: 0.2, step: 0.05, patience: 2}
+epsilon: 0.25
+tau: 3
+chernoff: {epsilon: 0.2, cvr: 0.1}
+rl:
+  gamma: 0.9
+  lam: 0.8
+  clip: 0.3
+  zeta: 0.2
+  xi: 0.5
+  alphas: [2.0, 0.25, 0.02]
+  lr: 0.001
+  epochs: 2
+  minibatch: 16
+  updates: 3
+  hidden: [8, 4]
+  sigma_floor: 0.01
+  adv_norm: false
+"""
+
+EVERY_FIELD_CONFIG = ExperimentConfig(
+    market=MarketConfig(3, 12, 2, (5, 7), (0.4, 0.8), (0.1, 0.2), (2.0, 4.0), (1.5, 3.5), 9),
+    mechanisms=(MechanismConfig("CFP"), MechanismConfig("DFP", controller="oracle")),
+    seeds=(3, 1),
+    agent="truthful",
+    agent_params=RiskAverseParams(epsilon=0.2, step=0.05, patience=2),
+    epsilon=0.25,
+    tau=3,
+    chernoff=(0.2, 0.1),
+    rl=RLConfig(0.9, 0.8, 0.3, 0.2, 0.5, (2.0, 0.25, 0.02), 0.001, 2, 16, 3, (8, 4), 0.01, False),
+)
+
+
+def _section(obj, path):
+    """The part of a YAML tree (keys and indices) or of a config (attributes and indices) at path."""
+    for key in path:
+        obj = obj[key] if isinstance(obj, (dict, list, tuple)) else getattr(obj, key)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        pytest.param((), id="ExperimentConfig"),
+        pytest.param(("market",), id="MarketConfig"),
+        pytest.param(("mechanisms", 1), id="MechanismConfig"),
+        pytest.param(("agent_params",), id="RiskAverseParams"),
+        pytest.param(("rl",), id="RLConfig"),
+    ],
+)
+def test_load_config_reads_a_section_with_every_field_back_equal(tmp_path, path):
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text(EVERY_FIELD_YAML)
+    want = _section(EVERY_FIELD_CONFIG, path)
+    assert set(_section(yaml.safe_load(EVERY_FIELD_YAML), path)) == {f.name for f in dataclasses.fields(want)}
+    assert _section(load_config(str(config_path)), path) == want
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("desk.yaml", "677a28d7c92f68fa61ab773a35dab5bf45915c9ed992c7abe5055f40f17bfe24"),
+        ("sparse.yaml", "d5c27f1cc4022287b2547d90db4523c036355b8d1f6f7efdffba46b571fe99ce"),
+        ("toy_train.yaml", "9a91af88b48f42767cd97231bcba933b46bb7b7181711f642db1e9acfa09946b"),
+    ],
+)
+def test_shipped_config_digests_are_pinned(name, digest):
+    assert config_digest(load_config(os.path.join(REPO, "configs", name))) == digest
 
 
 def test_load_config_structural_errors(tmp_path):

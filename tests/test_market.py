@@ -443,6 +443,9 @@ def test_market_csv_schema_errors(tmp_path):
     with pytest.raises(SchemaError):
         read_market_csv(path, cfg.stage_plan, log.tcpa[:-1])
 
+    with pytest.raises(SchemaError, match="m.csv"):
+        read_market_csv(path, (3, 4), log.tcpa)  # the plan sums to 7, the CSV has 6 rounds
+
     _write_lines(bad, [lines[0]])
     with pytest.raises(SchemaError):
         read_market_csv(bad, cfg.stage_plan, log.tcpa)
@@ -484,6 +487,8 @@ def _edit_cell(lines, row, col, value):
         pytest.param(lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:], id="short_row"),
         pytest.param(lambda lines: lines[:1] + ["#" + lines[1]] + lines[2:], id="comment_row"),
         pytest.param(lambda lines: lines[:1] + lines[1:3] + lines[2:-1], id="duplicate_row"),
+        pytest.param(lambda lines: _edit_cell(lines, 1, 3, "1.5"), id="ctr_above_one"),
+        pytest.param(lambda lines: _edit_cell(_edit_cell(lines, 1, 5, "-1"), 2, 5, "-1"), id="negative_value"),
     ],
 )
 def test_market_csv_hostile_inputs(tmp_path, edit):
