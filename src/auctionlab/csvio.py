@@ -5,13 +5,16 @@ shortest string that reads back as the same double) and ``str`` otherwise,
 exactly what a per-row ``f"{int(v)}"``/``f"{repr(float(v))}"`` writer prints.
 The same table therefore always gives the same bytes.
 
-Tables are written CHUNK_ROWS rows at a time: each chunk's columns are
+Tables are written one chunk of rows at a time: each chunk's columns are
 formatted whole (``tolist`` plus ``map``) and joined into one string, so peak
 memory holds one chunk's cells rather than a Python string per cell of the
-whole table. An integer chunk whose values span less than twice its length
-formats each value of the span once and gathers the strings by offset; any
-other numeric chunk that repeats few distinct values formats each of them
-once and gathers the strings by index. A bool column prints 1/0.
+whole table. Whole columns are sliced CHUNK_ROWS rows at a time; a caller
+that builds its rows as it goes (the market CSV) passes an iterator of
+chunks instead, so the whole table never exists at once. An integer chunk
+whose values span less than twice its length formats each value of the span
+once and gathers the strings by offset; any other numeric chunk that repeats
+few distinct values formats each of them once and gathers the strings by
+index. A bool column prints 1/0.
 
 A float chunk with mostly distinct values (a rounds table's ``score``) costs
 one ``repr`` per cell, the bulk of writing a table. Tables written one after
@@ -24,7 +27,7 @@ float64 cell) per position that a plain float chunk has taken.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,29 +105,45 @@ def _format_column(col: np.ndarray, memo: ReuseMemo | None, position: tuple) -> 
     return cells
 
 
-def write_table(path: str, header: str, columns: Sequence, memo: ReuseMemo | None = None) -> None:
-    """Write equal-length columns under a comma-separated header line.
-
-    Args:
-        path: output file, overwritten.
-        header: the first line, without its newline.
-        columns: one array-like per header field, all the same length.
-        memo: optional memo of plain float chunks' text, shared by tables
-            written one after another (see the module docstring). The bytes
-            written are the same with or without it.
-
-    Raises:
-        ContractViolation: column count or lengths do not match.
-    """
-    cols = [np.asarray(c) for c in columns]
+def _chunk_length(header: str, cols: list[np.ndarray]) -> int:
+    """The common length of one chunk's columns, one per header field."""
     if len(cols) != header.count(",") + 1:
         raise ContractViolation(f"header {header!r} does not name {len(cols)} columns")
     lengths = {c.shape[0] for c in cols}
     if len(lengths) > 1:
         raise ContractViolation(f"columns under {header!r} differ in length: {sorted(lengths)}")
-    n = lengths.pop()
+    return lengths.pop()
+
+
+def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable], memo: ReuseMemo | None = None) -> None:
+    """Write equal-length columns under a comma-separated header line.
+
+    Args:
+        path: output file, overwritten.
+        header: the first line, without its newline.
+        columns: one array-like per header field, all the same length; or
+            an iterator of such lists, one per chunk of rows, written in
+            turn. A chunk of at most CHUNK_ROWS rows keeps memory to one
+            chunk's cells.
+        memo: optional memo of plain float chunks' text, shared by tables
+            written one after another (see the module docstring). The bytes
+            written are the same with or without it.
+
+    Raises:
+        ContractViolation: column count or lengths do not match; whole
+            columns are checked before the file is opened.
+    """
+    if not isinstance(columns, Iterator):
+        cols = [np.asarray(c) for c in columns]
+        n = _chunk_length(header, cols)
+        columns = ([c[start:start + CHUNK_ROWS] for c in cols] for start in range(0, n, CHUNK_ROWS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, n, CHUNK_ROWS):
-            cells = [_format_column(c[start:start + CHUNK_ROWS], memo, (j, start)) for j, c in enumerate(cols)]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        start = 0
+        for chunk in columns:
+            block = [np.asarray(c) for c in chunk]
+            n = _chunk_length(header, block)
+            if n:
+                cells = [_format_column(c, memo, (j, start)) for j, c in enumerate(block)]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            start += n

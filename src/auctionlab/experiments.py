@@ -81,6 +81,9 @@ class ExperimentConfig:
             raise ConfigError("mechanisms must be a nonempty list")
         if not self.seeds:
             raise ConfigError("seeds must be a nonempty list")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise ConfigError(f"seed {repeated[0]} is listed more than once in seeds {list(self.seeds)}")
         labels = [m.label for m in self.mechanisms]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate mechanism labels in {labels}")

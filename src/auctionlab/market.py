@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import ReuseMemo, write_table
+from .csvio import CHUNK_ROWS, ReuseMemo, write_table
 from .errors import ConfigError, SchemaError
 
 MARKET_CSV_HEADER = "round,bidder,slot,ctr,cvr,value,click,conversion"
@@ -299,94 +300,129 @@ def write_market_csv(log: MarketLog, path: str) -> None:
 
     click/conversion columns hold the potential outcome of displaying that
     slot, drawn from the triple's own sub-stream; replaying them reproduces a
-    live run exactly, whatever the allocation turns out to be.
+    live run exactly, whatever the allocation turns out to be. Rows are built
+    and written CHUNK_ROWS at a time, so memory holds one chunk's rows.
     """
     N, M, K = log.num_rounds, log.num_bidders, log.num_slots
-    rr, mm, kk = (a.ravel() for a in np.indices((N, M, K)))
-    y, z = sample_outcomes(log, rr, mm, kk)
-    write_table(
-        path,
-        MARKET_CSV_HEADER,
-        [rr, mm, kk, log.ctr.ravel(), np.repeat(log.cvr.ravel(), K), np.repeat(log.value.ravel(), K), y, z],
-    )
+    ctr, cvr, value = log.ctr.reshape(-1), log.cvr.reshape(-1), log.value.reshape(-1)
+    sampler = log.sampler()
+
+    def chunks():
+        for start in range(0, N * M * K, CHUNK_ROWS):
+            flat = np.arange(start, min(start + CHUNK_ROWS, N * M * K))
+            pair, kk = np.divmod(flat, K)
+            rr, mm = np.divmod(pair, M)
+            y, z = sample_outcomes(log, rr, mm, kk, sampler)
+            yield [rr, mm, kk, ctr[flat], cvr[pair], value[pair], y, z]
+
+    write_table(path, MARKET_CSV_HEADER, chunks())
 
 
 def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, seed: int = 0) -> MarketLog:
     """Load a replay CSV into a MarketLog with outcome overrides.
 
     The replay format carries no tCPA column (targets are bidder-private, not
-    market data), so callers supply them. Rows must form a dense
-    (round, bidder, slot) grid; ctr must be weakly decreasing across slots
-    and cvr/value constant across slots. click/conversion columns are
-    optional but must appear together.
+    market data), so callers supply them. Rows, in any order, must form a
+    dense (round, bidder, slot) grid of sum(stage_plan) rounds and len(tcpa)
+    bidders; ctr must be weakly decreasing across slots and cvr/value
+    constant across slots. click/conversion columns are optional but must
+    appear together.
+
+    The file is parsed CHUNK_ROWS rows at a time, each chunk checked and
+    scattered into the grids before the next is read, so memory holds the
+    grids plus one chunk. The slot axis grows to the largest slot seen. A
+    grid that would need more rows than the file's size can hold is refused
+    before it is allocated.
 
     Raises:
-        SchemaError: wrong header, no data rows, a cell that is not a number,
-            a row of the wrong width, a round/bidder/slot that is not a
-            non-negative integer, non-finite rates, outcomes other than 0/1,
-            gaps or duplicates in the grid, invariant violations, a lone
-            outcome column, or rates or a stage_plan that MarketConfig refuses.
+        SchemaError: naming the CSV: wrong header, no data rows, a cell that
+            is not a number, a row of the wrong width, a round/bidder/slot
+            that is not a non-negative integer or lies outside the grid,
+            non-finite rates, outcomes other than 0/1, gaps or duplicates in
+            the grid, invariant violations, a lone outcome column, or rates
+            or a stage_plan that MarketConfig refuses.
     """
+    where = f"market CSV {path}"
+    tcpa = np.asarray(tcpa, dtype=np.float64)
+    N, M = sum(int(n) for n in stage_plan), tcpa.shape[0] if tcpa.ndim == 1 else 0
+    if N < 1 or M < 1:
+        raise SchemaError(f"{where}: stage_plan {tuple(stage_plan)} and tcpa of shape {tcpa.shape} give no grid")
     base_cols = MARKET_CSV_HEADER.split(",")
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if header == MARKET_CSV_HEADER:
-            has_outcomes = True
+            width = 8
         elif header == ",".join(base_cols[:6]):
-            has_outcomes = False
+            width = 6
         else:
-            raise SchemaError(f"unexpected market CSV header: {header!r}")
-        # Blank and whitespace-only lines are skipped. loadtxt warns on input
-        # without data, so the first row is looked for before parsing.
+            raise SchemaError(f"{where}: unexpected header {header!r}")
+        # A row is at least one character per cell plus its separators, so
+        # a grid of more rows than this cannot be dense and is not allocated.
+        max_rows = (os.fstat(fh.fileno()).st_size + 1) // (2 * width)
+        if N * M > max_rows:
+            raise SchemaError(f"{where}: {N} rounds x {M} bidders need more rows than the file can hold")
+        # Per (round, bidder, slot): seen, ctr[, click, conversion]; the slot
+        # axis widens as larger slots turn up. cvr and value are one per
+        # (round, bidder), set by the pair's first row; every row must agree.
+        seen, ctr, *outcomes = (np.zeros((N, M, 0), d) for d in (bool, np.float64, *[np.uint8] * (width - 6)))
+        cvr, value = np.zeros((N, M)), np.zeros((N, M))
+        pair_seen = np.zeros(N * M, dtype=bool)
+        K = rows = 0
+        # Blank and whitespace-only lines are skipped, and loadtxt, which
+        # warns on input without data, never sees an empty chunk.
         lines = (line for line in fh if line.strip())
-        first = next(lines, None)
-        if first is None:
-            raise SchemaError("market CSV has no data rows")
-        try:
-            data = np.loadtxt(itertools.chain((first,), lines), delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise SchemaError(f"market CSV is not a table of numbers: {exc}") from exc
-    width = 8 if has_outcomes else 6
-    if data.shape[1] != width:
-        raise SchemaError("market CSV row width does not match its header")
-
-    idx = data[:, :3]
-    if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
-        raise SchemaError("round, bidder and slot must be non-negative integers")
-    if not np.all(np.isfinite(data[:, 3:6])):
-        raise SchemaError("ctr, cvr and value must be finite")
-    if has_outcomes and not np.all((data[:, 6:] == 0) | (data[:, 6:] == 1)):
-        raise SchemaError("click and conversion must be 0 or 1")
-    N, M, K = (int(top) + 1 for top in idx.max(axis=0))
-    rows = data.shape[0]
+        while chunk := list(itertools.islice(lines, CHUNK_ROWS)):
+            try:
+                data = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise SchemaError(f"{where} is not a table of numbers: {exc}") from exc
+            del chunk
+            if data.shape[1] != width:
+                raise SchemaError(f"{where}: row width does not match its header")
+            idx = data[:, :3]
+            if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
+                raise SchemaError(f"{where}: round, bidder and slot must be non-negative integers")
+            if not np.all(np.isfinite(data[:, 3:6])):
+                raise SchemaError(f"{where}: ctr, cvr and value must be finite")
+            if width == 8 and not np.all((data[:, 6:] == 0) | (data[:, 6:] == 1)):
+                raise SchemaError(f"{where}: click and conversion must be 0 or 1")
+            top_round, top_bidder, top_slot = (int(top) for top in idx.max(axis=0))
+            if top_round >= N or top_bidder >= M:
+                raise SchemaError(
+                    f"{where}: round {top_round} or bidder {top_bidder} lies outside the {N} rounds of "
+                    f"stage_plan and the {M} bidders of tcpa"
+                )
+            if top_slot >= K:
+                if N * M * (top_slot + 1) > max_rows:
+                    raise SchemaError(f"{where}: slot {top_slot} needs more rows than the file can hold")
+                widen = ((0, 0), (0, 0), (0, top_slot + 1 - K))
+                seen, ctr, *outcomes = (np.pad(g, widen) for g in (seen, ctr, *outcomes))
+                K = top_slot + 1
+            n, m, k = (idx[:, j].astype(np.int64) for j in range(3))
+            pair = n * M + m
+            fresh = ~pair_seen[pair]
+            for name, j, grid in (("cvr", 4, cvr.reshape(-1)), ("value", 5, value.reshape(-1))):
+                grid[pair[fresh]] = data[fresh, j]
+                if np.any(grid[pair] != data[:, j]):
+                    raise SchemaError(f"{where}: {name} must be constant across slots")
+            pair_seen[pair] = True
+            flat = pair * K + k
+            seen.reshape(-1)[flat] = True
+            ctr.reshape(-1)[flat] = data[:, 3]
+            for j, grid in enumerate(outcomes, start=6):
+                grid.reshape(-1)[flat] = data[:, j]
+            rows += data.shape[0]
+    if rows == 0:
+        raise SchemaError(f"{where} has no data rows")
     if rows != N * M * K:
-        raise SchemaError(f"expected a dense {N}x{M}x{K} grid, got {rows} rows")
-    n, m, k = (idx[:, j].astype(np.int64) for j in range(3))
-    flat = (n * M + m) * K + k
-    seen = np.zeros(rows, dtype=bool)
-    seen[flat] = True
+        raise SchemaError(f"{where}: expected a dense {N}x{M}x{K} grid, got {rows} rows")
     if not seen.all():
-        raise SchemaError("duplicate rows left gaps in the (round, bidder, slot) grid")
-
-    def grid(j: int, dtype=np.float64) -> np.ndarray:
-        out = np.empty(rows, dtype=dtype)
-        out[flat] = data[:, j]
-        return out.reshape(N, M, K)
-
-    ctr, cvr_all, value_all = grid(3), grid(4), grid(5)
-    click = grid(6, np.uint8) if has_outcomes else None
-    conv = grid(7, np.uint8) if has_outcomes else None
-    if np.any(np.diff(ctr, axis=2) > 0):
-        raise SchemaError("ctr must be weakly decreasing across slots")
-    for name, arr in (("cvr", cvr_all), ("value", value_all)):
-        if np.any(arr != arr[:, :, :1]):
-            raise SchemaError(f"{name} must be constant across slots")
-    if has_outcomes and bool(np.any(conv > click)):
-        raise SchemaError("conversion=1 requires click=1")
-
-    tcpa = np.asarray(tcpa, dtype=np.float64)
-    if tcpa.shape != (M,):
-        raise SchemaError(f"tcpa must have shape ({M},), got {tcpa.shape}")
+        raise SchemaError(f"{where}: duplicate rows left gaps in the (round, bidder, slot) grid")
+    if np.any(ctr[:, :, 1:] > ctr[:, :, :-1]):
+        raise SchemaError(f"{where}: ctr must be weakly decreasing across slots")
+    click, conv = outcomes or (None, None)
+    if click is not None and bool(np.any(conv > click)):
+        raise SchemaError(f"{where}: conversion=1 requires click=1")
     try:
         config = MarketConfig(
             num_bidders=M,
@@ -394,19 +430,19 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
             num_slots=K,
             stage_plan=tuple(stage_plan),
             ctr_range=(float(ctr.min()), float(ctr.max())),
-            cvr_range=(float(cvr_all.min()), float(cvr_all.max())),
-            value_range=(float(value_all.min()), float(value_all.max())),
+            cvr_range=(float(cvr.min()), float(cvr.max())),
+            value_range=(float(value.min()), float(value.max())),
             tcpa_range=(float(tcpa.min()), float(tcpa.max())),
             seed=seed,
         )
     except ConfigError as exc:
-        raise SchemaError(f"market CSV {path}: {exc}") from None
+        raise SchemaError(f"{where}: {exc}") from None
     return MarketLog(
         config=config,
         tcpa=tcpa,
         ctr=ctr,
-        cvr=cvr_all[:, :, 0].copy(),
-        value=value_all[:, :, 0].copy(),
+        cvr=cvr,
+        value=value,
         click_override=click,
         conv_override=conv,
     )

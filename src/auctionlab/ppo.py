@@ -12,8 +12,9 @@ cut at stage boundaries), and when the stage's true conversions are
 released the accuracy reward is recomputed with them and added to the
 stage's final step.
 
-RNG purposes (Philox key = [seed, purpose]): 11 parameter init, 12 action
-sampling, 13 minibatch shuffling, 14 the per-update market seed sequence.
+RNG purposes (Philox key = uint64 [seed, purpose], as for market
+generation): 11 parameter init, 12 action sampling, 13 minibatch shuffling,
+14 the per-update market seed sequence.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .agents import TruthfulAgent
 from .csvio import write_table
 from .errors import ConfigError, MissingInputError, NumericalFault, SchemaError
-from .market import MarketConfig, generate_market
+from .market import MarketConfig, _stream, generate_market
 from .mechanisms import MechanismConfig, SimulationResult, run_auction
 from .nets import MLP, Adam
 
@@ -621,13 +622,18 @@ def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResu
     clipped-surrogate steps. If any minibatch loss turns non-finite the
     whole update is rolled back (parameters and optimizer state) and
     counted in aborted_updates.
+
+    Raises:
+        ConfigError: seed outside [0, 2**64), before any work.
     """
-    rng_init = np.random.Generator(np.random.Philox(key=[seed, 11]))
+    if not (0 <= int(seed) < 2 ** 64):
+        raise ConfigError(f"training seed must be an unsigned 64-bit integer, got {seed}")
+    rng_init = _stream(seed, 11)
     policy = GaussianPolicy(MLP(FEATURE_DIM, rl.hidden, 2, rng_init), rl.sigma_floor)
     critic = MLP(FEATURE_DIM, rl.hidden, 1, rng_init)
-    rng_act = np.random.Generator(np.random.Philox(key=[seed, 12]))
-    rng_shuffle = np.random.Generator(np.random.Philox(key=[seed, 13]))
-    market_seeds = np.random.Generator(np.random.Philox(key=[seed, 14])).integers(2**63, size=rl.updates)
+    rng_act = _stream(seed, 12)
+    rng_shuffle = _stream(seed, 13)
+    market_seeds = _stream(seed, 14).integers(2**63, size=rl.updates)
 
     env = DFPTrainingEnv(market_config, rl)
     opt_policy = Adam(policy.net.num_params, lr=rl.lr)

@@ -220,6 +220,28 @@ def test_checkpoint_without_rl_mechanism_writes_nothing(capsys, tmp_path):
     assert [f for _, _, files in os.walk(out) for f in files if f.endswith(".csv")] == []
 
 
+def test_repeated_seed_writes_nothing(capsys, tmp_path):
+    # seeds: [0, 0] would write seed_0 twice and pool its metrics twice.
+    path = tmp_path / "run.yaml"
+    path.write_text(RUN_YAML.replace("seeds: [0, 1]", "seeds: [0, 1, 0]"))
+    out = tmp_path / "art"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("ERROR ConfigError:") and "seed 0" in err[-1]
+    assert sum(line.startswith("ERROR") for line in err) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_train_refuses_a_seed_outside_uint64(capsys, train_config, tmp_path, seed):
+    out = tmp_path / "train"
+    assert main(["train", "--config", train_config, "--out", str(out), "--seed", str(seed)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("ERROR ConfigError:") and "seed" in err[-1]
+    assert sum(line.startswith("ERROR") for line in err) == 1
+    assert not out.exists()
+
+
 
 NOT_UTF8 = b"market:\n  seed: \xff\xfe\n"
 

@@ -1,6 +1,7 @@
 """Market generation: RNG streams, outcome sampling, stages, CSV replay, and the per-round reference."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from auctionlab import (
     stage_starts,
     write_market_csv,
 )
+from auctionlab.csvio import CHUNK_ROWS
 from auctionlab.market import _PHILOX_BLOCK, MarketLog, OutcomeSampler, philox4x64, read_market_csv
 from reference import RoundOutcome, sample_round, stage_of, validate_allocation
 
@@ -482,6 +484,7 @@ def _edit_cell(lines, row, col, value):
         pytest.param(lambda lines: _edit_cell(lines, 2, 1, "-1"), id="negative_bidder"),
         pytest.param(lambda lines: _edit_cell(lines, 2, 2, "inf"), id="infinite_slot"),
         pytest.param(lambda lines: _edit_cell(lines, 2, 0, "1e300"), id="huge_round"),
+        pytest.param(lambda lines: _edit_cell(lines, 2, 2, "1e12"), id="huge_slot"),
         pytest.param(lambda lines: _edit_cell(lines, 2, 4, "nan"), id="nan_rate"),
         pytest.param(lambda lines: _edit_cell(lines, 2, 6, "2"), id="click_not_binary"),
         pytest.param(lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:], id="short_row"),
@@ -503,6 +506,86 @@ def test_market_csv_hostile_inputs(tmp_path, edit):
         warnings.simplefilter("error")
         with pytest.raises(SchemaError):
             read_market_csv(bad, cfg.stage_plan, log.tcpa)
+
+
+def _assert_replays_live(back, log):
+    """back holds log's rates and targets, and its outcome overrides equal
+    live sampling for every (round, bidder, slot) triple."""
+    for name in ("ctr", "cvr", "value", "tcpa"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(log, name), err_msg=name)
+    rr, mm, kk = (a.ravel() for a in np.indices(log.ctr.shape))
+    for live, replayed in zip(sample_outcomes(log, rr, mm, kk), sample_outcomes(back, rr, mm, kk)):
+        np.testing.assert_array_equal(live, replayed)
+
+
+# (bidders, slots) that divide each row count: 16,383 = 5,461 x 3 x 1,
+# 16,384 = 1,024 x 4 x 4 and 16,385 = 3,277 x 5 x 1 rows.
+@pytest.mark.parametrize("rows,bidders,slots", [
+    (CHUNK_ROWS - 1, 3, 1), (CHUNK_ROWS, 4, 4), (CHUNK_ROWS + 1, 5, 1),
+])
+def test_market_csv_roundtrip_at_chunk_boundaries(tmp_path, rows, bidders, slots):
+    N = rows // (bidders * slots)
+    cfg = _tiny_config(num_bidders=bidders, num_slots=slots, num_rounds=N, stage_plan=(N // 2, N - N // 2), seed=rows)
+    log = generate_market(cfg)
+    path = tmp_path / "m.csv"
+    write_market_csv(log, str(path))
+    assert path.read_text().count("\n") == rows + 1
+    _assert_replays_live(read_market_csv(str(path), cfg.stage_plan, log.tcpa, seed=cfg.seed), log)
+
+
+@pytest.mark.parametrize("order", ["shuffled", "by_slot"])
+def test_market_csv_rows_in_any_order(tmp_path, order):
+    # 36,000 rows, three chunks. Sorted by slot, the first chunk holds no
+    # slot-2 row, so the grid widens after rows have been scattered into it.
+    cfg = _tiny_config(num_bidders=4, num_slots=3, num_rounds=3000, stage_plan=(1000, 2000), seed=4)
+    log = generate_market(cfg)
+    path = str(tmp_path / "m.csv")
+    write_market_csv(log, path)
+    header, *rows = open(path).read().splitlines()
+    if order == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    else:
+        rows.sort(key=lambda row: int(row.split(",")[2]))
+    reordered = str(tmp_path / "reordered.csv")
+    _write_lines(reordered, [header] + rows)
+    back = read_market_csv(reordered, cfg.stage_plan, log.tcpa, seed=cfg.seed)
+    in_order = read_market_csv(path, cfg.stage_plan, log.tcpa, seed=cfg.seed)
+    for name in ("ctr", "cvr", "value", "tcpa", "click_override", "conv_override"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(in_order, name), err_msg=name)
+    _assert_replays_live(back, log)
+
+
+def test_market_csv_refuses_a_grid_larger_than_the_file(tmp_path):
+    # The grids are sized from stage_plan and tcpa before a row is read; a
+    # plan of 10**15 rounds is refused, not allocated.
+    cfg = _tiny_config(seed=8)
+    log = generate_market(cfg)
+    path = str(tmp_path / "m.csv")
+    write_market_csv(log, path)
+    with pytest.raises(SchemaError, match="m.csv"):
+        read_market_csv(path, (10 ** 15,), log.tcpa)
+
+
+def test_market_csv_round_trip_memory_is_bounded(tmp_path):
+    # Twelve chunks of rows (6,144 rounds x 8 bidders x 4 slots). The writer
+    # holds one chunk of rows and their text, whatever the table's length;
+    # the reader holds its grids, a small multiple of the arrays it returns,
+    # plus one chunk of lines and parsed values.
+    cfg = _tiny_config(num_bidders=8, num_slots=4, num_rounds=6144, stage_plan=(3072, 3072), seed=12)
+    log = generate_market(cfg)
+    path = str(tmp_path / "m.csv")
+    tracemalloc.start()
+    try:
+        write_market_csv(log, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_market_csv(path, cfg.stage_plan, log.tcpa, seed=cfg.seed)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (back.ctr, back.cvr, back.value, back.click_override, back.conv_override))
+    assert write_peak < 640 * CHUNK_ROWS, write_peak  # 10 MiB
+    assert read_peak < 3 * returned + 256 * CHUNK_ROWS, (read_peak, returned)
 
 
 def test_replay_overrides_gate_conversions_by_click():

@@ -553,6 +553,21 @@ def test_train_is_deterministic():
     assert c.policy.net.get_flat().tobytes() != a.policy.net.get_flat().tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 63 - 1])
+def test_train_streams_keep_the_list_keyed_draws_below_2_63(seed):
+    # train keys its streams as uint64 [seed, purpose]; up to 2**63 - 1 that
+    # gives the draws of the list key it replaced, so training bytes hold.
+    for purpose in (11, 12, 13, 14):
+        want = np.random.Generator(np.random.Philox(key=[seed, purpose])).random(4)
+        np.testing.assert_array_equal(ppo._stream(seed, purpose).random(4), want)
+
+
+def test_train_keeps_the_low_bits_of_a_seed_above_2_63():
+    a = train(_toy_market(), _toy_rl(), seed=2 ** 63 + 1)
+    b = train(_toy_market(), _toy_rl(), seed=2 ** 63 + 2)
+    assert a.policy.net.get_flat().tobytes() != b.policy.net.get_flat().tobytes()
+
+
 def test_train_with_vanishing_lr_is_a_no_op():
     out = train(_toy_market(), _toy_rl(lr=1e-300), seed=9)
     rng_init = np.random.Generator(np.random.Philox(key=[9, 11]))

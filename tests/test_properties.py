@@ -5,8 +5,12 @@ a time; these properties hold the stage-vectorized engine's own output to
 them, for every mechanism, on markets hypothesis generates. The online DFP
 payers are also held bit for bit to the per-click reference forms there,
 runs that share a log's memoised outcome pass to runs on fresh logs, and
-the stage tables to their recount from the rounds log.
+the stage tables to their recount from the rounds log, and runs on a
+market read back from its replay CSV to runs on the live market.
 """
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,8 +25,10 @@ from auctionlab import (
     checkpoint_ratio_table,
     generate_market,
     run_auction,
+    write_market_csv,
 )
 from auctionlab.controllers import DEFAULT_CAP_FACTOR, stage_pacing_oracle
+from auctionlab.market import read_market_csv
 from auctionlab.nets import MLP
 from auctionlab.ppo import FEATURE_DIM, GaussianPolicy, RLPaymentController
 from reference import ROUNDS_COLUMNS, ReferenceRLController, online_dfp_reference
@@ -183,6 +189,24 @@ def test_memoised_outcome_pass_matches_fresh_markets(config, risk_averse):
     for mech in SHARED_MECHANISMS * 2:
         _assert_same_run(run(shared, mech), run(generate_market(config), mech), mech.label)
     assert 0 < len(shared.outcome_memo) <= len(config.stage_plan)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(market_configs(), st.booleans())
+def test_replayed_market_csv_runs_like_the_live_market(config, risk_averse):
+    # write_market_csv then read_market_csv: every mechanism but the learned
+    # payer gives the live market's rounds log and stage tables, bit for bit.
+    def run(market, mech):
+        agents = [RiskAverseAgent() if risk_averse else TruthfulAgent() for _ in range(market.num_bidders)]
+        return run_auction(market, mech, agents, controller=_controller(mech, market))
+
+    live = generate_market(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "market.csv")
+        write_market_csv(live, path)
+        replayed = read_market_csv(path, config.stage_plan, live.tcpa, seed=config.seed)
+    for mech in SHARED_MECHANISMS:
+        _assert_same_run(run(replayed, mech), run(live, mech), mech.label)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
