@@ -159,8 +159,14 @@ def _as_stage_plan(plan, key: str) -> tuple[int, ...]:
     _check_keys(plan, ("stages", "rounds_per_stage"), key)
     if "stages" not in plan or "rounds_per_stage" not in plan:
         raise ConfigError(f"{key} mapping needs both stages and rounds_per_stage")
-    length = _as_int(plan["rounds_per_stage"], f"{key}.rounds_per_stage")
-    return (length,) * _as_int(plan["stages"], f"{key}.stages")
+    counts = {}
+    for name in ("stages", "rounds_per_stage"):
+        counts[name] = _as_int(plan[name], f"{key}.{name}")
+        if counts[name] < 1:
+            raise ConfigError(f"{key}.{name} must be at least 1, got {counts[name]}")
+        if counts[name] > sys.maxsize:
+            raise ConfigError(f"{key}.{name} must be at most {sys.maxsize}")
+    return (counts["rounds_per_stage"],) * counts["stages"]
 
 
 def _as_market(obj, key: str) -> MarketConfig:

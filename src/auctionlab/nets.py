@@ -4,6 +4,11 @@ Everything is plain numpy so analytic gradients can be audited against
 central finite differences. Hidden layers use tanh; the output layer is
 linear. An empty hidden tuple yields a pure linear map, handy for
 closed-form checks.
+
+Each network keeps all its parameters in one flat float64 buffer, `flat`,
+in the order W0, b0, W1, b1, ...; the per-layer `weights` and `biases` are
+views into it. Adam updates that buffer in place, so an optimizer step is
+seen by the next forward pass without copying parameters out and back.
 """
 
 from __future__ import annotations
@@ -16,24 +21,47 @@ from .errors import SchemaError
 class MLP:
     """Fully-connected tanh network.
 
-    Parameters are held as per-layer (W, b) pairs and are also addressable
-    as one flat vector (get_flat/set_flat) for optimizers and
-    finite-difference sweeps.
+    Parameters live in one flat vector, `flat`; `weights` and `biases` are
+    per-layer (W, b) views of it. get_flat copies the vector out and
+    set_flat copies one in, so neither shares memory with the caller.
     """
 
     def __init__(self, in_dim: int, hidden: tuple[int, ...], out_dim: int, rng: np.random.Generator | None = None):
         self.sizes = (int(in_dim), *(int(h) for h in hidden), int(out_dim))
         rng = rng or np.random.default_rng(0)
+        self.flat = np.zeros(self.count_params(self.sizes))
+        self._bind()
+        for w in self.weights:
+            # Small scaled-Gaussian init keeps tanh units in their linear range.
+            w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
+
+    @staticmethod
+    def count_params(sizes: tuple[int, ...]) -> int:
+        """Length of the flat buffer of a network with these layer widths."""
+        return sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+
+    def _bind(self) -> None:
+        """(Re)build the per-layer views of `flat`."""
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
+        pos = 0
         for a, b in zip(self.sizes[:-1], self.sizes[1:]):
-            # Small scaled-Gaussian init keeps tanh units in their linear range.
-            self.weights.append(rng.standard_normal((a, b)) / np.sqrt(a))
-            self.biases.append(np.zeros(b))
+            self.weights.append(self.flat[pos:pos + a * b].reshape(a, b))
+            self.biases.append(self.flat[pos + a * b:pos + a * b + b])
+            pos += a * b + b
+
+    def __getstate__(self) -> dict:
+        # A copied view would no longer share memory with the copied buffer,
+        # so deepcopy and pickle carry only the buffer and rebuild the views.
+        return {"sizes": self.sizes, "flat": self.flat}
+
+    def __setstate__(self, state: dict) -> None:
+        self.sizes, self.flat = state["sizes"], state["flat"]
+        self._bind()
 
     @property
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.flat.size
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Batched forward pass.
@@ -53,21 +81,22 @@ class MLP:
         whether it is sent in a (batch, in_dim) matrix, but not on whether it
         arrives as (in_dim,), (1, in_dim) or one of stacked (batch, 1, in_dim)
         rows: `@` on stacked rows runs one gemv per row, the single row's call.
+        A float64 (in_dim,) row, the policy's per-click call, is used as given
+        and only its output is viewed as (1, out_dim).
         """
         h = np.asarray(x, dtype=np.float64)
-        row = h.ndim < 2
-        if row:
-            h = h.reshape(-1)
+        row = h.ndim == 1
         product = np.matmul if h.ndim == 3 else np.dot
         acts = [h]
-        hidden = len(self.weights) - 1
-        for w, b in zip(self.weights, self.biases):
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
             h = product(h, w)
             h += b
-            if len(acts) <= hidden:
-                np.tanh(h, out=h)
+            np.tanh(h, out=h)
             acts.append(h)
-        return (h.reshape(1, -1) if row else h), acts
+        h = product(h, self.weights[-1])
+        h += self.biases[-1]
+        acts.append(h)
+        return (h[None] if row else h), acts
 
     def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> list[np.ndarray]:
         """Gradients of sum(dout * output) w.r.t. parameters.
@@ -91,22 +120,15 @@ class MLP:
         return grads
 
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        """A copy of the parameter vector."""
+        return self.flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
+        """Copy a parameter vector into the network's buffer."""
         flat = np.asarray(flat, dtype=np.float64)
         if flat.size != self.num_params:
             raise SchemaError(f"expected {self.num_params} parameters, got {flat.size}")
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[pos:pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = flat[pos:pos + b.size].copy()
-            pos += b.size
+        self.flat[...] = flat.reshape(-1)
 
     @staticmethod
     def flatten_grads(grads: list[np.ndarray]) -> np.ndarray:
@@ -114,7 +136,7 @@ class MLP:
 
 
 class Adam:
-    """Standard Adam on a flat parameter vector."""
+    """Standard Adam on a flat parameter vector, updated in place."""
 
     def __init__(self, size: int, lr: float = 3e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -126,9 +148,21 @@ class Adam:
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Apply one update to params (a writeable float64 vector) in place
+        and return it."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad ** 2
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        # The formula's operations in its order, written into m, v and params:
+        # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g**2, and
+        # params - lr * m_hat / (sqrt(v_hat) + eps).
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad ** 2
+        step = m / (1.0 - self.beta1 ** self.t)
+        step *= self.lr
+        denom = np.sqrt(v / (1.0 - self.beta2 ** self.t))
+        denom += self.eps
+        step /= denom
+        params -= step
+        return params

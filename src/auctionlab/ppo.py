@@ -24,6 +24,7 @@ import copy
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,7 +40,7 @@ FEATURE_DIM = 9
 CURVES_CSV_HEADER = "update,mean_reward,mean_abs_ratio_err,actor_loss,critic_loss,entropy"
 CHECKPOINT_MAGIC = "auctionlab-checkpoint 1"
 
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+_HALF_LOG_2PI = float(0.5 * np.log(2.0 * np.pi))
 _ENTROPY_CONST = 0.5 * np.log(2.0 * np.pi * np.e)
 
 # Relative scale of the target regularizer when xi is left unset.
@@ -47,6 +48,11 @@ XI_SCALE = 1e-3
 
 # Floor inside the accuracy log so a perfect stage stays finite.
 ACCURACY_FLOOR = 1e-12
+
+# Most parameters the policy and critic may hold together; the shipped
+# (64, 64) nets hold 9,795. Training keeps about ten float64 copies of them
+# (buffers, gradients, Adam moments and the rollback snapshot).
+MAX_NET_PARAMS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -83,10 +89,16 @@ class RLConfig:
         if self.lr <= 0.0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         for name in ("epochs", "minibatch", "updates"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
+            if value > sys.maxsize:
+                raise ConfigError(f"{name} must be at most {sys.maxsize}")
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden sizes must be positive, got {self.hidden}")
+        if sum(MLP.count_params((FEATURE_DIM, *self.hidden, out)) for out in (2, 1)) > MAX_NET_PARAMS:
+            raise ConfigError(f"hidden sizes give the policy and critic more than the {MAX_NET_PARAMS:,} "
+                              "parameters allowed")
         if self.sigma_floor <= 0.0:
             raise ConfigError(f"sigma_floor must be positive, got {self.sigma_floor}")
 
@@ -146,9 +158,11 @@ def accuracy_reward(paid: np.ndarray | list[float], targets: np.ndarray | list[f
     A total error of 1 maps to reward 0; smaller errors are rewarded on a
     log scale, floored so a perfect stage stays finite. The online payer
     calls this once per click with a handful of bidders in Python lists, so
-    the terms are formed from the values as given (the same IEEE operations
-    NumPy would apply elementwise) and summed by np.add.reduce, the
-    reduction behind np.sum.
+    each term is formed from the values as given (the same IEEE operations
+    NumPy would apply elementwise) in one pass that also checks them. Two or
+    more terms are summed by np.add.reduce, the reduction behind np.sum; a
+    single term is the total as it stands, which is what np.add.reduce
+    returns for one element.
 
     Raises:
         SchemaError: mismatched lengths, a target that is not positive and
@@ -156,11 +170,14 @@ def accuracy_reward(paid: np.ndarray | list[float], targets: np.ndarray | list[f
     """
     if len(paid) != len(targets):
         raise SchemaError(f"{len(paid)} payments do not match {len(targets)} targets")
-    if not all(0.0 < t < math.inf for t in targets):
-        raise SchemaError("accuracy targets must be positive and finite")
-    if not all(-math.inf < p < math.inf for p in paid):
-        raise SchemaError("accuracy payments must be finite")
-    total = float(np.add.reduce(np.array([abs(p / t - 1.0) for p, t in zip(paid, targets)], dtype=np.float64)))
+    terms = []
+    for p, t in zip(paid, targets):
+        if not 0.0 < t < math.inf:
+            raise SchemaError("accuracy targets must be positive and finite")
+        if not -math.inf < p < math.inf:
+            raise SchemaError("accuracy payments must be finite")
+        terms.append(abs(p / t - 1.0))
+    total = terms[0] if len(terms) == 1 else float(np.add.reduce(np.array(terms, dtype=np.float64)))
     return float(-np.log(max(total, floor)))
 
 
@@ -217,17 +234,21 @@ class GaussianPolicy:
         [[mu, log_sigma_raw]] = out.tolist()
         if not (math.isfinite(mu) and math.isfinite(log_sigma_raw)):
             raise NumericalFault(f"policy head is not finite: mu={mu}, log_sigma_raw={log_sigma_raw}")
+        # Python float arithmetic, with NumPy's exp, log and logaddexp where
+        # they round differently from math's: the bits of gaussian_log_prob
+        # and softplus on NumPy scalars.
         sigma = max(float(np.exp(log_sigma_raw)), self.sigma_floor)
         if not math.isfinite(sigma):
             raise NumericalFault(f"policy stddev overflowed: log_sigma_raw={log_sigma_raw}")
         if deterministic:
             g = mu
+        elif rng is None:
+            raise ConfigError("stochastic action sampling needs an rng")
         else:
-            if rng is None:
-                raise ConfigError("stochastic action sampling needs an rng")
-            g = mu + sigma * float(rng.standard_normal())
-        logp = float(gaussian_log_prob(g, mu, sigma))
-        action = float(softplus(g))
+            g = mu + sigma * rng.standard_normal()
+        z = (g - mu) / sigma
+        logp = -0.5 * z * z - float(np.log(sigma)) - _HALF_LOG_2PI
+        action = float(np.logaddexp(0.0, g))
         if not (math.isfinite(g) and math.isfinite(action) and math.isfinite(logp)):
             raise NumericalFault(f"action is not finite: g={g}")
         return action, g, logp
@@ -494,36 +515,23 @@ class RLPaymentController:
 
     def on_click(self, bidder: int, round_index: int, cvr: float, expected_remaining_clicks: float) -> float:
         m = bidder
-        z_est, paid_stage, active = self.stage_z_est, self.paid_stage, self.active
-        z_est[m] += cvr
-        self.clicks[m] += 1.0
-        self.stage_clicks[m] += 1
-        if self.stage_clicks[m] == 1:
+        z_est, paid_stage, active, tcpa, xi = self.stage_z_est, self.paid_stage, self.active, self.tcpa, self.xi
+        z_est[m] = pending = z_est[m] + cvr
+        self.clicks[m] = clicks = self.clicks[m] + 1.0
+        self.stage_clicks[m] = stage_clicks = self.stage_clicks[m] + 1
+        if stage_clicks == 1:
             bisect.insort(active, m)
         progress = (round_index - self.stage_start + 1) / self.stage_len
-        bid = self.bids[m]
-        expected_paid = self.expected_paid_completed[m] + bid * self.expected_stage_conversions[m] * progress
-        last_payment = self.last_nonzero_payment[m]
-        feats = build_state_features(
-            clicks=self.clicks[m],
-            visible_conversions=self.visible[m],
-            pending_conversions=z_est[m],
-            paid_total=self.paid_total[m],
-            expected_paid=expected_paid,
-            paid_stage=paid_stage[m],
-            last_nonzero_payment=last_payment,
-            stage_progress=progress,
-            expected_stage_clicks=self.expected_stage_clicks[m],
-            expected_stage_conversions=self.expected_stage_conversions[m],
-            tcpa=self.tcpa[m],
-            xi=self.xi[m],
-        )
-        action, g, logp = self.policy.act(feats, rng=self.rng, deterministic=self.deterministic)
+        bid, conv_scale = self.bids[m], self.expected_stage_conversions[m]
+        expected_paid = self.expected_paid_completed[m] + bid * conv_scale * progress
+        last_payment, paid, total = self.last_nonzero_payment[m], paid_stage[m], self.paid_total[m]
+        feats = build_state_features(clicks, self.visible[m], pending, total, expected_paid, paid, last_payment,
+                                     progress, self.expected_stage_clicks[m], conv_scale, tcpa[m], xi[m])
+        action, g, logp = self.policy.act(feats, self.rng, self.deterministic)
         payment = action * bid * cvr
-        paid_stage[m] += payment
-        self.paid_total[m] += payment
+        paid_stage[m] = paid + payment
+        self.paid_total[m] = total + payment
 
-        tcpa, xi = self.tcpa, self.xi
         r1 = accuracy_reward([paid_stage[i] for i in active], [z_est[i] * tcpa[i] + xi[i] for i in active])
         r2 = smoothness_reward(payment, last_payment)
         reward = compute_reward(r1, r2, self.zeta)
@@ -633,7 +641,9 @@ def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResu
     critic = MLP(FEATURE_DIM, rl.hidden, 1, rng_init)
     rng_act = _stream(seed, 12)
     rng_shuffle = _stream(seed, 13)
-    market_seeds = _stream(seed, 14).integers(2**63, size=rl.updates)
+    # Drawn one per update: the same values as one array of rl.updates draws,
+    # without holding that array.
+    market_seeds = _stream(seed, 14)
 
     env = DFPTrainingEnv(market_config, rl)
     opt_policy = Adam(policy.net.num_params, lr=rl.lr)
@@ -642,7 +652,7 @@ def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResu
     aborted = 0
 
     for update in range(rl.updates):
-        traj, errors, _ = env.rollout(policy, critic, int(market_seeds[update]), rng_act)
+        traj, errors, _ = env.rollout(policy, critic, int(market_seeds.integers(2**63)), rng_act)
         if traj.num_steps == 0:
             nan = float("nan")
             curves.append(_curve_row(update, nan, nan, LossOutput(0.0, nan, nan, nan, np.zeros(0), np.zeros(0))))
@@ -667,8 +677,8 @@ def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResu
                 policy.net, critic, opt_policy, opt_critic = snapshot
                 aborted += 1
                 break
-            policy.net.set_flat(opt_policy.step(policy.net.get_flat(), out.policy_grad))
-            critic.set_flat(opt_critic.step(critic.get_flat(), out.critic_grad))
+            opt_policy.step(policy.net.flat, out.policy_grad)
+            opt_critic.step(critic.flat, out.critic_grad)
 
     return TrainResult(policy=policy, critic=critic, curves=curves, aborted_updates=aborted)
 

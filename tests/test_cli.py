@@ -296,3 +296,36 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "auctionlab" in proc.stdout
+
+
+PLAN = "stage_plan: [3, 3]"
+OVER_INDEX = "9223372036854775808"  # sys.maxsize + 1
+
+
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        pytest.param(PLAN, f"stage_plan: {{stages: {OVER_INDEX}, rounds_per_stage: 600}}",
+                     "market.stage_plan.stages", id="stages_over_index"),
+        pytest.param(PLAN, "stage_plan: {stages: -3, rounds_per_stage: 600}", "market.stage_plan.stages",
+                     id="stages_negative"),
+        pytest.param(PLAN, "stage_plan: {stages: 2, rounds_per_stage: 0}", "market.stage_plan.rounds_per_stage",
+                     id="rounds_per_stage_zero"),
+        pytest.param(PLAN, f"stage_plan: {{stages: 2, rounds_per_stage: {OVER_INDEX}}}",
+                     "market.stage_plan.rounds_per_stage", id="rounds_per_stage_over_index"),
+        pytest.param("hidden: [4]", "hidden: [1.0e+308, 1.0e+308]", "hidden", id="hidden_1e308"),
+        pytest.param("hidden: [4]", "hidden: [100000, 100000]", "hidden", id="hidden_over_param_cap"),
+        pytest.param("updates: 2", "updates: 1.0e+308", "updates", id="updates_1e308"),
+        pytest.param("epochs: 1", f"epochs: {OVER_INDEX}", "epochs", id="epochs_over_index"),
+        pytest.param("minibatch: 8", f"minibatch: {OVER_INDEX}", "minibatch", id="minibatch_over_index"),
+    ],
+)
+def test_oversized_counts_end_in_one_config_error(capsys, tmp_path, old, new, key):
+    config = tmp_path / "train.yaml"
+    config.write_text(TRAIN_YAML.replace(old, new))
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("ERROR ConfigError:") and key in err[-1]
+    assert sum(line.startswith("ERROR") for line in err) == 1
+    assert not out.exists()

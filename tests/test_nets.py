@@ -1,5 +1,8 @@
 """Networks and optimizer: forward algebra, backprop vs finite differences, Adam."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,3 +152,99 @@ def test_init_scales_with_fan_in():
     net = MLP(100, (50,), 1, rng=rng)
     assert net.weights[0].std() == pytest.approx(1 / np.sqrt(100), rel=0.2)
     assert np.all(net.biases[0] == 0.0)
+
+
+def _adam_out_of_place(state, params, grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as a fresh-array formula: the reference for the in-place step."""
+    state["t"] += 1
+    state["m"] = beta1 * state["m"] + (1.0 - beta1) * grad
+    state["v"] = beta2 * state["v"] + (1.0 - beta2) * grad ** 2
+    m_hat = state["m"] / (1.0 - beta1 ** state["t"])
+    v_hat = state["v"] / (1.0 - beta2 ** state["t"])
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_adam_in_place_step_matches_out_of_place_formula_bits():
+    rng = np.random.default_rng(11)
+    size, lr = 40, 3e-4
+    opt = Adam(size, lr=lr)
+    want_state = {"t": 0, "m": np.zeros(size), "v": np.zeros(size)}
+    params = rng.standard_normal(size)
+    want = params.copy()
+    for step in range(50):
+        grad = rng.standard_normal(size) * 10.0 ** rng.uniform(-6.0, 6.0, size)
+        grad[rng.random(size) < 0.2] = 0.0
+        grad[rng.random(size) < 0.05] = 1e300
+        grad[rng.random(size) < 0.05] = -1e300
+        got = opt.step(params, grad)
+        want = _adam_out_of_place(want_state, want, grad, lr)
+        assert got is params, step
+        assert params.tobytes() == want.tobytes(), step
+        assert opt.m.tobytes() == want_state["m"].tobytes() and opt.v.tobytes() == want_state["v"].tobytes(), step
+    assert opt.t == 50
+
+
+def _with_standalone_params(net):
+    """A copy of net whose layers are separate arrays, not views of one buffer."""
+    twin = copy.deepcopy(net)
+    twin.weights = [w.copy() for w in net.weights]
+    twin.biases = [b.copy() for b in net.biases]
+    return twin
+
+
+@pytest.mark.parametrize("hidden", [(3,), (5, 7), (64, 64)])
+def test_view_parameters_give_the_bits_of_standalone_arrays(hidden):
+    # Layers after the first sit at 8-byte offsets inside the flat buffer;
+    # BLAS may pick a different kernel for unaligned data, which this rules out.
+    rng = np.random.default_rng(12)
+    net = MLP(9, hidden, 2, rng=rng)
+    net.set_flat(net.get_flat() + rng.standard_normal(net.num_params) * 0.1)
+    twin = _with_standalone_params(net)
+    assert all(np.shares_memory(w, net.flat) for w in net.weights + net.biases)
+    assert not any(np.shares_memory(w, net.flat) for w in twin.weights + twin.biases)
+    for x in (rng.standard_normal(9), rng.standard_normal((1, 9)), rng.standard_normal((128, 9)),
+              rng.standard_normal((300, 1, 9))):
+        out, acts = net.forward(x)
+        want_out, want_acts = twin.forward(x)
+        assert out.tobytes() == want_out.tobytes()
+        dout = rng.standard_normal((len(x) if x.ndim > 1 else 1, 2))
+        if x.ndim == 3:
+            continue  # stacked rows are a forward-only form
+        grads = MLP.flatten_grads(net.backward(acts, dout))
+        assert grads.tobytes() == MLP.flatten_grads(twin.backward(want_acts, dout)).tobytes()
+
+
+def test_weights_are_views_of_the_flat_buffer():
+    rng = np.random.default_rng(13)
+    net = MLP(4, (5, 3), 2, rng=rng)
+    x = rng.standard_normal(4)
+    new = rng.standard_normal(net.num_params)
+    want = new.copy()
+    net.set_flat(new)
+    assert all(np.shares_memory(p, net.flat) for p in net.weights + net.biases)
+    before = net.forward(x)[0].copy()
+    new[:] = 0.0  # set_flat copied in
+    net.get_flat()[:] = 0.0  # get_flat copied out
+    assert net.get_flat().tobytes() == want.tobytes()
+    assert net.forward(x)[0].tobytes() == before.tobytes()
+    net.flat[:] = 0.0  # an in-place write is seen by the next forward
+    assert not net.forward(x)[0].any()
+
+
+def test_copies_rebuild_their_views():
+    rng = np.random.default_rng(14)
+    net = MLP(4, (5,), 2, rng=rng)
+    x = rng.standard_normal(4)
+    for twin in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+        assert not np.shares_memory(twin.flat, net.flat)
+        assert all(np.shares_memory(p, twin.flat) for p in twin.weights + twin.biases)
+        assert twin.forward(x)[0].tobytes() == net.forward(x)[0].tobytes()
+        twin.flat += 1.0
+        assert twin.forward(x)[0].tobytes() != net.forward(x)[0].tobytes()
+
+
+def test_count_params_sizes_the_flat_buffer():
+    assert MLP.count_params((9, 64, 64, 2)) + MLP.count_params((9, 64, 64, 1)) == 9795
+    for sizes in [(3, 2), (9, 3, 1), (4, 5, 7, 2)]:
+        assert MLP(sizes[0], sizes[1:-1], sizes[-1]).num_params == MLP.count_params(sizes)

@@ -2,13 +2,14 @@
 
 import os
 import pathlib
+import sys
 import tempfile
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from auctionlab import (
@@ -337,11 +338,27 @@ def test_resolve_xi():
         dict(updates=0),
         dict(hidden=(0,)),
         dict(sigma_floor=0.0),
+        dict(epochs=sys.maxsize + 1),
+        dict(minibatch=sys.maxsize + 1),
+        dict(updates=int(1e308)),
+        dict(hidden=(int(1e308), int(1e308))),
+        dict(hidden=(100000, 100000)),
     ],
 )
 def test_rl_config_validation(bad):
     with pytest.raises(ConfigError):
         RLConfig(**bad)
+
+
+def test_rl_config_caps_the_policy_and_critic_parameters():
+    # One hidden layer of width h gives (12h + 2) + (11h + 1) parameters.
+    widest = (ppo.MAX_NET_PARAMS - 3) // 23
+    assert MLP.count_params((FEATURE_DIM, widest, 2)) + MLP.count_params((FEATURE_DIM, widest, 1)) \
+        <= ppo.MAX_NET_PARAMS
+    RLConfig(hidden=(widest,))
+    with pytest.raises(ConfigError, match="hidden"):
+        RLConfig(hidden=(widest + 1,))
+    assert RLConfig(epochs=sys.maxsize, minibatch=sys.maxsize, updates=sys.maxsize).updates == sys.maxsize
 
 
 def _random_batch(seed, policy, B=8, logp_jitter=0.04):
@@ -543,6 +560,58 @@ def test_rl_controller_matches_reference_on_training_market():
     assert ctrl.stage_true_errors == ref.stage_true_errors
 
 
+@st.composite
+def _multi_bidder_markets(draw):
+    ctr_lo = draw(st.floats(0.3, 1.0))
+    cvr_hi = draw(st.floats(0.01, ctr_lo))
+    plan = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+    return MarketConfig(
+        num_bidders=draw(st.integers(2, 5)),
+        num_rounds=sum(plan),
+        num_slots=draw(st.integers(1, 3)),
+        stage_plan=plan,
+        ctr_range=(ctr_lo, draw(st.floats(ctr_lo, 1.0))),
+        cvr_range=(draw(st.floats(0.001, cvr_hi)), cvr_hi),
+        tcpa_range=(0.5, draw(st.floats(0.5, 10.0))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_multi_bidder_markets(), st.sampled_from([(4,), (64, 64)]), st.booleans())
+def test_rl_controller_matches_reference_on_multi_bidder_markets(config, hidden, deterministic):
+    market = generate_market(config)
+    net_rng = np.random.default_rng(config.seed)
+    policy = GaussianPolicy(MLP(FEATURE_DIM, hidden, 2, net_rng))
+    critic = MLP(FEATURE_DIM, hidden, 1, net_rng)
+
+    def controller(cls):
+        rng = np.random.Generator(np.random.Philox(key=[config.seed, 12]))
+        return cls(policy, critic, market.tcpa, rng=rng, deterministic=deterministic)
+
+    ctrl, ref = controller(RLPaymentController), controller(ReferenceRLController)
+    active_counts = []
+    on_click = ctrl.on_click
+
+    def counting_on_click(*args):
+        payment = on_click(*args)
+        active_counts.append(len(ctrl.active))
+        return payment
+
+    ctrl.on_click = counting_on_click
+    agents = [TruthfulAgent() for _ in range(market.num_bidders)]
+    result = run_auction(market, MechanismConfig("DFP", controller="rl"), agents, ctrl)
+    columns, _ = online_dfp_reference(market, [TruthfulAgent() for _ in range(market.num_bidders)], ref)
+    assert result.rounds.payment.tobytes() == columns["payment"].tobytes()
+    traj, want = ctrl.trajectory(), ref.trajectory()
+    for name in ("features", "actions_raw", "log_probs", "rewards", "values"):
+        assert getattr(traj, name).tobytes() == getattr(want, name).tobytes(), name
+    assert traj.episode_lengths == want.episode_lengths
+    assert np.array(ctrl.stage_true_errors).tobytes() == np.array(ref.stage_true_errors).tobytes()
+    # Count only markets where some click priced two or more active bidders.
+    assume(max(active_counts, default=0) >= 2)
+
+
 def test_train_is_deterministic():
     a = train(_toy_market(), _toy_rl(), seed=5)
     b = train(_toy_market(), _toy_rl(), seed=5)
@@ -613,6 +682,23 @@ def test_divergence_guard_restores_optimizer_state(monkeypatch):
     assert out.aborted_updates == 1
     assert seen[:4] == [(0, True), (0, True), (1, False), (1, False)]
     assert seen[4:6] == [(0, True), (0, True)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rolled_back_nets_keep_training_their_own_buffers():
+    # The divergence guard restores both nets from a snapshot; their layers
+    # must again be views of the restored buffer that Adam updates in place.
+    out = train(_toy_market(), _toy_rl(lr=1e15, updates=1, epochs=1, minibatch=2), seed=3)
+    assert out.aborted_updates == 1
+    x = np.linspace(-1.0, 1.0, FEATURE_DIM)
+    for net in (out.policy.net, out.critic):
+        before = net.forward(x)[0].copy()
+        Adam(net.num_params, lr=1e-2).step(net.flat, np.ones(net.num_params))
+        after = net.forward(x)[0]
+        assert after.tobytes() != before.tobytes()
+        fresh = MLP(net.sizes[0], net.sizes[1:-1], net.sizes[-1])
+        fresh.set_flat(net.get_flat())
+        assert fresh.forward(x)[0].tobytes() == after.tobytes()
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
