@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import AuctionLabError, ConfigError, MissingInputError, SchemaError
+from .errors import ConfigError, MissingInputError, SchemaError
 from .experiments import load_config, run_experiment
 from .market import generate_market, write_market_csv
 from .ppo import save_checkpoint, train, write_curves_csv
@@ -150,9 +150,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse --help lands here with code 0.
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else 1
-    except AuctionLabError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -30,9 +30,10 @@ DEFAULT_CAP_FACTOR = 10.0
 class ControllerState:
     """Per-bidder debt-controller state.
 
-    paid_stage, pending_conversions, and clicks_in_stage reset at stage
-    boundaries; carry persists (recomputed from the feedback release);
-    visible_conversions is the cumulative count through the last boundary.
+    paid_stage and pending_conversions reset at stage boundaries; carry
+    persists (recomputed from the feedback release); visible_conversions is
+    the cumulative count through the last boundary. Every on_click sets
+    expected_remaining_clicks before the payment step reads it.
     """
 
     tcpa: float
@@ -40,7 +41,6 @@ class ControllerState:
     visible_conversions: float = 0.0
     pending_conversions: float = 0.0
     expected_remaining_clicks: float = 0.0
-    clicks_in_stage: int = 0
     carry: float = 0.0
     paid_total: float = 0.0
     cap_factor: float = DEFAULT_CAP_FACTOR
@@ -77,7 +77,6 @@ class DebtController:
     def on_click(self, bidder: int, round_index: int, cvr: float, expected_remaining_clicks: float) -> float:
         st = self.states[bidder]
         st.pending_conversions += cvr
-        st.clicks_in_stage += 1
         st.expected_remaining_clicks = expected_remaining_clicks
         payment = debt_controller_step(st)
         st.paid_stage += payment
@@ -90,8 +89,6 @@ class DebtController:
             st.carry = st.visible_conversions * st.tcpa - st.paid_total
             st.pending_conversions = 0.0
             st.paid_stage = 0.0
-            st.clicks_in_stage = 0
-            st.expected_remaining_clicks = 0.0
 
 
 def stage_pacing_oracle(stage_clicks: np.ndarray, stage_conversions: np.ndarray, tcpa: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from .analysis import (
 from .controllers import DebtController
 from .csvio import ReuseMemo, write_table
 from .errors import ConfigError, MissingInputError
-from .market import MarketConfig, generate_market
+from .market import MAX_MARKET_CELLS, MarketConfig, generate_market
 from .mechanisms import (
     MechanismConfig,
     SimulationResult,
@@ -164,8 +164,8 @@ def _as_stage_plan(plan, key: str) -> tuple[int, ...]:
         counts[name] = _as_int(plan[name], f"{key}.{name}")
         if counts[name] < 1:
             raise ConfigError(f"{key}.{name} must be at least 1, got {counts[name]}")
-        if counts[name] > sys.maxsize:
-            raise ConfigError(f"{key}.{name} must be at most {sys.maxsize}")
+    if counts["stages"] * counts["rounds_per_stage"] > MAX_MARKET_CELLS:
+        raise ConfigError(f"{key}.stages x {key}.rounds_per_stage must be at most {MAX_MARKET_CELLS} rounds")
     return (counts["rounds_per_stage"],) * counts["stages"]
 
 

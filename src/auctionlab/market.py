@@ -57,6 +57,10 @@ _INV53 = 2.0 ** -53
 # stay in cache across all ten rounds.
 _PHILOX_BLOCK = 16384
 
+# The most (round, bidder, slot) cells a market may have: at 2**28 the
+# float64 ctr block alone takes 2 GiB.
+MAX_MARKET_CELLS = 2 ** 28
+
 _TCPA_STREAM = 1
 _CTR_STREAM = 2
 _CVR_STREAM = 3
@@ -140,9 +144,11 @@ class MarketConfig:
     """Market dimensions, sampling ranges, and the stage partition.
 
     stage_plan lists the length N_t of each stage; the lengths must sum to
-    num_rounds. Rate ranges live in (0, 1] and the cvr range must sit at or
-    below the ctr range (cvr upper bound <= ctr lower bound), keeping
-    conversion rates well below click rates in every sampled round.
+    num_rounds. The (round, bidder, slot) grid holds at most
+    MAX_MARKET_CELLS cells. Rate ranges live in (0, 1] and the cvr range
+    must sit at or below the ctr range (cvr upper bound <= ctr lower
+    bound), keeping conversion rates well below click rates in every
+    sampled round.
     """
 
     num_bidders: int
@@ -160,6 +166,8 @@ class MarketConfig:
         for name in ("num_bidders", "num_rounds", "num_slots"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if math.prod(int(n) for n in (self.num_rounds, self.num_bidders, self.num_slots)) > MAX_MARKET_CELLS:
+            raise ConfigError(f"num_rounds x num_bidders x num_slots must be at most {MAX_MARKET_CELLS} cells")
         if not self.stage_plan or any(n < 1 for n in self.stage_plan):
             raise ConfigError("stage_plan must be a nonempty list of positive stage lengths")
         if sum(self.stage_plan) != self.num_rounds:
@@ -216,9 +224,6 @@ class MarketLog:
     def num_slots(self) -> int:
         return self.config.num_slots
 
-    def sampler(self) -> "OutcomeSampler":
-        return OutcomeSampler(self.config.seed)
-
 
 def generate_market(config: MarketConfig) -> MarketLog:
     """Deterministically generate a market from its config.
@@ -247,32 +252,13 @@ def generate_market(config: MarketConfig) -> MarketLog:
     return MarketLog(config=config, tcpa=tcpa, ctr=ctr, cvr=cvr, value=value)
 
 
-class OutcomeSampler:
-    """Counter-based click/conversion uniforms, addressable by (round, bidder, slot).
-
-    Two uniforms exist for every triple whether or not a slot is displayed;
-    unallocated triples simply never get read, which keeps the outcome stream
-    invariant to allocation and payment logic.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-
-    def uniforms(self, rounds: np.ndarray, bidders: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Click and conversion uniforms for each (round, bidder, slot) triple."""
-        w0, w1, _, _ = philox4x64((self.seed, _OUTCOME_STREAM), (1, slots, bidders, rounds))
-        return _uniform_doubles(w0), _uniform_doubles(w1)
-
-
 def sample_outcomes(
-    log: MarketLog,
-    rounds: np.ndarray,
-    bidders: np.ndarray,
-    slots: np.ndarray,
-    sampler: OutcomeSampler | None = None,
+    log: MarketLog, rounds: np.ndarray, bidders: np.ndarray, slots: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample (click, conversion) for displayed triples, honoring replay overrides.
 
+    Each triple's click and conversion uniforms are words 0 and 1 of its own
+    Philox block under the log's seed, whatever the allocation or payments.
     Returns two uint8 arrays shaped like the inputs. A conversion requires its
     click (z <= y elementwise).
     """
@@ -283,10 +269,9 @@ def sample_outcomes(
         y = log.click_override[rounds, bidders, slots]
         z = log.conv_override[rounds, bidders, slots] & y
         return y.astype(np.uint8), z.astype(np.uint8)
-    sampler = sampler or log.sampler()
-    u_click, u_conv = sampler.uniforms(rounds, bidders, slots)
-    y = u_click < log.ctr[rounds, bidders, slots]
-    z = y & (u_conv < log.cvr[rounds, bidders])
+    w0, w1, _, _ = philox4x64((log.config.seed, _OUTCOME_STREAM), (1, slots, bidders, rounds))
+    y = _uniform_doubles(w0) < log.ctr[rounds, bidders, slots]
+    z = y & (_uniform_doubles(w1) < log.cvr[rounds, bidders])
     return y.astype(np.uint8), z.astype(np.uint8)
 
 
@@ -305,14 +290,13 @@ def write_market_csv(log: MarketLog, path: str) -> None:
     """
     N, M, K = log.num_rounds, log.num_bidders, log.num_slots
     ctr, cvr, value = log.ctr.reshape(-1), log.cvr.reshape(-1), log.value.reshape(-1)
-    sampler = log.sampler()
 
     def chunks():
         for start in range(0, N * M * K, CHUNK_ROWS):
             flat = np.arange(start, min(start + CHUNK_ROWS, N * M * K))
             pair, kk = np.divmod(flat, K)
             rr, mm = np.divmod(pair, M)
-            y, z = sample_outcomes(log, rr, mm, kk, sampler)
+            y, z = sample_outcomes(log, rr, mm, kk)
             yield [rr, mm, kk, ctr[flat], cvr[pair], value[pair], y, z]
 
     write_table(path, MARKET_CSV_HEADER, chunks())

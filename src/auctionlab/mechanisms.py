@@ -38,7 +38,7 @@ import numpy as np
 from .controllers import stage_pacing_oracle
 from .csvio import ReuseMemo, write_table
 from .errors import ConfigError, ContractViolation
-from .market import MarketLog, OutcomeSampler, sample_outcomes, stage_starts
+from .market import MarketLog, sample_outcomes, stage_starts
 
 ROUNDS_CSV_HEADER = "round,stage,bidder,slot,score,click,conversion,payment,bid"
 SUMMARY_CSV_HEADER = (
@@ -226,9 +226,7 @@ def _check_bids(bids: np.ndarray, source: str) -> None:
         raise ContractViolation(f"bidder {m} returned a non-finite bid {float(bids[m])!r} from {source}")
 
 
-def _outcome_pass(
-    market: MarketLog, t: int, s0: int, bids: np.ndarray, sampler: OutcomeSampler
-) -> tuple[np.ndarray, ...]:
+def _outcome_pass(market: MarketLog, t: int, s0: int, bids: np.ndarray) -> tuple[np.ndarray, ...]:
     """Score -> allocate -> sample for stage t under the stage's bids.
 
     The result depends only on (market, stage, bid vector): outcomes come
@@ -252,7 +250,7 @@ def _outcome_pass(
     winner, valid = _stage_allocation(scores, market.num_slots)
     rows, slots = np.nonzero(valid)
     bidders = winner[rows, slots]
-    y, z = sample_outcomes(market, rows + s0, bidders, slots, sampler)
+    y, z = sample_outcomes(market, rows + s0, bidders, slots)
     kept = (rows.astype(np.int32), slots.astype(np.int32), bidders.astype(np.int32), y, z)
     for column in kept:
         column.flags.writeable = False
@@ -311,7 +309,6 @@ def run_auction(
         raise ContractViolation(f"DFP with controller {mech.controller!r} needs a controller instance")
     dynamic_bids = mech.kind in ("CFP", "CPA_OFFLINE") or online_dfp
 
-    sampler = market.sampler()
     tcpa = market.tcpa
     bids = np.array([float(agents[m].initial_bid(float(tcpa[m]))) for m in range(M)])
     _check_bids(bids, "initial_bid for stage 0")
@@ -326,7 +323,7 @@ def run_auction(
         s0 = int(starts[t])
         n_t = plan[t]
         bid_by_stage[t] = bids
-        rows, slots, bidders, y, z = _outcome_pass(market, t, s0, bids, sampler)
+        rows, slots, bidders, y, z = _outcome_pass(market, t, s0, bids)
         rounds_global = rows.astype(np.int64) + s0
 
         # Pricing pass.

@@ -136,13 +136,13 @@ class MLP:
 
 
 class Adam:
-    """Standard Adam on a flat parameter vector, updated in place."""
+    """Standard Adam on a flat parameter vector, updated in place, with the
+    textbook moment decays beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
 
-    def __init__(self, size: int, lr: float = 3e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int, lr: float = 3e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0

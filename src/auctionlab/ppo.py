@@ -151,18 +151,17 @@ def build_state_features(
     )
 
 
-def accuracy_reward(paid: np.ndarray | list[float], targets: np.ndarray | list[float],
-                    floor: float = ACCURACY_FLOOR) -> float:
+def accuracy_reward(paid: np.ndarray | list[float], targets: np.ndarray | list[float]) -> float:
     """Negative log of the summed absolute ratio error across active bidders.
 
     A total error of 1 maps to reward 0; smaller errors are rewarded on a
-    log scale, floored so a perfect stage stays finite. The online payer
-    calls this once per click with a handful of bidders in Python lists, so
-    each term is formed from the values as given (the same IEEE operations
-    NumPy would apply elementwise) in one pass that also checks them. Two or
-    more terms are summed by np.add.reduce, the reduction behind np.sum; a
-    single term is the total as it stands, which is what np.add.reduce
-    returns for one element.
+    log scale, floored at ACCURACY_FLOOR so a perfect stage stays finite.
+    The online payer calls this once per click with a handful of bidders in
+    Python lists, so each term is formed from the values as given (the same
+    IEEE operations NumPy would apply elementwise) in one pass that also
+    checks them. Two or more terms are summed by np.add.reduce, the
+    reduction behind np.sum; a single term is the total as it stands, which
+    is what np.add.reduce returns for one element.
 
     Raises:
         SchemaError: mismatched lengths, a target that is not positive and
@@ -178,7 +177,7 @@ def accuracy_reward(paid: np.ndarray | list[float], targets: np.ndarray | list[f
             raise SchemaError("accuracy payments must be finite")
         terms.append(abs(p / t - 1.0))
     total = terms[0] if len(terms) == 1 else float(np.add.reduce(np.array(terms, dtype=np.float64)))
-    return float(-np.log(max(total, floor)))
+    return float(-np.log(max(total, ACCURACY_FLOOR)))
 
 
 def smoothness_reward(payment: float, last_payment: float | None) -> float:
@@ -295,13 +294,9 @@ def gae(deltas: np.ndarray, gamma: float, lam: float) -> np.ndarray:
 
 
 def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    rewards = np.asarray(rewards, dtype=np.float64)
-    out = np.empty_like(rewards)
-    acc = 0.0
-    for t in range(rewards.size - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
-        out[t] = acc
-    return out
+    """Reward-to-go sums, the lam = 1 case of ``gae``: gamma * 1.0 is
+    gamma exactly, so each return has the bits of its own reverse scan."""
+    return gae(rewards, gamma, 1.0)
 
 
 def ppo_clip_loss(ratios: np.ndarray, advantages: np.ndarray, clip: float) -> float:

@@ -13,8 +13,9 @@ clicks one at a time, in the form the engine's click loop had before it
 went columnar. ReferenceRLController is the learned payer in the same
 older form: a NumPy ledger indexed per click, with reference_act,
 reference_value_estimate, reference_forward and reference_accuracy_reward
-as its policy step, critic, network pass and reward. The package's faster
-forms must reproduce all of them bit for bit.
+as its policy step, critic, network pass and reward, and
+reference_discounted_returns is the critic targets' own reverse scan. The
+package's faster forms must reproduce all of them bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from auctionlab.errors import ConfigError, ContractViolation, NumericalFault, SchemaError
-from auctionlab.market import MarketLog, OutcomeSampler, sample_outcomes, stage_starts
+from auctionlab.market import MarketLog, sample_outcomes, stage_starts
 from auctionlab.mechanisms import ROUNDS_CSV_HEADER, ranking_score
 from auctionlab.nets import MLP
 from auctionlab.ppo import (
@@ -101,12 +102,7 @@ def validate_allocation(allocation: np.ndarray, num_slots: int) -> None:
         raise ContractViolation("a slot may be held by at most one bidder")
 
 
-def sample_round(
-    log: MarketLog,
-    round_index: int,
-    allocation: np.ndarray,
-    sampler: OutcomeSampler | None = None,
-) -> RoundOutcome:
+def sample_round(log: MarketLog, round_index: int, allocation: np.ndarray) -> RoundOutcome:
     """Sample one round's outcomes for a given allocation; payments start at 0.
 
     Exactly two RNG uniforms are addressed per displayed slot (click, then
@@ -121,7 +117,7 @@ def sample_round(
     bidders, slots = np.nonzero(x)
     if bidders.size:
         rounds = np.full(bidders.shape, round_index)
-        y[bidders, slots], z[bidders, slots] = sample_outcomes(log, rounds, bidders, slots, sampler)
+        y[bidders, slots], z[bidders, slots] = sample_outcomes(log, rounds, bidders, slots)
     return RoundOutcome(allocation=x, click=y, conversion=z, payment=np.zeros(x.shape, dtype=np.float64))
 
 
@@ -220,7 +216,7 @@ def reference_forward(net: MLP, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def reference_accuracy_reward(paid: np.ndarray, targets: np.ndarray, floor: float = 1e-12) -> float:
+def reference_accuracy_reward(paid: np.ndarray, targets: np.ndarray) -> float:
     paid = np.asarray(paid, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if paid.shape != targets.shape:
@@ -228,7 +224,18 @@ def reference_accuracy_reward(paid: np.ndarray, targets: np.ndarray, floor: floa
     if np.any(targets <= 0.0):
         raise SchemaError("accuracy targets must be positive")
     total = float(np.sum(np.abs(paid / targets - 1.0)))
-    return float(-np.log(max(total, floor)))
+    return float(-np.log(max(total, 1e-12)))
+
+
+def reference_discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """Reward-to-go sums by their own reverse scan, acc = r[t] + gamma * acc."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    out = np.empty_like(rewards)
+    acc = 0.0
+    for t in range(rewards.size - 1, -1, -1):
+        acc = rewards[t] + gamma * acc
+        out[t] = acc
+    return out
 
 
 def reference_act(policy: GaussianPolicy, features: np.ndarray, rng=None, deterministic: bool = False):

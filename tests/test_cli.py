@@ -9,6 +9,7 @@ import pytest
 
 from auctionlab.cli import main
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 RUN_YAML = """
 market:
   num_bidders: 3
@@ -328,4 +329,51 @@ def test_oversized_counts_end_in_one_config_error(capsys, tmp_path, old, new, ke
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("ERROR ConfigError:") and key in err[-1]
     assert sum(line.startswith("ERROR") for line in err) == 1
+    assert not out.exists()
+
+
+# Runs cli.main under an address-space limit, so that a market nothing caps
+# fails to allocate instead of taking the test machine's memory.
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+from auctionlab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+SPARSE_PLAN = "stage_plan: {stages: 31, rounds_per_stage: 600}"
+TOY_PLAN = "stage_plan: {stages: 31, rounds_per_stage: 200}"
+
+
+@pytest.mark.parametrize(
+    "command,config,old,new,key",
+    [
+        pytest.param("generate", "sparse.yaml", "num_bidders: 10", f"num_bidders: {OVER_INDEX}", "num_bidders",
+                     id="bidders_over_index"),
+        pytest.param("generate", "sparse.yaml", "num_slots: 4", "num_slots: 1.0e+308", "num_slots", id="slots_1e308"),
+        pytest.param("generate", "sparse.yaml", "num_bidders: 10", "num_bidders: 10000000", "num_bidders",
+                     id="bidders_ten_million"),
+        pytest.param("run", "sparse.yaml", SPARSE_PLAN, "stage_plan: {stages: 31, rounds_per_stage: 1000000}",
+                     "num_rounds", id="rounds_over_cells"),
+        pytest.param("train", "toy_train.yaml", TOY_PLAN, "stage_plan: {stages: 100000, rounds_per_stage: 100000}",
+                     "market.stage_plan.stages", id="plan_ten_billion_rounds"),
+        pytest.param("train", "toy_train.yaml", TOY_PLAN, "stage_plan: {stages: 1099511627776, rounds_per_stage: 600}",
+                     "market.stage_plan.rounds_per_stage", id="plan_2_to_the_40_stages"),
+    ],
+)
+def test_oversized_markets_end_in_one_config_error(tmp_path, command, config, old, new, key):
+    with open(os.path.join(CONFIGS, config), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = tmp_path / config
+    path.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, command, "--config", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    err = proc.stderr.strip().splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert err[-1].startswith("ERROR ConfigError:") and key in err[-1], err[-1]
+    assert len(err[-1]) < 200 and sum(line.startswith("ERROR") for line in err) == 1
     assert not out.exists()

@@ -76,7 +76,7 @@ def test_debt_controller_hand_walk():
     # Stage closes: two conversions revealed, debt carried forward.
     ctrl.end_stage(np.array([2.0]))
     assert st.carry == pytest.approx(1.7, abs=1e-12)
-    assert st.pending_conversions == 0.0 and st.paid_stage == 0.0 and st.clicks_in_stage == 0
+    assert st.pending_conversions == 0.0 and st.paid_stage == 0.0
 
     pays = [ctrl.on_click(0, 3 + r, 0.1, R) for r, R in enumerate([2.0, 1.0, 0.0])]
     assert pays == pytest.approx([0.9, 1.0, 0.1], abs=1e-12)

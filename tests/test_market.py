@@ -21,7 +21,7 @@ from auctionlab import (
     write_market_csv,
 )
 from auctionlab.csvio import CHUNK_ROWS
-from auctionlab.market import _PHILOX_BLOCK, MarketLog, OutcomeSampler, philox4x64, read_market_csv
+from auctionlab.market import _PHILOX_BLOCK, MarketLog, _uniform_doubles, philox4x64, read_market_csv
 from reference import RoundOutcome, sample_round, stage_of, validate_allocation
 
 _MASK = (1 << 64) - 1
@@ -164,9 +164,9 @@ def test_generation_streams_match_numpy_generators():
 
 
 def test_outcome_uniforms_match_numpy_counter_streams():
-    sampler = OutcomeSampler(31)
     for n, m, k in [(0, 0, 0), (5, 2, 1), (1799, 49, 4)]:
-        u_click, u_conv = sampler.uniforms(np.array([n]), np.array([m]), np.array([k]))
+        w0, w1, _, _ = philox4x64((31, 5), (1, np.array([k]), np.array([m]), np.array([n])))
+        u_click, u_conv = _uniform_doubles(w0), _uniform_doubles(w1)
         gen = np.random.Generator(np.random.Philox(key=[31, 5], counter=[0, k, m, n]))
         want = gen.random(2)
         assert float(u_click[0]) == float(want[0])

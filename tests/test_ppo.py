@@ -58,6 +58,7 @@ from reference import (
     online_dfp_reference,
     reference_accuracy_reward,
     reference_act,
+    reference_discounted_returns,
     reference_value_estimate,
 )
 
@@ -159,6 +160,40 @@ def test_discounted_returns_values():
     np.testing.assert_allclose(discounted_returns(np.array([1.0, 1.0, 1.0]), 1.0), [3.0, 2.0, 1.0])
     np.testing.assert_allclose(discounted_returns(np.array([1.0, 1.0, 1.0]), 0.0), [1.0, 1.0, 1.0])
     np.testing.assert_allclose(discounted_returns(np.array([1.0, 2.0]), 0.5), [2.0, 2.0])
+
+
+# Signed zeros, subnormals and magnitudes up to 1e300, few enough per episode
+# that no return overflows.
+_REWARDS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+        st.floats(-1e300, 1e300),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_REWARDS, st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0)), st.data())
+def test_discounted_returns_keep_the_bits_of_their_own_scan(rewards, gamma, data):
+    rewards = np.array(rewards)
+    want = reference_discounted_returns(rewards, gamma)
+    assert discounted_returns(rewards, gamma).tobytes() == want.tobytes()
+    # The critic targets take the same returns per episode.
+    cuts = sorted(data.draw(st.sets(st.integers(1, rewards.size - 1), max_size=4)) if rewards.size > 1 else ())
+    lengths = np.diff([0, *cuts, rewards.size]).tolist()
+    traj = Trajectory(
+        features=np.zeros((rewards.size, FEATURE_DIM)),
+        actions_raw=np.zeros(rewards.size),
+        log_probs=np.zeros(rewards.size),
+        rewards=rewards,
+        values=np.zeros(rewards.size),
+        episode_lengths=lengths,
+    )
+    _, returns = trajectory_targets(traj, gamma, 0.95)
+    pieces = np.split(rewards, np.cumsum(lengths)[:-1])
+    assert returns.tobytes() == np.concatenate([reference_discounted_returns(p, gamma) for p in pieces]).tobytes()
 
 
 def test_gae_equals_returns_minus_values_when_undiscounted():

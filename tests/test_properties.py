@@ -6,11 +6,14 @@ them, for every mechanism, on markets hypothesis generates. The online DFP
 payers are also held bit for bit to the per-click reference forms there,
 runs that share a log's memoised outcome pass to runs on fresh logs, and
 the stage tables to their recount from the rounds log, and runs on a
-market read back from its replay CSV to runs on the live market.
+market read back from its replay CSV to runs on the live market. Outcomes
+are held to their address: the seed and the (round, bidder, slot) triple.
 """
 
+import dataclasses
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,8 +28,10 @@ from auctionlab import (
     checkpoint_ratio_table,
     generate_market,
     run_auction,
+    sample_outcomes,
     write_market_csv,
 )
+from auctionlab import market as market_module
 from auctionlab.controllers import DEFAULT_CAP_FACTOR, stage_pacing_oracle
 from auctionlab.market import read_market_csv
 from auctionlab.nets import MLP
@@ -282,3 +287,27 @@ def test_stage_tables_equal_their_recount_from_the_rounds_log(config, risk_avers
         }
         for name, table in want.items():
             assert _same_bits(getattr(result, name), table), (mech.label, name)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(market_configs(), st.data())
+def test_outcomes_are_addressed_by_seed_and_triple_alone(config, data):
+    # Any subset of the grid, in any order and split over two calls, draws
+    # what the full grid draws at those triples; a small Philox block makes
+    # the calls cross block boundaries.
+    log = generate_market(config)
+    grid = np.indices((config.num_rounds, config.num_bidders, config.num_slots)).reshape(3, -1)
+    full = np.stack(sample_outcomes(log, *grid))
+    size = grid.shape[1]
+    count = data.draw(st.integers(1, size))
+    take = np.random.default_rng(data.draw(st.integers(0, 2**32))).permutation(size)[:count]
+    cut = data.draw(st.integers(0, count))
+    with mock.patch.object(market_module, "_PHILOX_BLOCK", data.draw(st.integers(1, 5))):
+        parts = [np.stack(sample_outcomes(log, *grid[:, part])) for part in (take[:cut], take[cut:])]
+    assert np.array_equal(np.concatenate(parts, axis=1), full[:, take])
+    if size >= 64:
+        # The same rates under another seed draw other outcomes somewhere;
+        # rates of one half keep every triple's outcome open.
+        half = dataclasses.replace(log, ctr=np.full_like(log.ctr, 0.5), cvr=np.full_like(log.cvr, 0.5))
+        reseeded = dataclasses.replace(half, config=dataclasses.replace(config, seed=config.seed + 1))
+        assert not np.array_equal(np.stack(sample_outcomes(half, *grid)), np.stack(sample_outcomes(reseeded, *grid)))
