@@ -26,12 +26,12 @@ state = ControllerState(tcpa=TCPA)
 print(f"{'click':>5} {'remaining':>9} {'estimate':>9} {'payment':>8} {'paid':>7}")
 for k in range(5):
     state.pending_conversions += CVR          # the click being priced counts
-    state.expected_remaining_clicks = 4.0 - k  # clicks expected after this one
-    pay = debt_controller_step(state)
+    remaining = 4.0 - k                      # clicks expected after this one
+    pay = debt_controller_step(state, remaining)
     state.paid_stage += pay
     state.paid_total += pay
     est = expected_conversion_estimate(state)
-    print(f"{k:5d} {state.expected_remaining_clicks:9.1f} {est:9.2f} {pay:8.4f} {state.paid_stage:7.4f}")
+    print(f"{k:5d} {remaining:9.1f} {est:9.2f} {pay:8.4f} {state.paid_stage:7.4f}")
 
 # after the last expected click the books balance: paid == estimate * tcpa
 assert abs(state.paid_stage - 5 * CVR * TCPA) < 1e-12

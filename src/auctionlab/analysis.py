@@ -21,6 +21,7 @@ import numpy as np
 
 from .csvio import write_table
 from .errors import ConfigError, SchemaError
+from .market import _CHERNOFF_STREAM, _stream
 from .mechanisms import SimulationResult
 
 RATIO_CSV_HEADER = "bidder,stage,ratio"
@@ -262,8 +263,7 @@ def chernoff_empirical_check(
         click_volume = chernoff_min_clicks(epsilon, cvr)
     if click_volume == 0:
         return 0.0
-    rng = np.random.Generator(np.random.Philox(key=[seed, 21]))
-    draws = rng.binomial(click_volume, cvr, size=trials)
+    draws = _stream(seed, _CHERNOFF_STREAM).binomial(click_volume, cvr, size=trials)
     mean = click_volume * cvr
     violations = np.abs(draws / mean - 1.0) > epsilon
     return float(np.mean(violations))

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .errors import ConfigError, MissingInputError, SchemaError
 from .experiments import load_config, run_experiment
-from .market import generate_market, write_market_csv
+from .market import _check_seed, generate_market, write_market_csv
 from .ppo import save_checkpoint, train, write_curves_csv
 
 
@@ -54,13 +54,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out(path: str) -> None:
+    """Create the output directory once the arguments are checked, before any work."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path!r} cannot be made a directory: {exc.strerror}") from None
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     market_config = config.market
     if args.seed is not None:
         market_config = replace(market_config, seed=args.seed)
+    _make_out(args.out)
     market = generate_market(market_config)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "market.csv")
     write_market_csv(market, path)
     # The market table carries no targets; keep them next to it for replay.
@@ -86,6 +94,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             labels = [m.label for m in config.mechanisms]
             raise ConfigError(f"mechanism {args.mechanism!r} not in config (has: {', '.join(labels)})")
         config = replace(config, mechanisms=picked)
+    _make_out(args.out)
     out = run_experiment(config, args.out, rl_checkpoint=args.checkpoint)
     print(out["out_dir"])
     return 0
@@ -93,8 +102,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    _check_seed(args.seed, "training seed")
+    _make_out(args.out)
     result = train(config.market, config.rl, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.txt")
     save_checkpoint(result.policy, result.critic, ckpt)
     write_curves_csv(result.curves, os.path.join(args.out, "curves.csv"))

@@ -32,15 +32,13 @@ class ControllerState:
 
     paid_stage and pending_conversions reset at stage boundaries; carry
     persists (recomputed from the feedback release); visible_conversions is
-    the cumulative count through the last boundary. Every on_click sets
-    expected_remaining_clicks before the payment step reads it.
+    the cumulative count through the last boundary.
     """
 
     tcpa: float
     paid_stage: float = 0.0
     visible_conversions: float = 0.0
     pending_conversions: float = 0.0
-    expected_remaining_clicks: float = 0.0
     carry: float = 0.0
     paid_total: float = 0.0
     cap_factor: float = DEFAULT_CAP_FACTOR
@@ -51,15 +49,16 @@ def expected_conversion_estimate(state: ControllerState) -> float:
     return state.visible_conversions + state.pending_conversions
 
 
-def debt_controller_step(state: ControllerState) -> float:
+def debt_controller_step(state: ControllerState, expected_remaining_clicks: float) -> float:
     """Per-click payment for the current state (pure; caller applies it).
 
-    clamp((carry + pending * tcpa - paid_stage) / max(1, R), 0, cap * tcpa).
+    clamp((carry + pending * tcpa - paid_stage) / max(1, R), 0, cap * tcpa),
+    with R = expected_remaining_clicks, the clicks expected after this one.
     In the first stage carry is 0, so the debt is exactly
     expected_conversion_estimate * tcpa - paid_stage.
     """
     debt = state.carry + state.pending_conversions * state.tcpa - state.paid_stage
-    divisor = max(1.0, state.expected_remaining_clicks)
+    divisor = max(1.0, expected_remaining_clicks)
     cap = state.cap_factor * state.tcpa
     return float(min(max(debt / divisor, 0.0), cap))
 
@@ -70,15 +69,14 @@ class DebtController:
     def __init__(self, tcpa: np.ndarray, cap_factor: float = DEFAULT_CAP_FACTOR):
         self.states = [ControllerState(tcpa=float(t), cap_factor=cap_factor) for t in np.asarray(tcpa)]
 
-    def begin_stage(self, stage: int, expected_clicks: np.ndarray, expected_conversions: np.ndarray,
+    def begin_stage(self, expected_clicks: np.ndarray, expected_conversions: np.ndarray,
                     bids: np.ndarray, stage_start: int, stage_len: int) -> None:
         pass  # the per-click schedule arrives with each click
 
     def on_click(self, bidder: int, round_index: int, cvr: float, expected_remaining_clicks: float) -> float:
         st = self.states[bidder]
         st.pending_conversions += cvr
-        st.expected_remaining_clicks = expected_remaining_clicks
-        payment = debt_controller_step(st)
+        payment = debt_controller_step(st, expected_remaining_clicks)
         st.paid_stage += payment
         st.paid_total += payment
         return payment

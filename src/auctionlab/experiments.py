@@ -248,7 +248,7 @@ def _make_controller(mech: MechanismConfig, tcpa: np.ndarray, rl: RLConfig | Non
         return DebtController(tcpa)
     if mech.controller == "rl":
         policy, critic = rl_nets
-        return RLPaymentController(policy, critic, tcpa, zeta=rl.zeta, xi=rl.xi, deterministic=True, collect=False)
+        return RLPaymentController(policy, critic, tcpa, zeta=rl.zeta, xi=rl.xi, collect=False)
     return None
 
 

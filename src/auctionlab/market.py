@@ -66,6 +66,9 @@ _CTR_STREAM = 2
 _CVR_STREAM = 3
 _VALUE_STREAM = 4
 _OUTCOME_STREAM = 5
+# Streams drawn outside generation: the policy trainer's and the Chernoff verifier's.
+_INIT_STREAM, _ACTION_STREAM, _SHUFFLE_STREAM, _MARKET_SEED_STREAM = 11, 12, 13, 14
+_CHERNOFF_STREAM = 21
 
 
 def _mulhi(a: np.ndarray, b_lo: np.uint64, b_hi: np.uint64) -> np.ndarray:
@@ -131,6 +134,11 @@ def _stream(seed: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, purpose], dtype=np.uint64)))
 
 
+def _check_seed(seed: int, name: str) -> None:
+    if not (0 <= int(seed) < 2 ** 64):
+        raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {seed}")
+
+
 def _check_range(name: str, rng: tuple[float, float], lo_ok: float, hi_ok: float) -> None:
     lo, hi = rng
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
@@ -183,8 +191,7 @@ class MarketConfig:
             )
         _check_range("value_range", self.value_range, 0.0, float("inf"))
         _check_range("tcpa_range", self.tcpa_range, 0.0, float("inf"))
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ConfigError("seed must be an unsigned 64-bit integer")
+        _check_seed(self.seed, "seed")
 
 
 @dataclass

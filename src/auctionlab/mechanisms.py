@@ -120,7 +120,7 @@ class OnlineController(Protocol):
     (the delayed feedback release).
     """
 
-    def begin_stage(self, stage: int, expected_clicks: np.ndarray, expected_conversions: np.ndarray,
+    def begin_stage(self, expected_clicks: np.ndarray, expected_conversions: np.ndarray,
                     bids: np.ndarray, stage_start: int, stage_len: int) -> None: ...
 
     def on_click(self, bidder: int, round_index: int, cvr: float, expected_remaining_clicks: float) -> float: ...
@@ -345,7 +345,7 @@ def run_auction(
             x_ctr[rows, bidders] = ctr_at
             suffix = np.vstack([np.cumsum(x_ctr[::-1], axis=0)[::-1][1:], np.zeros((1, M))])
             cvr = market.cvr[s0:s0 + n_t]
-            controller.begin_stage(t, x_ctr.sum(axis=0), (x_ctr * cvr).sum(axis=0), bids, s0, n_t)
+            controller.begin_stage(x_ctr.sum(axis=0), (x_ctr * cvr).sum(axis=0), bids, s0, n_t)
             clicked = np.flatnonzero(y)
             on_click = controller.on_click
             paid = np.array([

@@ -12,9 +12,9 @@ cut at stage boundaries), and when the stage's true conversions are
 released the accuracy reward is recomputed with them and added to the
 stage's final step.
 
-RNG purposes (Philox key = uint64 [seed, purpose], as for market
-generation): 11 parameter init, 12 action sampling, 13 minibatch shuffling,
-14 the per-update market seed sequence.
+RNG purposes (Philox key = uint64 [seed, purpose], named with market's
+other *_STREAM ids): 11 parameter init, 12 action sampling, 13 minibatch
+shuffling, 14 the per-update market seed sequence.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import numpy as np
 from .agents import TruthfulAgent
 from .csvio import write_table
 from .errors import ConfigError, MissingInputError, NumericalFault, SchemaError
-from .market import MarketConfig, _stream, generate_market
+from .market import _ACTION_STREAM, _INIT_STREAM, _MARKET_SEED_STREAM, _SHUFFLE_STREAM, MarketConfig, _check_seed
+from .market import _stream, generate_market
 from .mechanisms import MechanismConfig, SimulationResult, run_auction
 from .nets import MLP, Adam
 
@@ -215,13 +216,9 @@ class GaussianPolicy:
         out, acts = self.net.forward(features)
         return out[:, 0], out[:, 1], acts
 
-    def act(
-        self,
-        features: np.ndarray,
-        rng: np.random.Generator | None = None,
-        deterministic: bool = False,
-    ) -> tuple[float, float, float]:
-        """Sample (or take the mean of) the raw action for one feature vector.
+    def act(self, features: np.ndarray, rng: np.random.Generator | None = None) -> tuple[float, float, float]:
+        """Sample the raw action for one feature vector from rng, or take its
+        mean when rng is None.
 
         Returns:
             (action, raw_action, log_prob) with action = softplus(raw).
@@ -233,21 +230,15 @@ class GaussianPolicy:
         [[mu, log_sigma_raw]] = out.tolist()
         if not (math.isfinite(mu) and math.isfinite(log_sigma_raw)):
             raise NumericalFault(f"policy head is not finite: mu={mu}, log_sigma_raw={log_sigma_raw}")
-        # Python float arithmetic, with NumPy's exp, log and logaddexp where
-        # they round differently from math's: the bits of gaussian_log_prob
-        # and softplus on NumPy scalars.
+        # Python floats throughout, with NumPy's exp, log and logaddexp, which
+        # round differently from math's: gaussian_log_prob and softplus, the
+        # loss's rules, give Python floats the bits they give NumPy scalars.
         sigma = max(float(np.exp(log_sigma_raw)), self.sigma_floor)
         if not math.isfinite(sigma):
             raise NumericalFault(f"policy stddev overflowed: log_sigma_raw={log_sigma_raw}")
-        if deterministic:
-            g = mu
-        elif rng is None:
-            raise ConfigError("stochastic action sampling needs an rng")
-        else:
-            g = mu + sigma * rng.standard_normal()
-        z = (g - mu) / sigma
-        logp = -0.5 * z * z - float(np.log(sigma)) - _HALF_LOG_2PI
-        action = float(np.logaddexp(0.0, g))
+        g = mu if rng is None else mu + sigma * rng.standard_normal()
+        logp = float(gaussian_log_prob(g, mu, sigma))
+        action = float(softplus(g))
         if not (math.isfinite(g) and math.isfinite(action) and math.isfinite(logp)):
             raise NumericalFault(f"action is not finite: g={g}")
         return action, g, logp
@@ -438,12 +429,14 @@ def loss_and_grads(policy: GaussianPolicy, critic: MLP, batch: TrainingBatch, cf
 class RLPaymentController:
     """Online per-click payer driven by the Gaussian policy.
 
-    Implements the engine's controller protocol. In collection mode every
-    click appends one trajectory step; at the stage boundary the accuracy
-    reward is recomputed with the released true conversions and added to
-    the stage's last step, and the episode is closed. The critic is not run
-    per click: GAE needs its values only once the rollout is collected, so
-    trajectory() computes them all in one call.
+    Implements the engine's controller protocol. It samples its actions
+    from rng, or pays the policy mean when rng is None. In collection mode
+    every click appends one trajectory step with its reward; at the stage
+    boundary the accuracy reward is recomputed with the released true
+    conversions and added to the stage's last step, and the episode is
+    closed. Without collection a click does only the payment work. The
+    critic is not run per click: GAE needs its values only once the rollout
+    is collected, so trajectory() computes them all in one call.
     """
 
     def __init__(
@@ -454,7 +447,6 @@ class RLPaymentController:
         zeta: float = 0.1,
         xi: float | None = None,
         rng: np.random.Generator | None = None,
-        deterministic: bool = False,
         collect: bool = True,
     ):
         self.policy = policy
@@ -466,14 +458,12 @@ class RLPaymentController:
         self.zeta = float(zeta)
         self.xi = resolve_xi(xi, tcpa).tolist()
         self.rng = rng
-        self.deterministic = deterministic
         self.collect = collect
 
         m = len(self.tcpa)
         self.clicks = [0.0] * m
         self.visible = [0.0] * m
         self.stage_z_est = [0.0] * m
-        self.stage_clicks = [0] * m
         self.active: list[int] = []  # bidders with a click this stage, ascending
         self.paid_stage = [0.0] * m
         self.paid_total = [0.0] * m
@@ -491,10 +481,10 @@ class RLPaymentController:
         self._logps: list[float] = []
         self._rewards: list[float] = []
         self._episode_lengths: list[int] = []
-        self._steps_this_stage = 0
+        self._stage_first_step = 0  # index of the stage's first step in the collected lists
         self.stage_true_errors: list[float] = []
 
-    def begin_stage(self, stage: int, expected_clicks: np.ndarray, expected_conversions: np.ndarray,
+    def begin_stage(self, expected_clicks: np.ndarray, expected_conversions: np.ndarray,
                     bids: np.ndarray, stage_start: int, stage_len: int) -> None:
         m = len(self.tcpa)
         self.bids = np.asarray(bids, dtype=np.float64).tolist()
@@ -503,58 +493,53 @@ class RLPaymentController:
         self.stage_start = int(stage_start)
         self.stage_len = int(stage_len)
         self.stage_z_est = [0.0] * m
-        self.stage_clicks = [0] * m
         self.active = []
         self.paid_stage = [0.0] * m
-        self._steps_this_stage = 0
+        self._stage_first_step = len(self._rewards)
 
     def on_click(self, bidder: int, round_index: int, cvr: float, expected_remaining_clicks: float) -> float:
         m = bidder
         z_est, paid_stage, active, tcpa, xi = self.stage_z_est, self.paid_stage, self.active, self.tcpa, self.xi
         z_est[m] = pending = z_est[m] + cvr
         self.clicks[m] = clicks = self.clicks[m] + 1.0
-        self.stage_clicks[m] = stage_clicks = self.stage_clicks[m] + 1
-        if stage_clicks == 1:
-            bisect.insort(active, m)
+        i = bisect.bisect_left(active, m)
+        if i == len(active) or active[i] != m:  # the bidder's first click this stage
+            active.insert(i, m)
         progress = (round_index - self.stage_start + 1) / self.stage_len
         bid, conv_scale = self.bids[m], self.expected_stage_conversions[m]
         expected_paid = self.expected_paid_completed[m] + bid * conv_scale * progress
         last_payment, paid, total = self.last_nonzero_payment[m], paid_stage[m], self.paid_total[m]
         feats = build_state_features(clicks, self.visible[m], pending, total, expected_paid, paid, last_payment,
                                      progress, self.expected_stage_clicks[m], conv_scale, tcpa[m], xi[m])
-        action, g, logp = self.policy.act(feats, self.rng, self.deterministic)
+        action, g, logp = self.policy.act(feats, self.rng)
         payment = action * bid * cvr
         paid_stage[m] = paid + payment
         self.paid_total[m] = total + payment
-
-        r1 = accuracy_reward([paid_stage[i] for i in active], [z_est[i] * tcpa[i] + xi[i] for i in active])
-        r2 = smoothness_reward(payment, last_payment)
-        reward = compute_reward(r1, r2, self.zeta)
-
         if payment > 0.0:
             self.last_nonzero_payment[m] = payment
         if self.collect:
+            r1 = accuracy_reward([paid_stage[i] for i in active], [z_est[i] * tcpa[i] + xi[i] for i in active])
             self._feats.append(feats)
             self._gs.append(g)
             self._logps.append(logp)
-            self._rewards.append(reward)
-            self._steps_this_stage += 1
+            self._rewards.append(compute_reward(r1, smoothness_reward(payment, last_payment), self.zeta))
         return payment
 
     def end_stage(self, visible_conversions: np.ndarray) -> None:
         visible = np.asarray(visible_conversions, dtype=np.float64)
         active = self.active
+        steps = len(self._rewards) - self._stage_first_step
         if active:
             paid = np.array(self.paid_stage)[active]
             stage_true = (visible - np.array(self.visible))[active]
             targets = stage_true * np.array(self.tcpa)[active] + np.array(self.xi)[active]
             self.stage_true_errors.append(float(np.mean(np.abs(paid / targets - 1.0))))
-            if self.collect and self._steps_this_stage > 0:
+            if steps > 0:
                 # Feedback release: reward the stage's final step with the
                 # accuracy score under the true conversion counts.
                 self._rewards[-1] += accuracy_reward(paid, targets)
-        if self.collect and self._steps_this_stage > 0:
-            self._episode_lengths.append(self._steps_this_stage)
+        if steps > 0:
+            self._episode_lengths.append(steps)
         self.expected_paid_completed = [
             done + bid * conv
             for done, bid, conv in zip(self.expected_paid_completed, self.bids, self.expected_stage_conversions)
@@ -563,16 +548,12 @@ class RLPaymentController:
 
     def trajectory(self) -> Trajectory:
         """The collected steps, valued by the critic as it is now."""
-        if not self._feats:
-            return Trajectory(
-                np.zeros((0, FEATURE_DIM)), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0), []
-            )
-        features = np.stack(self._feats)
+        features = np.array(self._feats, dtype=np.float64).reshape(-1, FEATURE_DIM)
         return Trajectory(
             features,
-            np.array(self._gs),
-            np.array(self._logps),
-            np.array(self._rewards),
+            np.array(self._gs, dtype=np.float64),
+            np.array(self._logps, dtype=np.float64),
+            np.array(self._rewards, dtype=np.float64),
             value_estimate(self.critic, features),
             list(self._episode_lengths),
         )
@@ -629,16 +610,15 @@ def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResu
     Raises:
         ConfigError: seed outside [0, 2**64), before any work.
     """
-    if not (0 <= int(seed) < 2 ** 64):
-        raise ConfigError(f"training seed must be an unsigned 64-bit integer, got {seed}")
-    rng_init = _stream(seed, 11)
+    _check_seed(seed, "training seed")
+    rng_init = _stream(seed, _INIT_STREAM)
     policy = GaussianPolicy(MLP(FEATURE_DIM, rl.hidden, 2, rng_init), rl.sigma_floor)
     critic = MLP(FEATURE_DIM, rl.hidden, 1, rng_init)
-    rng_act = _stream(seed, 12)
-    rng_shuffle = _stream(seed, 13)
+    rng_act = _stream(seed, _ACTION_STREAM)
+    rng_shuffle = _stream(seed, _SHUFFLE_STREAM)
     # Drawn one per update: the same values as one array of rl.updates draws,
     # without holding that array.
-    market_seeds = _stream(seed, 14)
+    market_seeds = _stream(seed, _MARKET_SEED_STREAM)
 
     env = DFPTrainingEnv(market_config, rl)
     opt_policy = Adam(policy.net.num_params, lr=rl.lr)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from auctionlab.errors import ConfigError, ContractViolation, NumericalFault, SchemaError
+from auctionlab.errors import ContractViolation, NumericalFault, SchemaError
 from auctionlab.market import MarketLog, sample_outcomes, stage_starts
 from auctionlab.mechanisms import ROUNDS_CSV_HEADER, ranking_score
 from auctionlab.nets import MLP
@@ -175,7 +175,7 @@ def online_dfp_reference(market: MarketLog, agents: list, controller) -> tuple[d
         x_ctr = np.zeros((n_t, M))
         x_ctr[rows, bidders] = ctr_at
         suffix = np.vstack([np.cumsum(x_ctr[::-1], axis=0)[::-1][1:], np.zeros((1, M))])
-        controller.begin_stage(t, x_ctr.sum(axis=0), (x_ctr * market.cvr[s0:s0 + n_t]).sum(axis=0), bids, s0, n_t)
+        controller.begin_stage(x_ctr.sum(axis=0), (x_ctr * market.cvr[s0:s0 + n_t]).sum(axis=0), bids, s0, n_t)
         pay = np.zeros(y.shape)
         for i in np.nonzero(y)[0]:
             m = int(bidders[i])
@@ -238,8 +238,9 @@ def reference_discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarra
     return out
 
 
-def reference_act(policy: GaussianPolicy, features: np.ndarray, rng=None, deterministic: bool = False):
-    """(action, raw action, log prob) for one feature vector, on NumPy scalars."""
+def reference_act(policy: GaussianPolicy, features: np.ndarray, rng=None):
+    """(action, raw action, log prob) for one feature vector, on NumPy scalars:
+    sampled from rng, or the mean when rng is None."""
     out = reference_forward(policy.net, features.reshape(1, -1))
     mu = float(out[0, 0])
     log_sigma_raw = float(out[0, 1])
@@ -248,11 +249,9 @@ def reference_act(policy: GaussianPolicy, features: np.ndarray, rng=None, determ
     sigma = max(float(np.exp(log_sigma_raw)), policy.sigma_floor)
     if not np.isfinite(sigma):
         raise NumericalFault(f"policy stddev overflowed: log_sigma_raw={log_sigma_raw}")
-    if deterministic:
+    if rng is None:
         g = mu
     else:
-        if rng is None:
-            raise ConfigError("stochastic action sampling needs an rng")
         g = mu + sigma * float(rng.standard_normal())
     zs = (np.asarray(g) - mu) / sigma
     logp = float(-0.5 * zs * zs - np.log(sigma) - 0.5 * np.log(2.0 * np.pi))
@@ -272,14 +271,13 @@ def reference_value_estimate(critic: MLP, features: np.ndarray) -> float:
 class ReferenceRLController:
     """The learned online payer with its ledger in NumPy arrays."""
 
-    def __init__(self, policy, critic, tcpa, zeta=0.1, xi=None, rng=None, deterministic=False, collect=True):
+    def __init__(self, policy, critic, tcpa, zeta=0.1, xi=None, rng=None, collect=True):
         self.policy = policy
         self.critic = critic
         self.tcpa = np.asarray(tcpa, dtype=np.float64)
         self.zeta = float(zeta)
         self.xi = resolve_xi(xi, self.tcpa)
         self.rng = rng
-        self.deterministic = deterministic
         self.collect = collect
         m = self.tcpa.size
         self.clicks = np.zeros(m)
@@ -300,7 +298,7 @@ class ReferenceRLController:
         self.steps_this_stage = 0
         self.stage_true_errors: list[float] = []
 
-    def begin_stage(self, stage, expected_clicks, expected_conversions, bids, stage_start, stage_len):
+    def begin_stage(self, expected_clicks, expected_conversions, bids, stage_start, stage_len):
         self.bids = np.asarray(bids, dtype=np.float64).copy()
         self.expected_stage_clicks = np.asarray(expected_clicks, dtype=np.float64)
         self.expected_stage_conversions = np.asarray(expected_conversions, dtype=np.float64)
@@ -332,7 +330,7 @@ class ReferenceRLController:
             tcpa=self.tcpa[m],
             xi=self.xi[m],
         )
-        action, g, logp = reference_act(self.policy, feats, rng=self.rng, deterministic=self.deterministic)
+        action, g, logp = reference_act(self.policy, feats, rng=self.rng)
         payment = action * self.bids[m] * cvr
         self.paid_stage[m] += payment
         self.paid_total[m] += payment

@@ -9,6 +9,7 @@ bit. Budgeted tests assert their own wall-clock limits.
 import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,4 +376,4 @@ def test_acceptance_11_deterministic_experiment_replay(tmp_path):
                 continue
             path_a = os.path.join(root, name)
             path_b = path_a.replace(str(tmp_path / "a"), str(tmp_path / "b"), 1)
-            assert open(path_a, "rb").read() == open(path_b, "rb").read(), path_a
+            assert Path(path_a).read_bytes() == Path(path_b).read_bytes(), path_a

@@ -1,5 +1,8 @@
 """Ratio tables, fluctuation metrics, and the click-volume bound."""
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,7 @@ from auctionlab.analysis import (
     write_metric_summary_csv,
     write_ratio_csv,
 )
+from auctionlab.market import _stream
 from reference import ratio_table
 
 
@@ -273,6 +277,17 @@ def test_chernoff_empirical_rates():
         chernoff_empirical_check(0.05, 0.1, trials=0)
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 63 - 1, 2 ** 63 + 1, 2 ** 64 - 1])
+def test_chernoff_check_keys_its_stream_with_the_whole_seed(seed):
+    # Purpose 21 under a uint64 key: seeds at or above 2**63 keep their low
+    # bits, and none warns on the way in.
+    draws = _stream(seed, 21).binomial(96, 0.05, size=2000)
+    want = float(np.mean(np.abs(draws / (96 * 0.05) - 1.0) > 0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert chernoff_empirical_check(0.05, 0.1, trials=2000, click_volume=96, seed=seed) == want
+
+
 def test_etic_violation_rate():
     rate = etic_violation_rate(np.array([0.8, 1.0, 1.15]), 0.1)
     assert rate == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -289,7 +304,7 @@ def test_ratio_csv_writer_roundtrips_inf(tmp_path):
     )
     path = str(tmp_path / "ratios.csv")
     write_ratio_csv(table, path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == RATIO_CSV_HEADER
     assert lines[1] == "0,2,1.0526315789473684"
     b, s, r = lines[2].split(",")
@@ -300,6 +315,6 @@ def test_ratio_csv_writer_roundtrips_inf(tmp_path):
 def test_metric_summary_csv_writer(tmp_path):
     path = str(tmp_path / "summary.csv")
     write_metric_summary_csv([("CFP", "cpa_ratio", 1.125, 0.975, 1.05)], path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == METRIC_SUMMARY_CSV_HEADER
     assert lines[1] == "CFP,cpa_ratio,1.125,0.975,1.05"

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,23 @@ def _last_stderr_line(capsys):
     return err[-1] if err else ""
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", ["generate", "run", "train"])
+def test_bad_out_fails_before_any_work(capsys, monkeypatch, run_config, train_config, tmp_path, command, under):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} did work before refusing --out")
+
+    for name in ("generate_market", "run_experiment", "train"):
+        monkeypatch.setattr(f"auctionlab.cli.{name}", refuse)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = blocker / "x" if under else blocker
+    config = train_config if command == "train" else run_config
+    assert main([command, "--config", config, "--out", str(out)]) == 1
+    reason = "Not a directory" if under else "File exists"
+    assert _last_stderr_line(capsys) == f"ERROR ConfigError: --out {str(out)!r} cannot be made a directory: {reason}"
+
+
 def test_no_command_is_an_error(capsys):
     assert main([]) == 1
     assert _last_stderr_line(capsys).startswith("ERROR ConfigError:")
@@ -96,7 +114,7 @@ def test_generate_writes_market_and_meta(capsys, run_config, tmp_path):
     printed = capsys.readouterr().out.strip()
     assert printed == os.path.join(out, "market.csv")
     assert os.path.exists(printed)
-    meta = json.loads(open(os.path.join(out, "market_meta.json")).read())
+    meta = json.loads(Path(os.path.join(out, "market_meta.json")).read_text())
     assert meta["seed"] == 0
     assert meta["stage_plan"] == [20, 20]
     assert len(meta["tcpa"]) == 3
@@ -104,7 +122,7 @@ def test_generate_writes_market_and_meta(capsys, run_config, tmp_path):
     out2 = str(tmp_path / "gen2")
     assert main(["generate", "--config", run_config, "--out", out2, "--seed", "7"]) == 0
     capsys.readouterr()
-    meta2 = json.loads(open(os.path.join(out2, "market_meta.json")).read())
+    meta2 = json.loads(Path(os.path.join(out2, "market_meta.json")).read_text())
     assert meta2["seed"] == 7
     assert meta2["tcpa"] != meta["tcpa"]
 
@@ -286,7 +304,7 @@ def test_rerun_produces_identical_rounds(capsys, run_config, tmp_path):
     assert main(["run", "--config", run_config, "--out", b]) == 0
     capsys.readouterr()
     rel = os.path.join("CFP", "seed_0", "rounds.csv")
-    assert open(os.path.join(a, rel), "rb").read() == open(os.path.join(b, rel), "rb").read()
+    assert Path(os.path.join(a, rel)).read_bytes() == Path(os.path.join(b, rel)).read_bytes()
 
 
 def test_module_entry_point_runs():

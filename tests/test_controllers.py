@@ -1,4 +1,7 @@
-"""Debt controller arithmetic, stage settlement, and the hindsight oracle."""
+"""Debt controller arithmetic, stage settlement, the hindsight oracle, and
+the online payers' shared protocol."""
+
+import inspect
 
 import numpy as np
 import pytest
@@ -15,35 +18,38 @@ from auctionlab import (
     run_auction,
     stage_pacing_oracle,
 )
+from auctionlab.mechanisms import OnlineController
+from auctionlab.ppo import RLPaymentController
+from reference import ReferenceRLController
 
 
 def test_step_spreads_debt_over_remaining_clicks():
-    st = ControllerState(tcpa=2.0, pending_conversions=1.0, expected_remaining_clicks=4.0)
-    assert debt_controller_step(st) == 0.5
+    st = ControllerState(tcpa=2.0, pending_conversions=1.0)
+    assert debt_controller_step(st, 4.0) == 0.5
 
 
 def test_step_clamps_to_zero_when_overpaid():
-    st = ControllerState(tcpa=2.0, pending_conversions=1.0, paid_stage=5.0, expected_remaining_clicks=4.0)
-    assert debt_controller_step(st) == 0.0
+    st = ControllerState(tcpa=2.0, pending_conversions=1.0, paid_stage=5.0)
+    assert debt_controller_step(st, 4.0) == 0.0
 
 
 def test_step_clamps_to_payment_cap():
-    st = ControllerState(tcpa=2.0, pending_conversions=100.0, expected_remaining_clicks=0.0)
-    assert debt_controller_step(st) == 20.0
-    st = ControllerState(tcpa=2.0, pending_conversions=100.0, expected_remaining_clicks=0.0, cap_factor=3.0)
-    assert debt_controller_step(st) == 6.0
+    st = ControllerState(tcpa=2.0, pending_conversions=100.0)
+    assert debt_controller_step(st, 0.0) == 20.0
+    st = ControllerState(tcpa=2.0, pending_conversions=100.0, cap_factor=3.0)
+    assert debt_controller_step(st, 0.0) == 6.0
 
 
 def test_step_settles_on_final_expected_click():
     # R < 1 turns the divisor into 1: the whole debt is due now.
-    st = ControllerState(tcpa=1.0, pending_conversions=0.4, paid_stage=0.1, expected_remaining_clicks=0.5)
-    assert debt_controller_step(st) == pytest.approx(0.3, abs=1e-15)
+    st = ControllerState(tcpa=1.0, pending_conversions=0.4, paid_stage=0.1)
+    assert debt_controller_step(st, 0.5) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_step_is_pure():
-    st = ControllerState(tcpa=2.0, pending_conversions=1.0, expected_remaining_clicks=4.0)
+    st = ControllerState(tcpa=2.0, pending_conversions=1.0)
     before = (st.paid_stage, st.pending_conversions, st.carry, st.paid_total)
-    assert debt_controller_step(st) == debt_controller_step(st)
+    assert debt_controller_step(st, 4.0) == debt_controller_step(st, 4.0)
     assert (st.paid_stage, st.pending_conversions, st.carry, st.paid_total) == before
 
 
@@ -152,3 +158,10 @@ def test_engine_debt_wiring_matches_manual_steps():
         assert r.payment[i] == pytest.approx(want, abs=1e-12)
         if n % 3 == 2:
             manual.end_stage(result.stage_conversions[: t + 1].sum(axis=0))
+
+
+@pytest.mark.parametrize("method", ["begin_stage", "on_click", "end_stage"])
+def test_online_payers_take_the_protocol_arguments(method):
+    want = list(inspect.signature(getattr(OnlineController, method)).parameters)
+    for payer in (DebtController, RLPaymentController, ReferenceRLController):
+        assert list(inspect.signature(getattr(payer, method)).parameters) == want, payer.__name__

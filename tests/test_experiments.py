@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,7 +400,7 @@ def test_rerun_is_byte_identical_outside_manifest(tmp_path):
                 continue
             first = os.path.join(root, name)
             second = first.replace(str(tmp_path / "a"), str(tmp_path / "b"), 1)
-            assert open(first, "rb").read() == open(second, "rb").read(), name
+            assert Path(first).read_bytes() == Path(second).read_bytes(), name
 
 
 def test_rl_mechanism_requires_checkpoint(tmp_path):

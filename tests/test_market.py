@@ -3,6 +3,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,7 +383,7 @@ def test_market_csv_without_outcome_columns(tmp_path):
     log = generate_market(cfg)
     full = str(tmp_path / "full.csv")
     write_market_csv(log, full)
-    lines = open(full).read().splitlines()
+    lines = Path(full).read_text().splitlines()
     bare = str(tmp_path / "bare.csv")
     with open(bare, "w") as fh:
         fh.write("round,bidder,slot,ctr,cvr,value\n")
@@ -403,7 +404,7 @@ def test_market_csv_schema_errors(tmp_path):
     log = generate_market(cfg)
     path = str(tmp_path / "m.csv")
     write_market_csv(log, path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
 
     bad = str(tmp_path / "bad.csv")
     _write_lines(bad, ["round,bidder,slot,ctr"] + lines[1:])
@@ -458,7 +459,7 @@ def test_market_csv_skips_blank_lines(tmp_path):
     log = generate_market(cfg)
     path = str(tmp_path / "m.csv")
     write_market_csv(log, path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     spaced = str(tmp_path / "spaced.csv")
     with open(spaced, "w") as fh:
         fh.writelines(line + "\n\n  \n" for line in lines)
@@ -501,7 +502,7 @@ def test_market_csv_hostile_inputs(tmp_path, edit):
     write_market_csv(log, path)
     bad = str(tmp_path / "bad.csv")
     with open(bad, "w") as fh:
-        fh.writelines(line + "\n" for line in edit(open(path).read().splitlines()))
+        fh.writelines(line + "\n" for line in edit(Path(path).read_text().splitlines()))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SchemaError):
@@ -541,7 +542,7 @@ def test_market_csv_rows_in_any_order(tmp_path, order):
     log = generate_market(cfg)
     path = str(tmp_path / "m.csv")
     write_market_csv(log, path)
-    header, *rows = open(path).read().splitlines()
+    header, *rows = Path(path).read_text().splitlines()
     if order == "shuffled":
         rows = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
     else:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from pathlib import Path
 
 from auctionlab import (
     ConfigError,
@@ -308,7 +309,7 @@ def test_debt_run_respects_budget_identity():
 
 
 class _NegativeController:
-    def begin_stage(self, stage, expected_clicks, expected_conversions, bids, stage_start, stage_len):
+    def begin_stage(self, expected_clicks, expected_conversions, bids, stage_start, stage_len):
         pass
 
     def on_click(self, bidder, round_index, cvr, expected_remaining_clicks):
@@ -442,14 +443,14 @@ def test_rounds_and_summary_csv(tmp_path):
     write_rounds_csv(result, rounds_path)
     write_summary_csv(result, summary_path)
 
-    lines = open(rounds_path).read().splitlines()
+    lines = Path(rounds_path).read_text().splitlines()
     assert lines[0] == ROUNDS_CSV_HEADER
     assert len(lines) == 1 + result.rounds.round.size
     fields = lines[1].split(",")
     assert int(fields[0]) == result.rounds.round[0]
     assert float(fields[7]) == result.rounds.payment[0]
 
-    lines = open(summary_path).read().splitlines()
+    lines = Path(summary_path).read_text().splitlines()
     assert lines[0] == SUMMARY_CSV_HEADER
     assert len(lines) == 1 + market.num_bidders
     for m, line in enumerate(lines[1:]):

@@ -262,12 +262,10 @@ def test_policy_head_requires_two_outputs():
 def test_act_deterministic_and_sampled():
     policy = _zero_policy()
     feats = np.zeros(FEATURE_DIM)
-    action, g, logp = policy.act(feats, deterministic=True)
+    action, g, logp = policy.act(feats)
     assert g == 0.0
     assert action == pytest.approx(np.log(2.0), abs=1e-15)
     assert logp == pytest.approx(-np.log(np.sqrt(2 * np.pi)), abs=1e-12)
-    with pytest.raises(ConfigError):
-        policy.act(feats)
     a1 = policy.act(feats, rng=np.random.Generator(np.random.Philox(key=[0, 12])))
     a2 = policy.act(feats, rng=np.random.Generator(np.random.Philox(key=[0, 12])))
     assert a1 == a2
@@ -278,7 +276,7 @@ def test_act_faults_on_nonfinite_weights():
     policy = _zero_policy()
     policy.net.set_flat(np.full(policy.net.num_params, np.nan))
     with pytest.raises(NumericalFault):
-        policy.act(np.zeros(FEATURE_DIM), deterministic=True)
+        policy.act(np.zeros(FEATURE_DIM))
 
 
 def test_value_estimate_linear_and_fault():
@@ -304,7 +302,7 @@ def test_act_and_value_match_reference_bits():
         got = policy.act(feats, rng=np.random.Generator(np.random.Philox(key=[3, 12])))
         want = reference_act(policy, feats, rng=np.random.Generator(np.random.Philox(key=[3, 12])))
         assert np.array(got).tobytes() == np.array(want).tobytes()
-        assert policy.act(feats, deterministic=True) == reference_act(policy, feats, deterministic=True)
+        assert policy.act(feats) == reference_act(policy, feats)
         assert np.float64(value_estimate(critic, feats)).tobytes() == np.float64(
             reference_value_estimate(critic, feats)).tobytes()
 
@@ -504,8 +502,8 @@ def test_sigma_floor_masks_log_stddev_gradient():
 def test_first_click_features_and_payment():
     policy = _zero_policy()
     critic = _zero_critic()
-    ctrl = RLPaymentController(policy, critic, np.array([2.0]), deterministic=True)
-    ctrl.begin_stage(0, np.array([10.0]), np.array([1.0]), np.array([2.0]), 0, 10)
+    ctrl = RLPaymentController(policy, critic, np.array([2.0]))
+    ctrl.begin_stage(np.array([10.0]), np.array([1.0]), np.array([2.0]), 0, 10)
     payment = ctrl.on_click(0, 0, 0.1, 9.0)
     assert payment == pytest.approx(np.log(2.0) * 2.0 * 0.1, abs=1e-15)
 
@@ -531,7 +529,7 @@ def test_first_click_features_and_payment():
 
 def test_controller_without_clicks_yields_empty_trajectory():
     ctrl = RLPaymentController(_zero_policy(), _zero_critic(), np.array([2.0]))
-    ctrl.begin_stage(0, np.array([0.0]), np.array([0.0]), np.array([2.0]), 0, 5)
+    ctrl.begin_stage(np.array([0.0]), np.array([0.0]), np.array([2.0]), 0, 5)
     ctrl.end_stage(np.array([0.0]))
     traj = ctrl.trajectory()
     assert traj.num_steps == 0
@@ -621,8 +619,8 @@ def test_rl_controller_matches_reference_on_multi_bidder_markets(config, hidden,
     critic = MLP(FEATURE_DIM, hidden, 1, net_rng)
 
     def controller(cls):
-        rng = np.random.Generator(np.random.Philox(key=[config.seed, 12]))
-        return cls(policy, critic, market.tcpa, rng=rng, deterministic=deterministic)
+        rng = None if deterministic else np.random.Generator(np.random.Philox(key=[config.seed, 12]))
+        return cls(policy, critic, market.tcpa, rng=rng)
 
     ctrl, ref = controller(RLPaymentController), controller(ReferenceRLController)
     active_counts = []
@@ -759,7 +757,7 @@ def test_checkpoint_error_paths(tmp_path):
     critic = MLP(FEATURE_DIM, (3,), 1, rng=rng)
     path = str(tmp_path / "ckpt.txt")
     save_checkpoint(policy, critic, path)
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
 
     bad = str(tmp_path / "bad.txt")
     with open(bad, "w") as fh:
@@ -793,7 +791,7 @@ def _checkpoint_lines(tmp_path, policy_in=FEATURE_DIM, policy_out=2, critic_in=F
     critic = MLP(critic_in, (3,), critic_out, rng=rng)
     path = str(tmp_path / "ckpt.txt")
     save_checkpoint(policy, critic, path)
-    return open(path).read().splitlines()
+    return pathlib.Path(path).read_text().splitlines()
 
 
 def _line_after(lines, prefix, offset, value):
@@ -922,7 +920,7 @@ def test_write_curves_csv(tmp_path):
     ]
     path = str(tmp_path / "curves.csv")
     write_curves_csv(curves, path)
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     assert lines[0] == CURVES_CSV_HEADER
     assert len(lines) == 3
     fields = lines[1].split(",")

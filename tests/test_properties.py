@@ -73,7 +73,7 @@ def _controller(mech, market):
         rng = np.random.default_rng(0)
         policy = GaussianPolicy(MLP(FEATURE_DIM, (4,), 2, rng=rng))
         critic = MLP(FEATURE_DIM, (4,), 1, rng=rng)
-        return RLPaymentController(policy, critic, market.tcpa, deterministic=True, collect=False)
+        return RLPaymentController(policy, critic, market.tcpa, collect=False)
     return None
 
 
@@ -154,6 +154,30 @@ def test_online_dfp_matches_per_click_reference(config, hidden, risk_averse):
         assert _same_bits(getattr(traj, name), getattr(ref_traj, name)), name
     assert traj.episode_lengths == ref_traj.episode_lengths
     assert _same_bits(ctrl.stage_true_errors, ref.stage_true_errors)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(market_configs(), st.booleans())
+def test_evaluating_payer_pays_like_a_collecting_one(config, sampled):
+    # collect=False only keeps no trajectory: the payments and the stage
+    # errors are the collecting payer's, bit for bit, mean-acting or sampled.
+    market = generate_market(config)
+    net_rng = np.random.default_rng(config.seed)
+    policy = GaussianPolicy(MLP(FEATURE_DIM, (4,), 2, rng=net_rng))
+    critic = MLP(FEATURE_DIM, (4,), 1, rng=net_rng)
+
+    def run(collect):
+        rng = np.random.Generator(np.random.Philox(key=[config.seed, 12])) if sampled else None
+        ctrl = RLPaymentController(policy, critic, market.tcpa, rng=rng, collect=collect)
+        agents = [TruthfulAgent() for _ in range(market.num_bidders)]
+        return ctrl, run_auction(market, MechanismConfig("DFP", controller="rl"), agents, ctrl)
+
+    (evaluating, result), (collecting, collected) = run(False), run(True)
+    assert _same_bits(result.rounds.payment, collected.rounds.payment)
+    assert _same_bits(evaluating.stage_true_errors, collecting.stage_true_errors)
+    assert collecting.trajectory().num_steps == int(collected.stage_clicks.sum())
+    traj = evaluating.trajectory()
+    assert traj.num_steps == 0 and traj.episode_lengths == []
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
