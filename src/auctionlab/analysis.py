@@ -220,13 +220,28 @@ def payment_fluctuation(result: SimulationResult) -> FluctuationTable:
     )
 
 
+def _chernoff_bound(epsilon: float, cvr: float) -> float:
+    """ceil((2 + eps) * ln(1 / eps) / (eps^2 * cvr)) as a float, inf where it overflows."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(np.ceil((2.0 + epsilon) * np.log(1.0 / epsilon) / (epsilon * epsilon * cvr)))
+
+
 def check_chernoff_args(epsilon: float, cvr: float, where: str = "") -> None:
-    """Refuse a click-volume bound's arguments outside their domain; ``where``
-    prefixes the argument's name in the error (a config section, say)."""
+    """Refuse a click-volume bound's arguments outside their domain, or whose
+    bound is not an integer that a binomial draw can take (below 2**63);
+    ``where`` prefixes the argument's name in the error (a config section,
+    say). An overflow is laid on epsilon if it overflows at cvr = 1."""
     if not epsilon > 0.0:
         raise ConfigError(f"{where}epsilon must be positive, got {epsilon}")
     if not 0.0 < cvr <= 1.0:
         raise ConfigError(f"{where}cvr must lie in (0, 1], got {cvr}")
+    bound = _chernoff_bound(epsilon, cvr) if epsilon < 1.0 else 0.0
+    if not bound < 2.0 ** 63:
+        key = "epsilon" if not _chernoff_bound(epsilon, 1.0) < 2.0 ** 63 else "cvr"
+        raise ConfigError(
+            f"{where}{key} is too small: epsilon={epsilon} and cvr={cvr} give a click bound of "
+            f"{bound}, not a finite integer below 2**63"
+        )
 
 
 def chernoff_min_clicks(epsilon: float, cvr: float) -> int:
@@ -240,7 +255,7 @@ def chernoff_min_clicks(epsilon: float, cvr: float) -> int:
     if epsilon >= 1.0:
         warnings.warn(f"relative deviation {epsilon} >= 1 makes the bound vacuous; returning 0")
         return 0
-    return int(np.ceil((2.0 + epsilon) * np.log(1.0 / epsilon) / (epsilon * epsilon * cvr)))
+    return int(_chernoff_bound(epsilon, cvr))
 
 
 def chernoff_empirical_check(

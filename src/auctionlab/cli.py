@@ -66,6 +66,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     market_config = config.market
     if args.seed is not None:
+        _check_seed(args.seed, "--seed")
         market_config = replace(market_config, seed=args.seed)
     _make_out(args.out)
     market = generate_market(market_config)
@@ -87,6 +88,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seed is not None:
+        _check_seed(args.seed, "--seed")
         config = replace(config, seeds=(args.seed,))
     if args.mechanism is not None:
         picked = tuple(m for m in config.mechanisms if m.label == args.mechanism)

@@ -42,7 +42,7 @@ from .analysis import (
 from .controllers import DebtController
 from .csvio import ReuseMemo, write_table
 from .errors import ConfigError, MissingInputError
-from .market import MAX_MARKET_CELLS, MarketConfig, generate_market
+from .market import MAX_MARKET_BYTES, MarketConfig, _check_seed, generate_market
 from .mechanisms import (
     MechanismConfig,
     SimulationResult,
@@ -81,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError("mechanisms must be a nonempty list")
         if not self.seeds:
             raise ConfigError("seeds must be a nonempty list")
+        for i, seed in enumerate(self.seeds):
+            _check_seed(seed, f"seeds[{i}]")
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:
             raise ConfigError(f"seed {repeated[0]} is listed more than once in seeds {list(self.seeds)}")
@@ -164,8 +166,10 @@ def _as_stage_plan(plan, key: str) -> tuple[int, ...]:
         counts[name] = _as_int(plan[name], f"{key}.{name}")
         if counts[name] < 1:
             raise ConfigError(f"{key}.{name} must be at least 1, got {counts[name]}")
-    if counts["stages"] * counts["rounds_per_stage"] > MAX_MARKET_CELLS:
-        raise ConfigError(f"{key}.stages x {key}.rounds_per_stage must be at most {MAX_MARKET_CELLS} rounds")
+    # Checked before the plan is built: a round takes at least 24 bytes of
+    # rate arrays (one bidder, one slot: ctr, cvr and value).
+    if counts["stages"] * counts["rounds_per_stage"] > MAX_MARKET_BYTES // 24:
+        raise ConfigError(f"{key}.stages x {key}.rounds_per_stage must be at most {MAX_MARKET_BYTES // 24} rounds")
     return (counts["rounds_per_stage"],) * counts["stages"]
 
 

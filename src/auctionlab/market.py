@@ -57,9 +57,10 @@ _INV53 = 2.0 ** -53
 # stay in cache across all ten rounds.
 _PHILOX_BLOCK = 16384
 
-# The most (round, bidder, slot) cells a market may have: at 2**28 the
-# float64 ctr block alone takes 2 GiB.
-MAX_MARKET_CELLS = 2 ** 28
+# The most bytes a market's float64 rate arrays may hold together: ctr
+# (rounds, bidders, slots) plus cvr and value (rounds, bidders), that is
+# N·M·(K + 2)·8 bytes. Desk holds 156 MB of them.
+MAX_MARKET_BYTES = 2 ** 31
 
 _TCPA_STREAM = 1
 _CTR_STREAM = 2
@@ -152,11 +153,11 @@ class MarketConfig:
     """Market dimensions, sampling ranges, and the stage partition.
 
     stage_plan lists the length N_t of each stage; the lengths must sum to
-    num_rounds. The (round, bidder, slot) grid holds at most
-    MAX_MARKET_CELLS cells. Rate ranges live in (0, 1] and the cvr range
-    must sit at or below the ctr range (cvr upper bound <= ctr lower
-    bound), keeping conversion rates well below click rates in every
-    sampled round.
+    num_rounds. The rate arrays, num_rounds·num_bidders·(num_slots + 2)·8
+    bytes, hold at most MAX_MARKET_BYTES. Rate ranges live in (0, 1] and
+    the cvr range must sit at or below the ctr range (cvr upper bound <=
+    ctr lower bound), keeping conversion rates well below click rates in
+    every sampled round.
     """
 
     num_bidders: int
@@ -174,8 +175,11 @@ class MarketConfig:
         for name in ("num_bidders", "num_rounds", "num_slots"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if math.prod(int(n) for n in (self.num_rounds, self.num_bidders, self.num_slots)) > MAX_MARKET_CELLS:
-            raise ConfigError(f"num_rounds x num_bidders x num_slots must be at most {MAX_MARKET_CELLS} cells")
+        if int(self.num_rounds) * int(self.num_bidders) * (int(self.num_slots) + 2) * 8 > MAX_MARKET_BYTES:
+            raise ConfigError(
+                f"num_rounds x num_bidders x (num_slots + 2) x 8 bytes of rate arrays must be at most "
+                f"{MAX_MARKET_BYTES} ({MAX_MARKET_BYTES / 2 ** 30:g} GiB)"
+            )
         if not self.stage_plan or any(n < 1 for n in self.stage_plan):
             raise ConfigError("stage_plan must be a nonempty list of positive stage lengths")
         if sum(self.stage_plan) != self.num_rounds:

@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import SchemaError
 
+_F64 = np.dtype(np.float64)
+
 
 class MLP:
     """Fully-connected tanh network.
@@ -24,6 +26,8 @@ class MLP:
     Parameters live in one flat vector, `flat`; `weights` and `biases` are
     per-layer (W, b) views of it. get_flat copies the vector out and
     set_flat copies one in, so neither shares memory with the caller.
+    Rebinding `weights` or `biases` to other arrays re-pairs the layers
+    that forward reads.
     """
 
     def __init__(self, in_dim: int, hidden: tuple[int, ...], out_dim: int, rng: np.random.Generator | None = None):
@@ -42,13 +46,36 @@ class MLP:
 
     def _bind(self) -> None:
         """(Re)build the per-layer views of `flat`."""
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        self._weights: list[np.ndarray] = []
+        self._biases: list[np.ndarray] = []
         pos = 0
         for a, b in zip(self.sizes[:-1], self.sizes[1:]):
-            self.weights.append(self.flat[pos:pos + a * b].reshape(a, b))
-            self.biases.append(self.flat[pos + a * b:pos + a * b + b])
+            self._weights.append(self.flat[pos:pos + a * b].reshape(a, b))
+            self._biases.append(self.flat[pos + a * b:pos + a * b + b])
             pos += a * b + b
+        self._pair()
+
+    def _pair(self) -> None:
+        """Precompute forward's (W, b) pairs: the tanh layers, then the linear output layer."""
+        *self._hidden, self._out = zip(self._weights, self._biases)
+
+    @property
+    def weights(self) -> list[np.ndarray]:
+        return self._weights
+
+    @weights.setter
+    def weights(self, weights: list[np.ndarray]) -> None:
+        self._weights = weights
+        self._pair()
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return self._biases
+
+    @biases.setter
+    def biases(self, biases: list[np.ndarray]) -> None:
+        self._biases = biases
+        self._pair()
 
     def __getstate__(self) -> dict:
         # A copied view would no longer share memory with the copied buffer,
@@ -81,20 +108,24 @@ class MLP:
         whether it is sent in a (batch, in_dim) matrix, but not on whether it
         arrives as (in_dim,), (1, in_dim) or one of stacked (batch, 1, in_dim)
         rows: `@` on stacked rows runs one gemv per row, the single row's call.
-        A float64 (in_dim,) row, the policy's per-click call, is used as given
-        and only its output is viewed as (1, out_dim).
+        A float64 (in_dim,) ndarray row, the policy's per-click call, is used
+        as given, with no conversion, and only its output is viewed as
+        (1, out_dim).
         """
-        h = np.asarray(x, dtype=np.float64)
-        row = h.ndim == 1
-        product = np.matmul if h.ndim == 3 else np.dot
+        if type(x) is np.ndarray and x.dtype is _F64 and x.ndim == 1:
+            h, row, product = x, True, np.ndarray.dot
+        else:
+            h = np.asarray(x, dtype=np.float64)
+            row, product = h.ndim == 1, (np.matmul if h.ndim == 3 else np.ndarray.dot)
         acts = [h]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+        for w, b in self._hidden:
             h = product(h, w)
-            h += b
-            np.tanh(h, out=h)
+            np.add(h, b, h)
+            np.tanh(h, h)
             acts.append(h)
-        h = product(h, self.weights[-1])
-        h += self.biases[-1]
+        w, b = self._out
+        h = product(h, w)
+        np.add(h, b, h)
         acts.append(h)
         return (h[None] if row else h), acts
 

@@ -42,6 +42,7 @@ CURVES_CSV_HEADER = "update,mean_reward,mean_abs_ratio_err,actor_loss,critic_los
 CHECKPOINT_MAGIC = "auctionlab-checkpoint 1"
 
 _HALF_LOG_2PI = float(0.5 * np.log(2.0 * np.pi))
+_LOG_2 = float(np.logaddexp(0.0, 0.0))
 _ENTROPY_CONST = 0.5 * np.log(2.0 * np.pi * np.e)
 
 # Relative scale of the target regularizer when xi is left unset.
@@ -193,13 +194,31 @@ def compute_reward(accuracy: float, smoothness: float, zeta: float) -> float:
 
 
 def softplus(g: float | np.ndarray) -> float | np.ndarray:
-    # logaddexp keeps large negative g from underflowing to log(0).
-    return np.logaddexp(0.0, g)
+    """log(1 + exp(g)) as np.logaddexp(0, g), which keeps large negative g
+    from underflowing to log(0).
+
+    A float g takes the libm calls that NumPy's scalar logaddexp(0, g)
+    makes, with Python floats: g + log1p(exp(-g)) above 0, log1p(exp(g))
+    below it, log 2 at 0. That gives the same bits for a fraction of the
+    cost of dispatching the ufunc on one value; arrays keep the ufunc.
+    """
+    if not isinstance(g, float):
+        return np.logaddexp(0.0, g)
+    if g > 0.0:
+        return g + math.log1p(math.exp(-g))
+    if g < 0.0:
+        return math.log1p(math.exp(g))
+    return _LOG_2 if g == 0.0 else g  # g is nan
 
 
 def gaussian_log_prob(g: float | np.ndarray, mu: float | np.ndarray, sigma: float | np.ndarray) -> float | np.ndarray:
     z = (g - mu) / sigma
-    return -0.5 * z * z - np.log(sigma) - _HALF_LOG_2PI
+    log_sigma = np.log(sigma)
+    if isinstance(sigma, float):
+        # The rest is Python float arithmetic, the same IEEE operations
+        # without a NumPy scalar's dispatch; np.log keeps NumPy's rounding.
+        log_sigma = float(log_sigma)
+    return -0.5 * z * z - log_sigma - _HALF_LOG_2PI
 
 
 class GaussianPolicy:
@@ -230,15 +249,18 @@ class GaussianPolicy:
         [[mu, log_sigma_raw]] = out.tolist()
         if not (math.isfinite(mu) and math.isfinite(log_sigma_raw)):
             raise NumericalFault(f"policy head is not finite: mu={mu}, log_sigma_raw={log_sigma_raw}")
-        # Python floats throughout, with NumPy's exp, log and logaddexp, which
-        # round differently from math's: gaussian_log_prob and softplus, the
-        # loss's rules, give Python floats the bits they give NumPy scalars.
-        sigma = max(float(np.exp(log_sigma_raw)), self.sigma_floor)
+        # Python floats throughout. np.exp and np.log stay in NumPy, whose
+        # SIMD loops round differently from math's; gaussian_log_prob and
+        # softplus, the loss's rules, give Python floats the bits they give
+        # NumPy scalars.
+        sigma = float(np.exp(log_sigma_raw))
+        if sigma < self.sigma_floor:  # max(sigma, floor) without the builtin call
+            sigma = self.sigma_floor
         if not math.isfinite(sigma):
             raise NumericalFault(f"policy stddev overflowed: log_sigma_raw={log_sigma_raw}")
         g = mu if rng is None else mu + sigma * rng.standard_normal()
-        logp = float(gaussian_log_prob(g, mu, sigma))
-        action = float(softplus(g))
+        logp = gaussian_log_prob(g, mu, sigma)
+        action = softplus(g)
         if not (math.isfinite(g) and math.isfinite(action) and math.isfinite(logp)):
             raise NumericalFault(f"action is not finite: g={g}")
         return action, g, logp

@@ -36,7 +36,6 @@ from auctionlab.ppo import (
     compute_reward,
     resolve_xi,
     smoothness_reward,
-    softplus,
 )
 
 
@@ -255,7 +254,7 @@ def reference_act(policy: GaussianPolicy, features: np.ndarray, rng=None):
         g = mu + sigma * float(rng.standard_normal())
     zs = (np.asarray(g) - mu) / sigma
     logp = float(-0.5 * zs * zs - np.log(sigma) - 0.5 * np.log(2.0 * np.pi))
-    action = float(softplus(g))
+    action = float(np.logaddexp(0.0, g))
     if not (np.isfinite(g) and np.isfinite(action) and np.isfinite(logp)):
         raise NumericalFault(f"action is not finite: g={g}")
     return action, g, logp

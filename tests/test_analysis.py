@@ -265,6 +265,26 @@ def test_chernoff_min_clicks_values():
         chernoff_min_clicks(0.1, 0.0)
 
 
+@pytest.mark.parametrize(
+    "epsilon,cvr,key",
+    [
+        (1e-320, 0.05, "epsilon"),  # epsilon**2 underflows to 0: an infinite bound
+        (1e-160, 1.0, "epsilon"),  # epsilon**2 is subnormal and the quotient overflows
+        (1e-9, 1.0, "epsilon"),  # finite, but above 2**63 at every cvr
+        (0.5, 1e-320, "cvr"),  # the same epsilon gives 28 clicks at cvr = 1
+        (0.1, 1e-300, "cvr"),  # finite, but above 2**63
+    ],
+)
+def test_chernoff_bound_that_is_not_an_int64_names_its_key(epsilon, cvr, key):
+    with pytest.raises(ConfigError, match=f"^{key} is too small"):
+        chernoff_min_clicks(epsilon, cvr)
+
+
+def test_chernoff_bound_just_inside_int64_is_kept():
+    bound = chernoff_min_clicks(0.1, 1e-15)
+    assert isinstance(bound, int) and 0 < bound < 2 ** 63
+
+
 def test_chernoff_empirical_rates():
     rate = chernoff_empirical_check(0.05, 0.1, trials=2000, seed=0)
     assert rate <= 0.1

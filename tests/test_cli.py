@@ -261,6 +261,27 @@ def test_train_refuses_a_seed_outside_uint64(capsys, train_config, tmp_path, see
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_a_seed_outside_uint64_names_the_flag_and_makes_no_directory(capsys, run_config, tmp_path, command, seed):
+    out = tmp_path / "o2"
+    assert main([command, "--config", run_config, "--seed", str(seed), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == f"ERROR ConfigError: --seed must be an unsigned 64-bit integer, got {seed}"
+    assert sum(line.startswith("ERROR") for line in err) == 1
+    assert not out.exists()
+
+
+def test_a_config_seed_outside_uint64_makes_no_directory(capsys, tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(RUN_YAML.replace("seeds: [0, 1]", "seeds: [0, -1]"))
+    out = tmp_path / "art"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == "ERROR ConfigError: seeds[1] must be an unsigned 64-bit integer, got -1"
+    assert not out.exists()
+
+
 
 NOT_UTF8 = b"market:\n  seed: \xff\xfe\n"
 
@@ -376,6 +397,10 @@ TOY_PLAN = "stage_plan: {stages: 31, rounds_per_stage: 200}"
                      "market.stage_plan.stages", id="plan_ten_billion_rounds"),
         pytest.param("train", "toy_train.yaml", TOY_PLAN, "stage_plan: {stages: 1099511627776, rounds_per_stage: 600}",
                      "market.stage_plan.rounds_per_stage", id="plan_2_to_the_40_stages"),
+        pytest.param("train", "toy_train.yaml", TOY_PLAN, "stage_plan: {stages: 10000000, rounds_per_stage: 20}",
+                     "market.stage_plan.stages", id="plan_two_hundred_million_rounds"),
+        pytest.param("generate", "toy_train.yaml", "num_bidders: 1", "num_bidders: 20000", "num_bidders",
+                     id="one_slot_market_over_the_byte_cap"),
     ],
 )
 def test_oversized_markets_end_in_one_config_error(tmp_path, command, config, old, new, key):

@@ -185,6 +185,26 @@ def test_load_config_rejects_bad_values(tmp_path, snippet, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "snippet,needle",
+    [
+        ("chernoff: {epsilon: 1.0e-320, cvr: 0.05}", "chernoff.epsilon is too small"),
+        ("chernoff: {epsilon: 0.5, cvr: 1.0e-320}", "chernoff.cvr is too small"),
+        ("seeds: [0, -1]", "seeds[1] must be an unsigned 64-bit integer, got -1"),
+        ("seeds: [18446744073709551616]", "seeds[0] must be an unsigned 64-bit integer"),
+    ],
+)
+def test_load_config_refuses_what_would_fail_only_at_run_time(tmp_path, snippet, needle):
+    body = "market:\n  num_bidders: 2\n  num_slots: 1\n  stage_plan: [5]\n  seed: 0\nmechanisms:\n  - kind: CFP\n"
+    if not snippet.startswith("seeds:"):
+        body += "seeds: [0]\n"
+    path = tmp_path / "c.yaml"
+    path.write_text(body + snippet + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert needle in str(err.value)
+
+
 def test_load_config_takes_whole_floats_as_integers(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("""

@@ -22,7 +22,7 @@ from auctionlab import (
     write_market_csv,
 )
 from auctionlab.csvio import CHUNK_ROWS
-from auctionlab.market import _PHILOX_BLOCK, MarketLog, _uniform_doubles, philox4x64, read_market_csv
+from auctionlab.market import _PHILOX_BLOCK, MAX_MARKET_BYTES, MarketLog, _uniform_doubles, philox4x64, read_market_csv
 from reference import RoundOutcome, sample_round, stage_of, validate_allocation
 
 _MASK = (1 << 64) - 1
@@ -63,6 +63,19 @@ def _tiny_config(**kw):
     )
     base.update(kw)
     return MarketConfig(**base)
+
+
+@pytest.mark.parametrize("bidders,slots", [(1, 1), (50, 5), (7, 3)])
+def test_market_is_capped_by_the_bytes_of_its_rate_arrays(bidders, slots):
+    # ctr is (N, M, K), cvr and value are (N, M): N·M·(K + 2)·8 bytes. Only
+    # the config is built here, so nothing of that size is allocated.
+    per_round = bidders * (slots + 2) * 8
+    rounds = MAX_MARKET_BYTES // per_round
+    fits = dict(num_bidders=bidders, num_slots=slots)
+    _tiny_config(num_rounds=rounds, stage_plan=(rounds,), **fits)
+    with pytest.raises(ConfigError) as err:
+        _tiny_config(num_rounds=rounds + 1, stage_plan=(rounds + 1,), **fits)
+    assert all(key in str(err.value) for key in ("num_rounds", "num_bidders", "num_slots"))
 
 
 def test_philox_block_matches_scalar_reference():

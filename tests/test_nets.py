@@ -185,6 +185,24 @@ def test_adam_in_place_step_matches_out_of_place_formula_bits():
     assert opt.t == 50
 
 
+@pytest.mark.parametrize("hidden", [(), (3,), (64, 64)])
+def test_a_float64_row_takes_the_bits_of_every_other_row_form(hidden):
+    # A float64 (in_dim,) ndarray goes through forward as given; a list, a
+    # float32 row or a (1, in_dim) row take the general path.
+    rng = np.random.default_rng(21)
+    net = MLP(9, hidden, 2, rng=rng)
+    x = rng.standard_normal(9)
+    out, acts = net.forward(x)
+    assert out.shape == (1, 2) and acts[0] is x
+    for other in (x.tolist(), x[None]):
+        other_out, other_acts = net.forward(other)
+        assert other_out.tobytes() == out.tobytes()
+        assert [a.tobytes() for a in other_acts[1:]] == [a.tobytes() for a in acts[1:]]
+    x32 = x.astype(np.float32)
+    assert net.forward(x32)[0].tobytes() == net.forward(x32.astype(np.float64))[0].tobytes()
+    assert out.tobytes() == reference_forward(net, x).tobytes()
+
+
 def _with_standalone_params(net):
     """A copy of net whose layers are separate arrays, not views of one buffer."""
     twin = copy.deepcopy(net)

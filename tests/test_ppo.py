@@ -1,5 +1,6 @@
 """Payment policy: rewards, estimators, losses, hand backprop, training loop."""
 
+import math
 import os
 import pathlib
 import sys
@@ -305,6 +306,85 @@ def test_act_and_value_match_reference_bits():
         assert policy.act(feats) == reference_act(policy, feats)
         assert np.float64(value_estimate(critic, feats)).tobytes() == np.float64(
             reference_value_estimate(critic, feats)).tobytes()
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# Values of g for the float paths: the special values, subnormals and +-0,
+# the ranges of normal draws at sigma 3 and 40, +-800, and any float.
+_SPECIAL_GS = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+               700.0, -745.0, 36.0, -36.0, 37.0, -37.0, 709.8, 710.0, 1e308, -1e308, math.inf, -math.inf]
+_GS = st.one_of(
+    st.sampled_from(_SPECIAL_GS),
+    st.floats(-12.0, 12.0),
+    st.floats(-160.0, 160.0),
+    st.floats(-800.0, 800.0),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(_GS)
+def test_float_softplus_has_the_bits_of_numpy_logaddexp(g):
+    got = softplus(g)
+    assert type(got) is float
+    assert _bits(got) == np.logaddexp(0.0, g).tobytes()
+    assert _bits(got) == np.logaddexp(0.0, np.array([g]))[0].tobytes()
+    assert _bits(got) == softplus(np.array([g]))[0].tobytes()
+
+
+def test_float_softplus_keeps_the_special_values_bits():
+    for g in _SPECIAL_GS:
+        assert _bits(softplus(g)) == np.logaddexp(0.0, g).tobytes(), g
+    assert math.isnan(softplus(math.nan))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(_GS.filter(math.isfinite), st.floats(-1e3, 1e3), st.floats(5e-324, 1e300))
+def test_float_log_prob_has_the_bits_of_the_numpy_scalar_form(g, mu, sigma):
+    got = gaussian_log_prob(g, mu, sigma)
+    assert type(got) is float
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The rule on NumPy scalars throughout, and on one-element arrays.
+        z = (np.float64(g) - np.float64(mu)) / np.float64(sigma)
+        scalar = -0.5 * z * z - np.log(np.float64(sigma)) - ppo._HALF_LOG_2PI
+        array = gaussian_log_prob(np.array([g]), np.array([mu]), np.array([sigma]))[0]
+    assert _bits(got) == scalar.tobytes()
+    assert _bits(got) == array.tobytes()
+
+
+def test_float_log_prob_keeps_numpy_log_where_math_log_rounds_differently():
+    # math.log and np.log's SIMD loop part on about 0.1% of sigmas in this
+    # range on an AVX-512 machine; the float path must keep np.log's bits.
+    for sigma in np.random.default_rng(0).uniform(1e-3, 10.0, 20000).tolist():
+        want = gaussian_log_prob(np.array([0.3]), np.array([0.1]), np.array([sigma]))[0]
+        assert _bits(gaussian_log_prob(0.3, 0.1, sigma)) == want.tobytes(), sigma
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(), (4,), (64, 64)]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.1, 1.0, 3.0]),
+    st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+    st.sampled_from([1e-3, 0.5, 5.0]),
+    st.booleans(),
+)
+def test_act_matches_reference_act_on_generated_nets(hidden, seed, weight_scale, feature_scale, floor, sampled):
+    rng = np.random.default_rng(seed)
+    net = MLP(FEATURE_DIM, hidden, 2, rng=rng)
+    net.set_flat(net.get_flat() * weight_scale + rng.standard_normal(net.num_params) * 0.1)
+    policy = GaussianPolicy(net, floor)
+    for _ in range(5):
+        feats = rng.standard_normal(FEATURE_DIM) * feature_scale
+        act_rng = np.random.Generator(np.random.Philox(key=[seed, 12])) if sampled else None
+        ref_rng = np.random.Generator(np.random.Philox(key=[seed, 12])) if sampled else None
+        got = policy.act(feats, act_rng)
+        want = reference_act(policy, feats, ref_rng)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
