@@ -73,7 +73,7 @@ for mech, controller in (
     report = bid_drift_metric(result)
     path = result.bid_by_stage[:, watched] / market2.tcpa[watched]
     print(f"{mech.label:9s} mean |final bid / tcpa - 1| = {report.mean_drift:.3f}, "
-          f"withdrawals {report.withdrawals}")
+          f"withdrawals {int(result.withdrawn.sum())}")
     print(f"          bidder {watched} bid path (x tcpa): "
           + " ".join(f"{v:.2f}" for v in path))
 

@@ -73,7 +73,7 @@ def main() -> None:
           " only payments differ.")
 
     # offline rules hit the target exactly, the online payer approximately
-    total_pay = {label: sum(l.payment for l in r.ledgers) for label, r in results.items()}
+    total_pay = {label: r.stage_payments.sum() for label, r in results.items()}
     for label in ("CPA_OFFLINE", "DFP:debt", "CFP"):
         print(f"total spend under {label:12s} {total_pay[label]:10.2f}")
 

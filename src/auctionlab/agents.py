@@ -165,17 +165,17 @@ def deviation_sweep(
 
 @dataclass
 class DriftReport:
-    """How far final bids drifted from truthful, and how many bidders quit."""
+    """How far final bids drifted from truthful."""
 
     drift: np.ndarray
-    withdrawals: int
     mean_drift: float
 
 
 def bid_drift_metric(result: SimulationResult) -> DriftReport:
-    """Per-bidder |final_bid / tcpa - 1| plus the withdrawal count.
+    """Per-bidder |final_bid / tcpa - 1| and its mean.
 
-    Withdrawn bidders contribute drift 1 (bid 0).
+    Withdrawn bidders contribute drift 1 (bid 0); ``result.withdrawn``
+    marks them.
     """
     drift = np.abs(result.final_bids / result.tcpa - 1.0)
-    return DriftReport(drift=drift, withdrawals=int(result.withdrawn.sum()), mean_drift=float(drift.mean()))
+    return DriftReport(drift=drift, mean_drift=float(drift.mean()))

@@ -79,28 +79,6 @@ class MechanismConfig:
         return self.kind if self.controller is None else f"{self.kind}:{self.controller}"
 
 
-@dataclass
-class BidderLedger:
-    """Per-bidder accumulators over a full run.
-
-    expected_* accumulate x*ctr, x*ctr*cvr, and bid*x*ctr*cvr per round (the
-    click, conversion, and spend expectations at the quoted bid), while
-    clicks/conversions/payment hold realized totals. utility sums conversion
-    values actually won.
-    """
-
-    bid: float
-    tcpa: float
-    impressions: int = 0
-    clicks: int = 0
-    conversions: int = 0
-    expected_clicks: float = 0.0
-    expected_conversions: float = 0.0
-    expected_payment: float = 0.0
-    payment: float = 0.0
-    utility: float = 0.0
-
-
 def cfp_payment(bid, click, cvr):
     """Coupled first-price per-click payment: bid * click * cvr. Broadcasts."""
     return bid * click * cvr
@@ -153,7 +131,7 @@ class RoundsTable:
 
 @dataclass
 class SimulationResult:
-    """Outcome stream plus per-stage and final per-bidder accounting.
+    """Outcome stream plus per-stage accounting.
 
     Stage tables are (num_stages, num_bidders) arrays; rounds is the flat
     per-displayed-slot log in round order.
@@ -163,7 +141,6 @@ class SimulationResult:
     stage_plan: tuple[int, ...]
     tcpa: np.ndarray
     rounds: RoundsTable
-    ledgers: list[BidderLedger]
     stage_impressions: np.ndarray
     stage_clicks: np.ndarray
     stage_conversions: np.ndarray
@@ -185,8 +162,8 @@ class SimulationResult:
         return len(self.stage_plan)
 
 
-# The stage tables, views of one (8, T, M) block in this order: BidderLedger's
-# order of totals.
+# The stage tables, views of one (8, T, M) block in this order, which is also
+# the order of their per-bidder totals in summary.csv.
 _STAGE_TABLES = (
     "stage_impressions", "stage_clicks", "stage_conversions", "stage_expected_clicks",
     "stage_expected_conversions", "stage_expected_payments", "stage_payments", "stage_value",
@@ -289,7 +266,7 @@ def run_auction(
         controller: online controller instance (DFP only, except "oracle").
 
     Returns:
-        SimulationResult with the rounds table, stage tables, and ledgers.
+        SimulationResult with the rounds table and stage tables.
 
     Raises:
         ContractViolation: wrong agent count, a missing online controller,
@@ -315,7 +292,8 @@ def run_auction(
 
     starts = stage_starts(plan)
     tables = np.zeros((len(_STAGE_TABLES), T, M))
-    clicks_table, convs_table, pay_table = tables[1], tables[2], tables[6]
+    named = dict(zip(_STAGE_TABLES, tables))
+    clicks_table, convs_table, pay_table = named["stage_clicks"], named["stage_conversions"], named["stage_payments"]
     bid_by_stage = np.zeros((T, M))
     stage_rows: list[tuple[np.ndarray, ...]] = []
 
@@ -408,8 +386,7 @@ def run_auction(
         stage_plan=plan,
         tcpa=tcpa.copy(),
         rounds=rounds,
-        ledgers=_final_ledgers(tcpa, bids, tables),
-        **dict(zip(_STAGE_TABLES, tables)),
+        **named,
         bid_by_stage=bid_by_stage,
         final_bids=bids.copy(),
         withdrawn=(bids == 0.0),
@@ -431,15 +408,6 @@ def _reprice_pacing(rounds: RoundsTable, stage_payments: np.ndarray, tcpa: np.nd
     ).reshape(T, M)
 
 
-def _final_ledgers(tcpa: np.ndarray, final_bids: np.ndarray, tables: np.ndarray) -> list[BidderLedger]:
-    """Each bidder's run totals: its column of every stage table, summed over stages."""
-    ledgers = []
-    for m in range(tcpa.size):
-        imps, clicks, convs, *floats = (float(table[:, m].sum()) for table in tables)
-        ledgers.append(BidderLedger(float(final_bids[m]), float(tcpa[m]), int(imps), int(clicks), int(convs), *floats))
-    return ledgers
-
-
 def write_rounds_csv(result: SimulationResult, path: str, memo: ReuseMemo | None = None) -> None:
     """One row per displayed (round, slot), in round order.
 
@@ -451,13 +419,11 @@ def write_rounds_csv(result: SimulationResult, path: str, memo: ReuseMemo | None
 
 
 def write_summary_csv(result: SimulationResult, path: str) -> None:
-    """Final per-bidder ledger totals."""
-    fields = (
-        "tcpa", "bid", "impressions", "clicks", "conversions", "expected_clicks",
-        "expected_conversions", "expected_payment", "payment", "utility",
-    )
+    """Each bidder's run totals: its column of every stage table, summed over
+    stages on its own; impressions, clicks and conversions as integers."""
+    M = result.num_bidders
+    totals = [np.array([getattr(result, name)[:, m].sum() for m in range(M)]) for name in _STAGE_TABLES]
     write_table(path, SUMMARY_CSV_HEADER, [
-        np.arange(result.num_bidders),
-        *([getattr(led, name) for led in result.ledgers] for name in fields),
+        np.arange(M), result.tcpa, result.final_bids, *(t.astype(np.int64) for t in totals[:3]), *totals[3:],
         result.withdrawn,
     ])

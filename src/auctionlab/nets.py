@@ -44,15 +44,17 @@ class MLP:
         """Length of the flat buffer of a network with these layer widths."""
         return sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
 
+    def _layers(self, buffer: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The per-layer (W, b) views of a flat buffer laid out W0, b0, W1, b1, ..."""
+        layers, pos = [], 0
+        for a, b in zip(self.sizes[:-1], self.sizes[1:]):
+            layers.append((buffer[pos:pos + a * b].reshape(a, b), buffer[pos + a * b:pos + a * b + b]))
+            pos += a * b + b
+        return layers
+
     def _bind(self) -> None:
         """(Re)build the per-layer views of `flat`."""
-        self._weights: list[np.ndarray] = []
-        self._biases: list[np.ndarray] = []
-        pos = 0
-        for a, b in zip(self.sizes[:-1], self.sizes[1:]):
-            self._weights.append(self.flat[pos:pos + a * b].reshape(a, b))
-            self._biases.append(self.flat[pos + a * b:pos + a * b + b])
-            pos += a * b + b
+        self._weights, self._biases = (list(views) for views in zip(*self._layers(self.flat)))
         self._pair()
 
     def _pair(self) -> None:
@@ -108,14 +110,14 @@ class MLP:
         whether it is sent in a (batch, in_dim) matrix, but not on whether it
         arrives as (in_dim,), (1, in_dim) or one of stacked (batch, 1, in_dim)
         rows: `@` on stacked rows runs one gemv per row, the single row's call.
-        A float64 (in_dim,) ndarray row, the policy's per-click call, is used
-        as given, with no conversion, and only its output is viewed as
-        (1, out_dim).
+        Nor on its strides: a strided input, which BLAS would take through
+        other kernels, is copied contiguous first. A contiguous float64
+        (in_dim,) ndarray row, the policy's per-click call, is used as given.
         """
-        if type(x) is np.ndarray and x.dtype is _F64 and x.ndim == 1:
+        if type(x) is np.ndarray and x.dtype is _F64 and x.ndim == 1 and x.flags.c_contiguous:
             h, row, product = x, True, np.ndarray.dot
         else:
-            h = np.asarray(x, dtype=np.float64)
+            h = np.ascontiguousarray(x, dtype=np.float64)
             row, product = h.ndim == 1, (np.matmul if h.ndim == 3 else np.ndarray.dot)
         acts = [h]
         for w, b in self._hidden:
@@ -129,7 +131,7 @@ class MLP:
         acts.append(h)
         return (h[None] if row else h), acts
 
-    def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> list[np.ndarray]:
+    def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
         """Gradients of sum(dout * output) w.r.t. parameters.
 
         Args:
@@ -137,18 +139,17 @@ class MLP:
             dout: (batch, out_dim) upstream gradient.
 
         Returns:
-            Flat-order gradient list [dW0, db0, dW1, db1, ...].
+            One gradient vector in the layout of `flat`.
         """
-        grads: list[np.ndarray] = []
+        grad = np.empty(self.num_params)
         delta = np.asarray(dout, dtype=np.float64)
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads.append(delta.sum(axis=0))          # db
-            grads.append(acts[i].reshape(len(delta), -1).T @ delta)  # dW
+        for i, (dW, db) in reversed(list(enumerate(self._layers(grad)))):
+            db[...] = delta.sum(axis=0)
+            dW[...] = acts[i].reshape(len(delta), -1).T @ delta
             if i > 0:
                 # tanh' = 1 - tanh^2, and acts[i] already holds tanh values.
                 delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
-        grads.reverse()
-        return grads
+        return grad
 
     def get_flat(self) -> np.ndarray:
         """A copy of the parameter vector."""
@@ -160,10 +161,6 @@ class MLP:
         if flat.size != self.num_params:
             raise SchemaError(f"expected {self.num_params} parameters, got {flat.size}")
         self.flat[...] = flat.reshape(-1)
-
-    @staticmethod
-    def flatten_grads(grads: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in grads])
 
 
 class Adam:

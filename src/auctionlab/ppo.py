@@ -441,10 +441,10 @@ def loss_and_grads(policy: GaussianPolicy, critic: MLP, batch: TrainingBatch, cf
     dlsr = dlogp * (z * z - 1.0) * not_floored
     # Entropy enters the total with weight -a3.
     dlsr = dlsr - (a3 / B) * not_floored
-    loss.policy_grad = MLP.flatten_grads(policy.net.backward(acts, np.stack([dmu, dlsr], axis=1)))
+    loss.policy_grad = policy.net.backward(acts, np.stack([dmu, dlsr], axis=1))
 
     dv = (a2 * 2.0 / B) * (v - batch.returns)
-    loss.critic_grad = MLP.flatten_grads(critic.backward(v_acts, dv[:, None]))
+    loss.critic_grad = critic.backward(v_acts, dv[:, None])
     return loss
 
 

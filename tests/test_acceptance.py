@@ -318,7 +318,7 @@ def test_acceptance_10_risk_averse_bid_stability():
     result = run_auction(market, MechanismConfig("CPA_OFFLINE"), agents)
     report = bid_drift_metric(result)
     assert np.all(report.drift == 0.0)
-    assert report.withdrawals == 0
+    assert not result.withdrawn.any()
 
     sparse = load_config(os.path.join(CONFIGS, "sparse.yaml"))
     wins = 0

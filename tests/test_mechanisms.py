@@ -171,9 +171,8 @@ def test_single_round_cfp_composition():
         )
     )
     result = run_auction(market, MechanismConfig("CFP"), _truthful(market))
-    led = result.ledgers[0]
-    assert led.clicks == 1
-    assert led.payment == 0.1
+    assert result.stage_clicks[:, 0].sum() == 1
+    assert result.stage_payments[:, 0].sum() == 0.1
     assert result.rounds.payment[0] == 0.1
 
 
@@ -455,9 +454,8 @@ def test_rounds_and_summary_csv(tmp_path):
     assert len(lines) == 1 + market.num_bidders
     for m, line in enumerate(lines[1:]):
         fields = line.split(",")
-        led = result.ledgers[m]
         assert int(fields[0]) == m
-        assert float(fields[1]) == led.tcpa
-        assert int(fields[4]) == led.clicks
-        assert float(fields[9]) == led.payment
+        assert float(fields[1]) == result.tcpa[m]
+        assert int(fields[4]) == result.stage_clicks[:, m].sum()
+        assert float(fields[9]) == result.stage_payments[:, m].sum()
         assert fields[11] == "0"

@@ -62,7 +62,7 @@ def test_backward_matches_finite_differences():
 
     base = net.get_flat()
     _, acts = net.forward(x)
-    analytic = MLP.flatten_grads(net.backward(acts, dout))
+    analytic = net.backward(acts, dout)
     h = 1e-6
     for i in range(base.size):
         probe = base.copy()
@@ -80,11 +80,11 @@ def test_backward_sums_over_batch():
     x = np.array([[1.0, 2.0], [0.5, -1.0]])
     dout = np.ones((2, 1))
     _, acts = net.forward(x)
-    full = MLP.flatten_grads(net.backward(acts, dout))
+    full = net.backward(acts, dout)
     parts = np.zeros_like(full)
     for i in range(2):
         _, acts_i = net.forward(x[i : i + 1])
-        parts += MLP.flatten_grads(net.backward(acts_i, dout[i : i + 1]))
+        parts += net.backward(acts_i, dout[i : i + 1])
     np.testing.assert_allclose(full, parts, rtol=0, atol=1e-12)
 
 
@@ -124,8 +124,8 @@ def test_single_row_cache_backpropagates_like_a_batch_of_one():
     net = MLP(4, (5,), 2, rng=rng)
     x = rng.standard_normal(4)
     dout = rng.standard_normal((1, 2))
-    by_row = MLP.flatten_grads(net.backward(net.forward(x)[1], dout))
-    by_batch = MLP.flatten_grads(net.backward(net.forward(x[None, :])[1], dout))
+    by_row = net.backward(net.forward(x)[1], dout)
+    by_batch = net.backward(net.forward(x[None, :])[1], dout)
     assert by_row.tobytes() == by_batch.tobytes()
 
 
@@ -229,8 +229,8 @@ def test_view_parameters_give_the_bits_of_standalone_arrays(hidden):
         dout = rng.standard_normal((len(x) if x.ndim > 1 else 1, 2))
         if x.ndim == 3:
             continue  # stacked rows are a forward-only form
-        grads = MLP.flatten_grads(net.backward(acts, dout))
-        assert grads.tobytes() == MLP.flatten_grads(twin.backward(want_acts, dout)).tobytes()
+        grads = net.backward(acts, dout)
+        assert grads.tobytes() == twin.backward(want_acts, dout).tobytes()
 
 
 def test_weights_are_views_of_the_flat_buffer():
@@ -266,3 +266,22 @@ def test_count_params_sizes_the_flat_buffer():
     assert MLP.count_params((9, 64, 64, 2)) + MLP.count_params((9, 64, 64, 1)) == 9795
     for sizes in [(3, 2), (9, 3, 1), (4, 5, 7, 2)]:
         assert MLP(sizes[0], sizes[1:-1], sizes[-1]).num_params == MLP.count_params(sizes)
+
+
+@pytest.mark.parametrize("hidden", [(), (3,), (64, 64)])
+def test_strided_inputs_take_the_bits_of_their_contiguous_copies(hidden):
+    # BLAS takes a strided operand through other kernels than a contiguous
+    # one; forward copies a strided input first, so strides never move a bit.
+    rng = np.random.default_rng(22)
+    net = MLP(9, hidden, 2, rng=rng)
+    net.set_flat(net.get_flat() + rng.standard_normal(net.num_params) * 0.1)
+    wide = rng.standard_normal((4000, 18)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(4000, 1))
+    rows = [wide[0, ::2], wide[7, 1::2], wide[::2, 3][:9]]
+    batches = [wide[::2, :9], wide[::2, ::2], wide[:300, 5:14], np.asfortranarray(wide[:300, :9])]
+    stacks = [wide[:256:2, None, :9], wide[:128, None, ::2], wide[:300, None, 9:]]
+    for x in rows + batches + stacks:
+        assert not x.flags.c_contiguous
+        out, acts = net.forward(x)
+        want_out, want_acts = net.forward(x.copy())
+        assert out.tobytes() == want_out.tobytes()
+        assert [a.tobytes() for a in acts] == [a.tobytes() for a in want_acts]

@@ -5,8 +5,9 @@ a time; these properties hold the stage-vectorized engine's own output to
 them, for every mechanism, on markets hypothesis generates. The online DFP
 payers are also held bit for bit to the per-click reference forms there,
 runs that share a log's memoised outcome pass to runs on fresh logs, and
-the stage tables to their recount from the rounds log, and runs on a
-market read back from its replay CSV to runs on the live market. Outcomes
+the stage tables to their recount from the rounds log, summary.csv to the
+stage tables' per-bidder totals, and runs on a market read back from its
+replay CSV to runs on the live market. Outcomes
 are held to their address: the seed and the (round, bidder, slot) triple.
 """
 
@@ -34,6 +35,7 @@ from auctionlab import (
 from auctionlab import market as market_module
 from auctionlab.controllers import DEFAULT_CAP_FACTOR, stage_pacing_oracle
 from auctionlab.market import read_market_csv
+from auctionlab.mechanisms import SUMMARY_CSV_HEADER, write_summary_csv
 from auctionlab.nets import MLP
 from auctionlab.ppo import FEATURE_DIM, GaussianPolicy, RLPaymentController
 from reference import ROUNDS_COLUMNS, ReferenceRLController, online_dfp_reference
@@ -312,6 +314,39 @@ def test_stage_tables_equal_their_recount_from_the_rounds_log(config, risk_avers
         for name, table in want.items():
             assert _same_bits(getattr(result, name), table), (mech.label, name)
 
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(market_configs(), st.booleans())
+def test_summary_csv_holds_each_bidders_stage_table_totals(config, risk_averse):
+    # All 12 columns, bit for bit: the bidder, tcpa and final bid; each stage
+    # table's column summed on its own, the first three as integers; and
+    # whether the bidder withdrew.
+    market = generate_market(config)
+    M = market.num_bidders
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "summary.csv")
+        for mech in SHARED_MECHANISMS:
+            agents = [RiskAverseAgent() if risk_averse else TruthfulAgent() for _ in range(M)]
+            result = run_auction(market, mech, agents, controller=_controller(mech, market))
+            write_summary_csv(result, path)
+            with open(path, encoding="utf-8") as fh:
+                header, *lines = fh.read().splitlines()
+            assert header == SUMMARY_CSV_HEADER
+            rows = [line.split(",") for line in lines]
+            assert [len(row) for row in rows] == [12] * M, mech.label
+            totals = [np.array([table[:, m].sum() for m in range(M)]) for table in (
+                result.stage_impressions, result.stage_clicks, result.stage_conversions,
+                result.stage_expected_clicks, result.stage_expected_conversions,
+                result.stage_expected_payments, result.stage_payments, result.stage_value,
+            )]
+            counts = [t.astype(np.int64) for t in totals[:3]]
+            assert all(np.array_equal(c, t) for c, t in zip(counts, totals[:3])), mech.label
+            want = [np.arange(M), result.tcpa, result.final_bids, *counts, *totals[3:],
+                    result.withdrawn.astype(np.int64)]
+            for name, cells, column in zip(header.split(","), zip(*rows), want):
+                parse = int if column.dtype.kind == "i" else float
+                assert _same_bits(np.array([parse(c) for c in cells], dtype=column.dtype), column), (mech.label, name)
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(market_configs(), st.data())
