@@ -97,12 +97,12 @@ def stage_pacing_oracle(stage_clicks: np.ndarray, stage_conversions: np.ndarray,
     per-stage target ratio is met with equality. Bidders without clicks get 0.
 
     Args:
-        stage_clicks: realized click counts, shape (M,) (scalars broadcast).
+        stage_clicks: realized click counts, shape (M,), or (T, M) for T stages; scalars broadcast.
         stage_conversions: realized conversion counts, same shape.
-        tcpa: per-bidder targets, same shape.
+        tcpa: per-bidder targets, shape (M,), broadcast against the counts.
 
     Returns:
-        Per-click payment per bidder, shape (M,).
+        Per-click payment per bidder, the counts' shape: (M,) or (T, M).
     """
     clicks = np.atleast_1d(np.asarray(stage_clicks, dtype=np.float64))
     convs = np.atleast_1d(np.asarray(stage_conversions, dtype=np.float64))

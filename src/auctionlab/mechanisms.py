@@ -4,28 +4,26 @@ Four payment rules share one allocation pipeline (top-K by ranking score):
 
     CFP             pays bid * cvr on every click, online.
     CPA_OFFLINE     pays tcpa on every conversion; the formula needs nothing
-                    beyond the current round, so the engine fills it in-loop
-                    (numerically identical to post-hoc repricing because
-                    outcomes never depend on payments).
+                    beyond the current round, so the engine pays it online.
     PACING_OFFLINE  pays each click the same amount, total_conversions *
-                    tcpa / total_clicks, known only after the run; the engine
-                    runs the outcome pass first and reprices afterwards.
+                    tcpa / total_clicks, known only after the run.
     DFP             per-click payments chosen online by a pluggable
                     controller ("debt" or an RL policy), or in hindsight by
-                    the per-stage pacing oracle ("oracle"), priced at each
-                    stage end from that stage's clicks and conversions.
+                    the per-stage pacing oracle ("oracle"), each stage's
+                    clicks paying that stage's conversions * tcpa / clicks.
 
 Bids are frozen within a stage, so each stage's allocation is deterministic
 given the bids at its start; the engine exploits that to vectorize scoring,
 allocation, and outcome sampling stage by stage. Each stage runs two passes:
 the outcome pass (score -> allocate -> sample), a function of the market,
 the stage and the bid vector alone, and the pricing pass that sets the
-payments. The outcome pass is memoised on the MarketLog, so mechanisms run
-on the same log that meet the same bids share it. Each stage yields one
-record: a row of every stage table (one (8, T, M) block) and one tuple of
-rounds columns. Agent bid updates fire at stage boundaries for CFP,
-CPA_OFFLINE, and online DFP. PACING_OFFLINE and the DFP oracle price clicks
-only after outcomes are fixed, so those runs keep bids static.
+payments of the online rules. The outcome pass is memoised on the MarketLog,
+so mechanisms run on the same log that meet the same bids share it. Each
+stage yields one record: a row of every stage table (one (8, T, M) block)
+and one tuple of rounds columns. Agent bid updates fire at stage boundaries
+for CFP, CPA_OFFLINE, and online DFP. The two hindsight rules,
+PACING_OFFLINE and the DFP oracle, keep bids static and are priced in one
+pass after the last stage, from the stage tables of clicks and conversions.
 """
 
 from __future__ import annotations
@@ -214,9 +212,10 @@ def _outcome_pass(market: MarketLog, t: int, s0: int, bids: np.ndarray) -> tuple
     stage's entry only if that entry was never reused: the static bids of
     the offline baselines stay kept across a run whose bids move.
 
-    Returns read-only (rows, slots, bidders, click, conversion): the
+    Returns read-only (rows, slots, bidders, score, click, conversion): the
     displayed (stage row, slot) pairs in round-then-slot order and their
-    winners as int32, and the uint8 outcomes of ``sample_outcomes``.
+    winners as int32, each winner's entry of the stage's score matrix, and
+    the uint8 outcomes of ``sample_outcomes``.
     """
     key = bids.tobytes()
     kept = market.outcome_memo.get(t, key)
@@ -228,7 +227,7 @@ def _outcome_pass(market: MarketLog, t: int, s0: int, bids: np.ndarray) -> tuple
     rows, slots = np.nonzero(valid)
     bidders = winner[rows, slots]
     y, z = sample_outcomes(market, rows + s0, bidders, slots)
-    kept = (rows.astype(np.int32), slots.astype(np.int32), bidders.astype(np.int32), y, z)
+    kept = (rows.astype(np.int32), slots.astype(np.int32), bidders.astype(np.int32), scores[rows, bidders], y, z)
     for column in kept:
         column.flags.writeable = False
     market.outcome_memo.put(t, key, kept)
@@ -247,9 +246,9 @@ def run_auction(
     then the pricing pass (pay -> accumulate); at each boundary conversions
     are released and (for CFP, CPA_OFFLINE, and online DFP) agents update
     bids from their cumulative checkpoint ratio conversions * tcpa /
-    payments. The DFP "oracle" prices each stage at its end from that
-    stage's own clicks and conversions; PACING_OFFLINE, whose price needs
-    the whole run, is repriced after it. Both keep bids static throughout.
+    payments. The hindsight rules keep bids static and are priced after the
+    last stage: the DFP "oracle" from each stage's own clicks and
+    conversions, PACING_OFFLINE from the whole run's.
 
     The outcome pass is memoised per market in ``market.outcome_memo``,
     one entry per stage keyed by the bid vector's bytes: a later run on the
@@ -274,17 +273,14 @@ def run_auction(
             (naming the bidder and stage), or a negative or non-finite
             controller payment.
     """
-    cfg = market.config
-    M = cfg.num_bidders
-    plan = cfg.stage_plan
-    T = len(plan)
+    plan = market.config.stage_plan
+    T, M = len(plan), market.num_bidders
     if len(agents) != M:
         raise ContractViolation(f"need {M} agents, got {len(agents)}")
-    oracle_run = mech.kind == "DFP" and mech.controller == "oracle"
-    online_dfp = mech.kind == "DFP" and not oracle_run
+    hindsight = mech.kind == "PACING_OFFLINE" or mech.controller == "oracle"
+    online_dfp = mech.kind == "DFP" and not hindsight
     if online_dfp and controller is None:
         raise ContractViolation(f"DFP with controller {mech.controller!r} needs a controller instance")
-    dynamic_bids = mech.kind in ("CFP", "CPA_OFFLINE") or online_dfp
 
     tcpa = market.tcpa
     bids = np.array([float(agents[m].initial_bid(float(tcpa[m]))) for m in range(M)])
@@ -298,10 +294,9 @@ def run_auction(
     stage_rows: list[tuple[np.ndarray, ...]] = []
 
     for t in range(T):
-        s0 = int(starts[t])
-        n_t = plan[t]
+        s0, n_t = int(starts[t]), plan[t]
         bid_by_stage[t] = bids
-        rows, slots, bidders, y, z = _outcome_pass(market, t, s0, bids)
+        rows, slots, bidders, score, y, z = _outcome_pass(market, t, s0, bids)
         rounds_global = rows.astype(np.int64) + s0
 
         # Pricing pass.
@@ -311,7 +306,7 @@ def run_auction(
         # Expected conversions under the stage's fixed allocation.
         e_convs = ctr_at * cvr_at
 
-        pay = np.zeros(y.shape)  # PACING_OFFLINE and the oracle are priced once outcomes are known
+        pay = np.zeros(y.shape)  # the hindsight rules are priced after the last stage
         if mech.kind == "CFP":
             pay = cfp_payment(bid_at, y, cvr_at)
         elif mech.kind == "CPA_OFFLINE":
@@ -345,41 +340,29 @@ def run_auction(
         weights = (None, y, z, ctr_at, e_convs, bid_at * e_convs, pay, market.value[rounds_global, bidders] * z)
         for k, w in enumerate(weights):
             tables[k, t] = np.bincount(bidders, weights=w, minlength=M)
-        if oracle_run:
-            # Hindsight settlement: each click pays conversions_t * tcpa / clicks_t.
-            per_click = stage_pacing_oracle(clicks_table[t], convs_table[t], tcpa)
-            pay = np.where(y, per_click[bidders], 0.0)
-            pay_table[t] = per_click * clicks_table[t]
-
-        # Gathered, the score is the same product as the stage's score matrix (slot 0's ctr).
-        score = ranking_score(bid_at, market.ctr[rounds_global, bidders, 0], cvr_at)
         stage_rows.append((
             rounds_global, np.full(rounds_global.shape, t, dtype=np.int64), bidders.astype(np.int64),
             slots.astype(np.int64), score, y, z, pay, bid_at,
         ))
+        if hindsight:
+            continue
 
-        # Boundary: conversions for stages <= t become visible.
+        # Boundary: conversions for stages <= t become visible, and each agent
+        # sees its checkpoint ratio (None before its first conversion).
         visible = convs_table[: t + 1].sum(axis=0)
         if online_dfp:
             controller.end_stage(visible)
-        if dynamic_bids:
-            paid_cum = pay_table[: t + 1].sum(axis=0)
-            new_bids = bids.copy()
-            for m in range(M):
-                if visible[m] >= 1.0:
-                    ratio = visible[m] * tcpa[m] / paid_cum[m] if paid_cum[m] > 0 else np.inf
-                else:
-                    ratio = None
-                new_bids[m] = agents[m].stage_update(
-                    float(bids[m]), float(tcpa[m]), ratio, bool(paid_cum[m] > 0)
-                )
-            _check_bids(new_bids, f"stage_update at the end of stage {t}")
-            bids = new_bids
+        paid_cum = pay_table[: t + 1].sum(axis=0)
+        ratio = np.divide(visible * tcpa, paid_cum, out=np.full(M, np.inf), where=paid_cum > 0)
+        bids = np.array([agents[m].stage_update(
+            float(bids[m]), float(tcpa[m]), ratio[m] if visible[m] >= 1.0 else None, bool(paid_cum[m] > 0)
+        ) for m in range(M)], dtype=np.float64)
+        _check_bids(bids, f"stage_update at the end of stage {t}")
 
     # One concatenate per column; the stage tuples hold the columns in field order.
     rounds = RoundsTable(*(np.concatenate(column) for column in zip(*stage_rows)))
-    if mech.kind == "PACING_OFFLINE":
-        _reprice_pacing(rounds, pay_table, tcpa)
+    if hindsight:
+        _price_in_hindsight(rounds, clicks_table, convs_table, pay_table, tcpa, per_stage=mech.kind == "DFP")
 
     return SimulationResult(
         mechanism=mech.label,
@@ -393,19 +376,23 @@ def run_auction(
     )
 
 
-def _reprice_pacing(rounds: RoundsTable, stage_payments: np.ndarray, tcpa: np.ndarray) -> None:
-    """Assign every click its bidder's constant whole-run pacing price."""
-    T, M = stage_payments.shape
+def _price_in_hindsight(rounds: RoundsTable, clicks: np.ndarray, convs: np.ndarray, payments: np.ndarray,
+                        tcpa: np.ndarray, per_stage: bool) -> None:
+    """Pay every click of a hindsight rule conversions * tcpa / clicks of its
+    bidder, from the (T, M) clicks and conversions tables: per stage for the
+    DFP oracle, whose payments table is price * clicks; over the whole run
+    for PACING_OFFLINE, whose table sums each (stage, bidder)'s payments in
+    round order. Fills rounds.payment and payments in place."""
+    T, M = clicks.shape
     clicked = np.flatnonzero(rounds.click)
-    bidder = rounds.bidder[clicked]
-    total_clicks = np.bincount(bidder, minlength=M).astype(np.float64)
-    total_convs = np.bincount(bidder, weights=rounds.conversion[clicked], minlength=M)
-    pay = stage_pacing_oracle(total_clicks, total_convs, tcpa)[bidder]
-    rounds.payment[clicked] = pay
-    # One (stage, bidder) bin per entry; each bin sums its clicks in round order.
-    stage_payments[:] = np.bincount(
-        rounds.stage[clicked] * M + bidder, weights=pay, minlength=T * M
-    ).reshape(T, M)
+    stage, bidder = rounds.stage[clicked], rounds.bidder[clicked]
+    if per_stage:
+        price = stage_pacing_oracle(clicks, convs, tcpa)
+        rounds.payment[clicked] = price[stage, bidder]
+        payments[:] = price * clicks
+    else:
+        rounds.payment[clicked] = pay = stage_pacing_oracle(clicks.sum(axis=0), convs.sum(axis=0), tcpa)[bidder]
+        payments[:] = np.bincount(stage * M + bidder, weights=pay, minlength=T * M).reshape(T, M)
 
 
 def write_rounds_csv(result: SimulationResult, path: str, memo: ReuseMemo | None = None) -> None:

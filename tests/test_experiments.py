@@ -341,6 +341,49 @@ def test_load_config_structural_errors(tmp_path):
         load_config(str(path))  # chernoff missing cvr
 
 
+def _key_paths(node, path=()):
+    """Every key path below node: each mapping key and list index, the
+    paths to nested mappings and lists included, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+def _substituted(node, path, value):
+    """node with the entry at path replaced by value; the containers along
+    path are copied, so node itself is left as it was."""
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _substituted(node[path[0]], path[1:], value)
+    return copy
+
+
+_HOSTILE_VALUES = (None, -1, float("nan"), "x", [], {"a": 1}, True, 2**64, 0.5, 1e-320)
+
+
+@pytest.mark.parametrize("name,num_paths", [("desk.yaml", 48), ("sparse.yaml", 31), ("toy_train.yaml", 31)])
+def test_load_config_refuses_a_hostile_value_at_any_key_path_as_a_config_error(tmp_path, name, num_paths):
+    # Each key path of a shipped config, each hostile value in turn: the
+    # file either loads or is a ConfigError, never another exception.
+    shipped = yaml.safe_load(Path(REPO, "configs", name).read_text())
+    paths = list(_key_paths(shipped))
+    assert len(paths) == num_paths
+    path = tmp_path / name
+    others = []
+    for key_path in paths:
+        for value in _HOSTILE_VALUES:
+            path.write_text(yaml.safe_dump(_substituted(shipped, key_path, value)))
+            try:
+                load_config(str(path))
+            except ConfigError:
+                pass
+            except Exception as exc:  # any other kind is what the test reports
+                others.append(f"{'.'.join(map(str, key_path))} = {value!r}: {type(exc).__name__}: {exc}")
+    assert not others, "\n".join(others)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         _tiny_config(mechanisms=())

@@ -13,6 +13,7 @@ from auctionlab import (
     ContractViolation,
     MarketConfig,
     MechanismConfig,
+    MissingInputError,
     SchemaError,
     TruthfulAgent,
     generate_market,
@@ -520,6 +521,32 @@ def test_market_csv_hostile_inputs(tmp_path, edit):
         warnings.simplefilter("error")
         with pytest.raises(SchemaError):
             read_market_csv(bad, cfg.stage_plan, log.tcpa)
+
+
+@pytest.mark.parametrize("where", ["header", "later_chunk"])
+def test_market_csv_that_is_not_utf8_is_a_schema_error(tmp_path, where):
+    # The later-chunk byte sits in the last row of a file of two chunks,
+    # past the first chunk's text; either way the error names the CSV.
+    cfg = _tiny_config(num_bidders=4, num_slots=2, num_rounds=2100, stage_plan=(1000, 1100), seed=3)
+    log = generate_market(cfg)
+    path = tmp_path / "m.csv"
+    write_market_csv(log, str(path))
+    raw = path.read_bytes()
+    assert raw.count(b"\n") > CHUNK_ROWS + 1
+    at = 2 if where == "header" else raw.rindex(b",", 0, len(raw) - 1) + 1
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+    with pytest.raises(SchemaError, match="bad.csv.*not UTF-8"):
+        read_market_csv(str(bad), cfg.stage_plan, log.tcpa)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_market_csv_path_that_is_not_a_file_is_a_missing_input(tmp_path, kind):
+    path = tmp_path / "m.csv"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(MissingInputError, match="m.csv"):
+        read_market_csv(str(path), (3, 3), np.ones(3))
 
 
 def _assert_replays_live(back, log):

@@ -417,6 +417,26 @@ def test_stage_update_feed_matches_checkpoint_accounting():
                 assert ratio == pytest.approx(visible * tcpa / paid_cum, abs=1e-15)
 
 
+@pytest.mark.parametrize("mech", [
+    MechanismConfig("PACING_OFFLINE"),
+    MechanismConfig("DFP", controller="oracle"),
+    MechanismConfig("CFP"),
+    MechanismConfig("CPA_OFFLINE"),
+    MechanismConfig("DFP", controller="debt"),
+], ids=lambda mech: mech.label)
+def test_hindsight_rules_keep_bids_static_and_online_rules_update_each_stage(mech):
+    # The hindsight rules are priced after the last stage, so their agents
+    # are never asked for a bid update; the online rules ask once per stage.
+    dynamic = mech.label not in ("PACING_OFFLINE", "DFP:oracle")
+    market = _market(seed=61)
+    agents = [_RecordingAgent() for _ in range(market.num_bidders)]
+    controller = DebtController(market.tcpa) if mech.controller == "debt" else None
+    result = run_auction(market, mech, agents, controller)
+    assert all(len(agent.calls) == (result.num_stages if dynamic else 0) for agent in agents)
+    if not dynamic:
+        np.testing.assert_array_equal(result.bid_by_stage, np.tile(market.tcpa, (result.num_stages, 1)))
+
+
 def test_withdrawn_flags_zero_final_bids():
     market = _market(seed=59)
 
