@@ -50,10 +50,19 @@ class RatioTable:
 
 
 def summary_stats(values: np.ndarray) -> tuple[float, float, float]:
-    """(upper quartile, lower quartile, mean) of values; all nan when empty."""
+    """(upper quartile, lower quartile, mean) of values; all nan when empty.
+
+    A quartile interpolated next to +inf is the value linear interpolation
+    means, inf or the data point it lands on, where np.quantile's own
+    arithmetic gives inf - inf = nan.
+    """
     if values.size == 0:
         return float("nan"), float("nan"), float("nan")
-    return float(np.quantile(values, 0.75)), float(np.quantile(values, 0.25)), float(np.mean(values))
+    with np.errstate(invalid="ignore"):
+        quartiles = np.quantile(values, [0.75, 0.25])
+    if np.isnan(quartiles).any() and not np.isnan(values).any():
+        quartiles = np.where(np.isnan(quartiles), np.quantile(values, [0.75, 0.25], method="higher"), quartiles)
+    return float(quartiles[0]), float(quartiles[1]), float(np.mean(values))
 
 
 def conversion_ratio(conversions, payment, tcpa):
@@ -113,11 +122,9 @@ def cfp_tau_rollup(
     exactly once and group totals sum to the whole-run totals. tau = 1
     reproduces the per-stage table; tau >= T yields a single group.
     """
-    conversions = np.asarray(stage_conversions, dtype=np.float64)
-    payments = np.asarray(stage_payments, dtype=np.float64)
-    if conversions.ndim == 1:
-        conversions = conversions[:, None]
-        payments = payments[:, None]
+    # (T,) and (T, M) tables alike become (T, M).
+    conversions, payments = (np.asarray(a, dtype=np.float64) for a in (stage_conversions, stage_payments))
+    conversions, payments = (a.reshape(len(a), -1) for a in (conversions, payments))
     if conversions.shape != payments.shape:
         raise SchemaError(
             f"stage conversions {conversions.shape} and payments {payments.shape} must match"
@@ -127,10 +134,10 @@ def cfp_tau_rollup(
         raise ConfigError(f"tau must be at least 1, got {tau}")
     tcpa_arr = np.broadcast_to(np.asarray(tcpa, dtype=np.float64), (M,))
 
-    num_groups = max(T // tau, 1)
-    bounds = [min(g * tau, T) for g in range(num_groups)] + [T]
-    grouped_z = np.vstack([conversions[bounds[g]: bounds[g + 1]].sum(axis=0) for g in range(num_groups)])
-    grouped_p = np.vstack([payments[bounds[g]: bounds[g + 1]].sum(axis=0) for g in range(num_groups)])
+    bounds = [g * tau for g in range(max(T // tau, 1))] + [T]
+    grouped_z, grouped_p = (
+        np.vstack([table[lo:hi].sum(axis=0) for lo, hi in zip(bounds, bounds[1:])]) for table in (conversions, payments)
+    )
     return _table_from_windows(grouped_z, grouped_p, tcpa_arr)
 
 
@@ -139,29 +146,17 @@ def pplt_objective(
     stage_payments: np.ndarray,
     tcpa: np.ndarray,
 ) -> np.ndarray:
-    """Per-bidder mean absolute per-stage ratio error.
+    """Per-bidder mean absolute per-stage ratio error |tCPA * Z / P - 1|.
 
-    A stage with no conversions and no payment contributes zero; a stage
-    with conversions but zero payment contributes infinity. The stage
-    pacing oracle drives this to exactly zero.
+    Of the four cases of a (stage, bidder) entry, an idle one (no
+    conversions, no payment) contributes zero; an unpaid one (conversions,
+    zero payment) and a paid one without conversions (a target of zero)
+    contribute infinity; a paid one its ratio error. The stage pacing
+    oracle drives this to exactly zero.
     """
-    z = np.asarray(stage_conversions, dtype=np.float64)
-    p = np.asarray(stage_payments, dtype=np.float64)
-    tcpa = np.asarray(tcpa, dtype=np.float64)
-    T, M = z.shape
-    errors = np.zeros((T, M))
-    idle = (z == 0.0) & (p == 0.0)
-    unpaid = (z > 0.0) & (p == 0.0)
-    rest = ~(idle | unpaid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rest, z * tcpa[None, :] / np.where(p > 0.0, p, 1.0), 1.0)
-    errors[rest] = np.abs(ratio[rest] - 1.0)
-    errors[unpaid] = np.inf
-    # Paid with zero conversions: error is the full overshoot P / (eps target),
-    # treated as infinite as well since the target is zero.
-    paid_no_z = (z == 0.0) & (p > 0.0)
-    errors[paid_no_z] = np.inf
-    return errors.mean(axis=0)
+    z, p, tcpa = (np.asarray(a, dtype=np.float64) for a in (stage_conversions, stage_payments, tcpa))
+    paid_error = np.abs(z * tcpa / np.where(p > 0.0, p, 1.0) - 1.0)
+    return np.where(z > 0.0, np.where(p > 0.0, paid_error, np.inf), np.where(p > 0.0, np.inf, 0.0)).mean(axis=0)
 
 
 def fluctuation_stats(payments: np.ndarray, tcpa: float) -> tuple[float, float]:

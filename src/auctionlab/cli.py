@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, MissingInputError, SchemaError
+from .errors import ConfigError, SchemaError, _open_input
 from .experiments import load_config, run_experiment
 from .market import _check_seed, generate_market, write_market_csv
 from .ppo import save_checkpoint, train, write_curves_csv
@@ -118,13 +118,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     summary_path = os.path.join(args.artifacts, "summary.csv")
-    if not os.path.isfile(summary_path):
-        raise MissingInputError(f"no summary.csv under {args.artifacts}")
-    try:
-        with open(summary_path, encoding="utf-8") as fh:
-            rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{summary_path} is not UTF-8 text: {exc}") from None
+    with _open_input(summary_path, "summary", SchemaError) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines() if line.strip()]
     if not rows:
         raise SchemaError(f"{summary_path} is empty")
     for n, cells in enumerate(rows, start=1):

@@ -41,7 +41,7 @@ from .analysis import (
 )
 from .controllers import DebtController
 from .csvio import ReuseMemo, write_table
-from .errors import ConfigError, MissingInputError
+from .errors import ConfigError, _open_input
 from .market import MAX_MARKET_BYTES, MarketConfig, _check_seed, generate_market
 from .mechanisms import (
     MechanismConfig,
@@ -100,6 +100,8 @@ class ExperimentConfig:
                 raise ConfigError(f"chernoff must be (epsilon, cvr), got {self.chernoff}")
             eps, cvr = float(self.chernoff[0]), float(self.chernoff[1])
             check_chernoff_args(eps, cvr, "chernoff.")
+            if eps >= 1.0:
+                raise ConfigError(f"chernoff.epsilon must be below 1, where the bound is not vacuous, got {eps}")
             object.__setattr__(self, "chernoff", (eps, cvr))
 
 
@@ -228,15 +230,11 @@ def _as_section(obj, cls, where: str):
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse a YAML experiment config, naming any offending key on failure."""
-    if not os.path.isfile(path):
-        raise MissingInputError(f"config file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with _open_input(path, "config", ConfigError) as fh:
+        try:
             data = yaml.safe_load(fh)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     return _as_section(data, ExperimentConfig, "config")
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import CHUNK_ROWS, ReuseMemo, write_table
-from .errors import ConfigError, MissingInputError, SchemaError
+from .errors import ConfigError, SchemaError, _open_input
 
 MARKET_CSV_HEADER = "round,bidder,slot,ctr,cvr,value,click,conversion"
 
@@ -344,75 +344,68 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
     if N < 1 or M < 1:
         raise SchemaError(f"{where}: stage_plan {tuple(stage_plan)} and tcpa of shape {tcpa.shape} give no grid")
     base_cols = MARKET_CSV_HEADER.split(",")
-    if not os.path.isfile(path):
-        raise MissingInputError(f"market CSV not found: {path}")
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            header = fh.readline().strip()
-            if header == MARKET_CSV_HEADER:
-                width = 8
-            elif header == ",".join(base_cols[:6]):
-                width = 6
-            else:
-                raise SchemaError(f"{where}: unexpected header {header!r}")
-            # A row is at least one character per cell plus its separators, so
-            # a grid of more rows than this cannot be dense and is not allocated.
-            max_rows = (os.fstat(fh.fileno()).st_size + 1) // (2 * width)
-            if N * M > max_rows:
-                raise SchemaError(f"{where}: {N} rounds x {M} bidders need more rows than the file can hold")
-            # Per (round, bidder, slot): seen, ctr[, click, conversion]; the slot
-            # axis widens as larger slots turn up. cvr and value are one per
-            # (round, bidder), set by the pair's first row; every row must agree.
-            seen, ctr, *outcomes = (np.zeros((N, M, 0), d) for d in (bool, np.float64, *[np.uint8] * (width - 6)))
-            cvr, value = np.zeros((N, M)), np.zeros((N, M))
-            pair_seen = np.zeros(N * M, dtype=bool)
-            K = rows = 0
-            # Blank and whitespace-only lines are skipped, and loadtxt, which
-            # warns on input without data, never sees an empty chunk.
-            lines = (line for line in fh if line.strip())
-            while chunk := list(itertools.islice(lines, CHUNK_ROWS)):
-                try:
-                    data = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2)
-                except ValueError as exc:
-                    raise SchemaError(f"{where} is not a table of numbers: {exc}") from exc
-                del chunk
-                if data.shape[1] != width:
-                    raise SchemaError(f"{where}: row width does not match its header")
-                idx = data[:, :3]
-                if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
-                    raise SchemaError(f"{where}: round, bidder and slot must be non-negative integers")
-                if not np.all(np.isfinite(data[:, 3:6])):
-                    raise SchemaError(f"{where}: ctr, cvr and value must be finite")
-                if width == 8 and not np.all((data[:, 6:] == 0) | (data[:, 6:] == 1)):
-                    raise SchemaError(f"{where}: click and conversion must be 0 or 1")
-                top_round, top_bidder, top_slot = (int(top) for top in idx.max(axis=0))
-                if top_round >= N or top_bidder >= M:
-                    raise SchemaError(
-                        f"{where}: round {top_round} or bidder {top_bidder} lies outside the {N} rounds of "
-                        f"stage_plan and the {M} bidders of tcpa"
-                    )
-                if top_slot >= K:
-                    if N * M * (top_slot + 1) > max_rows:
-                        raise SchemaError(f"{where}: slot {top_slot} needs more rows than the file can hold")
-                    widen = ((0, 0), (0, 0), (0, top_slot + 1 - K))
-                    seen, ctr, *outcomes = (np.pad(g, widen) for g in (seen, ctr, *outcomes))
-                    K = top_slot + 1
-                n, m, k = (idx[:, j].astype(np.int64) for j in range(3))
-                pair = n * M + m
-                fresh = ~pair_seen[pair]
-                for name, j, grid in (("cvr", 4, cvr.reshape(-1)), ("value", 5, value.reshape(-1))):
-                    grid[pair[fresh]] = data[fresh, j]
-                    if np.any(grid[pair] != data[:, j]):
-                        raise SchemaError(f"{where}: {name} must be constant across slots")
-                pair_seen[pair] = True
-                flat = pair * K + k
-                seen.reshape(-1)[flat] = True
-                ctr.reshape(-1)[flat] = data[:, 3]
-                for j, grid in enumerate(outcomes, start=6):
-                    grid.reshape(-1)[flat] = data[:, j]
-                rows += data.shape[0]
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{where} is not UTF-8 text: {exc}") from None
+    with _open_input(path, "market CSV", SchemaError) as fh:
+        header = fh.readline().strip()
+        if header == MARKET_CSV_HEADER:
+            width = 8
+        elif header == ",".join(base_cols[:6]):
+            width = 6
+        else:
+            raise SchemaError(f"{where}: unexpected header {header!r}")
+        # A row is at least one character per cell plus its separators, so
+        # a grid of more rows than this cannot be dense and is not allocated.
+        max_rows = (os.fstat(fh.fileno()).st_size + 1) // (2 * width)
+        if N * M > max_rows:
+            raise SchemaError(f"{where}: {N} rounds x {M} bidders need more rows than the file can hold")
+        # Per (round, bidder, slot): seen, ctr[, click, conversion]; the slot
+        # axis widens as larger slots turn up. cvr (NaN until set) and value are
+        # one per (round, bidder), set by the pair's first row; every row must agree.
+        seen, ctr, *outcomes = (np.zeros((N, M, 0), d) for d in (bool, np.float64, *[np.uint8] * (width - 6)))
+        cvr, value = np.full((N, M), np.nan), np.zeros((N, M))
+        K = rows = 0
+        # Blank and whitespace-only lines are skipped, and loadtxt, which
+        # warns on input without data, never sees an empty chunk.
+        lines = (line for line in fh if line.strip())
+        while chunk := list(itertools.islice(lines, CHUNK_ROWS)):
+            try:
+                data = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise SchemaError(f"{where} is not a table of numbers: {exc}") from exc
+            del chunk
+            if data.shape[1] != width:
+                raise SchemaError(f"{where}: row width does not match its header")
+            idx = data[:, :3]
+            if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
+                raise SchemaError(f"{where}: round, bidder and slot must be non-negative integers")
+            if not np.all(np.isfinite(data[:, 3:6])):
+                raise SchemaError(f"{where}: ctr, cvr and value must be finite")
+            if width == 8 and not np.all((data[:, 6:] == 0) | (data[:, 6:] == 1)):
+                raise SchemaError(f"{where}: click and conversion must be 0 or 1")
+            top_round, top_bidder, top_slot = (int(top) for top in idx.max(axis=0))
+            if top_round >= N or top_bidder >= M:
+                raise SchemaError(
+                    f"{where}: round {top_round} or bidder {top_bidder} lies outside the {N} rounds of "
+                    f"stage_plan and the {M} bidders of tcpa"
+                )
+            if top_slot >= K:
+                if N * M * (top_slot + 1) > max_rows:
+                    raise SchemaError(f"{where}: slot {top_slot} needs more rows than the file can hold")
+                widen = ((0, 0), (0, 0), (0, top_slot + 1 - K))
+                seen, ctr, *outcomes = (np.pad(g, widen) for g in (seen, ctr, *outcomes))
+                K = top_slot + 1
+            n, m, k = (idx[:, j].astype(np.int64) for j in range(3))
+            pair = n * M + m
+            fresh = np.isnan(cvr.reshape(-1)[pair])
+            for name, j, grid in (("cvr", 4, cvr.reshape(-1)), ("value", 5, value.reshape(-1))):
+                grid[pair[fresh]] = data[fresh, j]
+                if np.any(grid[pair] != data[:, j]):
+                    raise SchemaError(f"{where}: {name} must be constant across slots")
+            flat = pair * K + k
+            seen.reshape(-1)[flat] = True
+            ctr.reshape(-1)[flat] = data[:, 3]
+            for j, grid in enumerate(outcomes, start=6):
+                grid.reshape(-1)[flat] = data[:, j]
+            rows += data.shape[0]
     if rows == 0:
         raise SchemaError(f"{where} has no data rows")
     if rows != N * M * K:

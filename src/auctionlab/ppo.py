@@ -22,16 +22,15 @@ from __future__ import annotations
 import bisect
 import copy
 import math
-import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .agents import TruthfulAgent
 from .csvio import write_table
-from .errors import ConfigError, MissingInputError, NumericalFault, SchemaError
+from .errors import ConfigError, NumericalFault, SchemaError, _open_input
 from .market import _ACTION_STREAM, _INIT_STREAM, _MARKET_SEED_STREAM, _SHUFFLE_STREAM, MarketConfig, _check_seed
 from .market import _stream, generate_market
 from .mechanisms import MechanismConfig, SimulationResult, run_auction
@@ -399,8 +398,8 @@ class LossOutput:
 
 
 def _loss_forward(policy: GaussianPolicy, critic: MLP, batch: TrainingBatch, cfg: RLConfig):
-    """The forward half of loss_and_grads: its loss terms, with zero-size
-    gradients, and the forward values its backward pass reuses."""
+    """The forward half of loss_and_grads: its (total, actor, critic, entropy)
+    terms, and the forward values its backward pass reuses."""
     mu, lsr, acts = policy.head(batch.features)
     sigma_exp = np.exp(lsr)
     sigma = np.maximum(sigma_exp, policy.sigma_floor)
@@ -412,8 +411,7 @@ def _loss_forward(policy: GaussianPolicy, critic: MLP, batch: TrainingBatch, cfg
     crit = critic_loss(v, batch.returns)
     entropy = policy_entropy(np.log(sigma))
     total = combined_loss(actor, crit, entropy, cfg.alphas)
-    loss = LossOutput(total, actor, crit, entropy, np.zeros(0), np.zeros(0))
-    return loss, (mu, sigma_exp, sigma, rho, acts, v, v_acts)
+    return (total, actor, crit, entropy), (mu, sigma_exp, sigma, rho, acts, v, v_acts)
 
 
 def loss_and_grads(policy: GaussianPolicy, critic: MLP, batch: TrainingBatch, cfg: RLConfig) -> LossOutput:
@@ -426,7 +424,7 @@ def loss_and_grads(policy: GaussianPolicy, critic: MLP, batch: TrainingBatch, cf
     """
     a1, a2, a3 = cfg.alphas
     B = batch.features.shape[0]
-    loss, (mu, sigma_exp, sigma, rho, acts, v, v_acts) = _loss_forward(policy, critic, batch, cfg)
+    terms, (mu, sigma_exp, sigma, rho, acts, v, v_acts) = _loss_forward(policy, critic, batch, cfg)
     not_floored = (sigma_exp >= policy.sigma_floor).astype(np.float64)
     z = (batch.actions_raw - mu) / sigma
 
@@ -441,11 +439,10 @@ def loss_and_grads(policy: GaussianPolicy, critic: MLP, batch: TrainingBatch, cf
     dlsr = dlogp * (z * z - 1.0) * not_floored
     # Entropy enters the total with weight -a3.
     dlsr = dlsr - (a3 / B) * not_floored
-    loss.policy_grad = policy.net.backward(acts, np.stack([dmu, dlsr], axis=1))
+    policy_grad = policy.net.backward(acts, np.stack([dmu, dlsr], axis=1))
 
     dv = (a2 * 2.0 / B) * (v - batch.returns)
-    loss.critic_grad = critic.backward(v_acts, dv[:, None])
-    return loss
+    return LossOutput(*terms, policy_grad, critic.backward(v_acts, dv[:, None]))
 
 
 class RLPaymentController:
@@ -616,9 +613,8 @@ class TrainResult:
     aborted_updates: int
 
 
-def _curve_row(update: int, mean_reward: float, err: float, loss: LossOutput) -> dict[str, float]:
-    values = (float(update), mean_reward, err, loss.actor, loss.critic, loss.entropy)
-    return dict(zip(CURVES_CSV_HEADER.split(","), values))
+def _curve_row(update: int, reward: float, err: float, actor: float, critic: float, entropy: float) -> dict[str, float]:
+    return dict(zip(CURVES_CSV_HEADER.split(","), (float(update), reward, err, actor, critic, entropy)))
 
 
 def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResult:
@@ -651,17 +647,16 @@ def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResu
     for update in range(rl.updates):
         traj, errors, _ = env.rollout(policy, critic, int(market_seeds.integers(2**63)), rng_act)
         if traj.num_steps == 0:
-            nan = float("nan")
-            curves.append(_curve_row(update, nan, nan, LossOutput(0.0, nan, nan, nan, np.zeros(0), np.zeros(0))))
+            curves.append(_curve_row(update, *[float("nan")] * 5))
             continue
         advantages, returns = trajectory_targets(traj, rl.gamma, rl.lam)
         if rl.adv_norm:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         batch = TrainingBatch(traj.features, traj.actions_raw, traj.log_probs, advantages, returns)
 
-        pre = _loss_forward(policy, critic, batch, rl)[0]  # the curve logs the losses before the update
+        _, *pre = _loss_forward(policy, critic, batch, rl)[0]  # the curve logs the losses before the update
         err = float(np.mean(errors)) if errors else float("nan")
-        curves.append(_curve_row(update, float(traj.rewards.mean()), err, pre))
+        curves.append(_curve_row(update, float(traj.rewards.mean()), err, *pre))
 
         snapshot = copy.deepcopy((policy.net, critic, opt_policy, opt_critic))
         n = traj.num_steps
@@ -719,13 +714,8 @@ def load_checkpoint(path: str) -> tuple[GaussianPolicy, MLP]:
             number, layers that do not chain or fit, a sigma_floor that is not
             positive, or any line that differs from the writer's (named).
     """
-    if not os.path.isfile(path):
-        raise MissingInputError(f"checkpoint not found: {path}")
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"checkpoint {path} is not UTF-8 text: {exc}") from None
+    with _open_input(path, "checkpoint", SchemaError) as fh:
+        lines = fh.read().split("\n")
     if lines[0] != CHECKPOINT_MAGIC:
         raise SchemaError(f"not a checkpoint file: {path}")
     shapes: dict[str, list[tuple[int, int]]] = {"policy": [], "critic": []}

@@ -30,6 +30,7 @@ from auctionlab.analysis import (
     etic_violation_rate,
     fluctuation_stats,
     pplt_objective,
+    summary_stats,
     write_metric_summary_csv,
     write_ratio_csv,
 )
@@ -89,6 +90,28 @@ def test_ratio_table_summary_quartiles():
     assert all(np.isnan(v) for v in empty.summary().values())
     with pytest.raises(SchemaError):
         RatioTable(np.zeros(2, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "values,upper,lower",
+    [
+        pytest.param([1.0, 2.0, 3.0, 4.0, np.inf], 4.0, 2.0, id="lands_on_a_point"),
+        pytest.param([1.0, 2.0, 3.0, np.inf], np.inf, 1.75, id="between_a_point_and_inf"),
+        pytest.param([1.0, np.inf, np.inf], np.inf, np.inf, id="between_inf_and_inf"),
+        pytest.param([np.inf, np.inf], np.inf, np.inf, id="all_inf"),
+    ],
+)
+def test_summary_stats_quartile_next_to_inf_is_what_linear_interpolation_means(values, upper, lower):
+    # np.quantile's interpolation computes inf - inf there, which is nan and warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = summary_stats(np.array(values))
+    assert got == (upper, lower, np.inf)
+
+
+def test_summary_stats_keeps_a_nan_input_nan():
+    upper, lower, mean = summary_stats(np.array([1.0, np.nan, np.inf]))
+    assert np.isnan(upper) and np.isnan(lower) and np.isnan(mean)
 
 
 def test_offline_cpa_run_has_unit_ratios_everywhere():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,12 @@ def test_report_prints_summary_and_manifest(capsys, tmp_path):
     assert out[-2:] == ["config sha256: abc", "created: now"]
 
 
+def test_report_reads_a_summary_with_crlf_line_ends(capsys, tmp_path):
+    (tmp_path / "summary.csv").write_bytes(GOOD_SUMMARY.replace("\n", "\r\n").encode())
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["CFP", "stage_ratio", "1.1", "0.9", "1.0"]
+
+
 def test_train_then_run_learned_controller(capsys, train_config, tmp_path):
     out = str(tmp_path / "ckpt")
     assert main(["train", "--config", train_config, "--out", out, "--seed", "3"]) == 0
@@ -282,6 +289,43 @@ def test_a_config_seed_outside_uint64_makes_no_directory(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epsilon", ["1.0", "18446744073709551616"])
+def test_a_vacuous_chernoff_epsilon_makes_no_directory(capsys, tmp_path, epsilon):
+    path = tmp_path / "run.yaml"
+    path.write_text(RUN_YAML + f"chernoff: {{epsilon: {epsilon}, cvr: 0.5}}\n")
+    out = tmp_path / "art"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("ERROR ConfigError: chernoff.epsilon must be below 1")
+    assert sum(line.startswith("ERROR") for line in err) == 1
+    assert not out.exists()
+
+
+def test_a_quartile_next_to_inf_is_written_as_inf_not_nan(capsys, tmp_path):
+    # Risk-averse agents on a low-ctr desk market leave DFP:debt a stage that
+    # converted but paid nothing: its ratio is inf, and so is the upper quartile
+    # linear interpolation gives between the largest finite ratio and that inf.
+    with open(os.path.join(CONFIGS, "desk.yaml"), encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in [
+        ("num_bidders: 50", "num_bidders: 3"),
+        ("stages: 31, rounds_per_stage: 1800", "stages: 3, rounds_per_stage: 20"),
+        ("ctr_range: [0.3, 0.9]", "ctr_range: [0.3, 0.5]"),
+        ("seeds: [0, 1, 2, 3, 4]", "seeds: [0]"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "desk.yaml"
+    path.write_text(text)
+    out = tmp_path / "art"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    summary = (out / "summary.csv").read_text()
+    assert "DFP:debt,stage_ratio,inf,5.5566260689022995,inf\n" in summary
+    assert "nan" not in summary
+
+
 
 NOT_UTF8 = b"market:\n  seed: \xff\xfe\n"
 
@@ -316,6 +360,7 @@ def test_unreadable_inputs_end_in_one_error_line(capsys, tmp_path, train_config,
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith(f"ERROR {kind}:")
+    assert argv[-3 if argv[0] == "run" else -1] in err[-1]  # the message names the file
     assert sum(line.startswith("ERROR") for line in err) == 1
 
 def test_rerun_produces_identical_rounds(capsys, run_config, tmp_path):

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 import yaml
 
 from auctionlab import (
+    AuctionLabError,
     ConfigError,
     ExperimentConfig,
     MarketConfig,
@@ -190,6 +194,8 @@ def test_load_config_rejects_bad_values(tmp_path, snippet, needle):
     [
         ("chernoff: {epsilon: 1.0e-320, cvr: 0.05}", "chernoff.epsilon is too small"),
         ("chernoff: {epsilon: 0.5, cvr: 1.0e-320}", "chernoff.cvr is too small"),
+        ("chernoff: {epsilon: 1.0, cvr: 0.05}", "chernoff.epsilon must be below 1"),
+        ("chernoff: {epsilon: 18446744073709551616, cvr: 0.5}", "chernoff.epsilon must be below 1"),
         ("seeds: [0, -1]", "seeds[1] must be an unsigned 64-bit integer, got -1"),
         ("seeds: [18446744073709551616]", "seeds[0] must be an unsigned 64-bit integer"),
     ],
@@ -382,6 +388,73 @@ def test_load_config_refuses_a_hostile_value_at_any_key_path_as_a_config_error(t
             except Exception as exc:  # any other kind is what the test reports
                 others.append(f"{'.'.join(map(str, key_path))} = {value!r}: {type(exc).__name__}: {exc}")
     assert not others, "\n".join(others)
+
+
+# Runs cli.main on each argv list of the JSON list on stdin under a 3 GiB
+# address-space limit, and prints per case its exit code, the number of its
+# stderr lines that start with ERROR, and its last stderr line.
+_SWEEP_CHILD = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
+from auctionlab.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().strip().splitlines() or [""]
+    results.append([code, sum(line.startswith("ERROR") for line in lines), lines[-1]])
+print(json.dumps(results))
+"""
+
+
+def _shrunk(doc, mutated, shipped, train):
+    """doc cut to 3 bidders, 3 stages of 20 rounds and the shipped config's first
+    seed (and one update to train), leaving alone any key on the mutated key's path."""
+    cuts = {("market", "num_bidders"): 3, ("market", "stage_plan"): {"stages": 3, "rounds_per_stage": 20},
+            ("seeds",): shipped["seeds"][:1]}
+    for key, value in cuts.items():
+        n = min(len(key), len(mutated))
+        if key[:n] != mutated[:n]:
+            doc = _substituted(doc, key, value)
+    return {**doc, "rl": {"updates": 1}} if train else doc
+
+
+def test_cli_runs_or_refuses_a_hostile_value_at_any_key_path_with_one_error_line(tmp_path):
+    # The cli.main half of the sweep above: each case, shrunk, runs (run for
+    # desk and sparse, train for toy_train) under the suite's warnings-as-errors
+    # and ends in exit 0 or one last ERROR line whose kind is the package's own.
+    argvs, names = [], []
+    for name in ("desk.yaml", "sparse.yaml", "toy_train.yaml"):
+        shipped = yaml.safe_load(Path(REPO, "configs", name).read_text())
+        train = name == "toy_train.yaml"
+        assert "rl" not in shipped
+        for key_path in _key_paths(shipped):
+            for value in _HOSTILE_VALUES:
+                doc = _shrunk(_substituted(shipped, key_path, value), key_path, shipped, train)
+                path = tmp_path / f"{len(argvs)}.yaml"
+                path.write_text(yaml.safe_dump(doc))
+                out = tmp_path / f"out{len(argvs)}"
+                argvs.append(["train" if train else "run", "--config", str(path), "--out", str(out)])
+                names.append(f"{name} {'.'.join(map(str, key_path))} = {value!r}")
+    assert len(argvs) == 1100
+    kinds = {AuctionLabError.__name__} | {kind.__name__ for kind in AuctionLabError.__subclasses__()}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::UserWarning", "-c", _SWEEP_CHILD],
+        input=json.dumps(argvs), capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=300,
+    )
+    print(f"{len(argvs)} cases through cli.main in {time.perf_counter() - start:.1f} s")
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    bad = [
+        f"{case}: exit {code}, {errors} ERROR lines, last {last!r:.160}"
+        for case, (code, errors, last) in zip(names, results)
+        if code != 0 and not (errors == 1 and last.startswith("ERROR ") and last[6:].split(":")[0] in kinds)
+    ]
+    assert not bad, "\n".join(bad)
+    assert sum(code == 0 for code, _, _ in results) == 46
 
 
 def test_experiment_config_validation():

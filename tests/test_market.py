@@ -23,7 +23,15 @@ from auctionlab import (
     write_market_csv,
 )
 from auctionlab.csvio import CHUNK_ROWS
-from auctionlab.market import _PHILOX_BLOCK, MAX_MARKET_BYTES, MarketLog, _uniform_doubles, philox4x64, read_market_csv
+from auctionlab.market import (
+    _PHILOX_BLOCK,
+    MARKET_CSV_HEADER,
+    MAX_MARKET_BYTES,
+    MarketLog,
+    _uniform_doubles,
+    philox4x64,
+    read_market_csv,
+)
 from reference import RoundOutcome, sample_round, stage_of, validate_allocation
 
 _MASK = (1 << 64) - 1
@@ -503,6 +511,8 @@ def _edit_cell(lines, row, col, value):
         pytest.param(lambda lines: _edit_cell(lines, 2, 4, "nan"), id="nan_rate"),
         pytest.param(lambda lines: _edit_cell(lines, 2, 6, "2"), id="click_not_binary"),
         pytest.param(lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:], id="short_row"),
+        pytest.param(lambda lines: lines[:1] + [",".join(line.split(",")[:6]) for line in lines[1:]],
+                     id="every_row_cut_to_six_cells"),
         pytest.param(lambda lines: lines[:1] + ["#" + lines[1]] + lines[2:], id="comment_row"),
         pytest.param(lambda lines: lines[:1] + lines[1:3] + lines[2:-1], id="duplicate_row"),
         pytest.param(lambda lines: _edit_cell(lines, 1, 3, "1.5"), id="ctr_above_one"),
@@ -521,6 +531,14 @@ def test_market_csv_hostile_inputs(tmp_path, edit):
         warnings.simplefilter("error")
         with pytest.raises(SchemaError):
             read_market_csv(bad, cfg.stage_plan, log.tcpa)
+
+
+def test_market_csv_header_only_for_a_one_cell_grid_has_no_data_rows(tmp_path):
+    # A 1x1 grid fits the file's size, so the reader gets as far as counting rows.
+    path = tmp_path / "m.csv"
+    path.write_text(MARKET_CSV_HEADER + "\n")
+    with pytest.raises(SchemaError, match="m.csv has no data rows"):
+        read_market_csv(str(path), (1,), np.array([2.0]))
 
 
 @pytest.mark.parametrize("where", ["header", "later_chunk"])

@@ -5,6 +5,7 @@ import os
 import pathlib
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -748,6 +749,17 @@ def test_train_keeps_the_low_bits_of_a_seed_above_2_63():
     a = train(_toy_market(), _toy_rl(), seed=2 ** 63 + 1)
     b = train(_toy_market(), _toy_rl(), seed=2 ** 63 + 2)
     assert a.policy.net.get_flat().tobytes() != b.policy.net.get_flat().tobytes()
+
+
+def test_train_on_a_market_that_never_clicks_logs_nan_rows():
+    # Every rollout is empty, so no update runs and every curve row is NaN.
+    market = replace(_toy_market(), num_rounds=10, stage_plan=(5, 5), ctr_range=(1e-9, 1e-9), cvr_range=(1e-10, 1e-10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = train(market, _toy_rl(), seed=0)
+    assert out.aborted_updates == 0
+    assert [row["update"] for row in out.curves] == [0.0, 1.0]
+    assert all(np.isnan(value) for row in out.curves for key, value in row.items() if key != "update")
 
 
 def test_train_with_vanishing_lr_is_a_no_op():
