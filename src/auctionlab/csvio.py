@@ -22,12 +22,14 @@ another through the same ``ReuseMemo`` reuse that text: the memo keeps, per
 (column, chunk) position, the chunk's dtype and bytes and its cells joined
 by newlines, and a chunk whose dtype and bytes equal the kept ones takes the
 kept text. So it holds at most one chunk's bytes and text (8 + 25 bytes a
-float64 cell) per position that a plain float chunk has taken.
+float64 cell) per position that a plain float chunk has taken. A caller
+that knows which fields another table can repeat names them in
+``memo_fields``; the others are formatted without the memo.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,7 +117,8 @@ def _chunk_length(header: str, cols: list[np.ndarray]) -> int:
     return lengths.pop()
 
 
-def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable], memo: ReuseMemo | None = None) -> None:
+def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable], memo: ReuseMemo | None = None,
+                memo_fields: Container[str] | None = None) -> None:
     """Write equal-length columns under a comma-separated header line.
 
     Args:
@@ -128,6 +131,8 @@ def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable], 
         memo: optional memo of plain float chunks' text, shared by tables
             written one after another (see the module docstring). The bytes
             written are the same with or without it.
+        memo_fields: the header fields whose chunks go through memo; None
+            (the default) means every field.
 
     Raises:
         ContractViolation: column count or lengths do not match; whole
@@ -139,11 +144,12 @@ def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable], 
         columns = ([c[start:start + CHUNK_ROWS] for c in cols] for start in range(0, n, CHUNK_ROWS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
+        memos = [memo if memo_fields is None or field in memo_fields else None for field in header.split(",")]
         start = 0
         for chunk in columns:
             block = [np.asarray(c) for c in chunk]
             n = _chunk_length(header, block)
             if n:
-                cells = [_format_column(c, memo, (j, start)) for j, c in enumerate(block)]
+                cells = [_format_column(c, m, (j, start)) for j, (c, m) in enumerate(zip(block, memos))]
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
             start += n

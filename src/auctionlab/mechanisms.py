@@ -19,8 +19,9 @@ the outcome pass (score -> allocate -> sample), a function of the market,
 the stage and the bid vector alone, and the pricing pass that sets the
 payments of the online rules. The outcome pass is memoised on the MarketLog,
 so mechanisms run on the same log that meet the same bids share it. Each
-stage yields one record: a row of every stage table (one (8, T, M) block)
-and one tuple of rounds columns. Agent bid updates fire at stage boundaries
+stage fills a row of every stage table (one (8, T, M) block) and its rows
+of the rounds columns, which are allocated once per run at the most rows a
+run can display. Agent bid updates fire at stage boundaries
 for CFP, CPA_OFFLINE, and online DFP. The two hindsight rules,
 PACING_OFFLINE and the DFP oracle, keep bids static and are priced in one
 pass after the last stage, from the stage tables of clicks and conversions.
@@ -125,6 +126,10 @@ class RoundsTable:
     conversion: np.ndarray
     payment: np.ndarray
     bid: np.ndarray
+
+
+# The rounds columns' dtypes, in RoundsTable field order.
+_ROUNDS_DTYPES = (np.int64, np.int64, np.int64, np.int64, np.float64, np.uint8, np.uint8, np.float64, np.float64)
 
 
 @dataclass
@@ -291,7 +296,10 @@ def run_auction(
     named = dict(zip(_STAGE_TABLES, tables))
     clicks_table, convs_table, pay_table = named["stage_clicks"], named["stage_conversions"], named["stage_payments"]
     bid_by_stage = np.zeros((T, M))
-    stage_rows: list[tuple[np.ndarray, ...]] = []
+    # The rounds columns, sized for the most rows a run can display (min(K, M)
+    # a round); each stage fills the next rows.
+    columns = [np.empty(sum(plan) * min(market.num_slots, M), dtype=dtype) for dtype in _ROUNDS_DTYPES]
+    filled = 0
 
     for t in range(T):
         s0, n_t = int(starts[t]), plan[t]
@@ -340,10 +348,10 @@ def run_auction(
         weights = (None, y, z, ctr_at, e_convs, bid_at * e_convs, pay, market.value[rounds_global, bidders] * z)
         for k, w in enumerate(weights):
             tables[k, t] = np.bincount(bidders, weights=w, minlength=M)
-        stage_rows.append((
-            rounds_global, np.full(rounds_global.shape, t, dtype=np.int64), bidders.astype(np.int64),
-            slots.astype(np.int64), score, y, z, pay, bid_at,
-        ))
+        at = slice(filled, filled + rows.size)
+        filled = at.stop
+        for column, values in zip(columns, (rounds_global, t, bidders, slots, score, y, z, pay, bid_at)):
+            column[at] = values
         if hindsight:
             continue
 
@@ -359,8 +367,11 @@ def run_auction(
         ) for m in range(M)], dtype=np.float64)
         _check_bids(bids, f"stage_update at the end of stage {t}")
 
-    # One concatenate per column; the stage tuples hold the columns in field order.
-    rounds = RoundsTable(*(np.concatenate(column) for column in zip(*stage_rows)))
+    # Withdrawals can leave rows unfilled: shrink each column to its filled
+    # rows in place (a realloc, no copy). No view of a column exists.
+    for column in columns:
+        column.resize(filled, refcheck=False)
+    rounds = RoundsTable(*columns)
     if hindsight:
         _price_in_hindsight(rounds, clicks_table, convs_table, pay_table, tcpa, per_stage=mech.kind == "DFP")
 
@@ -398,11 +409,15 @@ def _price_in_hindsight(rounds: RoundsTable, clicks: np.ndarray, convs: np.ndarr
 def write_rounds_csv(result: SimulationResult, path: str, memo: ReuseMemo | None = None) -> None:
     """One row per displayed (round, slot), in round order.
 
-    ``memo`` is passed to ``write_table``: the rounds tables of one market's
-    mechanisms, written through one memo, reuse each other's float text.
+    ``memo`` is passed to ``write_table`` for the ``score`` column alone: the
+    rounds tables of one market's mechanisms, written through one memo,
+    reuse each other's score text. Score is the one plain float column the
+    outcome pass alone fixes; a payment column that is not few distinct
+    values (CFP, DFP:debt, DFP:rl) is one pricing rule's own.
     """
     r = result.rounds
-    write_table(path, ROUNDS_CSV_HEADER, [getattr(r, name) for name in ROUNDS_CSV_HEADER.split(",")], memo)
+    write_table(path, ROUNDS_CSV_HEADER, [getattr(r, name) for name in ROUNDS_CSV_HEADER.split(",")], memo,
+                memo_fields=("score",))
 
 
 def write_summary_csv(result: SimulationResult, path: str) -> None:

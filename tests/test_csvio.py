@@ -188,3 +188,22 @@ def test_reuse_memo_policy():
     assert memo.get("p", b"c") is None and memo.get("p", b"b") == 2
     memo.put("q", b"c", 3)
     assert len(memo) == 2 and memo.get("q", b"c") == 3
+
+
+def test_memo_fields_scope_the_memo(tmp_path):
+    rows = CHUNK_ROWS + 3
+    rng = np.random.default_rng(2)
+    columns = [np.arange(rows), rng.random(rows), rng.random(rows)]
+    formatted = []
+
+    class Spy(ReuseMemo):
+        def put(self, position, key, value):
+            formatted.append(position)
+            super().put(position, key, value)
+
+    memo = Spy()
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_table(str(got), "round,score,payment", columns, memo=memo, memo_fields=("score",))
+    write_table(str(want), "round,score,payment", columns)
+    assert got.read_bytes() == want.read_bytes()
+    assert formatted == [(1, 0), (1, CHUNK_ROWS)]

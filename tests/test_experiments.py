@@ -367,6 +367,9 @@ def _substituted(node, path, value):
 
 
 _HOSTILE_VALUES = (None, -1, float("nan"), "x", [], {"a": 1}, True, 2**64, 0.5, 1e-320)
+# Ten more for load_config alone: through cli.main, values such as
+# rl.epochs = 10**7 set run time, which the cli sweep below has no cap for.
+_LOAD_ONLY_HOSTILE_VALUES = (0, 1e308, -1e308, float("inf"), "1e3", [1], {}, 2**63, 10**7, -0.0)
 
 
 @pytest.mark.parametrize("name,num_paths", [("desk.yaml", 48), ("sparse.yaml", 31), ("toy_train.yaml", 31)])
@@ -377,17 +380,20 @@ def test_load_config_refuses_a_hostile_value_at_any_key_path_as_a_config_error(t
     paths = list(_key_paths(shipped))
     assert len(paths) == num_paths
     path = tmp_path / name
-    others = []
+    others, loaded = [], 0
     for key_path in paths:
-        for value in _HOSTILE_VALUES:
+        for value in _HOSTILE_VALUES + _LOAD_ONLY_HOSTILE_VALUES:
             path.write_text(yaml.safe_dump(_substituted(shipped, key_path, value)))
             try:
                 load_config(str(path))
+                loaded += 1
             except ConfigError:
                 pass
             except Exception as exc:  # any other kind is what the test reports
                 others.append(f"{'.'.join(map(str, key_path))} = {value!r}: {type(exc).__name__}: {exc}")
     assert not others, "\n".join(others)
+    # The values that load, such as 2**63 at a seed or 1e308 at a range's upper bound.
+    assert loaded == {"desk.yaml": 63, "sparse.yaml": 42, "toy_train.yaml": 42}[name]
 
 
 # Runs cli.main on each argv list of the JSON list on stdin under a 3 GiB

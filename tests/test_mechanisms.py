@@ -1,5 +1,7 @@
 """Payment formulas, allocation, and the stage-vectorized simulation engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,11 +15,13 @@ from auctionlab import (
     DebtController,
     MarketConfig,
     MechanismConfig,
+    RiskAverseAgent,
     TruthfulAgent,
     generate_market,
     run_auction,
     stage_pacing_oracle,
 )
+from auctionlab.csvio import CHUNK_ROWS, ReuseMemo
 from auctionlab.mechanisms import (
     ROUNDS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -176,11 +180,13 @@ def test_single_round_cfp_composition():
     assert result.rounds.payment[0] == 0.1
 
 
-def _reference_cfp(market):
-    """Per-round scalar re-simulation of a truthful CFP run."""
+def _reference_cfp(market, bid_by_stage=None):
+    """Per-round scalar re-simulation of a CFP run: truthful, or under each
+    stage's given bids."""
     cfg = market.config
     M, K, T = cfg.num_bidders, cfg.num_slots, len(cfg.stage_plan)
-    bids = market.tcpa.copy()
+    if bid_by_stage is None:
+        bid_by_stage = np.tile(market.tcpa, (T, 1))
     clicks = np.zeros((T, M))
     convs = np.zeros((T, M))
     pays = np.zeros((T, M))
@@ -189,6 +195,7 @@ def _reference_cfp(market):
     flat = []
     for n in range(cfg.num_rounds):
         t = stage_of(n, cfg.stage_plan)
+        bids = bid_by_stage[t]
         scores = np.array(
             [ranking_score(bids[m], market.ctr[n, m, 0], market.cvr[n, m]) for m in range(M)]
         )
@@ -228,6 +235,68 @@ def test_engine_matches_per_round_reference():
         assert r.score[i] == pytest.approx(score, abs=1e-15)
         assert r.payment[i] == pytest.approx(p, abs=1e-15)
         assert r.bid[i] == b
+
+
+class _WithdrawsAfterFirstStage:
+    """Bids tcpa in the first stage, then withdraws (bids 0) for good."""
+
+    def initial_bid(self, tcpa):
+        return tcpa
+
+    def stage_update(self, bid, tcpa, ratio, paid):
+        return 0.0
+
+
+def test_rounds_table_of_a_run_with_short_stages_matches_the_reference():
+    # Two bidders, two slots: the first stage shows both slots of every
+    # round, the later ones only the remaining bidder's, so the run fills 80
+    # of the 120 rows it can display.
+    market = _market(num_bidders=2, seed=19)
+    result = run_auction(market, MechanismConfig("CFP"), [TruthfulAgent(), _WithdrawsAfterFirstStage()])
+    np.testing.assert_array_equal(result.bid_by_stage[1:, 1], 0.0)
+    *_, flat = _reference_cfp(market, result.bid_by_stage)
+    assert len(flat) == 20 * 2 + 40 < market.num_rounds * 2
+    r = result.rounds
+    want = [np.array(column) for column in zip(*flat)]
+    dtypes = (np.int64,) * 4 + (np.float64, np.uint8, np.uint8, np.float64, np.float64)
+    for name, dtype, column in zip(ROUNDS_CSV_HEADER.split(","), dtypes, want):
+        got = getattr(r, name)
+        assert got.dtype == dtype and got.flags.c_contiguous and got.shape == (len(flat),), name
+        np.testing.assert_allclose(got, column, rtol=0, atol=1e-15, err_msg=name)
+
+
+def _traced_peak_over_kept_bytes(market, agents):
+    """run_auction's tracemalloc peak above its start, over the bytes it
+    keeps: the rounds table plus a fresh market's outcome memo, which holds
+    3 int32 columns, the float64 score and 2 uint8 outcomes a displayed row."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run_auction(market, MechanismConfig("CFP"), agents)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    r = result.rounds
+    table = sum(getattr(r, name).nbytes for name in ROUNDS_CSV_HEADER.split(","))
+    return peak / (table + r.round.size * (3 * 4 + 8 + 2)), r.round.size
+
+
+@pytest.mark.parametrize("agent,rows,bound", [
+    (TruthfulAgent, 27_900, 1.3),  # every round fills its 5 slots
+    (RiskAverseAgent, 21_420, 1.5),  # bidders withdraw; unfilled rows are allocated but not kept
+])
+def test_run_auction_holds_the_rounds_table_once(agent, rows, bound):
+    # At 50 bidders, 31 stages of 180 rounds and desk's rate ranges, this
+    # ratio measured 1.21 (full) and 1.42 (withdrawals). Stage row tuples
+    # concatenated at the end read 1.70 and 1.72, and copying a short
+    # table's filled rows would read above 2.
+    market = generate_market(MarketConfig(
+        num_bidders=50, num_rounds=31 * 180, num_slots=5, stage_plan=(180,) * 31, ctr_range=(0.3, 0.9),
+        cvr_range=(0.05, 0.15), value_range=(1.0, 5.0), tcpa_range=(1.0, 10.0), seed=0,
+    ))
+    ratio, displayed = _traced_peak_over_kept_bytes(market, [agent() for _ in range(50)])
+    assert displayed == rows
+    assert ratio <= bound, f"traced peak is {ratio:.3f} x the kept bytes"
 
 
 def test_outcome_stream_invariant_across_mechanisms():
@@ -452,6 +521,25 @@ def test_withdrawn_flags_zero_final_bids():
     assert result.rounds.round.size == 0
     truthful = run_auction(market, MechanismConfig("CFP"), _truthful(market))
     assert not truthful.withdrawn.any()
+
+
+def test_one_memo_keeps_only_score_text_across_the_five_desk_mechanisms(tmp_path):
+    # desk's mechanisms and agents on a market of two CHUNK_ROWS chunks.
+    market = _market(num_bidders=10, num_rounds=4000, num_slots=5, stage_plan=(1000,) * 4, seed=3)
+    mechs = [MechanismConfig("CFP"), MechanismConfig("CPA_OFFLINE"), MechanismConfig("PACING_OFFLINE"),
+             MechanismConfig("DFP", controller="debt"), MechanismConfig("DFP", controller="oracle")]
+    memo, rows = ReuseMemo(), 0
+    for i, mech in enumerate(mechs):
+        controller = DebtController(market.tcpa) if mech.controller == "debt" else None
+        result = run_auction(market, mech, [RiskAverseAgent() for _ in range(10)], controller)
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        write_rounds_csv(result, str(got), memo=memo)
+        write_rounds_csv(result, str(want))
+        assert got.read_bytes() == want.read_bytes(), mech.label
+        rows = max(rows, result.rounds.round.size)
+    assert rows > CHUNK_ROWS
+    # One kept score chunk per chunk position; no payment text.
+    assert len(memo) <= -(-rows // CHUNK_ROWS)
 
 
 def test_rounds_and_summary_csv(tmp_path):
