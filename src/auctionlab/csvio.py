@@ -16,20 +16,16 @@ once and gathers the strings by offset; any other numeric chunk that repeats
 few distinct values formats each of them once and gathers the strings by
 index. A bool column prints 1/0.
 
-A float chunk with mostly distinct values (a rounds table's ``score``) costs
-one ``repr`` per cell, the bulk of writing a table. Tables written one after
-another through the same ``ReuseMemo`` reuse that text: the memo keeps, per
-(column, chunk) position, the chunk's dtype and bytes and its cells joined
-by newlines, and a chunk whose dtype and bytes equal the kept ones takes the
-kept text. So it holds at most one chunk's bytes and text (8 + 25 bytes a
-float64 cell) per position that a plain float chunk has taken. A caller
-that knows which fields another table can repeat names them in
-``memo_fields``; the others are formatted without the memo.
+A column may also be given as one ``str``, its cells joined by newlines:
+text formatted once can then be written into later tables as it is. A float
+chunk with mostly distinct values (a rounds table's ``score``) costs one
+``repr`` per cell, the bulk of writing a table; ``write_rounds_csv`` keeps
+that text with the market's outcome passes and passes it back this way.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,38 +37,8 @@ CHUNK_ROWS = 1 << 14
 _PROBE = 256
 
 
-class ReuseMemo:
-    """One kept value per position, matched by an exact key.
-
-    A miss replaces the value at a position only if that value has never
-    been reused, so a value that two callers shared survives a third caller
-    that differs. Memory is bounded by the number of positions.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict = {}  # position -> [key, value, reused]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, position, key):
-        """The value kept at position if it was kept under key, else None."""
-        entry = self._entries.get(position)
-        if entry is None or entry[0] != key:
-            return None
-        entry[2] = True
-        return entry[1]
-
-    def put(self, position, key, value) -> None:
-        """Keep value at position, unless the value there has been reused."""
-        entry = self._entries.get(position)
-        if entry is None or not entry[2]:
-            self._entries[position] = [key, value, False]
-
-
-def _format_column(col: np.ndarray, memo: ReuseMemo | None, position: tuple) -> list[str]:
-    """The cells of one nonempty chunk of a column, top to bottom; a plain
-    float chunk goes through memo at position (column, chunk start)."""
+def _format_column(col: np.ndarray) -> list[str]:
+    """The cells of one nonempty chunk of a column, top to bottom."""
     if col.dtype.kind == "b":
         col = col.view(np.uint8)  # 1/0, as int(v) prints a bool
     kind = col.dtype.kind
@@ -96,29 +62,21 @@ def _format_column(col: np.ndarray, memo: ReuseMemo | None, position: tuple) -> 
     ):
         distinct, inverse = np.unique(col, return_inverse=True)
         return np.array(list(map(to_str, distinct.tolist())), dtype=object)[inverse].tolist()
-    if memo is None or kind != "f":
-        return list(map(to_str, col.tolist()))
-    key = (col.dtype.str, col.tobytes())
-    text = memo.get(position, key)
-    if text is not None:
-        return text.split("\n")
-    cells = list(map(repr, col.tolist()))
-    memo.put(position, key, "\n".join(cells))
-    return cells
+    return list(map(to_str, col.tolist()))
 
 
-def _chunk_length(header: str, cols: list[np.ndarray]) -> int:
-    """The common length of one chunk's columns, one per header field."""
+def _chunk_length(header: str, cols: list) -> int:
+    """The common length of one chunk's columns (arrays or newline-joined
+    str cells), one per header field."""
     if len(cols) != header.count(",") + 1:
         raise ContractViolation(f"header {header!r} does not name {len(cols)} columns")
-    lengths = {c.shape[0] for c in cols}
+    lengths = {c.count("\n") + 1 if isinstance(c, str) else c.shape[0] for c in cols}
     if len(lengths) > 1:
         raise ContractViolation(f"columns under {header!r} differ in length: {sorted(lengths)}")
     return lengths.pop()
 
 
-def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable], memo: ReuseMemo | None = None,
-                memo_fields: Container[str] | None = None) -> None:
+def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable]) -> None:
     """Write equal-length columns under a comma-separated header line.
 
     Args:
@@ -127,29 +85,21 @@ def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable], 
         columns: one array-like per header field, all the same length; or
             an iterator of such lists, one per chunk of rows, written in
             turn. A chunk of at most CHUNK_ROWS rows keeps memory to one
-            chunk's cells.
-        memo: optional memo of plain float chunks' text, shared by tables
-            written one after another (see the module docstring). The bytes
-            written are the same with or without it.
-        memo_fields: the header fields whose chunks go through memo; None
-            (the default) means every field.
+            chunk's cells. A column given as one ``str`` holds its cells
+            joined by newlines and is written as it is.
 
     Raises:
         ContractViolation: column count or lengths do not match; whole
             columns are checked before the file is opened.
     """
     if not isinstance(columns, Iterator):
-        cols = [np.asarray(c) for c in columns]
+        cols = [np.asarray(c.split("\n") if isinstance(c, str) else c) for c in columns]
         n = _chunk_length(header, cols)
         columns = ([c[start:start + CHUNK_ROWS] for c in cols] for start in range(0, n, CHUNK_ROWS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        memos = [memo if memo_fields is None or field in memo_fields else None for field in header.split(",")]
-        start = 0
         for chunk in columns:
-            block = [np.asarray(c) for c in chunk]
-            n = _chunk_length(header, block)
-            if n:
-                cells = [_format_column(c, m, (j, start)) for j, (c, m) in enumerate(zip(block, memos))]
+            block = [c if isinstance(c, str) else np.asarray(c) for c in chunk]
+            if _chunk_length(header, block):
+                cells = [c.split("\n") if isinstance(c, str) else _format_column(c) for c in block]
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-            start += n

@@ -40,7 +40,7 @@ from .analysis import (
     write_ratio_csv,
 )
 from .controllers import DebtController
-from .csvio import ReuseMemo, write_table
+from .csvio import write_table
 from .errors import ConfigError, _open_input
 from .market import MAX_MARKET_BYTES, MarketConfig, _check_seed, generate_market
 from .mechanisms import (
@@ -268,19 +268,18 @@ def _write_drift_csv(path: str, drift: np.ndarray, withdrawn: np.ndarray) -> Non
 
 
 def _run_one(config: ExperimentConfig, mech: MechanismConfig, market, run_dir: str,
-             rl_nets, pool: dict[str, list[np.ndarray]], rounds_memo: ReuseMemo) -> None:
+             rl_nets, pool: dict[str, list[np.ndarray]]) -> None:
     """Simulate one (mechanism, seed) pair, write its run directory, append its metrics to pool.
 
     A function of its own so the result and controller are freed on return,
-    before the caller generates the next seed's market. rounds_memo is the
-    seed's ``write_table`` memo for the rounds tables.
+    before the caller generates the next seed's market.
     """
     agents = make_agents(config, market.num_bidders)
     controller = _make_controller(mech, market.tcpa, config.rl, rl_nets)
     result = run_auction(market, mech, agents, controller=controller)
 
     os.makedirs(run_dir, exist_ok=True)
-    write_rounds_csv(result, os.path.join(run_dir, "rounds.csv"), memo=rounds_memo)
+    write_rounds_csv(result, os.path.join(run_dir, "rounds.csv"), memo=market.outcome_memo)
     write_summary_csv(result, os.path.join(run_dir, "summary.csv"))
 
     stage_table = cpa_ratio_table(result)
@@ -324,10 +323,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
 
     Each seed's market is generated once and shared by every mechanism, then
     dropped before the next seed, so one market is live at a time. The
-    mechanisms of a seed share the market's memoised outcome pass and one
-    memo of formatted rounds cells, both dropped with the market. Pooled
-    metrics are concatenated per mechanism in seed order, which fixes the
-    bits of their means and quantiles.
+    mechanisms of a seed share the market's memo of outcome passes under
+    their opening bids and the score text formatted from them, dropped with
+    the market. Pooled metrics are concatenated per mechanism in seed order,
+    which fixes the bits of their means and quantiles.
 
     A DFP:rl checkpoint is loaded once, before the first run, so a missing
     one fails before any artifact is written; so does a checkpoint given to
@@ -349,12 +348,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     pools: dict[str, dict[str, list[np.ndarray]]] = {label: {} for label in labels}
     for seed in config.seeds:
         market = generate_market(replace(config.market, seed=seed))
-        rounds_memo = ReuseMemo()
         for mech in config.mechanisms:
             run_dir = os.path.join(out_dir, mech.label.replace(":", "_"), f"seed_{seed}")
-            _run_one(config, mech, market, run_dir, rl_nets, pools[mech.label], rounds_memo)
+            _run_one(config, mech, market, run_dir, rl_nets, pools[mech.label])
             run_dirs[mech.label].append(run_dir)
-        del market, rounds_memo
+        del market
 
     summary_rows: list[tuple[str, str, float, float, float]] = []
     tau_rows: list[tuple[str, str, float, float, float]] = []

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import CHUNK_ROWS, ReuseMemo, write_table
+from .csvio import CHUNK_ROWS, write_table
 from .errors import ConfigError, SchemaError, _open_input
 
 MARKET_CSV_HEADER = "round,bidder,slot,ctr,cvr,value,click,conversion"
@@ -207,11 +207,14 @@ class MarketLog:
     construction. Optional 0/1 override arrays (shape (N, M, K)) replace
     sampled outcomes during replay; both are present or both are None.
 
-    outcome_memo keeps the engine's outcome pass, one per stage under the
-    bid vector it was computed for, so that mechanisms run on the same log
-    share it (see ``mechanisms.run_auction``). It is never copied: a log
-    made with ``dataclasses.replace`` starts with an empty memo, and the
-    arrays above must not be changed in place once a run has used the log.
+    outcome_memo maps a stage to the engine's outcome pass under a run's
+    opening bids, with the ``score`` text the rounds writer formatted from
+    it, so that mechanisms run on the same log share both: a pass is reused
+    for bids of the same bytes, its text for a piece of scores equal to its
+    own (see ``mechanisms.run_auction`` and ``mechanisms.write_rounds_csv``).
+    It is never copied: a log made with ``dataclasses.replace`` starts with
+    an empty memo, and the arrays above must not be changed in place once a
+    run has used the log.
     """
 
     config: MarketConfig
@@ -221,7 +224,7 @@ class MarketLog:
     value: np.ndarray
     click_override: np.ndarray | None = None
     conv_override: np.ndarray | None = None
-    outcome_memo: ReuseMemo = field(default_factory=ReuseMemo, init=False, repr=False, compare=False)
+    outcome_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_bidders(self) -> int:
@@ -357,10 +360,12 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
         max_rows = (os.fstat(fh.fileno()).st_size + 1) // (2 * width)
         if N * M > max_rows:
             raise SchemaError(f"{where}: {N} rounds x {M} bidders need more rows than the file can hold")
-        # Per (round, bidder, slot): seen, ctr[, click, conversion]; the slot
-        # axis widens as larger slots turn up. cvr (NaN until set) and value are
-        # one per (round, bidder), set by the pair's first row; every row must agree.
-        seen, ctr, *outcomes = (np.zeros((N, M, 0), d) for d in (bool, np.float64, *[np.uint8] * (width - 6)))
+        # Per (round, bidder, slot): ctr (NaN until set)[, click, conversion];
+        # the slot axis widens as larger slots turn up. cvr (NaN until set) and
+        # value are one per (round, bidder), set by the pair's first row; every
+        # row must agree.
+        ctr = np.full((N, M, 0), np.nan)
+        outcomes = [np.zeros((N, M, 0), np.uint8) for _ in range(width - 6)]
         cvr, value = np.full((N, M), np.nan), np.zeros((N, M))
         K = rows = 0
         # Blank and whitespace-only lines are skipped, and loadtxt, which
@@ -391,7 +396,8 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
                 if N * M * (top_slot + 1) > max_rows:
                     raise SchemaError(f"{where}: slot {top_slot} needs more rows than the file can hold")
                 widen = ((0, 0), (0, 0), (0, top_slot + 1 - K))
-                seen, ctr, *outcomes = (np.pad(g, widen) for g in (seen, ctr, *outcomes))
+                ctr = np.pad(ctr, widen, constant_values=np.nan)
+                outcomes = [np.pad(g, widen) for g in outcomes]
                 K = top_slot + 1
             n, m, k = (idx[:, j].astype(np.int64) for j in range(3))
             pair = n * M + m
@@ -401,7 +407,6 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
                 if np.any(grid[pair] != data[:, j]):
                     raise SchemaError(f"{where}: {name} must be constant across slots")
             flat = pair * K + k
-            seen.reshape(-1)[flat] = True
             ctr.reshape(-1)[flat] = data[:, 3]
             for j, grid in enumerate(outcomes, start=6):
                 grid.reshape(-1)[flat] = data[:, j]
@@ -410,7 +415,7 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
         raise SchemaError(f"{where} has no data rows")
     if rows != N * M * K:
         raise SchemaError(f"{where}: expected a dense {N}x{M}x{K} grid, got {rows} rows")
-    if not seen.all():
+    if np.isnan(ctr).any():  # ctr cells are finite, so a NaN is a cell no row set
         raise SchemaError(f"{where}: duplicate rows left gaps in the (round, bidder, slot) grid")
     if np.any(ctr[:, :, 1:] > ctr[:, :, :-1]):
         raise SchemaError(f"{where}: ctr must be weakly decreasing across slots")

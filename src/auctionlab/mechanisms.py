@@ -17,14 +17,15 @@ given the bids at its start; the engine exploits that to vectorize scoring,
 allocation, and outcome sampling stage by stage. Each stage runs two passes:
 the outcome pass (score -> allocate -> sample), a function of the market,
 the stage and the bid vector alone, and the pricing pass that sets the
-payments of the online rules. The outcome pass is memoised on the MarketLog,
-so mechanisms run on the same log that meet the same bids share it. Each
-stage fills a row of every stage table (one (8, T, M) block) and its rows
-of the rounds columns, which are allocated once per run at the most rows a
-run can display. Agent bid updates fire at stage boundaries
-for CFP, CPA_OFFLINE, and online DFP. The two hindsight rules,
-PACING_OFFLINE and the DFP oracle, keep bids static and are priced in one
-pass after the last stage, from the stage tables of clicks and conversions.
+payments of the online rules. The outcome pass under a run's opening bids
+is memoised on the MarketLog, so mechanisms run on the same log that open
+with the same bids and keep them share it. Each stage fills a row of every
+stage table (one (8, T, M) block) and its rows of the rounds columns, which
+are allocated once per run at the most rows a run can display. Agent bid
+updates fire at stage boundaries for CFP, CPA_OFFLINE, and online DFP. The
+two hindsight rules, PACING_OFFLINE and the DFP oracle, keep bids static and
+are priced in one pass after the last stage, from the stage tables of clicks
+and conversions.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Protocol
 import numpy as np
 
 from .controllers import stage_pacing_oracle
-from .csvio import ReuseMemo, write_table
+from .csvio import CHUNK_ROWS, _format_column, write_table
 from .errors import ConfigError, ContractViolation
 from .market import MarketLog, sample_outcomes, stage_starts
 
@@ -206,16 +207,18 @@ def _check_bids(bids: np.ndarray, source: str) -> None:
         raise ContractViolation(f"bidder {m} returned a non-finite bid {float(bids[m])!r} from {source}")
 
 
-def _outcome_pass(market: MarketLog, t: int, s0: int, bids: np.ndarray) -> tuple[np.ndarray, ...]:
+def _outcome_pass(market: MarketLog, t: int, s0: int, bids: np.ndarray, opening: bytes) -> tuple[np.ndarray, ...]:
     """Score -> allocate -> sample for stage t under the stage's bids.
 
     The result depends only on (market, stage, bid vector): outcomes come
-    from counter-addressed Philox streams, never from payments. It is kept
-    in ``market.outcome_memo``, one entry per stage holding the bid vector's
-    bytes, so a later run on the same log that meets the same bids in that
-    stage reads it back instead of recomputing it. A miss replaces the
-    stage's entry only if that entry was never reused: the static bids of
-    the offline baselines stay kept across a run whose bids move.
+    from counter-addressed Philox streams, never from payments. A pass under
+    the run's opening bids (``opening``, their bytes) is kept in
+    ``market.outcome_memo[t]`` as (bid bytes, pass, score text by piece), so
+    a later run on the same log that meets those bids in that stage reads
+    it back instead of recomputing it. Every mechanism opens at tCPA, and the
+    offline baselines keep their bids, so those are the bids runs share.
+    ``write_rounds_csv`` fills the text, for pieces whose scores equal the
+    pass's.
 
     Returns read-only (rows, slots, bidders, score, click, conversion): the
     displayed (stage row, slot) pairs in round-then-slot order and their
@@ -223,20 +226,21 @@ def _outcome_pass(market: MarketLog, t: int, s0: int, bids: np.ndarray) -> tuple
     the uint8 outcomes of ``sample_outcomes``.
     """
     key = bids.tobytes()
-    kept = market.outcome_memo.get(t, key)
-    if kept is not None:
-        return kept
+    kept = market.outcome_memo.get(t)
+    if kept is not None and kept[0] == key:
+        return kept[1]
     sl = slice(s0, s0 + market.config.stage_plan[t])
     scores = ranking_score(bids[None, :], market.ctr[sl, :, 0], market.cvr[sl])
     winner, valid = _stage_allocation(scores, market.num_slots)
     rows, slots = np.nonzero(valid)
     bidders = winner[rows, slots]
     y, z = sample_outcomes(market, rows + s0, bidders, slots)
-    kept = (rows.astype(np.int32), slots.astype(np.int32), bidders.astype(np.int32), scores[rows, bidders], y, z)
-    for column in kept:
+    outcome = (rows.astype(np.int32), slots.astype(np.int32), bidders.astype(np.int32), scores[rows, bidders], y, z)
+    for column in outcome:
         column.flags.writeable = False
-    market.outcome_memo.put(t, key, kept)
-    return kept
+    if key == opening:
+        market.outcome_memo[t] = (key, outcome, {})
+    return outcome
 
 
 def run_auction(
@@ -255,12 +259,15 @@ def run_auction(
     last stage: the DFP "oracle" from each stage's own clicks and
     conversions, PACING_OFFLINE from the whole run's.
 
-    The outcome pass is memoised per market in ``market.outcome_memo``,
-    one entry per stage keyed by the bid vector's bytes: a later run on the
-    same log that meets the same bids in a stage reuses the allocation and
-    outcomes, with the same bits as recomputing them. The log's arrays must
-    therefore not be changed in place between runs; ``dataclasses.replace``
-    gives a copy with an empty memo.
+    The outcome pass under the run's opening bids (those of
+    ``initial_bid``) is memoised per market in ``market.outcome_memo``, one
+    entry per stage matched by the bids' bytes: a later run on the same log
+    that meets those bids in a stage reuses the allocation and outcomes,
+    with the same bits as recomputing them. A pass under moved bids is
+    computed and not kept. ``write_rounds_csv`` keeps score text beside a
+    kept pass and reuses it only for scores equal to the pass's. The log's
+    arrays must not be changed in place between runs;
+    ``dataclasses.replace`` gives a copy with an empty memo.
 
     Args:
         market: generated or replayed market log.
@@ -290,6 +297,7 @@ def run_auction(
     tcpa = market.tcpa
     bids = np.array([float(agents[m].initial_bid(float(tcpa[m]))) for m in range(M)])
     _check_bids(bids, "initial_bid for stage 0")
+    opening = bids.tobytes()
 
     starts = stage_starts(plan)
     tables = np.zeros((len(_STAGE_TABLES), T, M))
@@ -304,7 +312,7 @@ def run_auction(
     for t in range(T):
         s0, n_t = int(starts[t]), plan[t]
         bid_by_stage[t] = bids
-        rows, slots, bidders, score, y, z = _outcome_pass(market, t, s0, bids)
+        rows, slots, bidders, score, y, z = _outcome_pass(market, t, s0, bids, opening)
         rounds_global = rows.astype(np.int64) + s0
 
         # Pricing pass.
@@ -406,18 +414,45 @@ def _price_in_hindsight(rounds: RoundsTable, clicks: np.ndarray, convs: np.ndarr
         payments[:] = np.bincount(stage * M + bidder, weights=pay, minlength=T * M).reshape(T, M)
 
 
-def write_rounds_csv(result: SimulationResult, path: str, memo: ReuseMemo | None = None) -> None:
+def write_rounds_csv(result: SimulationResult, path: str, memo: dict | None = None) -> None:
     """One row per displayed (round, slot), in round order.
 
-    ``memo`` is passed to ``write_table`` for the ``score`` column alone: the
-    rounds tables of one market's mechanisms, written through one memo,
-    reuse each other's score text. Score is the one plain float column the
-    outcome pass alone fixes; a payment column that is not few distinct
-    values (CFP, DFP:debt, DFP:rl) is one pricing rule's own.
+    The table is written one stage at a time, in pieces of at most
+    CHUNK_ROWS rows. ``memo`` is a market's ``outcome_memo``: a piece whose
+    ``score`` values equal (``np.array_equal``, same dtype) the matching
+    slice of its stage's kept outcome pass takes the score text kept there,
+    formatting and keeping it on the first such piece. So the rounds tables
+    of one market's mechanisms format each shared stage's score text once,
+    and a memo from another market can cost a miss but never a wrong byte.
+    Score is the one plain float column the outcome pass alone fixes; a
+    payment column is one pricing rule's own.
     """
     r = result.rounds
-    write_table(path, ROUNDS_CSV_HEADER, [getattr(r, name) for name in ROUNDS_CSV_HEADER.split(",")], memo,
-                memo_fields=("score",))
+    columns = [getattr(r, name) for name in ROUNDS_CSV_HEADER.split(",")]
+    edges = [0, *(np.flatnonzero(np.diff(r.stage)) + 1).tolist(), r.stage.size]
+
+    def pieces():
+        for first, stop in zip(edges, edges[1:]):
+            for lo in range(first, stop, CHUNK_ROWS):
+                piece = [c[lo:min(lo + CHUNK_ROWS, stop)] for c in columns]
+                kept = memo.get(int(r.stage[lo])) if memo else None
+                if kept is not None:
+                    piece[4] = _score_text(piece[4], kept, lo - first)  # column 4 is score
+                yield piece
+
+    write_table(path, ROUNDS_CSV_HEADER, pieces())
+
+
+def _score_text(score: np.ndarray, kept: tuple, offset: int) -> np.ndarray | str:
+    """A piece's score column as the text kept with the stage's outcome pass
+    (formatted and kept on a first match), or as it is if its values are not
+    the pass's own from offset on."""
+    _, outcome, texts = kept
+    if not (score.dtype == outcome[3].dtype and np.array_equal(score, outcome[3][offset:offset + score.size])):
+        return score
+    if offset not in texts:
+        texts[offset] = "\n".join(_format_column(score))
+    return texts[offset]
 
 
 def write_summary_csv(result: SimulationResult, path: str) -> None:

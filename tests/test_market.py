@@ -533,6 +533,25 @@ def test_market_csv_hostile_inputs(tmp_path, edit):
             read_market_csv(bad, cfg.stage_plan, log.tcpa)
 
 
+@pytest.mark.parametrize("slot_major", [False, True])
+def test_market_csv_duplicate_row_leaves_a_named_gap(tmp_path, slot_major):
+    # The last slot-1 row is replaced by a copy of another. Slot-major order
+    # reads a first chunk of slot 0 alone, so slot 1 arrives after the
+    # grids have been widened.
+    cfg = _tiny_config(num_bidders=4, num_rounds=4200, stage_plan=(2100, 2100), seed=9)
+    log = generate_market(cfg)
+    path = tmp_path / "m.csv"
+    write_market_csv(log, str(path))
+    header, *rows = path.read_text().splitlines()
+    if slot_major:
+        rows.sort(key=lambda line: int(line.split(",")[2]))
+        assert all(line.split(",")[2] == "0" for line in rows[:CHUNK_ROWS])
+    assert rows[-1].split(",")[2] == "1"
+    path.write_text("\n".join([header, *rows[:-1], rows[-3]]) + "\n")
+    with pytest.raises(SchemaError, match="duplicate rows left gaps"):
+        read_market_csv(str(path), cfg.stage_plan, log.tcpa)
+
+
 def test_market_csv_header_only_for_a_one_cell_grid_has_no_data_rows(tmp_path):
     # A 1x1 grid fits the file's size, so the reader gets as far as counting rows.
     path = tmp_path / "m.csv"

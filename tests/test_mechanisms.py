@@ -21,7 +21,9 @@ from auctionlab import (
     run_auction,
     stage_pacing_oracle,
 )
-from auctionlab.csvio import CHUNK_ROWS, ReuseMemo
+from auctionlab import mechanisms
+from auctionlab.agents import FixedBidAgent
+from auctionlab.csvio import CHUNK_ROWS
 from auctionlab.mechanisms import (
     ROUNDS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -523,23 +525,57 @@ def test_withdrawn_flags_zero_final_bids():
     assert not truthful.withdrawn.any()
 
 
-def test_one_memo_keeps_only_score_text_across_the_five_desk_mechanisms(tmp_path):
-    # desk's mechanisms and agents on a market of two CHUNK_ROWS chunks.
-    market = _market(num_bidders=10, num_rounds=4000, num_slots=5, stage_plan=(1000,) * 4, seed=3)
+def _score_texts(memo):
+    return {(t, lo): text for t, (_, _, texts) in memo.items() for lo, text in texts.items()}
+
+
+def test_one_memo_keeps_only_score_text_across_the_five_desk_mechanisms(tmp_path, monkeypatch):
+    # desk's mechanisms and agents; the first two stages span two pieces each.
+    market = _market(num_bidders=10, num_rounds=8000, num_slots=5, stage_plan=(3500, 3500, 500, 500), seed=3)
     mechs = [MechanismConfig("CFP"), MechanismConfig("CPA_OFFLINE"), MechanismConfig("PACING_OFFLINE"),
              MechanismConfig("DFP", controller="debt"), MechanismConfig("DFP", controller="oracle")]
-    memo, rows = ReuseMemo(), 0
+    formatted = []
+    format_column = mechanisms._format_column
+    monkeypatch.setattr(mechanisms, "_format_column", lambda col: formatted.append(col.size) or format_column(col))
     for i, mech in enumerate(mechs):
         controller = DebtController(market.tcpa) if mech.controller == "debt" else None
         result = run_auction(market, mech, [RiskAverseAgent() for _ in range(10)], controller)
         got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
-        write_rounds_csv(result, str(got), memo=memo)
+        formatted.clear()
+        write_rounds_csv(result, str(got), memo=market.outcome_memo)
         write_rounds_csv(result, str(want))
         assert got.read_bytes() == want.read_bytes(), mech.label
-        rows = max(rows, result.rounds.round.size)
-    assert rows > CHUNK_ROWS
-    # One kept score chunk per chunk position; no payment text.
-    assert len(memo) <= -(-rows // CHUNK_ROWS)
+    assert formatted == []  # DFP:oracle took every score piece from the memo
+    # One outcome pass per stage, under the opening bids, and beside it one
+    # score text per piece of the stage: the pass's own scores, no payments.
+    opening = market.tcpa.tobytes()
+    assert sorted(market.outcome_memo) == [0, 1, 2, 3]
+    for t, (key, outcome, texts) in market.outcome_memo.items():
+        score = outcome[3]
+        assert key == opening and sorted(texts) == list(range(0, score.size, CHUNK_ROWS)), t
+        for lo, text in texts.items():
+            assert text == "\n".join(map(repr, score[lo:lo + CHUNK_ROWS].tolist())), (t, lo)
+    assert len(market.outcome_memo[0][2]) == 2
+
+
+def test_a_memo_from_another_market_writes_the_same_bytes(tmp_path):
+    # Same stage plan and opening bids (one tCPA for all), other draws: the
+    # content check finds no score piece of one market in the other's memo.
+    markets = [_market(num_rounds=8000, num_slots=3, stage_plan=(6000, 2000), tcpa_range=(2.0, 2.0), seed=seed)
+               for seed in (5, 6)]
+    results = [run_auction(m, MechanismConfig("CPA_OFFLINE"), _truthful(m)) for m in markets]
+    write_rounds_csv(results[0], str(tmp_path / "first.csv"), memo=markets[0].outcome_memo)
+    kept = _score_texts(markets[0].outcome_memo)
+    assert markets[0].tcpa.tobytes() == markets[1].tcpa.tobytes() and len(kept) == 3
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_rounds_csv(results[1], str(got), memo=markets[0].outcome_memo)
+    write_rounds_csv(results[1], str(want))
+    assert got.read_bytes() == want.read_bytes()
+    assert _score_texts(markets[0].outcome_memo) == kept
+    # A table with no rows writes its header alone through a full memo.
+    empty = run_auction(markets[0], MechanismConfig("CFP"), [FixedBidAgent(0.0) for _ in range(4)])
+    write_rounds_csv(empty, str(got), memo=markets[0].outcome_memo)
+    assert got.read_text() == ROUNDS_CSV_HEADER + "\n"
 
 
 def test_rounds_and_summary_csv(tmp_path):
