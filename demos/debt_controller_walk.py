@@ -8,13 +8,7 @@ count and carries any residue into the next stage.
 
 import numpy as np
 
-from auctionlab import (
-    ControllerState,
-    DebtController,
-    debt_controller_step,
-    expected_conversion_estimate,
-    stage_pacing_oracle,
-)
+from auctionlab import ControllerState, DebtController, debt_controller_step, stage_pacing_oracle
 
 TCPA = 4.0
 CVR = 0.1
@@ -30,7 +24,7 @@ for k in range(5):
     pay = debt_controller_step(state, remaining)
     state.paid_stage += pay
     state.paid_total += pay
-    est = expected_conversion_estimate(state)
+    est = state.visible_conversions + state.pending_conversions
     print(f"{k:5d} {remaining:9.1f} {est:9.2f} {pay:8.4f} {state.paid_stage:7.4f}")
 
 # after the last expected click the books balance: paid == estimate * tcpa

@@ -13,13 +13,7 @@ rest of the package is reached through its submodules.
 from ._version import __version__
 from .agents import RiskAverseAgent, TruthfulAgent, bid_drift_metric, deviation_sweep
 from .analysis import checkpoint_ratio_table, chernoff_empirical_check, chernoff_min_clicks, payment_fluctuation
-from .controllers import (
-    ControllerState,
-    DebtController,
-    debt_controller_step,
-    expected_conversion_estimate,
-    stage_pacing_oracle,
-)
+from .controllers import ControllerState, DebtController, debt_controller_step, stage_pacing_oracle
 from .errors import (
     AuctionLabError,
     ConfigError,
@@ -43,8 +37,7 @@ from .ppo import RLConfig, load_checkpoint, save_checkpoint, train, write_curves
 __all__ = [
     "RiskAverseAgent", "TruthfulAgent", "bid_drift_metric", "deviation_sweep",
     "checkpoint_ratio_table", "chernoff_empirical_check", "chernoff_min_clicks", "payment_fluctuation",
-    "ControllerState", "DebtController", "debt_controller_step", "expected_conversion_estimate",
-    "stage_pacing_oracle",
+    "ControllerState", "DebtController", "debt_controller_step", "stage_pacing_oracle",
     "AuctionLabError", "ConfigError", "ContractViolation", "MissingInputError", "NumericalFault", "SchemaError",
     "ExperimentConfig", "config_digest", "evaluate_debt_controller", "evaluate_rl_controller", "load_config",
     "run_experiment",

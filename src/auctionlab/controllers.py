@@ -44,18 +44,13 @@ class ControllerState:
     cap_factor: float = DEFAULT_CAP_FACTOR
 
 
-def expected_conversion_estimate(state: ControllerState) -> float:
-    """Best current conversion estimate: revealed count plus pending cvr mass."""
-    return state.visible_conversions + state.pending_conversions
-
-
 def debt_controller_step(state: ControllerState, expected_remaining_clicks: float) -> float:
     """Per-click payment for the current state (pure; caller applies it).
 
     clamp((carry + pending * tcpa - paid_stage) / max(1, R), 0, cap * tcpa),
     with R = expected_remaining_clicks, the clicks expected after this one.
     In the first stage carry is 0, so the debt is exactly
-    expected_conversion_estimate * tcpa - paid_stage.
+    (visible_conversions + pending_conversions) * tcpa - paid_stage.
     """
     debt = state.carry + state.pending_conversions * state.tcpa - state.paid_stage
     divisor = max(1.0, expected_remaining_clicks)

@@ -225,7 +225,13 @@ def _as_section(obj, cls, where: str):
     for f in fields(cls):
         if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{prefix}{f.name} is required")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        # The dataclass names its own field, which reads as a top-level key.
+        if where == "config":
+            raise
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:

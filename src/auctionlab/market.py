@@ -20,8 +20,9 @@ RNG layout (Philox-4x64-10 throughout, one purpose id per quantity):
 
 Generation streams (1-4) draw doubles from numpy's
 ``Generator(Philox(key=np.array([seed, purpose], dtype=np.uint64)))``.
-Outcome sub-streams are evaluated with the vectorized raw Philox block
-below, bit-identical to
+Outcome sub-streams are evaluated with the raw Philox block function below,
+which runs its ten rounds once over all of a call's counters. Each output
+word depends only on (key, counter), so it is bit-identical to
 ``numpy.random.Philox(key=[seed, 5], counter=[0, k, m, n]).random_raw()``
 (numpy increments counter word 0 before emitting its first block, hence the
 leading 1 in the counter). A uniform double is ``(word >> 11) * 2**-53``.
@@ -30,7 +31,6 @@ leading 1 in the counter). A uniform double is ``(word >> 11) * 2**-53``.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -53,9 +53,6 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
 _INV53 = 2.0 ** -53
-# Counters per pass of the block function, so that a pass's temporaries
-# stay in cache across all ten rounds.
-_PHILOX_BLOCK = 16384
 
 # The most bytes a market's float64 rate arrays may hold together: ctr
 # (rounds, bidders, slots) plus cvr and value (rounds, bidders), that is
@@ -82,23 +79,12 @@ def _mulhi(a: np.ndarray, b_lo: np.uint64, b_hi: np.uint64) -> np.ndarray:
     return a_hi * b_hi + (mid >> _S32) + (mid_lo >> _S32)
 
 
-def _philox_rounds(keys: np.ndarray, x0, x1, x2, x3) -> tuple[np.ndarray, ...]:
-    """Ten Philox rounds on the counter words x0..x3, one row of keys each."""
-    (m0, m0_lo, m0_hi), (m1, m1_lo, m1_hi) = _MUL0, _MUL1
-    for k0, k1 in keys:
-        hi0 = _mulhi(x0, m0_lo, m0_hi)
-        lo0 = m0 * x0
-        hi1 = _mulhi(x2, m1_lo, m1_hi)
-        lo1 = m1 * x2
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return x0, x1, x2, x3
-
-
 def philox4x64(key: tuple[int, int], counter: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Raw 10-round Philox-4x64 block function, vectorized over counters.
 
-    Counters are processed ``_PHILOX_BLOCK`` at a time; the caller's arrays
-    are only read.
+    The ten rounds run once over all counters. Each output word depends only
+    on (key, counter), so how calls split the counters never changes a bit.
+    The caller's arrays are only read.
 
     Args:
         key: two 64-bit key words.
@@ -107,22 +93,18 @@ def philox4x64(key: tuple[int, int], counter: tuple[np.ndarray, np.ndarray, np.n
 
     Returns:
         Four uint64 arrays of the broadcast shape: the output block words 0..3.
+        All-scalar counters give four uint64 scalars.
     """
-    words = [np.asarray(c, dtype=np.uint64) for c in counter]
-    shape = np.broadcast(*words).shape
-    words = [
-        w.reshape(()) if w.size == 1 else (w if w.shape == shape else np.broadcast_to(w, shape)).reshape(-1)
-        for w in words
-    ]
-    keys = _KEY_STEPS + np.array(key, dtype=np.uint64)
-    n = math.prod(shape)
-    out = [np.empty(n, dtype=np.uint64) for _ in range(4)]
+    x0, x1, x2, x3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    (m0, m0_lo, m0_hi), (m1, m1_lo, m1_hi) = _MUL0, _MUL1
     with np.errstate(over="ignore"):
-        for start in range(0, n, _PHILOX_BLOCK):
-            block = (w if w.ndim == 0 else w[start:start + _PHILOX_BLOCK] for w in words)
-            for dst, src in zip(out, _philox_rounds(keys, *block)):
-                dst[start:start + _PHILOX_BLOCK] = src
-    return tuple(o.reshape(shape) for o in out)
+        for k0, k1 in _KEY_STEPS + np.array(key, dtype=np.uint64):
+            hi0 = _mulhi(x0, m0_lo, m0_hi)
+            lo0 = m0 * x0
+            hi1 = _mulhi(x2, m1_lo, m1_hi)
+            lo1 = m1 * x2
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return x0, x1, x2, x3
 
 
 def _uniform_doubles(words: np.ndarray) -> np.ndarray:

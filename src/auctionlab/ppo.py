@@ -456,6 +456,11 @@ class RLPaymentController:
     closed. Without collection a click does only the payment work. The
     critic is not run per click: GAE needs its values only once the rollout
     is collected, so trajectory() computes them all in one call.
+
+    The constructor sets the run-long entries; begin_stage sets the
+    stage-scoped ones (the stage's bids and expected schedule, its pending
+    conversions, payments and active bidders), so it must open each stage
+    before the stage's first click.
     """
 
     def __init__(
@@ -482,25 +487,15 @@ class RLPaymentController:
         m = len(self.tcpa)
         self.clicks = [0.0] * m
         self.visible = [0.0] * m
-        self.stage_z_est = [0.0] * m
-        self.active: list[int] = []  # bidders with a click this stage, ascending
-        self.paid_stage = [0.0] * m
         self.paid_total = [0.0] * m
         self.last_nonzero_payment = [0.0] * m
         self.expected_paid_completed = [0.0] * m
-
-        self.bids = [0.0] * m
-        self.expected_stage_clicks = [0.0] * m
-        self.expected_stage_conversions = [0.0] * m
-        self.stage_start = 0
-        self.stage_len = 1
 
         self._feats: list[np.ndarray] = []
         self._gs: list[float] = []
         self._logps: list[float] = []
         self._rewards: list[float] = []
         self._episode_lengths: list[int] = []
-        self._stage_first_step = 0  # index of the stage's first step in the collected lists
         self.stage_true_errors: list[float] = []
 
     def begin_stage(self, expected_clicks: np.ndarray, expected_conversions: np.ndarray,
@@ -512,9 +507,9 @@ class RLPaymentController:
         self.stage_start = int(stage_start)
         self.stage_len = int(stage_len)
         self.stage_z_est = [0.0] * m
-        self.active = []
+        self.active: list[int] = []  # bidders with a click this stage, ascending
         self.paid_stage = [0.0] * m
-        self._stage_first_step = len(self._rewards)
+        self._stage_first_step = len(self._rewards)  # index of the stage's first step in the collected lists
 
     def on_click(self, bidder: int, round_index: int, cvr: float, expected_remaining_clicks: float) -> float:
         m = bidder
@@ -557,8 +552,7 @@ class RLPaymentController:
                 # Feedback release: reward the stage's final step with the
                 # accuracy score under the true conversion counts.
                 self._rewards[-1] += accuracy_reward(paid, targets)
-        if steps > 0:
-            self._episode_lengths.append(steps)
+                self._episode_lengths.append(steps)
         self.expected_paid_completed = [
             done + bid * conv
             for done, bid, conv in zip(self.expected_paid_completed, self.bids, self.expected_stage_conversions)

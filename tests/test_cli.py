@@ -221,6 +221,20 @@ def test_train_then_run_learned_controller(capsys, train_config, tmp_path):
     assert _last_stderr_line(capsys).startswith("ERROR ConfigError:")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_reports_aborted_updates(capsys, tmp_path):
+    # A learning rate of 1e15 makes the one update's losses diverge, and
+    # the divergence guard rolls it back.
+    config = tmp_path / "train.yaml"
+    config.write_text(TRAIN_YAML.replace("  updates: 2\n  epochs: 1\n  minibatch: 8\n",
+                                         "  updates: 1\n  epochs: 1\n  minibatch: 2\n  lr: 1.0e+15\n"))
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(config), "--out", str(out), "--seed", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["aborted updates: 1"]
+    assert captured.out.strip() == str(out / "checkpoint.txt")
+
+
 def test_run_without_checkpoint_writes_nothing(capsys, tmp_path):
     # CFP runs first in the config, yet the missing DFP:rl checkpoint stops
     # the run before any artifact is written.

@@ -13,7 +13,6 @@ from auctionlab import (
     MechanismConfig,
     TruthfulAgent,
     debt_controller_step,
-    expected_conversion_estimate,
     generate_market,
     run_auction,
     stage_pacing_oracle,
@@ -51,12 +50,6 @@ def test_step_is_pure():
     before = (st.paid_stage, st.pending_conversions, st.carry, st.paid_total)
     assert debt_controller_step(st, 4.0) == debt_controller_step(st, 4.0)
     assert (st.paid_stage, st.pending_conversions, st.carry, st.paid_total) == before
-
-
-def test_conversion_estimate_components():
-    assert expected_conversion_estimate(ControllerState(tcpa=1.0, visible_conversions=3.0)) == 3.0
-    st = ControllerState(tcpa=1.0, pending_conversions=0.05 + 0.05)
-    assert expected_conversion_estimate(st) == 0.1
 
 
 def test_conversion_estimate_is_unbiased():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,7 @@ seeds: [0]
         ("rl: {lr: fast}", "rl.lr"),
         ("rl: {adv_norm: 1}", "rl.adv_norm"),
         ('agent_params: {patience: "3"}', "agent_params.patience"),
+        ("agent_params: {epsilon: 1.5}", "agent_params: epsilon must lie in [0, 1)"),
         ("epsilon: abc", "epsilon"),
         ("chernoff: {epsilon: x, cvr: 0.05}", "chernoff.epsilon"),
         ("chernoff: {epsilon: -1.0, cvr: 0.05}", "chernoff.epsilon must be positive"),
@@ -567,6 +569,19 @@ def test_run_metrics_on_known_mechanisms():
     assert checkpoint_abs_error(cpa) <= 1e-12
     pacing = run_auction(market, MechanismConfig("PACING_OFFLINE"), agents)
     assert payment_smoothness(pacing) == 0.0
+
+
+def test_run_metrics_are_nan_with_nothing_to_average():
+    # One round with a sure click and a conversion rate of 1e-9: no bidder
+    # reaches a checkpoint ratio or has two positive payments.
+    market = generate_market(MarketConfig(num_bidders=1, num_rounds=1, num_slots=1, stage_plan=(1,),
+                                          ctr_range=(1.0, 1.0), cvr_range=(1e-9, 1e-9), seed=0))
+    result = run_auction(market, MechanismConfig("CFP"), [TruthfulAgent()])
+    assert result.rounds.click.sum() == 1 and result.stage_conversions.sum() == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nan by the metrics' own rule, not from averaging nothing
+        assert np.isnan(checkpoint_abs_error(result))
+        assert np.isnan(payment_smoothness(result))
 
 
 def test_evaluate_debt_controller_reports_finite_metrics():

@@ -24,7 +24,6 @@ from auctionlab import (
 )
 from auctionlab.csvio import CHUNK_ROWS
 from auctionlab.market import (
-    _PHILOX_BLOCK,
     MARKET_CSV_HEADER,
     MAX_MARKET_BYTES,
     MarketLog,
@@ -135,7 +134,8 @@ def _read_only(*arrays):
 
 
 def test_philox_blocks_match_block_by_block_and_numpy():
-    n = 3 * _PHILOX_BLOCK + 5
+    block = 16384
+    n = 3 * block + 5
     meta = np.random.Generator(np.random.PCG64(17))
     counter = _read_only(*(meta.integers(1, 1 << 64, size=n, dtype=np.uint64) for _ in range(4)))
     before = [c.copy() for c in counter]
@@ -143,11 +143,11 @@ def test_philox_blocks_match_block_by_block_and_numpy():
     words = philox4x64(key, counter)
     assert all(np.array_equal(c, b) for c, b in zip(counter, before))
     assert all(w.shape == (n,) and w.dtype == np.uint64 for w in words)
-    for start in range(0, n, _PHILOX_BLOCK):
-        part = philox4x64(key, tuple(c[start:start + _PHILOX_BLOCK] for c in counter))
+    for start in range(0, n, block):
+        part = philox4x64(key, tuple(c[start:start + block] for c in counter))
         for w, p in zip(words, part):
-            np.testing.assert_array_equal(w[start:start + _PHILOX_BLOCK], p)
-    edges = [0, _PHILOX_BLOCK - 1, _PHILOX_BLOCK, 2 * _PHILOX_BLOCK + 1, n - 5, n - 1]
+            np.testing.assert_array_equal(w[start:start + block], p)
+    edges = [0, block - 1, block, 2 * block + 1, n - 5, n - 1]
     for i in edges + meta.integers(0, n, size=20).tolist():
         assert [int(w[i]) for w in words] == _numpy_block(key, [c[i] for c in counter])
 
@@ -474,6 +474,11 @@ def test_market_csv_schema_errors(tmp_path):
     _write_lines(bad, [lines[0]])
     with pytest.raises(SchemaError):
         read_market_csv(bad, cfg.stage_plan, log.tcpa)
+
+    # No rounds, no bidders, or a scalar tcpa: nothing to read the file into.
+    for plan, tcpa in (((), log.tcpa), (cfg.stage_plan, log.tcpa[:0]), (cfg.stage_plan, log.tcpa[0])):
+        with pytest.raises(SchemaError, match="give no grid"):
+            read_market_csv(path, plan, tcpa)
 
 
 def test_market_csv_skips_blank_lines(tmp_path):

@@ -281,6 +281,31 @@ def test_act_faults_on_nonfinite_weights():
         policy.act(np.zeros(FEATURE_DIM))
 
 
+def _head_policy(mu, log_sigma_raw):
+    """A policy whose head is (mu, log_sigma_raw) for every input."""
+    policy = _zero_policy()
+    flat = np.zeros(policy.net.num_params)
+    flat[-2:] = mu, log_sigma_raw  # the output layer's biases
+    policy.net.set_flat(flat)
+    return policy
+
+
+class _FixedDraw:
+    def standard_normal(self):
+        return 3.0
+
+
+def test_act_faults_on_a_stddev_or_action_that_overflows():
+    # exp(710) overflows a double; under np.errstate NumPy returns inf quietly.
+    with np.errstate(over="ignore"), pytest.raises(NumericalFault, match="stddev overflowed"):
+        _head_policy(0.0, 710.0).act(np.zeros(FEATURE_DIM))
+    # exp(709) is finite, but 3 stddevs above the mean overflow the raw action.
+    policy = _head_policy(0.0, 709.0)
+    assert policy.act(np.zeros(FEATURE_DIM))[1] == 0.0
+    with pytest.raises(NumericalFault, match="action is not finite"):
+        policy.act(np.zeros(FEATURE_DIM), _FixedDraw())
+
+
 def test_value_estimate_linear_and_fault():
     critic = _zero_critic()
     assert value_estimate(critic, np.ones(FEATURE_DIM)) == 0.0

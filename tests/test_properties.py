@@ -14,7 +14,6 @@ are held to their address: the seed and the (round, bidder, slot) triple.
 import dataclasses
 import os
 import tempfile
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -32,7 +31,6 @@ from auctionlab import (
     sample_outcomes,
     write_market_csv,
 )
-from auctionlab import market as market_module
 from auctionlab.controllers import DEFAULT_CAP_FACTOR, stage_pacing_oracle
 from auctionlab.market import read_market_csv
 from auctionlab.mechanisms import SUMMARY_CSV_HEADER, write_summary_csv
@@ -352,8 +350,7 @@ def test_summary_csv_holds_each_bidders_stage_table_totals(config, risk_averse):
 @given(market_configs(), st.data())
 def test_outcomes_are_addressed_by_seed_and_triple_alone(config, data):
     # Any subset of the grid, in any order and split over two calls, draws
-    # what the full grid draws at those triples; a small Philox block makes
-    # the calls cross block boundaries.
+    # what the full grid draws at those triples.
     log = generate_market(config)
     grid = np.indices((config.num_rounds, config.num_bidders, config.num_slots)).reshape(3, -1)
     full = np.stack(sample_outcomes(log, *grid))
@@ -361,8 +358,7 @@ def test_outcomes_are_addressed_by_seed_and_triple_alone(config, data):
     count = data.draw(st.integers(1, size))
     take = np.random.default_rng(data.draw(st.integers(0, 2**32))).permutation(size)[:count]
     cut = data.draw(st.integers(0, count))
-    with mock.patch.object(market_module, "_PHILOX_BLOCK", data.draw(st.integers(1, 5))):
-        parts = [np.stack(sample_outcomes(log, *grid[:, part])) for part in (take[:cut], take[cut:])]
+    parts = [np.stack(sample_outcomes(log, *grid[:, part])) for part in (take[:cut], take[cut:])]
     assert np.array_equal(np.concatenate(parts, axis=1), full[:, take])
     if size >= 64:
         # The same rates under another seed draw other outcomes somewhere;

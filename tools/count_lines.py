@@ -2,7 +2,9 @@
 
 Prints, per module and in total, the line count `wc -l` gives and the code
 lines: lines holding a token that is neither a comment nor part of a
-module, class or function docstring. Run from the repository root:
+module, class or function docstring. A last line gives the number of
+public names, len(__all__) in the package's __init__.py, read without
+importing it. Run from the repository root:
 
     python tools/count_lines.py [directory]
 """
@@ -38,6 +40,14 @@ def count(source: str) -> tuple[int, int]:
     return source.count("\n"), len(code)
 
 
+def exported_names(source: str) -> int:
+    """len(__all__) of a module's source; 0 when it assigns no __all__."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return len(node.value.elts)
+    return 0
+
+
 def main(argv: list[str]) -> int:
     root = pathlib.Path(argv[0] if argv else "src/auctionlab")
     total_lines = total_code = 0
@@ -47,6 +57,9 @@ def main(argv: list[str]) -> int:
         total_lines, total_code = total_lines + lines, total_code + code
         print(f"{path.name:<16} {lines:>6} {code:>6}")
     print(f"{'total':<16} {total_lines:>6} {total_code:>6}")
+    init = root / "__init__.py"
+    names = exported_names(init.read_text(encoding="utf-8")) if init.exists() else 0
+    print(f"{'__all__ names':<16} {names:>6}")
     return 0
 
 
