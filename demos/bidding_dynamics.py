@@ -29,7 +29,6 @@ from auctionlab import (
 
 market = generate_market(MarketConfig(
     num_bidders=4,
-    num_rounds=400,
     num_slots=4,          # a slot for everyone: deviations only move payments
     stage_plan=(40,) * 10,
     cvr_range=(0.05, 0.15),
@@ -54,7 +53,6 @@ print("expected CPA tracks the bid exactly, so beta = 1 is the top feasible row\
 
 market2 = generate_market(MarketConfig(
     num_bidders=10,
-    num_rounds=4800,
     num_slots=4,
     stage_plan=(400,) * 12,
     ctr_range=(0.4, 0.8),

@@ -15,7 +15,6 @@ from auctionlab import ExperimentConfig, MarketConfig, MechanismConfig, config_d
 config = ExperimentConfig(
     market=MarketConfig(
         num_bidders=6,
-        num_rounds=800,
         num_slots=3,
         stage_plan=(200,) * 4,
         cvr_range=(0.05, 0.15),

@@ -12,7 +12,6 @@ from auctionlab import MarketConfig, generate_market, sample_outcomes, stage_sta
 
 config = MarketConfig(
     num_bidders=8,
-    num_rounds=600,
     num_slots=3,
     stage_plan=(200, 200, 200),
     seed=42,
@@ -43,7 +42,7 @@ print("regenerated market is bit-identical")
 
 # a different seed moves everything
 other = generate_market(MarketConfig(
-    num_bidders=8, num_rounds=600, num_slots=3,
+    num_bidders=8, num_slots=3,
     stage_plan=(200, 200, 200), seed=43,
 ))
 print("seed 43 shares no tcpa values with seed 42:",

@@ -42,7 +42,6 @@ def describe(label: str, result) -> None:
 def main() -> None:
     market = generate_market(MarketConfig(
         num_bidders=10,
-        num_rounds=1200,
         num_slots=4,
         stage_plan=(150,) * 8,
         seed=7,

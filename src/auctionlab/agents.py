@@ -158,7 +158,7 @@ def deviation_sweep(
         utility = float((market.value[rows, bidder] * zbar).sum())
         bid = float(bids[bidder])
         rate = bid if mech.kind == "CFP" else float(tcpa[bidder])
-        cpa = rate * z_total / z_total if z_total > 0 else float("nan")
+        cpa = rate if z_total > 0 else float("nan")
         out.append(SweepRow(beta=float(beta), bid=bid, expected_utility=utility, expected_cpa=cpa))
     return out
 

@@ -175,16 +175,6 @@ def _as_stage_plan(plan, key: str) -> tuple[int, ...]:
     return (counts["rounds_per_stage"],) * counts["stages"]
 
 
-def _as_market(obj, key: str) -> MarketConfig:
-    """The market section, whose num_rounds defaults to the sum of its stage plan."""
-    section = _as_mapping(obj, key)
-    if "num_rounds" not in section:
-        # With no stage_plan, 0 stands in, so the error names stage_plan rather than num_rounds.
-        plan = _as_stage_plan(section["stage_plan"], f"{key}.stage_plan") if "stage_plan" in section else ()
-        section = {**section, "num_rounds": sum(plan)}
-    return _as_section(section, MarketConfig, key)
-
-
 def _as_chernoff(obj, key: str) -> tuple[float, float]:
     """The {epsilon, cvr} mapping, held as an (epsilon, cvr) pair."""
     section = _as_mapping(obj, key)
@@ -196,7 +186,7 @@ def _as_chernoff(obj, key: str) -> tuple[float, float]:
 
 
 # The fields whose YAML form differs from their type, by key.
-_YAML_FORMS = {"market": _as_market, "market.stage_plan": _as_stage_plan, "chernoff": _as_chernoff}
+_YAML_FORMS = {"market.stage_plan": _as_stage_plan, "chernoff": _as_chernoff}
 
 
 def _as_value(value, hint, key: str):
@@ -218,11 +208,12 @@ def _as_value(value, hint, key: str):
 def _as_section(obj, cls, where: str):
     """The YAML mapping at key path where ("config" at the top) read as the dataclass cls, keyed by its fields."""
     section = _as_mapping(obj, where)
-    _check_keys(section, [f.name for f in fields(cls)], where)
+    settable = [f for f in fields(cls) if f.init]
+    _check_keys(section, [f.name for f in settable], where)
     hints = get_type_hints(cls)
     prefix = "" if where == "config" else f"{where}."
     kwargs = {name: _as_value(value, hints[name], prefix + name) for name, value in section.items()}
-    for f in fields(cls):
+    for f in settable:
         if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{prefix}{f.name} is required")
     try:

@@ -134,16 +134,16 @@ def _check_range(name: str, rng: tuple[float, float], lo_ok: float, hi_ok: float
 class MarketConfig:
     """Market dimensions, sampling ranges, and the stage partition.
 
-    stage_plan lists the length N_t of each stage; the lengths must sum to
-    num_rounds. The rate arrays, num_rounds·num_bidders·(num_slots + 2)·8
-    bytes, hold at most MAX_MARKET_BYTES. Rate ranges live in (0, 1] and
-    the cvr range must sit at or below the ctr range (cvr upper bound <=
-    ctr lower bound), keeping conversion rates well below click rates in
-    every sampled round.
+    stage_plan lists the length N_t of each stage; num_rounds is their sum,
+    set here and never passed in. The rate arrays,
+    num_rounds·num_bidders·(num_slots + 2)·8 bytes, hold at most
+    MAX_MARKET_BYTES. Rate ranges live in (0, 1] and the cvr range must sit
+    at or below the ctr range (cvr upper bound <= ctr lower bound), keeping
+    conversion rates well below click rates in every sampled round.
     """
 
     num_bidders: int
-    num_rounds: int
+    num_rounds: int = field(init=False)
     num_slots: int
     stage_plan: tuple[int, ...]
     ctr_range: tuple[float, float] = (0.3, 0.9)
@@ -154,20 +154,17 @@ class MarketConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stage_plan", tuple(int(n) for n in self.stage_plan))
-        for name in ("num_bidders", "num_rounds", "num_slots"):
+        object.__setattr__(self, "num_rounds", sum(self.stage_plan))
+        for name in ("num_bidders", "num_slots"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if int(self.num_rounds) * int(self.num_bidders) * (int(self.num_slots) + 2) * 8 > MAX_MARKET_BYTES:
+        if self.num_rounds * int(self.num_bidders) * (int(self.num_slots) + 2) * 8 > MAX_MARKET_BYTES:
             raise ConfigError(
                 f"num_rounds x num_bidders x (num_slots + 2) x 8 bytes of rate arrays must be at most "
                 f"{MAX_MARKET_BYTES} ({MAX_MARKET_BYTES / 2 ** 30:g} GiB)"
             )
         if not self.stage_plan or any(n < 1 for n in self.stage_plan):
             raise ConfigError("stage_plan must be a nonempty list of positive stage lengths")
-        if sum(self.stage_plan) != self.num_rounds:
-            raise ConfigError(
-                f"stage_plan sums to {sum(self.stage_plan)}, expected num_rounds={self.num_rounds}"
-            )
         _check_range("ctr_range", self.ctr_range, 0.0, 1.0)
         _check_range("cvr_range", self.cvr_range, 0.0, 1.0)
         if self.cvr_range[1] > self.ctr_range[0]:
@@ -303,10 +300,10 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
 
     The replay format carries no tCPA column (targets are bidder-private, not
     market data), so callers supply them. Rows, in any order, must form a
-    dense (round, bidder, slot) grid of sum(stage_plan) rounds and len(tcpa)
-    bidders; ctr must be weakly decreasing across slots and cvr/value
-    constant across slots. click/conversion columns are optional but must
-    appear together.
+    dense (round, bidder, slot) grid of sum(stage_plan) rounds (the log's
+    num_rounds) and len(tcpa) bidders; ctr must be weakly decreasing across
+    slots and cvr/value constant across slots. click/conversion columns are
+    optional but must appear together.
 
     The file is parsed CHUNK_ROWS rows at a time, each chunk checked and
     scattered into the grids before the next is read, so memory holds the
@@ -407,7 +404,6 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
     try:
         config = MarketConfig(
             num_bidders=M,
-            num_rounds=N,
             num_slots=K,
             stage_plan=tuple(stage_plan),
             ctr_range=(float(ctr.min()), float(ctr.max())),

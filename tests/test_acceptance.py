@@ -57,7 +57,6 @@ DESK = load_config(os.path.join(CONFIGS, "desk.yaml"))
 # stage-local accuracy but cumulative accuracy is achievable.
 BAND_MARKET = MarketConfig(
     num_bidders=14,
-    num_rounds=12400,
     num_slots=5,
     stage_plan=(400,) * 31,
     ctr_range=(0.4, 0.6),
@@ -71,7 +70,6 @@ BAND_MARKET = MarketConfig(
 # marginal bidders, so eligibility is uniform across rollup widths.
 SMOOTHING_MARKET = MarketConfig(
     num_bidders=6,
-    num_rounds=6200,
     num_slots=6,
     stage_plan=(200,) * 31,
     ctr_range=(0.4, 0.6),
@@ -118,7 +116,6 @@ def test_acceptance_03_cfp_expected_cpa_and_truthful_optimality():
     maximizes feasible utility in every instance."""
     base = MarketConfig(
         num_bidders=4,
-        num_rounds=20,
         num_slots=4,
         stage_plan=(10, 10),
         ctr_range=(0.3, 0.9),
@@ -344,7 +341,6 @@ def test_acceptance_11_deterministic_experiment_replay(tmp_path):
     result tables."""
     market = MarketConfig(
         num_bidders=6,
-        num_rounds=400,
         num_slots=3,
         stage_plan=(100, 100, 100, 100),
         ctr_range=(0.4, 0.8),

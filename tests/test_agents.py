@@ -103,7 +103,6 @@ def test_bid_drift_metric_values():
 def test_cpa_offline_never_triggers_adjustment():
     cfg = MarketConfig(
         num_bidders=5,
-        num_rounds=90,
         num_slots=2,
         stage_plan=(30, 30, 30),
         ctr_range=(0.4, 0.9),
@@ -121,7 +120,6 @@ def test_cpa_offline_never_triggers_adjustment():
 def _sweep_market(seed, bidders=4):
     cfg = MarketConfig(
         num_bidders=bidders,
-        num_rounds=40,
         num_slots=bidders,  # everyone always holds a slot, so all rows convert
         stage_plan=(20, 20),
         ctr_range=(0.4, 0.9),
@@ -140,6 +138,16 @@ def test_sweep_cfp_expected_cpa_equals_bid():
         for row in rows:
             assert row.bid == pytest.approx(row.beta * market.tcpa[bidder], abs=1e-12)
             assert row.expected_cpa == pytest.approx(row.bid, abs=1e-12)
+
+
+def test_sweep_expected_cpa_is_exactly_the_rate():
+    # rate * z / z can land an ulp away from rate; the expected CPA is the rate itself.
+    for seed in (5, 7, *range(100, 108)):
+        market = _sweep_market(seed=seed)
+        for kind in ("CFP", "CPA_OFFLINE", "PACING_OFFLINE"):
+            for bidder in range(market.num_bidders):
+                for row in deviation_sweep(market, MechanismConfig(kind), bidder):
+                    assert row.expected_cpa == (row.bid if kind == "CFP" else market.tcpa[bidder])
 
 
 def test_sweep_cfp_utility_monotone_and_truthful_optimal():

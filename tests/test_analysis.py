@@ -41,7 +41,6 @@ from reference import ratio_table
 def _market(**kw):
     base = dict(
         num_bidders=3,
-        num_rounds=90,
         num_slots=2,
         stage_plan=(30, 30, 30),
         ctr_range=(0.5, 0.9),

@@ -126,7 +126,6 @@ def test_engine_debt_wiring_matches_manual_steps():
     """Replay an engine DFP:debt run click by click through a fresh controller."""
     cfg = MarketConfig(
         num_bidders=1,
-        num_rounds=9,
         num_slots=1,
         stage_plan=(3, 3, 3),
         ctr_range=(1.0, 1.0),

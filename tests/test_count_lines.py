@@ -33,6 +33,31 @@ def g():
 '''
 
 
+CONFIGS = '''from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class SizeConfig:
+    width: int
+    area: int = field(init=False)
+    depth: int = field(default=1)
+
+
+@dataclass
+class StepParams:
+    rate: float = 0.1
+
+
+class PlainConfig:
+    ignored: int
+
+
+@dataclass
+class Other:
+    ignored: int
+'''
+
+
 def _tool():
     spec = importlib.util.spec_from_file_location("count_lines", TOOL)
     module = importlib.util.module_from_spec(spec)
@@ -43,14 +68,17 @@ def _tool():
 def test_counts_code_lines_and_public_names(tmp_path, capsys):
     (tmp_path / "__init__.py").write_text(INIT)
     (tmp_path / "a.py").write_text(MODULE)
+    (tmp_path / "b.py").write_text(CONFIGS)
     assert _tool().main([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [
         ["module", "wc", "-l", "code"],
         ["__init__.py", "13", "5"],
         ["a.py", "10", "4"],
-        ["total", "23", "9"],
+        ["b.py", "22", "14"],
+        ["total", "45", "23"],
         ["__all__", "names", "3"],
+        ["config", "fields", "3"],
     ]
 
 

@@ -38,7 +38,6 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _tiny_config(**kw):
     market = MarketConfig(
         num_bidders=3,
-        num_rounds=40,
         num_slots=2,
         stage_plan=(20, 20),
         ctr_range=(0.5, 0.9),
@@ -121,6 +120,9 @@ seeds: [0]
         ("market: {num_bidders: 2, num_slots: 1, stage_plan: [5], seed: 0, bogus: 3}", "bogus"),
         ("agent_params: {epsilon: 0.1, wrong: 2}", "wrong"),
         ("rl: {learning: 0.1}", "learning"),
+        # A market's length is the sum of its stage plan, never a key of its own.
+        ("market: {num_bidders: 2, num_rounds: 5, num_slots: 1, stage_plan: [5], seed: 0}",
+         "unknown config key 'num_rounds' in market"),
     ],
 )
 def test_load_config_names_unknown_keys(tmp_path, snippet, needle):
@@ -239,7 +241,6 @@ rl: {hidden: [4.0], lr: 1, xi: null}
 EVERY_FIELD_YAML = """
 market:
   num_bidders: 3
-  num_rounds: 12
   num_slots: 2
   stage_plan: [5, 7]
   ctr_range: [0.4, 0.8]
@@ -273,7 +274,7 @@ rl:
 """
 
 EVERY_FIELD_CONFIG = ExperimentConfig(
-    market=MarketConfig(3, 12, 2, (5, 7), (0.4, 0.8), (0.1, 0.2), (2.0, 4.0), (1.5, 3.5), 9),
+    market=MarketConfig(3, 2, (5, 7), (0.4, 0.8), (0.1, 0.2), (2.0, 4.0), (1.5, 3.5), 9),
     mechanisms=(MechanismConfig("CFP"), MechanismConfig("DFP", controller="oracle")),
     seeds=(3, 1),
     agent="truthful",
@@ -306,7 +307,7 @@ def test_load_config_reads_a_section_with_every_field_back_equal(tmp_path, path)
     config_path = tmp_path / "c.yaml"
     config_path.write_text(EVERY_FIELD_YAML)
     want = _section(EVERY_FIELD_CONFIG, path)
-    assert set(_section(yaml.safe_load(EVERY_FIELD_YAML), path)) == {f.name for f in dataclasses.fields(want)}
+    assert set(_section(yaml.safe_load(EVERY_FIELD_YAML), path)) == {f.name for f in dataclasses.fields(want) if f.init}
     assert _section(load_config(str(config_path)), path) == want
 
 
@@ -574,7 +575,7 @@ def test_run_metrics_on_known_mechanisms():
 def test_run_metrics_are_nan_with_nothing_to_average():
     # One round with a sure click and a conversion rate of 1e-9: no bidder
     # reaches a checkpoint ratio or has two positive payments.
-    market = generate_market(MarketConfig(num_bidders=1, num_rounds=1, num_slots=1, stage_plan=(1,),
+    market = generate_market(MarketConfig(num_bidders=1, num_slots=1, stage_plan=(1,),
                                           ctr_range=(1.0, 1.0), cvr_range=(1e-9, 1e-9), seed=0))
     result = run_auction(market, MechanismConfig("CFP"), [TruthfulAgent()])
     assert result.rounds.click.sum() == 1 and result.stage_conversions.sum() == 0

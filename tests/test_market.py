@@ -60,7 +60,6 @@ def _philox_ref(key, counter):
 def _tiny_config(**kw):
     base = dict(
         num_bidders=3,
-        num_rounds=6,
         num_slots=2,
         stage_plan=(3, 3),
         ctr_range=(0.3, 0.9),
@@ -80,9 +79,9 @@ def test_market_is_capped_by_the_bytes_of_its_rate_arrays(bidders, slots):
     per_round = bidders * (slots + 2) * 8
     rounds = MAX_MARKET_BYTES // per_round
     fits = dict(num_bidders=bidders, num_slots=slots)
-    _tiny_config(num_rounds=rounds, stage_plan=(rounds,), **fits)
+    _tiny_config(stage_plan=(rounds,), **fits)
     with pytest.raises(ConfigError) as err:
-        _tiny_config(num_rounds=rounds + 1, stage_plan=(rounds + 1,), **fits)
+        _tiny_config(stage_plan=(rounds + 1,), **fits)
     assert all(key in str(err.value) for key in ("num_rounds", "num_bidders", "num_slots"))
 
 
@@ -197,7 +196,7 @@ def test_outcome_uniforms_match_numpy_counter_streams():
 
 
 def test_ctr_weakly_decreasing_across_slots():
-    log = generate_market(_tiny_config(num_rounds=40, stage_plan=(40,), num_slots=4))
+    log = generate_market(_tiny_config(stage_plan=(40,), num_slots=4))
     assert np.all(np.diff(log.ctr, axis=2) <= 0)
 
 
@@ -252,7 +251,6 @@ def test_replaced_market_starts_with_an_empty_outcome_memo():
 def test_degenerate_ranges_force_exact_values():
     cfg = MarketConfig(
         num_bidders=1,
-        num_rounds=1,
         num_slots=1,
         stage_plan=(1,),
         ctr_range=(0.3, 0.3),
@@ -264,7 +262,7 @@ def test_degenerate_ranges_force_exact_values():
 
 
 def test_outcomes_respect_conversion_requires_click():
-    log = generate_market(_tiny_config(num_rounds=200, stage_plan=(200,)))
+    log = generate_market(_tiny_config(stage_plan=(200,)))
     N, M, K = log.num_rounds, log.num_bidders, log.num_slots
     rr, mm, kk = np.meshgrid(np.arange(N), np.arange(M), np.arange(K), indexing="ij")
     y, z = sample_outcomes(log, rr, mm, kk)
@@ -279,7 +277,6 @@ def test_outcomes_respect_conversion_requires_click():
 def test_click_and_conversion_rates_within_three_sigma():
     cfg = MarketConfig(
         num_bidders=10,
-        num_rounds=2000,
         num_slots=2,
         stage_plan=(2000,),
         ctr_range=(0.6, 0.6),
@@ -346,9 +343,8 @@ def test_validate_allocation_rules():
     "bad",
     [
         dict(num_bidders=0),
-        dict(num_rounds=0, stage_plan=()),
-        dict(stage_plan=(2, 2)),
-        dict(stage_plan=(6, 0), num_rounds=6),
+        dict(stage_plan=()),
+        dict(stage_plan=(6, 0)),
         dict(ctr_range=(0.0, 0.9)),
         dict(ctr_range=(0.9, 0.3)),
         dict(ctr_range=(0.3, 1.5)),
@@ -362,6 +358,16 @@ def test_validate_allocation_rules():
 def test_config_validation_rejects(bad):
     with pytest.raises(ConfigError):
         _tiny_config(**bad)
+
+
+def test_num_rounds_is_the_sum_of_the_stage_plan():
+    cfg = _tiny_config(stage_plan=(3, 4))
+    assert cfg.num_rounds == 7
+    assert dataclasses.replace(cfg, stage_plan=(2, 2, 5)).num_rounds == 9
+    with pytest.raises(TypeError):
+        _tiny_config(num_rounds=7)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, num_rounds=7)
 
 
 def test_stage_of_boundaries():
@@ -543,7 +549,7 @@ def test_market_csv_duplicate_row_leaves_a_named_gap(tmp_path, slot_major):
     # The last slot-1 row is replaced by a copy of another. Slot-major order
     # reads a first chunk of slot 0 alone, so slot 1 arrives after the
     # grids have been widened.
-    cfg = _tiny_config(num_bidders=4, num_rounds=4200, stage_plan=(2100, 2100), seed=9)
+    cfg = _tiny_config(num_bidders=4, stage_plan=(2100, 2100), seed=9)
     log = generate_market(cfg)
     path = tmp_path / "m.csv"
     write_market_csv(log, str(path))
@@ -569,7 +575,7 @@ def test_market_csv_header_only_for_a_one_cell_grid_has_no_data_rows(tmp_path):
 def test_market_csv_that_is_not_utf8_is_a_schema_error(tmp_path, where):
     # The later-chunk byte sits in the last row of a file of two chunks,
     # past the first chunk's text; either way the error names the CSV.
-    cfg = _tiny_config(num_bidders=4, num_slots=2, num_rounds=2100, stage_plan=(1000, 1100), seed=3)
+    cfg = _tiny_config(num_bidders=4, num_slots=2, stage_plan=(1000, 1100), seed=3)
     log = generate_market(cfg)
     path = tmp_path / "m.csv"
     write_market_csv(log, str(path))
@@ -608,7 +614,7 @@ def _assert_replays_live(back, log):
 ])
 def test_market_csv_roundtrip_at_chunk_boundaries(tmp_path, rows, bidders, slots):
     N = rows // (bidders * slots)
-    cfg = _tiny_config(num_bidders=bidders, num_slots=slots, num_rounds=N, stage_plan=(N // 2, N - N // 2), seed=rows)
+    cfg = _tiny_config(num_bidders=bidders, num_slots=slots, stage_plan=(N // 2, N - N // 2), seed=rows)
     log = generate_market(cfg)
     path = tmp_path / "m.csv"
     write_market_csv(log, str(path))
@@ -620,7 +626,7 @@ def test_market_csv_roundtrip_at_chunk_boundaries(tmp_path, rows, bidders, slots
 def test_market_csv_rows_in_any_order(tmp_path, order):
     # 36,000 rows, three chunks. Sorted by slot, the first chunk holds no
     # slot-2 row, so the grid widens after rows have been scattered into it.
-    cfg = _tiny_config(num_bidders=4, num_slots=3, num_rounds=3000, stage_plan=(1000, 2000), seed=4)
+    cfg = _tiny_config(num_bidders=4, num_slots=3, stage_plan=(1000, 2000), seed=4)
     log = generate_market(cfg)
     path = str(tmp_path / "m.csv")
     write_market_csv(log, path)
@@ -654,7 +660,7 @@ def test_market_csv_round_trip_memory_is_bounded(tmp_path):
     # holds one chunk of rows and their text, whatever the table's length;
     # the reader holds its grids, a small multiple of the arrays it returns,
     # plus one chunk of lines and parsed values.
-    cfg = _tiny_config(num_bidders=8, num_slots=4, num_rounds=6144, stage_plan=(3072, 3072), seed=12)
+    cfg = _tiny_config(num_bidders=8, num_slots=4, stage_plan=(3072, 3072), seed=12)
     log = generate_market(cfg)
     path = str(tmp_path / "m.csv")
     tracemalloc.start()
@@ -672,7 +678,7 @@ def test_market_csv_round_trip_memory_is_bounded(tmp_path):
 
 
 def test_replay_overrides_gate_conversions_by_click():
-    cfg = _tiny_config(num_bidders=1, num_rounds=2, num_slots=1, stage_plan=(2,))
+    cfg = _tiny_config(num_bidders=1, num_slots=1, stage_plan=(2,))
     log = generate_market(cfg)
     log = MarketLog(
         config=cfg,

@@ -40,7 +40,6 @@ from reference import rank_and_allocate, sample_round, stage_of
 def _market(**kw):
     base = dict(
         num_bidders=4,
-        num_rounds=60,
         num_slots=2,
         stage_plan=(20, 20, 20),
         ctr_range=(0.4, 0.9),
@@ -166,7 +165,6 @@ def test_single_round_cfp_composition():
     market = generate_market(
         MarketConfig(
             num_bidders=1,
-            num_rounds=1,
             num_slots=1,
             stage_plan=(1,),
             ctr_range=(1.0, 1.0),
@@ -293,7 +291,7 @@ def test_run_auction_holds_the_rounds_table_once(agent, rows, bound):
     # concatenated at the end read 1.70 and 1.72, and copying a short
     # table's filled rows would read above 2.
     market = generate_market(MarketConfig(
-        num_bidders=50, num_rounds=31 * 180, num_slots=5, stage_plan=(180,) * 31, ctr_range=(0.3, 0.9),
+        num_bidders=50, num_slots=5, stage_plan=(180,) * 31, ctr_range=(0.3, 0.9),
         cvr_range=(0.05, 0.15), value_range=(1.0, 5.0), tcpa_range=(1.0, 10.0), seed=0,
     ))
     ratio, displayed = _traced_peak_over_kept_bytes(market, [agent() for _ in range(50)])
@@ -531,7 +529,7 @@ def _score_texts(memo):
 
 def test_one_memo_keeps_only_score_text_across_the_five_desk_mechanisms(tmp_path, monkeypatch):
     # desk's mechanisms and agents; the first two stages span two pieces each.
-    market = _market(num_bidders=10, num_rounds=8000, num_slots=5, stage_plan=(3500, 3500, 500, 500), seed=3)
+    market = _market(num_bidders=10, num_slots=5, stage_plan=(3500, 3500, 500, 500), seed=3)
     mechs = [MechanismConfig("CFP"), MechanismConfig("CPA_OFFLINE"), MechanismConfig("PACING_OFFLINE"),
              MechanismConfig("DFP", controller="debt"), MechanismConfig("DFP", controller="oracle")]
     formatted = []
@@ -561,7 +559,7 @@ def test_one_memo_keeps_only_score_text_across_the_five_desk_mechanisms(tmp_path
 def test_a_memo_from_another_market_writes_the_same_bytes(tmp_path):
     # Same stage plan and opening bids (one tCPA for all), other draws: the
     # content check finds no score piece of one market in the other's memo.
-    markets = [_market(num_rounds=8000, num_slots=3, stage_plan=(6000, 2000), tcpa_range=(2.0, 2.0), seed=seed)
+    markets = [_market(num_slots=3, stage_plan=(6000, 2000), tcpa_range=(2.0, 2.0), seed=seed)
                for seed in (5, 6)]
     results = [run_auction(m, MechanismConfig("CPA_OFFLINE"), _truthful(m)) for m in markets]
     write_rounds_csv(results[0], str(tmp_path / "first.csv"), memo=markets[0].outcome_memo)

@@ -646,7 +646,6 @@ def test_controller_without_clicks_yields_empty_trajectory():
 def _toy_market():
     return MarketConfig(
         num_bidders=1,
-        num_rounds=6,
         num_slots=1,
         stage_plan=(3, 3),
         ctr_range=(0.9, 0.9),
@@ -678,7 +677,7 @@ def test_rollout_shapes_and_mechanism():
 
 def test_rl_controller_matches_reference_on_training_market():
     config = load_config(os.path.join(CONFIGS, "toy_train.yaml"))
-    market = generate_market(replace(config.market, stage_plan=(200, 200, 200), num_rounds=600, seed=7))
+    market = generate_market(replace(config.market, stage_plan=(200, 200, 200), seed=7))
     rng_init = np.random.Generator(np.random.Philox(key=[0, 11]))
     policy = GaussianPolicy(MLP(FEATURE_DIM, config.rl.hidden, 2, rng_init), config.rl.sigma_floor)
     critic = MLP(FEATURE_DIM, config.rl.hidden, 1, rng_init)
@@ -706,7 +705,6 @@ def _multi_bidder_markets(draw):
     plan = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
     return MarketConfig(
         num_bidders=draw(st.integers(2, 5)),
-        num_rounds=sum(plan),
         num_slots=draw(st.integers(1, 3)),
         stage_plan=plan,
         ctr_range=(ctr_lo, draw(st.floats(ctr_lo, 1.0))),
@@ -778,7 +776,7 @@ def test_train_keeps_the_low_bits_of_a_seed_above_2_63():
 
 def test_train_on_a_market_that_never_clicks_logs_nan_rows():
     # Every rollout is empty, so no update runs and every curve row is NaN.
-    market = replace(_toy_market(), num_rounds=10, stage_plan=(5, 5), ctr_range=(1e-9, 1e-9), cvr_range=(1e-10, 1e-10))
+    market = replace(_toy_market(), stage_plan=(5, 5), ctr_range=(1e-9, 1e-9), cvr_range=(1e-10, 1e-10))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = train(market, _toy_rl(), seed=0)

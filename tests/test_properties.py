@@ -56,7 +56,6 @@ def market_configs(draw):
     plan = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
     return MarketConfig(
         num_bidders=draw(st.integers(1, 5)),
-        num_rounds=sum(plan),
         num_slots=draw(st.integers(1, 4)),
         stage_plan=plan,
         ctr_range=(ctr_lo, ctr_hi),

@@ -2,9 +2,11 @@
 
 Prints, per module and in total, the line count `wc -l` gives and the code
 lines: lines holding a token that is neither a comment nor part of a
-module, class or function docstring. A last line gives the number of
-public names, len(__all__) in the package's __init__.py, read without
-importing it. Run from the repository root:
+module, class or function docstring. Two last lines give the number of
+public names, len(__all__) in the package's __init__.py, and of config
+fields, the fields a caller sets on the dataclasses whose names end in
+Config or Params; both are read without importing the package. Run from
+the repository root:
 
     python tools/count_lines.py [directory]
 """
@@ -48,18 +50,44 @@ def exported_names(source: str) -> int:
     return 0
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _init_false(value: ast.expr | None) -> bool:
+    """Whether a field's default is a field(..., init=False) call."""
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False for k in value.keywords
+    )
+
+
+def config_fields(source: str) -> int:
+    """Init fields of a module's *Config and *Params dataclasses: annotated
+    class-body names, less those declared field(init=False)."""
+    return sum(
+        isinstance(stmt, ast.AnnAssign) and not _init_false(stmt.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name.endswith(("Config", "Params")) and _is_dataclass(node)
+        for stmt in node.body
+    )
+
+
 def main(argv: list[str]) -> int:
     root = pathlib.Path(argv[0] if argv else "src/auctionlab")
-    total_lines = total_code = 0
+    total_lines = total_code = settable = 0
     print(f"{'module':<16} {'wc -l':>6} {'code':>6}")
     for path in sorted(root.glob("*.py")):
-        lines, code = count(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+        lines, code = count(source)
         total_lines, total_code = total_lines + lines, total_code + code
+        settable += config_fields(source)
         print(f"{path.name:<16} {lines:>6} {code:>6}")
     print(f"{'total':<16} {total_lines:>6} {total_code:>6}")
     init = root / "__init__.py"
     names = exported_names(init.read_text(encoding="utf-8")) if init.exists() else 0
     print(f"{'__all__ names':<16} {names:>6}")
+    print(f"{'config fields':<16} {settable:>6}")
     return 0
 
 
