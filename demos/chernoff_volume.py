@@ -1,10 +1,12 @@
 """How many clicks before a conversion-rate estimate can be trusted?
 
-chernoff_min_clicks(epsilon, cvr) returns the smallest N with
-2 * exp(-N * cvr * epsilon^2 / 3) <= epsilon: after N clicks at rate cvr,
-the empirical rate stays within (1 +/- epsilon) of the truth except with
-probability at most epsilon. The Monte Carlo check below measures the
-actual failure rate at N and at N/100.
+chernoff_min_clicks(epsilon, cvr) evaluates
+N = ceil((2 + epsilon) * ln(1 / epsilon) / (epsilon^2 * cvr)). After N
+clicks at rate cvr the multiplicative Chernoff bound
+exp(-epsilon^2 * N * cvr / (2 + epsilon)) puts the chance that the
+conversion count ends above (1 + epsilon) times its mean at most epsilon,
+and the same holds below (1 - epsilon) times it. The Monte Carlo check
+below measures the actual failure rate at N and at N/100.
 """
 
 from auctionlab import chernoff_empirical_check, chernoff_min_clicks

@@ -44,7 +44,7 @@ def main() -> None:
     # held-out markets the trainer never saw; the policy acts deterministically
     # here, so these errors sit well below the noisy on-policy curve above
     seeds = (1000, 1001, 1002)
-    learned = evaluate_rl_controller(config.market, seeds, result.policy, result.critic, rl)
+    learned = evaluate_rl_controller(config.market, seeds, result.policy, rl)
     debt = evaluate_debt_controller(config.market, seeds)
     print(f"\nheld-out checkpoint error  learned {learned['ratio_err']:9.4f}"
           f"  debt {debt['ratio_err']:9.3e}")

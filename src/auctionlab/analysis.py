@@ -14,7 +14,6 @@ payment yields an infinite ratio rather than being dropped.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,15 +221,18 @@ def _chernoff_bound(epsilon: float, cvr: float) -> float:
 
 
 def check_chernoff_args(epsilon: float, cvr: float, where: str = "") -> None:
-    """Refuse a click-volume bound's arguments outside their domain, or whose
-    bound is not an integer that a binomial draw can take (below 2**63);
-    ``where`` prefixes the argument's name in the error (a config section,
-    say). An overflow is laid on epsilon if it overflows at cvr = 1."""
+    """Refuse epsilon outside (0, 1), where the bound is not vacuous, cvr
+    outside (0, 1], or a pair whose bound is not an integer that a binomial
+    draw can take (below 2**63); ``where`` prefixes the argument's name in
+    the error (a config section, say). An overflow is laid on epsilon if it
+    overflows at cvr = 1."""
     if not epsilon > 0.0:
         raise ConfigError(f"{where}epsilon must be positive, got {epsilon}")
     if not 0.0 < cvr <= 1.0:
         raise ConfigError(f"{where}cvr must lie in (0, 1], got {cvr}")
-    bound = _chernoff_bound(epsilon, cvr) if epsilon < 1.0 else 0.0
+    if epsilon >= 1.0:
+        raise ConfigError(f"{where}epsilon must be below 1, where the bound is not vacuous, got {epsilon}")
+    bound = _chernoff_bound(epsilon, cvr)
     if not bound < 2.0 ** 63:
         key = "epsilon" if not _chernoff_bound(epsilon, 1.0) < 2.0 ** 63 else "cvr"
         raise ConfigError(
@@ -242,14 +244,11 @@ def check_chernoff_args(epsilon: float, cvr: float, where: str = "") -> None:
 def chernoff_min_clicks(epsilon: float, cvr: float) -> int:
     """Click volume above which conversion counts concentrate within epsilon.
 
-    Evaluates ceil((2 + eps) * ln(1 / eps) / (eps^2 * cvr)). For eps >= 1
-    the multiplicative bound is vacuous: a warning is issued and 0 is
-    returned.
+    Evaluates ceil((2 + eps) * ln(1 / eps) / (eps^2 * cvr)) for eps in
+    (0, 1) and cvr in (0, 1]; check_chernoff_args refuses anything else,
+    eps >= 1 included, where the multiplicative bound is vacuous.
     """
     check_chernoff_args(epsilon, cvr)
-    if epsilon >= 1.0:
-        warnings.warn(f"relative deviation {epsilon} >= 1 makes the bound vacuous; returning 0")
-        return 0
     return int(_chernoff_bound(epsilon, cvr))
 
 
@@ -264,13 +263,18 @@ def chernoff_empirical_check(
 
     Each trial draws a Binomial(click_volume, cvr) conversion count and
     flags a violation when it deviates from its mean by more than epsilon
-    relatively. click_volume defaults to chernoff_min_clicks(epsilon, cvr).
-    The click-through rate does not enter: the bound conditions on clicks.
+    relatively. epsilon and cvr are checked by check_chernoff_args on every
+    call; click_volume defaults to chernoff_min_clicks(epsilon, cvr), and a
+    given one must lie in [0, 2**63). The click-through rate does not
+    enter: the bound conditions on clicks.
     """
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
+    check_chernoff_args(epsilon, cvr)
     if click_volume is None:
         click_volume = chernoff_min_clicks(epsilon, cvr)
+    if not 0 <= click_volume < 2**63:
+        raise ConfigError(f"click_volume must lie in [0, 2**63), got {click_volume}")
     if click_volume == 0:
         return 0.0
     draws = _stream(seed, _CHERNOFF_STREAM).binomial(click_volume, cvr, size=trials)

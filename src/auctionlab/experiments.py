@@ -100,8 +100,6 @@ class ExperimentConfig:
                 raise ConfigError(f"chernoff must be (epsilon, cvr), got {self.chernoff}")
             eps, cvr = float(self.chernoff[0]), float(self.chernoff[1])
             check_chernoff_args(eps, cvr, "chernoff.")
-            if eps >= 1.0:
-                raise ConfigError(f"chernoff.epsilon must be below 1, where the bound is not vacuous, got {eps}")
             object.__setattr__(self, "chernoff", (eps, cvr))
 
 
@@ -241,13 +239,12 @@ def make_agents(config: ExperimentConfig, num_bidders: int) -> list:
     return [RiskAverseAgent(config.agent_params) for _ in range(num_bidders)]
 
 
-def _make_controller(mech: MechanismConfig, tcpa: np.ndarray, rl: RLConfig | None, rl_nets):
-    """The online payer a DFP run needs, or None; rl_nets is the loaded (policy, critic)."""
+def _make_controller(mech: MechanismConfig, tcpa: np.ndarray, rl: RLConfig | None, policy):
+    """The online payer a DFP run needs, or None; policy is the loaded payment policy."""
     if mech.controller == "debt":
         return DebtController(tcpa)
     if mech.controller == "rl":
-        policy, critic = rl_nets
-        return RLPaymentController(policy, critic, tcpa, zeta=rl.zeta, xi=rl.xi, collect=False)
+        return RLPaymentController(policy, tcpa, zeta=rl.zeta, xi=rl.xi, collect=False)
     return None
 
 
@@ -265,14 +262,14 @@ def _write_drift_csv(path: str, drift: np.ndarray, withdrawn: np.ndarray) -> Non
 
 
 def _run_one(config: ExperimentConfig, mech: MechanismConfig, market, run_dir: str,
-             rl_nets, pool: dict[str, list[np.ndarray]]) -> None:
+             rl_policy, pool: dict[str, list[np.ndarray]]) -> None:
     """Simulate one (mechanism, seed) pair, write its run directory, append its metrics to pool.
 
     A function of its own so the result and controller are freed on return,
     before the caller generates the next seed's market.
     """
     agents = make_agents(config, market.num_bidders)
-    controller = _make_controller(mech, market.tcpa, config.rl, rl_nets)
+    controller = _make_controller(mech, market.tcpa, config.rl, rl_policy)
     result = run_auction(market, mech, agents, controller=controller)
 
     os.makedirs(run_dir, exist_ok=True)
@@ -333,11 +330,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     config) and pooled summary rows.
     """
     labels = [mech.label for mech in config.mechanisms]
-    rl_nets = None
+    rl_policy = None
     if any(mech.controller == "rl" for mech in config.mechanisms):
         if rl_checkpoint is None:
             raise ConfigError("mechanism DFP:rl needs an rl_checkpoint path")
-        rl_nets = load_checkpoint(rl_checkpoint)
+        rl_policy, _ = load_checkpoint(rl_checkpoint)
     elif rl_checkpoint is not None:
         raise ConfigError(f"a checkpoint is given but no mechanism is DFP:rl (has: {', '.join(labels)})")
     os.makedirs(out_dir, exist_ok=True)
@@ -347,7 +344,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
         market = generate_market(replace(config.market, seed=seed))
         for mech in config.mechanisms:
             run_dir = os.path.join(out_dir, mech.label.replace(":", "_"), f"seed_{seed}")
-            _run_one(config, mech, market, run_dir, rl_nets, pools[mech.label])
+            _run_one(config, mech, market, run_dir, rl_policy, pools[mech.label])
             run_dirs[mech.label].append(run_dir)
         del market
 
@@ -422,12 +419,12 @@ def payment_smoothness(result: SimulationResult) -> float:
 
 
 def _evaluate_runs(market_config: MarketConfig, seeds: tuple[int, ...], mech: MechanismConfig,
-                   rl: RLConfig | None = None, rl_nets=None) -> dict[str, float]:
+                   rl: RLConfig | None = None, rl_policy=None) -> dict[str, float]:
     errs = []
     smooth = []
     for seed in seeds:
         market = generate_market(replace(market_config, seed=seed))
-        controller = _make_controller(mech, market.tcpa, rl, rl_nets)
+        controller = _make_controller(mech, market.tcpa, rl, rl_policy)
         agents = [TruthfulAgent() for _ in range(market.num_bidders)]
         result = run_auction(market, mech, agents, controller=controller)
         errs.append(checkpoint_abs_error(result))
@@ -449,8 +446,7 @@ def evaluate_rl_controller(
     market_config: MarketConfig,
     seeds: tuple[int, ...],
     policy,
-    critic,
     rl: RLConfig,
 ) -> dict[str, float]:
     """Same metrics for the learned payer, acting deterministically."""
-    return _evaluate_runs(market_config, seeds, MechanismConfig("DFP", controller="rl"), rl, (policy, critic))
+    return _evaluate_runs(market_config, seeds, MechanismConfig("DFP", controller="rl"), rl, policy)

@@ -27,17 +27,18 @@ class MLP:
     per-layer (W, b) views of it. get_flat copies the vector out and
     set_flat copies one in, so neither shares memory with the caller.
     Rebinding `weights` or `biases` to other arrays re-pairs the layers
-    that forward reads.
+    that forward reads. Weights are drawn from rng; without one every
+    parameter starts at zero, for a caller that sets them itself.
     """
 
     def __init__(self, in_dim: int, hidden: tuple[int, ...], out_dim: int, rng: np.random.Generator | None = None):
         self.sizes = (int(in_dim), *(int(h) for h in hidden), int(out_dim))
-        rng = rng or np.random.default_rng(0)
         self.flat = np.zeros(self.count_params(self.sizes))
         self._bind()
-        for w in self.weights:
-            # Small scaled-Gaussian init keeps tanh units in their linear range.
-            w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
+        if rng is not None:
+            for w in self.weights:
+                # Small scaled-Gaussian init keeps tanh units in their linear range.
+                w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
 
     @staticmethod
     def count_params(sizes: tuple[int, ...]) -> int:

@@ -454,8 +454,8 @@ class RLPaymentController:
     boundary the accuracy reward is recomputed with the released true
     conversions and added to the stage's last step, and the episode is
     closed. Without collection a click does only the payment work. The
-    critic is not run per click: GAE needs its values only once the rollout
-    is collected, so trajectory() computes them all in one call.
+    payer holds no critic: GAE needs values only once the rollout is
+    collected, so trajectory(critic) computes them all in one call.
 
     The constructor sets the run-long entries; begin_stage sets the
     stage-scoped ones (the stage's bids and expected schedule, its pending
@@ -466,7 +466,6 @@ class RLPaymentController:
     def __init__(
         self,
         policy: GaussianPolicy,
-        critic: MLP,
         tcpa: np.ndarray,
         zeta: float = 0.1,
         xi: float | None = None,
@@ -474,7 +473,6 @@ class RLPaymentController:
         collect: bool = True,
     ):
         self.policy = policy
-        self.critic = critic
         # Per-bidder values are kept in Python floats: every click reads and
         # writes one bidder's entries, which NumPy scalars make slow.
         tcpa = np.asarray(tcpa, dtype=np.float64)
@@ -559,15 +557,15 @@ class RLPaymentController:
         ]
         self.visible = visible.tolist()
 
-    def trajectory(self) -> Trajectory:
-        """The collected steps, valued by the critic as it is now."""
+    def trajectory(self, critic: MLP) -> Trajectory:
+        """The collected steps, valued by critic as it is now."""
         features = np.array(self._feats, dtype=np.float64).reshape(-1, FEATURE_DIM)
         return Trajectory(
             features,
             np.array(self._gs, dtype=np.float64),
             np.array(self._logps, dtype=np.float64),
             np.array(self._rewards, dtype=np.float64),
-            value_estimate(self.critic, features),
+            value_estimate(critic, features),
             list(self._episode_lengths),
         )
 
@@ -592,11 +590,11 @@ class DFPTrainingEnv:
         and the simulation result.
         """
         market = generate_market(replace(self.market_config, seed=market_seed))
-        controller = RLPaymentController(policy, critic, market.tcpa, zeta=self.rl.zeta, xi=self.rl.xi, rng=rng)
+        controller = RLPaymentController(policy, market.tcpa, zeta=self.rl.zeta, xi=self.rl.xi, rng=rng)
         mech = MechanismConfig("DFP", controller="rl")
         agents: list = [TruthfulAgent() for _ in range(market.num_bidders)]
         result = run_auction(market, mech, agents, controller=controller)
-        return controller.trajectory(), controller.stage_true_errors, result
+        return controller.trajectory(critic), controller.stage_true_errors, result
 
 
 @dataclass

@@ -270,9 +270,8 @@ def reference_value_estimate(critic: MLP, features: np.ndarray) -> float:
 class ReferenceRLController:
     """The learned online payer with its ledger in NumPy arrays."""
 
-    def __init__(self, policy, critic, tcpa, zeta=0.1, xi=None, rng=None, collect=True):
+    def __init__(self, policy, tcpa, zeta=0.1, xi=None, rng=None, collect=True):
         self.policy = policy
-        self.critic = critic
         self.tcpa = np.asarray(tcpa, dtype=np.float64)
         self.zeta = float(zeta)
         self.xi = resolve_xi(xi, self.tcpa)
@@ -292,7 +291,7 @@ class ReferenceRLController:
         self.expected_stage_conversions = np.zeros(m)
         self.stage_start = 0
         self.stage_len = 1
-        self.feats, self.gs, self.logps, self.values, self.rewards = [], [], [], [], []
+        self.feats, self.gs, self.logps, self.rewards = [], [], [], []
         self.episode_lengths: list[int] = []
         self.steps_this_stage = 0
         self.stage_true_errors: list[float] = []
@@ -344,7 +343,6 @@ class ReferenceRLController:
             self.feats.append(feats)
             self.gs.append(g)
             self.logps.append(logp)
-            self.values.append(reference_value_estimate(self.critic, feats))
             self.rewards.append(reward)
             self.steps_this_stage += 1
         return payment
@@ -363,7 +361,7 @@ class ReferenceRLController:
         self.expected_paid_completed += self.bids * self.expected_stage_conversions
         self.visible = visible.copy()
 
-    def trajectory(self) -> Trajectory:
+    def trajectory(self, critic) -> Trajectory:
         if not self.feats:
             return Trajectory(np.zeros((0, FEATURE_DIM)), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0), [])
         return Trajectory(
@@ -371,6 +369,6 @@ class ReferenceRLController:
             np.array(self.gs),
             np.array(self.logps),
             np.array(self.rewards),
-            np.array(self.values),
+            np.array([reference_value_estimate(critic, f) for f in self.feats]),
             list(self.episode_lengths),
         )

@@ -278,16 +278,13 @@ def test_acceptance_09_learned_payment_policy_efficacy():
 
     init_rng = np.random.Generator(np.random.Philox(key=[train_seed, 11]))
     untrained_policy = GaussianPolicy(MLP(FEATURE_DIM, rl.hidden, 2, init_rng), rl.sigma_floor)
-    untrained_critic = MLP(FEATURE_DIM, rl.hidden, 1, init_rng)
 
     held_out = tuple(1000 + i for i in range(5))
     wins = 0
     rl_smoothness = []
     for seed in held_out:
-        trained = evaluate_rl_controller(config.market, (seed,), out.policy, out.critic, rl)
-        untrained = evaluate_rl_controller(
-            config.market, (seed,), untrained_policy, untrained_critic, rl
-        )
+        trained = evaluate_rl_controller(config.market, (seed,), out.policy, rl)
+        untrained = evaluate_rl_controller(config.market, (seed,), untrained_policy, rl)
         wins += trained["ratio_err"] < untrained["ratio_err"]
         rl_smoothness.append(trained["smoothness"])
     assert wins >= 4

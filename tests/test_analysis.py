@@ -279,8 +279,8 @@ def test_clicked_payments_by_bidder_match_per_bidder_masks(kind):
 def test_chernoff_min_clicks_values():
     assert chernoff_min_clicks(0.1, 0.05) == 9671
     assert chernoff_min_clicks(0.2, 0.1) == 886
-    with pytest.warns(UserWarning):
-        assert chernoff_min_clicks(1.0, 0.1) == 0
+    with pytest.raises(ConfigError, match=r"^epsilon must be below 1, where the bound is not vacuous, got 1\.0$"):
+        chernoff_min_clicks(1.0, 0.1)
     with pytest.raises(ConfigError):
         chernoff_min_clicks(0.0, 0.1)
     with pytest.raises(ConfigError):
@@ -317,6 +317,22 @@ def test_chernoff_empirical_rates():
     assert chernoff_empirical_check(0.05, 0.1, trials=10, click_volume=0) == 0.0
     with pytest.raises(ConfigError):
         chernoff_empirical_check(0.05, 0.1, trials=0)
+
+
+@pytest.mark.parametrize(
+    "cvr,epsilon,click_volume,needle",
+    [
+        (0.1, 1.0, None, r"^epsilon must be below 1, where the bound is not vacuous, got 1\.0$"),
+        (5.0, 0.1, 96, "^cvr must lie in"),
+        (0.05, -1.0, 96, "^epsilon must be positive"),
+        (0.05, float("nan"), 96, "^epsilon must be positive"),
+        (0.05, 0.1, -5, r"^click_volume must lie in \[0, 2\*\*63\), got -5$"),
+        (0.05, 0.1, 2 ** 70, r"^click_volume must lie in \[0, 2\*\*63\), got 1180591620717411303424$"),
+    ],
+)
+def test_chernoff_empirical_check_refuses_arguments_outside_their_domain(cvr, epsilon, click_volume, needle):
+    with pytest.raises(ConfigError, match=needle):
+        chernoff_empirical_check(cvr, epsilon, trials=10, click_volume=click_volume)
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 63 - 1, 2 ** 63 + 1, 2 ** 64 - 1])

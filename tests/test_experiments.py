@@ -554,6 +554,30 @@ def test_rl_mechanism_requires_checkpoint(tmp_path):
         run_experiment(config, str(tmp_path / "run"))
 
 
+def test_rl_run_builds_its_payer_from_the_policy_alone(tmp_path, monkeypatch):
+    import auctionlab.experiments as experiments
+    from auctionlab.nets import MLP
+    from auctionlab.ppo import FEATURE_DIM, GaussianPolicy, RLPaymentController, save_checkpoint
+
+    rng = np.random.Generator(np.random.Philox(key=[0, 11]))
+    ckpt = str(tmp_path / "policy.ckpt")
+    save_checkpoint(GaussianPolicy(MLP(FEATURE_DIM, (4,), 2, rng)), MLP(FEATURE_DIM, (4,), 1, rng), ckpt)
+    built = []
+
+    class Recording(RLPaymentController):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((self, args, kwargs))
+
+    monkeypatch.setattr(experiments, "RLPaymentController", Recording)
+    config = _tiny_config(mechanisms=(MechanismConfig("DFP", controller="rl"),), seeds=(0,))
+    run_experiment(config, str(tmp_path / "run"), rl_checkpoint=ckpt)
+    assert len(built) == 1
+    payer, args, kwargs = built[0]
+    assert isinstance(args[0], GaussianPolicy) and not hasattr(payer, "critic")
+    assert not any(isinstance(a, MLP) for a in (*args, *kwargs.values()))
+
+
 def test_config_digest_tracks_content():
     a = _tiny_config()
     b = _tiny_config()

@@ -262,6 +262,11 @@ def test_copies_rebuild_their_views():
         assert twin.forward(x)[0].tobytes() != net.forward(x)[0].tobytes()
 
 
+def test_net_without_rng_starts_at_zero():
+    net = MLP(9, (4,), 2)
+    assert net.flat.shape == (MLP.count_params((9, 4, 2)),) and not np.any(net.flat)
+
+
 def test_count_params_sizes_the_flat_buffer():
     assert MLP.count_params((9, 64, 64, 2)) + MLP.count_params((9, 64, 64, 1)) == 9795
     for sizes in [(3, 2), (9, 3, 1), (4, 5, 7, 2)]:

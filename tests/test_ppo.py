@@ -606,9 +606,8 @@ def test_sigma_floor_masks_log_stddev_gradient():
 
 
 def test_first_click_features_and_payment():
-    policy = _zero_policy()
     critic = _zero_critic()
-    ctrl = RLPaymentController(policy, critic, np.array([2.0]))
+    ctrl = RLPaymentController(_zero_policy(), np.array([2.0]))
     ctrl.begin_stage(np.array([10.0]), np.array([1.0]), np.array([2.0]), 0, 10)
     payment = ctrl.on_click(0, 0, 0.1, 9.0)
     assert payment == pytest.approx(np.log(2.0) * 2.0 * 0.1, abs=1e-15)
@@ -618,26 +617,26 @@ def test_first_click_features_and_payment():
     want = np.array(
         [1 / 10, 0.0, 0.1 / 1.0, 0.0, (2.0 * 1.0 * 0.1) / pay_scale, 0.0, 0.0, 0.1, 1.0]
     )
-    np.testing.assert_allclose(ctrl.trajectory().features[0], want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ctrl.trajectory(critic).features[0], want, rtol=0, atol=1e-12)
 
     # Reward recorded for the step: accuracy of paid vs estimated target.
     target = 0.1 * 2.0 + xi
     r1 = -np.log(abs(payment / target - 1.0))
-    assert ctrl.trajectory().rewards[0] == pytest.approx(r1, abs=1e-12)
+    assert ctrl.trajectory(critic).rewards[0] == pytest.approx(r1, abs=1e-12)
 
     # Feedback release rewrites the stage's last step with the true count.
     ctrl.end_stage(np.array([1.0]))
     bonus = -np.log(abs(payment / (1.0 * 2.0 + xi) - 1.0))
-    traj = ctrl.trajectory()
+    traj = ctrl.trajectory(critic)
     assert traj.rewards[0] == pytest.approx(r1 + bonus, abs=1e-12)
     assert traj.episode_lengths == [1]
 
 
 def test_controller_without_clicks_yields_empty_trajectory():
-    ctrl = RLPaymentController(_zero_policy(), _zero_critic(), np.array([2.0]))
+    ctrl = RLPaymentController(_zero_policy(), np.array([2.0]))
     ctrl.begin_stage(np.array([0.0]), np.array([0.0]), np.array([2.0]), 0, 5)
     ctrl.end_stage(np.array([0.0]))
-    traj = ctrl.trajectory()
+    traj = ctrl.trajectory(_zero_critic())
     assert traj.num_steps == 0
     assert traj.features.shape == (0, FEATURE_DIM)
     assert traj.episode_lengths == []
@@ -684,13 +683,13 @@ def test_rl_controller_matches_reference_on_training_market():
 
     def controller(cls):
         rng = np.random.Generator(np.random.Philox(key=[0, 12]))
-        return cls(policy, critic, market.tcpa, zeta=config.rl.zeta, xi=config.rl.xi, rng=rng)
+        return cls(policy, market.tcpa, zeta=config.rl.zeta, xi=config.rl.xi, rng=rng)
 
     ctrl, ref = controller(RLPaymentController), controller(ReferenceRLController)
     result = run_auction(market, MechanismConfig("DFP", controller="rl"), [TruthfulAgent()], ctrl)
     columns, _ = online_dfp_reference(market, [TruthfulAgent()], ref)
     assert result.rounds.payment.tobytes() == columns["payment"].tobytes()
-    traj, want = ctrl.trajectory(), ref.trajectory()
+    traj, want = ctrl.trajectory(critic), ref.trajectory(critic)
     assert traj.num_steps > 200
     for name in ("features", "actions_raw", "log_probs", "rewards", "values"):
         assert getattr(traj, name).tobytes() == getattr(want, name).tobytes(), name
@@ -724,7 +723,7 @@ def test_rl_controller_matches_reference_on_multi_bidder_markets(config, hidden,
 
     def controller(cls):
         rng = None if deterministic else np.random.Generator(np.random.Philox(key=[config.seed, 12]))
-        return cls(policy, critic, market.tcpa, rng=rng)
+        return cls(policy, market.tcpa, rng=rng)
 
     ctrl, ref = controller(RLPaymentController), controller(ReferenceRLController)
     active_counts = []
@@ -740,7 +739,7 @@ def test_rl_controller_matches_reference_on_multi_bidder_markets(config, hidden,
     result = run_auction(market, MechanismConfig("DFP", controller="rl"), agents, ctrl)
     columns, _ = online_dfp_reference(market, [TruthfulAgent() for _ in range(market.num_bidders)], ref)
     assert result.rounds.payment.tobytes() == columns["payment"].tobytes()
-    traj, want = ctrl.trajectory(), ref.trajectory()
+    traj, want = ctrl.trajectory(critic), ref.trajectory(critic)
     for name in ("features", "actions_raw", "log_probs", "rewards", "values"):
         assert getattr(traj, name).tobytes() == getattr(want, name).tobytes(), name
     assert traj.episode_lengths == want.episode_lengths

@@ -71,8 +71,7 @@ def _controller(mech, market):
     if mech.controller == "rl":
         rng = np.random.default_rng(0)
         policy = GaussianPolicy(MLP(FEATURE_DIM, (4,), 2, rng=rng))
-        critic = MLP(FEATURE_DIM, (4,), 1, rng=rng)
-        return RLPaymentController(policy, critic, market.tcpa, collect=False)
+        return RLPaymentController(policy, market.tcpa, collect=False)
     return None
 
 
@@ -144,11 +143,11 @@ def test_online_dfp_matches_per_click_reference(config, hidden, risk_averse):
     def act_rng():
         return np.random.Generator(np.random.Philox(key=[config.seed, 12]))
 
-    ctrl = RLPaymentController(policy, critic, market.tcpa, rng=act_rng())
-    ref = ReferenceRLController(policy, critic, market.tcpa, rng=act_rng())
+    ctrl = RLPaymentController(policy, market.tcpa, rng=act_rng())
+    ref = ReferenceRLController(policy, market.tcpa, rng=act_rng())
     result = run_auction(market, rl, agents(), ctrl)
     _assert_matches_reference(result, online_dfp_reference(market, agents(), ref))
-    traj, ref_traj = ctrl.trajectory(), ref.trajectory()
+    traj, ref_traj = ctrl.trajectory(critic), ref.trajectory(critic)
     for name in ("features", "actions_raw", "log_probs", "rewards", "values"):
         assert _same_bits(getattr(traj, name), getattr(ref_traj, name)), name
     assert traj.episode_lengths == ref_traj.episode_lengths
@@ -167,15 +166,15 @@ def test_evaluating_payer_pays_like_a_collecting_one(config, sampled):
 
     def run(collect):
         rng = np.random.Generator(np.random.Philox(key=[config.seed, 12])) if sampled else None
-        ctrl = RLPaymentController(policy, critic, market.tcpa, rng=rng, collect=collect)
+        ctrl = RLPaymentController(policy, market.tcpa, rng=rng, collect=collect)
         agents = [TruthfulAgent() for _ in range(market.num_bidders)]
         return ctrl, run_auction(market, MechanismConfig("DFP", controller="rl"), agents, ctrl)
 
     (evaluating, result), (collecting, collected) = run(False), run(True)
     assert _same_bits(result.rounds.payment, collected.rounds.payment)
     assert _same_bits(evaluating.stage_true_errors, collecting.stage_true_errors)
-    assert collecting.trajectory().num_steps == int(collected.stage_clicks.sum())
-    traj = evaluating.trajectory()
+    assert collecting.trajectory(critic).num_steps == int(collected.stage_clicks.sum())
+    traj = evaluating.trajectory(critic)
     assert traj.num_steps == 0 and traj.episode_lengths == []
 
 
