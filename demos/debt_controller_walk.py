@@ -8,7 +8,7 @@ count and carries any residue into the next stage.
 
 import numpy as np
 
-from auctionlab import ControllerState, DebtController, debt_controller_step, stage_pacing_oracle
+from auctionlab import DebtController, stage_pacing_oracle
 
 TCPA = 4.0
 CVR = 0.1
@@ -16,34 +16,25 @@ CVR = 0.1
 print("single bidder, tcpa = 4.0, cvr = 0.1 per click")
 print("stage expects 5 clicks; debt is settled by the last one\n")
 
-state = ControllerState(tcpa=TCPA)
-print(f"{'click':>5} {'remaining':>9} {'estimate':>9} {'payment':>8} {'paid':>7}")
+# The payer keeps one list per quantity, indexed by bidder; bidder 0 is the only one here.
+ctrl = DebtController(np.array([TCPA]))
+print(f"{'click':>5} {'remaining':>9} {'pending':>8} {'payment':>8} {'paid':>7}")
 for k in range(5):
-    state.pending_conversions += CVR          # the click being priced counts
     remaining = 4.0 - k                      # clicks expected after this one
-    pay = debt_controller_step(state, remaining)
-    state.paid_stage += pay
-    state.paid_total += pay
-    est = state.visible_conversions + state.pending_conversions
-    print(f"{k:5d} {remaining:9.1f} {est:9.2f} {pay:8.4f} {state.paid_stage:7.4f}")
+    pay = ctrl.on_click(0, round_index=k, cvr=CVR, expected_remaining_clicks=remaining)
+    print(f"{k:5d} {remaining:9.1f} {ctrl.pending[0]:8.2f} {pay:8.4f} {ctrl.paid_stage[0]:7.4f}")
 
 # after the last expected click the books balance: paid == estimate * tcpa
-assert abs(state.paid_stage - 5 * CVR * TCPA) < 1e-12
-print(f"\nstage spend {state.paid_stage:.4f} == 5 clicks * cvr * tcpa = {5 * CVR * TCPA:.4f}")
+assert abs(ctrl.paid_stage[0] - 5 * CVR * TCPA) < 1e-12
+print(f"\nstage spend {ctrl.paid_stage[0]:.4f} == 5 clicks * cvr * tcpa = {5 * CVR * TCPA:.4f}")
 
 # feedback release: suppose the 0.5 estimated conversions turned into 1 real one
-visible = 1.0
-carry = visible * TCPA - state.paid_total
-print(f"release reveals {visible:.0f} conversion: carry = {visible:.0f} * {TCPA} - "
-      f"{state.paid_total:.2f} = {carry:.2f} owed next stage")
-
-# the engine-facing wrapper does the same arithmetic per bidder
-ctrl = DebtController(np.array([TCPA]))
-for k in range(5):
-    ctrl.on_click(0, round_index=k, cvr=CVR, expected_remaining_clicks=4.0 - k)
-ctrl.end_stage(np.array([visible]))
-assert abs(ctrl.states[0].carry - carry) < 1e-12
-print("DebtController reproduces the hand walk")
+ctrl.end_stage(np.array([1.0]))
+assert ctrl.carry[0] == ctrl.visible[0] * TCPA - ctrl.paid_total[0]
+print(f"release reveals {ctrl.visible[0]:.0f} conversion: carry = {ctrl.visible[0]:.0f} * {TCPA} - "
+      f"{ctrl.paid_total[0]:.2f} = {ctrl.carry[0]:.2f} owed next stage")
+print(f"ledger after the release: pending {ctrl.pending}, paid_stage {ctrl.paid_stage}, "
+      f"paid_total {ctrl.paid_total}, carry {ctrl.carry}")
 
 # the hindsight oracle needs the stage's realized totals instead
 oracle = stage_pacing_oracle(

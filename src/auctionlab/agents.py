@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .market import MarketLog
+from .market import MarketLog, _as_int
 from .mechanisms import MechanismConfig, SimulationResult, _stage_allocation, ranking_score
 
 
@@ -32,7 +32,7 @@ class RiskAverseParams:
             raise ConfigError("epsilon must lie in [0, 1)")
         if not 0.0 <= self.step < 1.0:
             raise ConfigError("step must lie in [0, 1)")
-        if self.patience < 1:
+        if _as_int(self.patience, "patience") < 1:
             raise ConfigError("patience must be >= 1")
 
 

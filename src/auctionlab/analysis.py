@@ -20,7 +20,7 @@ import numpy as np
 
 from .csvio import write_table
 from .errors import ConfigError, SchemaError
-from .market import _CHERNOFF_STREAM, _stream
+from .market import _CHERNOFF_STREAM, _as_int, _check_seed, _stream
 from .mechanisms import SimulationResult
 
 RATIO_CSV_HEADER = "bidder,stage,ratio"
@@ -265,14 +265,16 @@ def chernoff_empirical_check(
     flags a violation when it deviates from its mean by more than epsilon
     relatively. epsilon and cvr are checked by check_chernoff_args on every
     call; click_volume defaults to chernoff_min_clicks(epsilon, cvr), and a
-    given one must lie in [0, 2**63). The click-through rate does not
-    enter: the bound conditions on clicks.
+    given one must be an integer in [0, 2**63); trials must be an integer of
+    at least 1 and seed one in [0, 2**64). A bool is refused as a count. The
+    click-through rate does not enter: the bound conditions on clicks.
     """
+    trials = _as_int(trials, "trials")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     check_chernoff_args(epsilon, cvr)
-    if click_volume is None:
-        click_volume = chernoff_min_clicks(epsilon, cvr)
+    _check_seed(seed, "seed")
+    click_volume = chernoff_min_clicks(epsilon, cvr) if click_volume is None else _as_int(click_volume, "click_volume")
     if not 0 <= click_volume < 2**63:
         raise ConfigError(f"click_volume must lie in [0, 2**63), got {click_volume}")
     if click_volume == 0:

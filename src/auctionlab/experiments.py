@@ -42,7 +42,7 @@ from .analysis import (
 from .controllers import DebtController
 from .csvio import write_table
 from .errors import ConfigError, _open_input
-from .market import MAX_MARKET_BYTES, MarketConfig, _check_seed, generate_market
+from .market import MAX_MARKET_BYTES, MarketConfig, _as_int, _check_seed, generate_market
 from .mechanisms import (
     MechanismConfig,
     SimulationResult,
@@ -76,7 +76,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(_as_int(s, f"seeds[{i}]") for i, s in enumerate(self.seeds)))
         if not self.mechanisms:
             raise ConfigError("mechanisms must be a nonempty list")
         if not self.seeds:
@@ -93,8 +93,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown agent kind {self.agent!r}, expected one of {AGENT_KINDS}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ConfigError(f"epsilon must be a positive finite number, got {self.epsilon}")
-        if self.tau is not None and self.tau < 1:
-            raise ConfigError(f"tau must be at least 1, got {self.tau}")
+        if self.tau is not None:
+            object.__setattr__(self, "tau", _as_int(self.tau, "tau"))
+            if self.tau < 1:
+                raise ConfigError(f"tau must be at least 1, got {self.tau}")
         if self.chernoff is not None:
             if len(self.chernoff) != 2:
                 raise ConfigError(f"chernoff must be (epsilon, cvr), got {self.chernoff}")
@@ -113,17 +115,6 @@ def _as_mapping(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(obj).__name__}")
     return obj
-
-
-def _as_int(value, key: str) -> int:
-    """An integer config value. A whole float such as 2.0 is taken as its
-    integer; a fractional float, bool or string is refused rather than
-    truncated or coerced."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def _as_float(value, key: str) -> float:

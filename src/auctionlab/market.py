@@ -31,6 +31,7 @@ leading 1 in the counter). A uniform double is ``(word >> 11) * 2**-53``.
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -117,9 +118,21 @@ def _stream(seed: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, purpose], dtype=np.uint64)))
 
 
-def _check_seed(seed: int, name: str) -> None:
-    if not (0 <= int(seed) < 2 ** 64):
+def _as_int(value, key: str) -> int:
+    """An integer, a NumPy integer included. A whole float such as 2.0 is taken
+    as its integer; a fractional float, bool or string is refused rather than
+    truncated or coerced."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_seed(seed: int, name: str) -> int:
+    """seed as an int, refused unless it is an integer in [0, 2**64)."""
+    if not 0 <= _as_int(seed, name) < 2 ** 64:
         raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {seed}")
+    return int(seed)
 
 
 def _check_range(name: str, rng: tuple[float, float], lo_ok: float, hi_ok: float) -> None:
@@ -153,12 +166,14 @@ class MarketConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stage_plan", tuple(int(n) for n in self.stage_plan))
+        plan = tuple(_as_int(n, f"stage_plan[{i}]") for i, n in enumerate(self.stage_plan))
+        object.__setattr__(self, "stage_plan", plan)
         object.__setattr__(self, "num_rounds", sum(self.stage_plan))
         for name in ("num_bidders", "num_slots"):
-            if int(getattr(self, name)) < 1:
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.num_rounds * int(self.num_bidders) * (int(self.num_slots) + 2) * 8 > MAX_MARKET_BYTES:
+        if self.num_rounds * self.num_bidders * (self.num_slots + 2) * 8 > MAX_MARKET_BYTES:
             raise ConfigError(
                 f"num_rounds x num_bidders x (num_slots + 2) x 8 bytes of rate arrays must be at most "
                 f"{MAX_MARKET_BYTES} ({MAX_MARKET_BYTES / 2 ** 30:g} GiB)"
@@ -174,7 +189,7 @@ class MarketConfig:
             )
         _check_range("value_range", self.value_range, 0.0, float("inf"))
         _check_range("tcpa_range", self.tcpa_range, 0.0, float("inf"))
-        _check_seed(self.seed, "seed")
+        object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
 
 
 @dataclass

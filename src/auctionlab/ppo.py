@@ -32,7 +32,7 @@ from .agents import TruthfulAgent
 from .csvio import write_table
 from .errors import ConfigError, NumericalFault, SchemaError, _open_input
 from .market import _ACTION_STREAM, _INIT_STREAM, _MARKET_SEED_STREAM, _SHUFFLE_STREAM, MarketConfig, _check_seed
-from .market import _stream, generate_market
+from .market import _as_int, _stream, generate_market
 from .mechanisms import MechanismConfig, SimulationResult, run_auction
 from .nets import MLP, Adam
 
@@ -75,6 +75,10 @@ class RLConfig:
     adv_norm: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("zeta", "xi", "alphas", "lr", "sigma_floor"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0.0 <= self.lam <= 1.0:
@@ -90,11 +94,13 @@ class RLConfig:
         if self.lr <= 0.0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         for name in ("epochs", "minibatch", "updates"):
-            value = getattr(self, name)
+            value = _as_int(getattr(self, name), name)
+            object.__setattr__(self, name, value)
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
             if value > sys.maxsize:
                 raise ConfigError(f"{name} must be at most {sys.maxsize}")
+        object.__setattr__(self, "hidden", tuple(_as_int(h, f"hidden[{i}]") for i, h in enumerate(self.hidden)))
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden sizes must be positive, got {self.hidden}")
         if sum(MLP.count_params((FEATURE_DIM, *self.hidden, out)) for out in (2, 1)) > MAX_NET_PARAMS:

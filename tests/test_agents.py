@@ -71,6 +71,8 @@ def test_params_validation():
         RiskAverseParams(step=1.0)
     with pytest.raises(ConfigError):
         RiskAverseParams(patience=0)
+    with pytest.raises(ConfigError, match=r"^patience must be an integer, got 2\.5$"):
+        RiskAverseParams(patience=2.5)
 
 
 def test_agent_classes():

@@ -315,24 +315,34 @@ def test_chernoff_empirical_rates():
     again = chernoff_empirical_check(0.05, 0.1, trials=2000, seed=0)
     assert rate == again
     assert chernoff_empirical_check(0.05, 0.1, trials=10, click_volume=0) == 0.0
+    assert chernoff_empirical_check(0.05, 0.1, trials=np.int64(2000), click_volume=np.int64(96), seed=0) == starved
     with pytest.raises(ConfigError):
         chernoff_empirical_check(0.05, 0.1, trials=0)
+    # The stream key would truncate a fractional seed and overflow on a negative one.
+    for seed, needle in ((2.5, r"^seed must be an integer, got 2\.5$"), (-1, "^seed must be an unsigned 64-bit")):
+        with pytest.raises(ConfigError, match=needle):
+            chernoff_empirical_check(0.05, 0.1, trials=10, click_volume=96, seed=seed)
 
 
 @pytest.mark.parametrize(
-    "cvr,epsilon,click_volume,needle",
+    "cvr,epsilon,click_volume,needle,trials",
     [
-        (0.1, 1.0, None, r"^epsilon must be below 1, where the bound is not vacuous, got 1\.0$"),
-        (5.0, 0.1, 96, "^cvr must lie in"),
-        (0.05, -1.0, 96, "^epsilon must be positive"),
-        (0.05, float("nan"), 96, "^epsilon must be positive"),
-        (0.05, 0.1, -5, r"^click_volume must lie in \[0, 2\*\*63\), got -5$"),
-        (0.05, 0.1, 2 ** 70, r"^click_volume must lie in \[0, 2\*\*63\), got 1180591620717411303424$"),
+        (0.1, 1.0, None, r"^epsilon must be below 1, where the bound is not vacuous, got 1\.0$", 10),
+        (5.0, 0.1, 96, "^cvr must lie in", 10),
+        (0.05, -1.0, 96, "^epsilon must be positive", 10),
+        (0.05, float("nan"), 96, "^epsilon must be positive", 10),
+        (0.05, 0.1, -5, r"^click_volume must lie in \[0, 2\*\*63\), got -5$", 10),
+        (0.05, 0.1, 2 ** 70, r"^click_volume must lie in \[0, 2\*\*63\), got 1180591620717411303424$", 10),
+        # A fraction or a bool is refused, not truncated by the binomial draw.
+        (0.05, 0.1, 0.9, r"^click_volume must be an integer, got 0\.9$", 10),
+        (0.05, 0.1, True, "^click_volume must be an integer, got True$", 10),
+        (0.05, 0.1, 96, r"^trials must be an integer, got 2\.5$", 2.5),
+        (0.05, 0.1, 96, "^trials must be an integer, got True$", True),
     ],
 )
-def test_chernoff_empirical_check_refuses_arguments_outside_their_domain(cvr, epsilon, click_volume, needle):
+def test_chernoff_empirical_check_refuses_arguments_outside_their_domain(cvr, epsilon, click_volume, needle, trials):
     with pytest.raises(ConfigError, match=needle):
-        chernoff_empirical_check(cvr, epsilon, trials=10, click_volume=click_volume)
+        chernoff_empirical_check(cvr, epsilon, trials=trials, click_volume=click_volume)
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 63 - 1, 2 ** 63 + 1, 2 ** 64 - 1])

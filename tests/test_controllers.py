@@ -7,49 +7,43 @@ import numpy as np
 import pytest
 
 from auctionlab import (
-    ControllerState,
     DebtController,
     MarketConfig,
     MechanismConfig,
     TruthfulAgent,
-    debt_controller_step,
     generate_market,
     run_auction,
     stage_pacing_oracle,
 )
+from auctionlab.controllers import DEFAULT_CAP_FACTOR
 from auctionlab.mechanisms import OnlineController
 from auctionlab.ppo import RLPaymentController
 from reference import ReferenceRLController
 
 
+def _one_click(cvr, remaining, tcpa=2.0, paid_stage=0.0, cap_factor=DEFAULT_CAP_FACTOR):
+    """The payment for one click priced at cvr on a one-bidder payer that has already paid paid_stage this stage."""
+    ctrl = DebtController(np.array([tcpa]), cap_factor=cap_factor)
+    ctrl.paid_stage[0] = paid_stage
+    return ctrl.on_click(0, 0, cvr, remaining)
+
+
 def test_step_spreads_debt_over_remaining_clicks():
-    st = ControllerState(tcpa=2.0, pending_conversions=1.0)
-    assert debt_controller_step(st, 4.0) == 0.5
+    assert _one_click(1.0, 4.0) == 0.5
 
 
 def test_step_clamps_to_zero_when_overpaid():
-    st = ControllerState(tcpa=2.0, pending_conversions=1.0, paid_stage=5.0)
-    assert debt_controller_step(st, 4.0) == 0.0
+    assert _one_click(1.0, 4.0, paid_stage=5.0) == 0.0
 
 
 def test_step_clamps_to_payment_cap():
-    st = ControllerState(tcpa=2.0, pending_conversions=100.0)
-    assert debt_controller_step(st, 0.0) == 20.0
-    st = ControllerState(tcpa=2.0, pending_conversions=100.0, cap_factor=3.0)
-    assert debt_controller_step(st, 0.0) == 6.0
+    assert _one_click(100.0, 0.0) == 20.0
+    assert _one_click(100.0, 0.0, cap_factor=3.0) == 6.0
 
 
 def test_step_settles_on_final_expected_click():
     # R < 1 turns the divisor into 1: the whole debt is due now.
-    st = ControllerState(tcpa=1.0, pending_conversions=0.4, paid_stage=0.1)
-    assert debt_controller_step(st, 0.5) == pytest.approx(0.3, abs=1e-15)
-
-
-def test_step_is_pure():
-    st = ControllerState(tcpa=2.0, pending_conversions=1.0)
-    before = (st.paid_stage, st.pending_conversions, st.carry, st.paid_total)
-    assert debt_controller_step(st, 4.0) == debt_controller_step(st, 4.0)
-    assert (st.paid_stage, st.pending_conversions, st.carry, st.paid_total) == before
+    assert _one_click(0.4, 0.5, tcpa=1.0, paid_stage=0.1) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_conversion_estimate_is_unbiased():
@@ -67,39 +61,37 @@ def test_conversion_estimate_is_unbiased():
 def test_debt_controller_hand_walk():
     """Two 3-click stages at tcpa=1, cvr=0.1, with a 0 -> 2 feedback jump."""
     ctrl = DebtController(np.array([1.0]))
-    st = ctrl.states[0]
 
     pays = [ctrl.on_click(0, r, 0.1, R) for r, R in enumerate([2.0, 1.0, 0.0])]
     assert pays == pytest.approx([0.05, 0.15, 0.1], abs=1e-12)
-    assert st.paid_stage == pytest.approx(0.3, abs=1e-12)
+    assert ctrl.paid_stage[0] == pytest.approx(0.3, abs=1e-12)
     # Stage closes: two conversions revealed, debt carried forward.
     ctrl.end_stage(np.array([2.0]))
-    assert st.carry == pytest.approx(1.7, abs=1e-12)
-    assert st.pending_conversions == 0.0 and st.paid_stage == 0.0
+    assert ctrl.carry[0] == pytest.approx(1.7, abs=1e-12)
+    assert ctrl.pending[0] == 0.0 and ctrl.paid_stage[0] == 0.0
 
     pays = [ctrl.on_click(0, 3 + r, 0.1, R) for r, R in enumerate([2.0, 1.0, 0.0])]
     assert pays == pytest.approx([0.9, 1.0, 0.1], abs=1e-12)
-    assert st.paid_total == pytest.approx(2.3, abs=1e-12)
+    assert ctrl.paid_total[0] == pytest.approx(2.3, abs=1e-12)
     # Settled: lifetime payments equal estimated conversion value, ratio 1.
-    est = st.visible_conversions + st.pending_conversions
-    assert est * st.tcpa / st.paid_total == pytest.approx(1.0, abs=1e-12)
+    est = ctrl.visible[0] + ctrl.pending[0]
+    assert est * ctrl.tcpa[0] / ctrl.paid_total[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lifetime_debt_identity_holds_mid_stream():
     rng = np.random.Generator(np.random.PCG64(4))
     ctrl = DebtController(np.array([2.5]))
-    st = ctrl.states[0]
     visible = 0.0
     for stage in range(5):
         clicks = int(rng.integers(1, 8))
         for i in range(clicks):
             ctrl.on_click(0, stage * 10 + i, float(rng.uniform(0.05, 0.2)), float(clicks - 1 - i))
-            lifetime = (st.visible_conversions + st.pending_conversions) * st.tcpa - st.paid_total
-            local = st.carry + st.pending_conversions * st.tcpa - st.paid_stage
+            lifetime = (ctrl.visible[0] + ctrl.pending[0]) * 2.5 - ctrl.paid_total[0]
+            local = ctrl.carry[0] + ctrl.pending[0] * 2.5 - ctrl.paid_stage[0]
             assert lifetime == pytest.approx(local, abs=1e-9)
         visible += float(rng.integers(0, 3))
         ctrl.end_stage(np.array([visible]))
-        assert st.carry == pytest.approx(visible * 2.5 - st.paid_total, abs=1e-9)
+        assert ctrl.carry[0] == pytest.approx(visible * 2.5 - ctrl.paid_total[0], abs=1e-9)
 
 
 def test_oracle_equal_split():

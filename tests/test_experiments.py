@@ -481,6 +481,11 @@ def test_experiment_config_validation():
         _tiny_config(tau=0)
     with pytest.raises(ConfigError):
         _tiny_config(chernoff=(0.1,))
+    with pytest.raises(ConfigError, match=r"^seeds\[0\] must be an integer, got 2\.5$"):
+        _tiny_config(seeds=(2.5,))
+    with pytest.raises(ConfigError, match=r"^tau must be an integer, got 1\.5$"):
+        _tiny_config(tau=1.5)
+    assert _tiny_config(seeds=(np.int64(0), np.uint64(1)), tau=np.int64(2)) == _tiny_config()
 
 
 def test_run_experiment_artifact_tree(tmp_path):

@@ -353,11 +353,22 @@ def test_validate_allocation_rules():
         dict(tcpa_range=(0.0, 10.0)),
         dict(seed=-1),
         dict(seed=2**64),
+        # Counts, stage lengths and seeds must be whole numbers, not truncated ones.
+        dict(stage_plan=(2.5, 3)),
+        dict(seed=2.5),
+        dict(num_slots=1.5),
+        dict(num_bidders=True),
     ],
 )
 def test_config_validation_rejects(bad):
     with pytest.raises(ConfigError):
         _tiny_config(**bad)
+
+
+def test_config_takes_numpy_integers_as_ints():
+    cfg = _tiny_config(num_bidders=np.int64(3), num_slots=np.int32(2), stage_plan=np.array([3, 3]), seed=np.uint64(7))
+    assert cfg == _tiny_config()
+    assert all(type(v) is int for v in (cfg.num_bidders, cfg.num_slots, cfg.seed, *cfg.stage_plan))
 
 
 def test_num_rounds_is_the_sum_of_the_stage_plan():

@@ -482,6 +482,14 @@ def test_resolve_xi():
         dict(updates=int(1e308)),
         dict(hidden=(int(1e308), int(1e308))),
         dict(hidden=(100000, 100000)),
+        # NaN passes every < and <= check, so finiteness is checked on its own.
+        dict(zeta=float("nan")),
+        dict(lr=float("nan")),
+        dict(xi=float("nan")),
+        dict(alphas=(1.0, float("nan"), 0.0)),
+        dict(sigma_floor=float("inf")),
+        dict(hidden=(2.5,)),
+        dict(epochs=2.5),
     ],
 )
 def test_rl_config_validation(bad):
@@ -498,6 +506,7 @@ def test_rl_config_caps_the_policy_and_critic_parameters():
     with pytest.raises(ConfigError, match="hidden"):
         RLConfig(hidden=(widest + 1,))
     assert RLConfig(epochs=sys.maxsize, minibatch=sys.maxsize, updates=sys.maxsize).updates == sys.maxsize
+    assert RLConfig(hidden=(np.int64(64), 64), epochs=np.int64(4)) == RLConfig()
 
 
 def _random_batch(seed, policy, B=8, logp_jitter=0.04):

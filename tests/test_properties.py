@@ -249,7 +249,7 @@ def test_debt_carry_is_visible_value_less_lifetime_payments(config, risk_averse,
 
     def recording_end_stage(visible):
         end_stage(visible)
-        releases.append([(s.carry, s.visible_conversions, s.paid_total) for s in ctrl.states])
+        releases.append(list(zip(ctrl.carry, ctrl.visible, ctrl.paid_total)))
 
     ctrl.end_stage = recording_end_stage
     result = run_auction(market, MechanismConfig("DFP", controller="debt"), agents, ctrl)
