@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .market import MarketLog, _as_int
+from .market import MarketLog, _check_fields
 from .mechanisms import MechanismConfig, SimulationResult, _stage_allocation, ranking_score
 
 
@@ -28,11 +28,12 @@ class RiskAverseParams:
     patience: int = 3
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError("epsilon must lie in [0, 1)")
         if not 0.0 <= self.step < 1.0:
             raise ConfigError("step must lie in [0, 1)")
-        if _as_int(self.patience, "patience") < 1:
+        if self.patience < 1:
             raise ConfigError("patience must be >= 1")
 
 

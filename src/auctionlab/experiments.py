@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 import yaml
@@ -42,7 +40,8 @@ from .analysis import (
 from .controllers import DebtController
 from .csvio import write_table
 from .errors import ConfigError, _open_input
-from .market import MAX_MARKET_BYTES, MarketConfig, _as_int, _check_seed, generate_market
+from .market import MAX_MARKET_BYTES, MarketConfig, _as_float, _as_int, _as_list, _as_value, _check_fields, _check_seed
+from .market import generate_market
 from .mechanisms import (
     MechanismConfig,
     SimulationResult,
@@ -75,8 +74,7 @@ class ExperimentConfig:
     rl: RLConfig = field(default_factory=RLConfig)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
-        object.__setattr__(self, "seeds", tuple(_as_int(s, f"seeds[{i}]") for i, s in enumerate(self.seeds)))
+        _check_fields(self)
         if not self.mechanisms:
             raise ConfigError("mechanisms must be a nonempty list")
         if not self.seeds:
@@ -91,18 +89,12 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate mechanism labels in {labels}")
         if self.agent not in AGENT_KINDS:
             raise ConfigError(f"unknown agent kind {self.agent!r}, expected one of {AGENT_KINDS}")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+        if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be a positive finite number, got {self.epsilon}")
-        if self.tau is not None:
-            object.__setattr__(self, "tau", _as_int(self.tau, "tau"))
-            if self.tau < 1:
-                raise ConfigError(f"tau must be at least 1, got {self.tau}")
+        if self.tau is not None and self.tau < 1:
+            raise ConfigError(f"tau must be at least 1, got {self.tau}")
         if self.chernoff is not None:
-            if len(self.chernoff) != 2:
-                raise ConfigError(f"chernoff must be (epsilon, cvr), got {self.chernoff}")
-            eps, cvr = float(self.chernoff[0]), float(self.chernoff[1])
-            check_chernoff_args(eps, cvr, "chernoff.")
-            object.__setattr__(self, "chernoff", (eps, cvr))
+            check_chernoff_args(*self.chernoff, "chernoff.")
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
@@ -115,34 +107,6 @@ def _as_mapping(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(obj).__name__}")
     return obj
-
-
-def _as_float(value, key: str) -> float:
-    """A finite number. A string that parses as one is taken too, because
-    PyYAML reads an exponent written without a dot, such as 1e-3, as a string."""
-    number = None
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except (ValueError, OverflowError):
-            pass
-    if number is None or not math.isfinite(number):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return number
-
-
-def _as_bool(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _as_list(value, key: str, item, length: int | None = None) -> tuple:
-    """A list whose entries each go through item(entry, "key[i]")."""
-    if not isinstance(value, list) or (length is not None and len(value) != length):
-        size = "list" if length is None else f"{length}-element list"
-        raise ConfigError(f"{key} must be a {size}, got {value!r}")
-    return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
 
 
 def _as_stage_plan(plan, key: str) -> tuple[int, ...]:
@@ -174,24 +138,14 @@ def _as_chernoff(obj, key: str) -> tuple[float, float]:
     return pair["epsilon"], pair["cvr"]
 
 
-# The fields whose YAML form differs from their type, by key.
+# The fields whose YAML form differs from their type, by key; a null goes by the type.
 _YAML_FORMS = {"market.stage_plan": _as_stage_plan, "chernoff": _as_chernoff}
 
 
-def _as_value(value, hint, key: str):
-    """A config value parsed by its field's annotation; a str is left for its dataclass to check."""
-    if isinstance(hint, UnionType):  # X | None
-        return None if value is None else _as_value(value, get_args(hint)[0], key)
-    if key in _YAML_FORMS:
+def _as_yaml_value(value, hint, key: str):
+    if key in _YAML_FORMS and value is not None:
         return _YAML_FORMS[key](value, key)
-    if is_dataclass(hint):
-        return _as_section(value, hint, key)
-    args = get_args(hint)
-    if get_origin(hint) is tuple:  # tuple[T, ...] or a fixed tuple[T, T], all of one type
-        length = None if args[-1] is Ellipsis else len(args)
-        return _as_list(value, key, lambda v, k: _as_value(v, args[0], k), length)
-    parse = {int: _as_int, float: _as_float, bool: _as_bool}.get(hint)
-    return value if parse is None else parse(value, key)
+    return _as_value(value, hint, key, _as_section)
 
 
 def _as_section(obj, cls, where: str):
@@ -201,7 +155,7 @@ def _as_section(obj, cls, where: str):
     _check_keys(section, [f.name for f in settable], where)
     hints = get_type_hints(cls)
     prefix = "" if where == "config" else f"{where}."
-    kwargs = {name: _as_value(value, hints[name], prefix + name) for name, value in section.items()}
+    kwargs = {name: _as_yaml_value(value, hints[name], prefix + name) for name, value in section.items()}
     for f in settable:
         if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{prefix}{f.name} is required")

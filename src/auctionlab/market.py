@@ -31,9 +31,12 @@ leading 1 in the counter). A uniform double is ``(word >> 11) * 2**-53``.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -128,6 +131,61 @@ def _as_int(value, key: str) -> int:
     return int(value)
 
 
+def _as_float(value, key: str) -> float:
+    """A finite number. A string that parses as one is taken too, because
+    PyYAML reads an exponent written without a dot, such as 1e-3, as a string."""
+    number = None
+    if isinstance(value, (numbers.Real, str)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+    if number is None or not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _as_bool(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _as_list(value, key: str, item, length: int | None = None) -> tuple:
+    """A list, tuple or 1-D NumPy array whose entries each go through item(entry, "key[i]")."""
+    sequence = isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
+    if not sequence or (length is not None and len(value) != length):
+        size = "list" if length is None else f"{length}-element list"
+        raise ConfigError(f"{key} must be a {size}, got {value!r}")
+    return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+def _as_value(value, hint, key: str, section=None):
+    """A config value read by its field's annotation: X | None, a fixed or
+    variadic tuple, int, float or bool; any other type is kept as given. A
+    nested dataclass goes through section(value, cls, key), or is kept as
+    given when section is None."""
+    if isinstance(hint, UnionType):  # X | None
+        return None if value is None else _as_value(value, get_args(hint)[0], key, section)
+    if is_dataclass(hint):
+        return value if section is None else section(value, hint, key)
+    args = get_args(hint)
+    if get_origin(hint) is tuple:  # tuple[T, ...] or a fixed tuple[T, T], all of one type
+        length = None if args[-1] is Ellipsis else len(args)
+        return _as_list(value, key, lambda v, k: _as_value(v, args[0], k, section), length)
+    parse = {int: _as_int, float: _as_float, bool: _as_bool}.get(hint)
+    return value if parse is None else parse(value, key)
+
+
+def _check_fields(config) -> None:
+    """Read each settable field of the frozen dataclass config by its
+    annotation, as load_config reads the same value from YAML."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        if f.init:
+            object.__setattr__(config, f.name, _as_value(getattr(config, f.name), hints[f.name], f.name))
+
+
 def _check_seed(seed: int, name: str) -> int:
     """seed as an int, refused unless it is an integer in [0, 2**64)."""
     if not 0 <= _as_int(seed, name) < 2 ** 64:
@@ -137,7 +195,7 @@ def _check_seed(seed: int, name: str) -> int:
 
 def _check_range(name: str, rng: tuple[float, float], lo_ok: float, hi_ok: float) -> None:
     lo, hi = rng
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
+    if lo > hi:
         raise ConfigError(f"{name} must be a finite (lo, hi) interval with lo <= hi, got {rng}")
     if lo <= lo_ok or hi > hi_ok:
         raise ConfigError(f"{name} must lie within ({lo_ok}, {hi_ok}], got {rng}")
@@ -166,11 +224,9 @@ class MarketConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        plan = tuple(_as_int(n, f"stage_plan[{i}]") for i, n in enumerate(self.stage_plan))
-        object.__setattr__(self, "stage_plan", plan)
+        _check_fields(self)
         object.__setattr__(self, "num_rounds", sum(self.stage_plan))
         for name in ("num_bidders", "num_slots"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.num_rounds * self.num_bidders * (self.num_slots + 2) * 8 > MAX_MARKET_BYTES:
@@ -189,7 +245,7 @@ class MarketConfig:
             )
         _check_range("value_range", self.value_range, 0.0, float("inf"))
         _check_range("tcpa_range", self.tcpa_range, 0.0, float("inf"))
-        object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
+        _check_seed(self.seed, "seed")
 
 
 @dataclass

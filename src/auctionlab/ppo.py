@@ -32,7 +32,7 @@ from .agents import TruthfulAgent
 from .csvio import write_table
 from .errors import ConfigError, NumericalFault, SchemaError, _open_input
 from .market import _ACTION_STREAM, _INIT_STREAM, _MARKET_SEED_STREAM, _SHUFFLE_STREAM, MarketConfig, _check_seed
-from .market import _as_int, _stream, generate_market
+from .market import _check_fields, _stream, generate_market
 from .mechanisms import MechanismConfig, SimulationResult, run_auction
 from .nets import MLP, Adam
 
@@ -75,10 +75,7 @@ class RLConfig:
     adv_norm: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("zeta", "xi", "alphas", "lr", "sigma_floor"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value).all():
-                raise ConfigError(f"{name} must be finite, got {value}")
+        _check_fields(self)
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0.0 <= self.lam <= 1.0:
@@ -89,18 +86,16 @@ class RLConfig:
             raise ConfigError(f"zeta must be nonnegative, got {self.zeta}")
         if self.xi is not None and self.xi <= 0.0:
             raise ConfigError(f"xi must be positive when given, got {self.xi}")
-        if len(self.alphas) != 3 or any(a < 0.0 for a in self.alphas):
+        if any(a < 0.0 for a in self.alphas):
             raise ConfigError(f"alphas must be three nonnegative weights, got {self.alphas}")
         if self.lr <= 0.0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         for name in ("epochs", "minibatch", "updates"):
-            value = _as_int(getattr(self, name), name)
-            object.__setattr__(self, name, value)
+            value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
             if value > sys.maxsize:
                 raise ConfigError(f"{name} must be at most {sys.maxsize}")
-        object.__setattr__(self, "hidden", tuple(_as_int(h, f"hidden[{i}]") for i, h in enumerate(self.hidden)))
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden sizes must be positive, got {self.hidden}")
         if sum(MLP.count_params((FEATURE_DIM, *self.hidden, out)) for out in (2, 1)) > MAX_NET_PARAMS:
