@@ -20,7 +20,7 @@ import numpy as np
 
 from .csvio import write_table
 from .errors import ConfigError, SchemaError
-from .market import _CHERNOFF_STREAM, _as_int, _check_seed, _stream
+from .market import _CHERNOFF_STREAM, _as_float, _as_int, _check_seed, _stream
 from .mechanisms import SimulationResult
 
 RATIO_CSV_HEADER = "bidder,stage,ratio"
@@ -220,12 +220,18 @@ def _chernoff_bound(epsilon: float, cvr: float) -> float:
         return float(np.ceil((2.0 + epsilon) * np.log(1.0 / epsilon) / (epsilon * epsilon * cvr)))
 
 
-def check_chernoff_args(epsilon: float, cvr: float, where: str = "") -> None:
-    """Refuse epsilon outside (0, 1), where the bound is not vacuous, cvr
-    outside (0, 1], or a pair whose bound is not an integer that a binomial
-    draw can take (below 2**63); ``where`` prefixes the argument's name in
-    the error (a config section, say). An overflow is laid on epsilon if it
-    overflows at cvr = 1."""
+def check_chernoff_args(epsilon: float, cvr: float, where: str = "") -> tuple[float, float]:
+    """(epsilon, cvr) as floats, read as config values are (a bool is
+    refused, a numeric string taken). Refuse epsilon outside (0, 1), where
+    the bound is not vacuous, cvr outside (0, 1], or a pair whose bound is
+    not an integer that a binomial draw can take (below 2**63); ``where``
+    prefixes the argument's name in the error (a config section, say). An
+    overflow is laid on epsilon if it overflows at cvr = 1."""
+    # A float, NaN and inf included, is left to the range checks below.
+    if not isinstance(epsilon, float):
+        epsilon = _as_float(epsilon, f"{where}epsilon")
+    if not isinstance(cvr, float):
+        cvr = _as_float(cvr, f"{where}cvr")
     if not epsilon > 0.0:
         raise ConfigError(f"{where}epsilon must be positive, got {epsilon}")
     if not 0.0 < cvr <= 1.0:
@@ -239,6 +245,7 @@ def check_chernoff_args(epsilon: float, cvr: float, where: str = "") -> None:
             f"{where}{key} is too small: epsilon={epsilon} and cvr={cvr} give a click bound of "
             f"{bound}, not a finite integer below 2**63"
         )
+    return epsilon, cvr
 
 
 def chernoff_min_clicks(epsilon: float, cvr: float) -> int:
@@ -248,8 +255,7 @@ def chernoff_min_clicks(epsilon: float, cvr: float) -> int:
     (0, 1) and cvr in (0, 1]; check_chernoff_args refuses anything else,
     eps >= 1 included, where the multiplicative bound is vacuous.
     """
-    check_chernoff_args(epsilon, cvr)
-    return int(_chernoff_bound(epsilon, cvr))
+    return int(_chernoff_bound(*check_chernoff_args(epsilon, cvr)))
 
 
 def chernoff_empirical_check(
@@ -272,7 +278,7 @@ def chernoff_empirical_check(
     trials = _as_int(trials, "trials")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
-    check_chernoff_args(epsilon, cvr)
+    epsilon, cvr = check_chernoff_args(epsilon, cvr)
     _check_seed(seed, "seed")
     click_volume = chernoff_min_clicks(epsilon, cvr) if click_volume is None else _as_int(click_volume, "click_volume")
     if not 0 <= click_volume < 2**63:

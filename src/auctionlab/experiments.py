@@ -168,11 +168,27 @@ def _as_section(obj, cls, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, refusing a mapping that lists a key twice
+    rather than keeping the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    line = key_node.start_mark.line + 1
+                    raise ConfigError(f"config key {key!r} is listed twice in one mapping (line {line})")
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse a YAML experiment config, naming any offending key on failure."""
     with _open_input(path, "config", ConfigError) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_ConfigLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     return _as_section(data, ExperimentConfig, "config")

@@ -614,9 +614,10 @@ def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResu
     """Train the payment policy on freshly generated markets.
 
     One update = one full-run rollout followed by epochs of minibatch
-    clipped-surrogate steps. If any minibatch loss turns non-finite the
-    whole update is rolled back (parameters and optimizer state) and
-    counted in aborted_updates.
+    clipped-surrogate steps. If any minibatch loss turns non-finite, or a
+    parameter of either net is non-finite after the last step, the whole
+    update is rolled back (parameters and optimizer state) and counted in
+    aborted_updates.
 
     Raises:
         ConfigError: seed outside [0, 2**64), before any work.
@@ -659,11 +660,13 @@ def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResu
         for idx in (perm[start:start + rl.minibatch] for perm in perms for start in range(0, n, rl.minibatch)):
             out = loss_and_grads(policy, critic, batch.subset(idx), rl)
             if not np.isfinite(out.total):
-                policy.net, critic, opt_policy, opt_critic = snapshot
-                aborted += 1
                 break
             opt_policy.step(policy.net.flat, out.policy_grad)
             opt_critic.step(critic.flat, out.critic_grad)
+        # The last step's overflow shows in no loss, only in the parameters.
+        if not (np.isfinite(out.total) and np.isfinite(policy.net.flat).all() and np.isfinite(critic.flat).all()):
+            policy.net, critic, opt_policy, opt_critic = snapshot
+            aborted += 1
 
     return TrainResult(policy=policy, critic=critic, curves=curves, aborted_updates=aborted)
 

@@ -285,6 +285,13 @@ def test_chernoff_min_clicks_values():
         chernoff_min_clicks(0.0, 0.1)
     with pytest.raises(ConfigError):
         chernoff_min_clicks(0.1, 0.0)
+    # Read as the chernoff config section reads them: a bool cvr is refused
+    # rather than taken as 1.0, and a numeric string is the number it spells.
+    with pytest.raises(ConfigError, match="^cvr must be a finite number, got True$"):
+        chernoff_min_clicks(0.1, True)
+    with pytest.raises(ConfigError, match="^cvr must be a finite number, got None$"):
+        chernoff_min_clicks(0.1, None)
+    assert chernoff_min_clicks("0.1", 0.5) == chernoff_min_clicks(0.1, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -338,6 +345,11 @@ def test_chernoff_empirical_rates():
         (0.05, 0.1, True, "^click_volume must be an integer, got True$", 10),
         (0.05, 0.1, 96, r"^trials must be an integer, got 2\.5$", 2.5),
         (0.05, 0.1, 96, "^trials must be an integer, got True$", True),
+        # epsilon and cvr are read as the chernoff config section reads them.
+        (True, 0.1, None, "^cvr must be a finite number, got True$", 10),
+        (None, 0.1, None, "^cvr must be a finite number, got None$", 10),
+        (0.05, True, 96, "^epsilon must be a finite number, got True$", 10),
+        (0.05, "x", 96, "^epsilon must be a finite number, got 'x'$", 10),
     ],
 )
 def test_chernoff_empirical_check_refuses_arguments_outside_their_domain(cvr, epsilon, click_volume, needle, trials):

@@ -348,6 +348,18 @@ def test_load_config_structural_errors(tmp_path):
     )
     with pytest.raises(ConfigError):
         load_config(str(path))  # chernoff missing cvr
+    path.write_text(
+        "market: {num_bidders: 2, num_slots: 1, stage_plan: [5], seed: 0}\n"
+        "mechanisms: [{kind: CFP}]\nseeds: [0]\nseeds: [1, 2]\n"
+    )
+    with pytest.raises(ConfigError, match="'seeds' is listed twice"):
+        load_config(str(path))  # a repeated key is refused, not read as its last value
+    path.write_text(
+        "market: {num_bidders: 2, num_slots: 1, stage_plan: [5], seed: 0, seed: 1}\n"
+        "mechanisms: [{kind: CFP}]\nseeds: [0]\n"
+    )
+    with pytest.raises(ConfigError, match="'seed' is listed twice"):
+        load_config(str(path))  # also inside a section
 
 
 def _key_paths(node, path=()):
@@ -397,6 +409,45 @@ def test_load_config_refuses_a_hostile_value_at_any_key_path_as_a_config_error(t
     assert not others, "\n".join(others)
     # The values that load, such as 2**63 at a seed or 1e308 at a range's upper bound.
     assert loaded == {"desk.yaml": 63, "sparse.yaml": 42, "toy_train.yaml": 42}[name]
+
+
+def test_config_dataclasses_read_a_hostile_value_as_load_config_reads_it(tmp_path):
+    # The Python half of the sweep above: each hostile value at each settable
+    # scalar field of desk's four config dataclasses, set by dataclasses.replace,
+    # is a ConfigError or builds the config that load_config reads with the same
+    # value at that key. YAML is loaded only for the values that build.
+    shipped = yaml.safe_load(Path(REPO, "configs", "desk.yaml").read_text())
+    desk = load_config(os.path.join(REPO, "configs", "desk.yaml"))
+    nested = ("market", "mechanisms", "agent_params", "rl")
+    path = tmp_path / "c.yaml"
+    bad, cases = [], 0
+    for section in ((), ("market",), ("agent_params",), ("rl",)):
+        obj = _section(desk, section)
+        for name in [f.name for f in dataclasses.fields(obj) if f.init and f.name not in nested]:
+            for value in _HOSTILE_VALUES + _LOAD_ONLY_HOSTILE_VALUES:
+                cases += 1
+                case = f"{'.'.join(section + (name,))} = {value!r}"
+                try:
+                    built = dataclasses.replace(obj, **{name: value})
+                except ConfigError:
+                    continue
+                except Exception as exc:  # any other kind is what the test reports
+                    bad.append(f"{case}: {type(exc).__name__}: {exc}")
+                    continue
+                doc = json.loads(json.dumps(shipped))
+                node = doc
+                for key in section:
+                    node = node.setdefault(key, {})
+                node[name] = value
+                path.write_text(yaml.safe_dump(doc))
+                try:
+                    loaded = _section(load_config(str(path)), section)
+                except ConfigError as exc:
+                    loaded = exc
+                if loaded != built:
+                    bad.append(f"{case}: builds {built!r:.200}, load_config gives {loaded!r:.200}")
+    assert cases == 580
+    assert not bad, "\n".join(bad)
 
 
 # Runs cli.main on each argv list of the JSON list on stdin under a 3 GiB

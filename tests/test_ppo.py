@@ -815,6 +815,20 @@ def test_divergence_guard_rolls_back_update():
     assert np.isfinite(out.curves[0]["mean_reward"])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_guard_rolls_back_an_update_whose_last_step_overflows():
+    # One minibatch: the step that overflows comes after the update's only
+    # loss, so only the parameters show it.
+    market = load_config(os.path.join(CONFIGS, "toy_train.yaml")).market
+    rl = RLConfig(lr=1e308, updates=1, epochs=1, minibatch=100000)
+    out = train(market, rl, seed=0)
+    assert out.aborted_updates == 1
+    rng_init = np.random.Generator(np.random.Philox(key=[0, 11]))
+    np.testing.assert_array_equal(out.policy.net.get_flat(), MLP(FEATURE_DIM, rl.hidden, 2, rng_init).get_flat())
+    np.testing.assert_array_equal(out.critic.get_flat(), MLP(FEATURE_DIM, rl.hidden, 1, rng_init).get_flat())
+    assert len(out.curves) == 1
+
+
 def test_divergence_guard_restores_optimizer_state(monkeypatch):
     # Update 0 takes two Adam steps per net before its third minibatch loss
     # turns NaN; update 1 must start from the optimisers' state before it.
