@@ -20,7 +20,10 @@ A column may also be given as one ``str``, its cells joined by newlines:
 text formatted once can then be written into later tables as it is. A float
 chunk with mostly distinct values (a rounds table's ``score``) costs one
 ``repr`` per cell, the bulk of writing a table; ``write_rounds_csv`` keeps
-that text with the market's outcome passes and passes it back this way.
+that text with the market's outcome passes and passes it back this way. A
+chunk from an iterator may also give a column as a list of ready cells
+(``str``): ``write_market_csv`` formats each (round, bidder) pair's cvr and
+value once and repeats the text over the pair's slots.
 """
 
 from __future__ import annotations
@@ -66,11 +69,11 @@ def _format_column(col: np.ndarray) -> list[str]:
 
 
 def _chunk_length(header: str, cols: list) -> int:
-    """The common length of one chunk's columns (arrays or newline-joined
-    str cells), one per header field."""
+    """The common length of one chunk's columns (arrays, lists of str cells
+    or newline-joined str cells), one per header field."""
     if len(cols) != header.count(",") + 1:
         raise ContractViolation(f"header {header!r} does not name {len(cols)} columns")
-    lengths = {c.count("\n") + 1 if isinstance(c, str) else c.shape[0] for c in cols}
+    lengths = {c.count("\n") + 1 if isinstance(c, str) else len(c) for c in cols}
     if len(lengths) > 1:
         raise ContractViolation(f"columns under {header!r} differ in length: {sorted(lengths)}")
     return lengths.pop()
@@ -86,7 +89,8 @@ def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable]) 
             an iterator of such lists, one per chunk of rows, written in
             turn. A chunk of at most CHUNK_ROWS rows keeps memory to one
             chunk's cells. A column given as one ``str`` holds its cells
-            joined by newlines and is written as it is.
+            joined by newlines and is written as it is; so is a chunk's
+            column given as a list of str cells.
 
     Raises:
         ContractViolation: column count or lengths do not match; whole
@@ -99,7 +103,10 @@ def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable]) 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for chunk in columns:
-            block = [c if isinstance(c, str) else np.asarray(c) for c in chunk]
+            block = [c if isinstance(c, (str, list)) else np.asarray(c) for c in chunk]
             if _chunk_length(header, block):
-                cells = [c.split("\n") if isinstance(c, str) else _format_column(c) for c in block]
+                cells = [
+                    c.split("\n") if isinstance(c, str) else c if isinstance(c, list) else _format_column(c)
+                    for c in block
+                ]
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

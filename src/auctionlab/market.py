@@ -350,20 +350,72 @@ def write_market_csv(log: MarketLog, path: str) -> None:
     click/conversion columns hold the potential outcome of displaying that
     slot, drawn from the triple's own sub-stream; replaying them reproduces a
     live run exactly, whatever the allocation turns out to be. Rows are built
-    and written CHUNK_ROWS at a time, so memory holds one chunk's rows.
+    and written a chunk of whole (round, bidder) pairs at a time, at most
+    CHUNK_ROWS rows unless one pair has more slots, so memory holds one
+    chunk's rows. A pair's cvr and value are formatted once and their text
+    repeated over its K rows.
     """
     N, M, K = log.num_rounds, log.num_bidders, log.num_slots
     ctr, cvr, value = log.ctr.reshape(-1), log.cvr.reshape(-1), log.value.reshape(-1)
+    per_chunk = max(1, CHUNK_ROWS // K)
+
+    def repeated(rates: np.ndarray) -> list[str]:
+        return np.array(list(map(repr, rates.tolist())), dtype=object).repeat(K).tolist()
 
     def chunks():
-        for start in range(0, N * M * K, CHUNK_ROWS):
-            flat = np.arange(start, min(start + CHUNK_ROWS, N * M * K))
-            pair, kk = np.divmod(flat, K)
-            rr, mm = np.divmod(pair, M)
+        for lo in range(0, N * M, per_chunk):
+            hi = min(lo + per_chunk, N * M)
+            rr, mm = np.divmod(np.arange(lo, hi).repeat(K), M)
+            kk = np.tile(np.arange(K), hi - lo)
             y, z = sample_outcomes(log, rr, mm, kk)
-            yield [rr, mm, kk, ctr[flat], cvr[pair], value[pair], y, z]
+            yield [rr, mm, kk, ctr[lo * K:hi * K], repeated(cvr[lo:hi]), repeated(value[lo:hi]), y, z]
 
     write_table(path, MARKET_CSV_HEADER, chunks())
+
+
+def _typed_columns(chunk: list[str], row_type: np.dtype, bounds: tuple[int, ...]) -> list[np.ndarray] | None:
+    """A market CSV chunk's columns, index and outcome cells parsed as int64,
+    or None when that parse or a check refuses the chunk: an index or outcome
+    outside [0, bound) (round, bidder, slot, click, conversion in turn) or a
+    rate that is not finite. A refused chunk is parsed again by
+    _float_columns, which says why."""
+    try:
+        data = np.loadtxt(chunk, dtype=row_type, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    cols = [data[name] for name in row_type.names]
+    ints = cols[:3] + cols[6:]
+    if all(0 <= c.min() and c.max() < bound for c, bound in zip(ints, bounds)) and all(
+        np.isfinite(c).all() for c in cols[3:6]
+    ):
+        return cols
+    return None
+
+
+def _float_columns(chunk: list[str], where: str, width: int, N: int, M: int) -> list[np.ndarray]:
+    """A market CSV chunk's columns parsed as float64, after the checks that
+    name what is wrong with a chunk: its width, its indices, its rates and
+    its outcomes, and a round or bidder outside the N x M grid."""
+    try:
+        data = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise SchemaError(f"{where} is not a table of numbers: {exc}") from exc
+    if data.shape[1] != width:
+        raise SchemaError(f"{where}: row width does not match its header")
+    idx = data[:, :3]
+    if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
+        raise SchemaError(f"{where}: round, bidder and slot must be non-negative integers")
+    if not np.all(np.isfinite(data[:, 3:6])):
+        raise SchemaError(f"{where}: ctr, cvr and value must be finite")
+    if width == 8 and not np.all((data[:, 6:] == 0) | (data[:, 6:] == 1)):
+        raise SchemaError(f"{where}: click and conversion must be 0 or 1")
+    top_round, top_bidder = (int(top) for top in idx[:, :2].max(axis=0))
+    if top_round >= N or top_bidder >= M:
+        raise SchemaError(
+            f"{where}: round {top_round} or bidder {top_bidder} lies outside the {N} rounds of "
+            f"stage_plan and the {M} bidders of tcpa"
+        )
+    return list(data.T)
 
 
 def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, seed: int = 0) -> MarketLog:
@@ -418,30 +470,23 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
         outcomes = [np.zeros((N, M, 0), np.uint8) for _ in range(width - 6)]
         cvr, value = np.full((N, M), np.nan), np.zeros((N, M))
         K = rows = 0
-        # Blank and whitespace-only lines are skipped, and loadtxt, which
-        # warns on input without data, never sees an empty chunk.
-        lines = (line for line in fh if line.strip())
-        while chunk := list(itertools.islice(lines, CHUNK_ROWS)):
-            try:
-                data = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                raise SchemaError(f"{where} is not a table of numbers: {exc}") from exc
+        # Index and outcome cells are parsed as int64 and rates as float64.
+        # Any chunk that this parse or its checks refuse is parsed again as
+        # float64 cells, which takes every spelling (1.0 in an index column
+        # included) and names what is wrong.
+        row_type = np.dtype([(name, np.float64 if name in ("ctr", "cvr", "value") else np.int64)
+                             for name in base_cols[:width]])
+        bounds = (N, M, max_rows, 2, 2)
+        while chunk := list(itertools.islice(fh, CHUNK_ROWS)):
+            if any(map(str.isspace, chunk)):
+                # Blank and whitespace-only lines are skipped, and loadtxt,
+                # which warns on input without data, never sees an empty chunk.
+                chunk = [line for line in chunk if not line.isspace()]
+                if not chunk:
+                    continue
+            cols = _typed_columns(chunk, row_type, bounds) or _float_columns(chunk, where, width, N, M)
             del chunk
-            if data.shape[1] != width:
-                raise SchemaError(f"{where}: row width does not match its header")
-            idx = data[:, :3]
-            if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
-                raise SchemaError(f"{where}: round, bidder and slot must be non-negative integers")
-            if not np.all(np.isfinite(data[:, 3:6])):
-                raise SchemaError(f"{where}: ctr, cvr and value must be finite")
-            if width == 8 and not np.all((data[:, 6:] == 0) | (data[:, 6:] == 1)):
-                raise SchemaError(f"{where}: click and conversion must be 0 or 1")
-            top_round, top_bidder, top_slot = (int(top) for top in idx.max(axis=0))
-            if top_round >= N or top_bidder >= M:
-                raise SchemaError(
-                    f"{where}: round {top_round} or bidder {top_bidder} lies outside the {N} rounds of "
-                    f"stage_plan and the {M} bidders of tcpa"
-                )
+            top_slot = int(cols[2].max())
             if top_slot >= K:
                 if N * M * (top_slot + 1) > max_rows:
                     raise SchemaError(f"{where}: slot {top_slot} needs more rows than the file can hold")
@@ -449,18 +494,18 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
                 ctr = np.pad(ctr, widen, constant_values=np.nan)
                 outcomes = [np.pad(g, widen) for g in outcomes]
                 K = top_slot + 1
-            n, m, k = (idx[:, j].astype(np.int64) for j in range(3))
+            n, m, k = (c.astype(np.int64, copy=False) for c in cols[:3])
             pair = n * M + m
             fresh = np.isnan(cvr.reshape(-1)[pair])
             for name, j, grid in (("cvr", 4, cvr.reshape(-1)), ("value", 5, value.reshape(-1))):
-                grid[pair[fresh]] = data[fresh, j]
-                if np.any(grid[pair] != data[:, j]):
+                grid[pair[fresh]] = cols[j][fresh]
+                if np.any(grid[pair] != cols[j]):
                     raise SchemaError(f"{where}: {name} must be constant across slots")
             flat = pair * K + k
-            ctr.reshape(-1)[flat] = data[:, 3]
+            ctr.reshape(-1)[flat] = cols[3]
             for j, grid in enumerate(outcomes, start=6):
-                grid.reshape(-1)[flat] = data[:, j]
-            rows += data.shape[0]
+                grid.reshape(-1)[flat] = cols[j]
+            rows += n.size
     if rows == 0:
         raise SchemaError(f"{where} has no data rows")
     if rows != N * M * K:

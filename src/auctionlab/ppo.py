@@ -657,12 +657,15 @@ def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResu
         # One permutation per epoch, drawn as the epoch starts, so an update
         # cut short leaves the later draws to the next update.
         perms = (rng_shuffle.permutation(n) for _ in range(rl.epochs))
-        for idx in (perm[start:start + rl.minibatch] for perm in perms for start in range(0, n, rl.minibatch)):
-            out = loss_and_grads(policy, critic, batch.subset(idx), rl)
-            if not np.isfinite(out.total):
-                break
-            opt_policy.step(policy.net.flat, out.policy_grad)
-            opt_critic.step(critic.flat, out.critic_grad)
+        # An overflow or invalid value in a step is not raised: the checks
+        # below see it and roll the update back.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in (perm[start:start + rl.minibatch] for perm in perms for start in range(0, n, rl.minibatch)):
+                out = loss_and_grads(policy, critic, batch.subset(idx), rl)
+                if not np.isfinite(out.total):
+                    break
+                opt_policy.step(policy.net.flat, out.policy_grad)
+                opt_critic.step(critic.flat, out.critic_grad)
         # The last step's overflow shows in no loss, only in the parameters.
         if not (np.isfinite(out.total) and np.isfinite(policy.net.flat).all() and np.isfinite(critic.flat).all()):
             policy.net, critic, opt_policy, opt_critic = snapshot

@@ -4,7 +4,8 @@ The engine scores, allocates and samples a whole stage at once. The
 functions here do the same one round at a time, in the plainest form, so
 tests can hold the engine to them: rank_and_allocate is the scalar
 allocation rule, sample_round draws one round's outcomes through the same
-counter-based sub-streams, RoundOutcome and validate_allocation state the
+counter-based sub-streams, reference_market_csv writes the market CSV one
+row at a time, RoundOutcome and validate_allocation state the
 per-round invariants, and stage_of maps a round to its stage. ratio_table
 is the loop form of the analysis module's vectorized ratio tables.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from auctionlab.errors import ContractViolation, NumericalFault, SchemaError
-from auctionlab.market import MarketLog, sample_outcomes, stage_starts
+from auctionlab.market import MARKET_CSV_HEADER, MarketLog, sample_outcomes, stage_starts
 from auctionlab.mechanisms import ROUNDS_CSV_HEADER, ranking_score
 from auctionlab.nets import MLP
 from auctionlab.ppo import (
@@ -118,6 +119,19 @@ def sample_round(log: MarketLog, round_index: int, allocation: np.ndarray) -> Ro
         rounds = np.full(bidders.shape, round_index)
         y[bidders, slots], z[bidders, slots] = sample_outcomes(log, rounds, bidders, slots)
     return RoundOutcome(allocation=x, click=y, conversion=z, payment=np.zeros(x.shape, dtype=np.float64))
+
+
+def reference_market_csv(log: MarketLog) -> str:
+    """The text of the market CSV, one f-string per (round, bidder, slot) row
+    in C order; click and conversion come from one sample_outcomes call over
+    the whole grid."""
+    rr, mm, kk = np.indices(log.ctr.shape)
+    y, z = sample_outcomes(log, rr, mm, kk)
+    lines = [MARKET_CSV_HEADER]
+    for n, m, k in np.ndindex(log.ctr.shape):
+        ctr, cvr, value = float(log.ctr[n, m, k]), float(log.cvr[n, m]), float(log.value[n, m])
+        lines.append(f"{n},{m},{k},{ctr!r},{cvr!r},{value!r},{y[n, m, k]},{z[n, m, k]}")
+    return "\n".join(lines) + "\n"
 
 
 def stage_of(round_index: int, stage_plan: tuple[int, ...]) -> int:

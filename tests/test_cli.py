@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from auctionlab.cli import main
+from auctionlab.ppo import load_checkpoint
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 RUN_YAML = """
@@ -235,6 +236,21 @@ def test_train_reports_aborted_updates(capsys, tmp_path):
     assert captured.out.strip() == str(out / "checkpoint.txt")
 
 
+def test_train_rolls_back_an_overflowing_step_with_warnings_as_errors(capsys, tmp_path):
+    # The one update's only Adam step overflows the parameters; the overflow
+    # is not raised, and the divergence guard rolls the update back.
+    config = tmp_path / "train.yaml"
+    config.write_text(Path(CONFIGS, "toy_train.yaml").read_text()
+                      + "rl: {lr: 1.0e+308, updates: 1, epochs: 1, minibatch: 100000}\n")
+    out = tmp_path / "train"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(config), "--out", str(out), "--seed", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["aborted updates: 1"]
+    load_checkpoint(str(out / "checkpoint.txt"))
+
+
 def test_run_without_checkpoint_writes_nothing(capsys, tmp_path):
     # CFP runs first in the config, yet the missing DFP:rl checkpoint stops
     # the run before any artifact is written.
@@ -436,6 +452,7 @@ _CAPPED_MAIN = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
 from auctionlab.cli import main
+from auctionlab.ppo import load_checkpoint
 sys.exit(main(sys.argv[1:]))
 """
 SPARSE_PLAN = "stage_plan: {stages: 31, rounds_per_stage: 600}"

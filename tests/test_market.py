@@ -31,7 +31,7 @@ from auctionlab.market import (
     philox4x64,
     read_market_csv,
 )
-from reference import RoundOutcome, sample_round, stage_of, validate_allocation
+from reference import RoundOutcome, reference_market_csv, sample_round, stage_of, validate_allocation
 
 _MASK = (1 << 64) - 1
 
@@ -510,6 +510,43 @@ def test_market_csv_skips_blank_lines(tmp_path):
     back = read_market_csv(spaced, cfg.stage_plan, log.tcpa)
     np.testing.assert_array_equal(back.ctr, log.ctr)
     np.testing.assert_array_equal(back.click_override, read_market_csv(path, cfg.stage_plan, log.tcpa).click_override)
+    # A run of more blank and whitespace-only lines than a chunk holds, so
+    # one chunk of lines holds no data row at all.
+    header, *rows = lines
+    with open(spaced, "w") as fh:
+        fh.writelines(line + "\n" for line in [header, rows[0]] + ["", " \t"] * CHUNK_ROWS + rows[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_reads_like(read_market_csv(spaced, cfg.stage_plan, log.tcpa), read_market_csv(path, cfg.stage_plan, log.tcpa))
+
+
+def _assert_reads_like(back, canonical):
+    for name in ("ctr", "cvr", "value", "tcpa", "click_override", "conv_override"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(canonical, name), err_msg=name)
+
+
+@pytest.mark.parametrize("where", ["one_chunk", "every_chunk"])
+def test_market_csv_reads_index_and_outcome_cells_spelled_as_floats(tmp_path, where):
+    # 16,800 rows, two chunks; the float spellings sit in the second chunk
+    # only, or in every row of both.
+    cfg = _tiny_config(num_bidders=4, num_slots=2, stage_plan=(1000, 1100), seed=6)
+    log = generate_market(cfg)
+    path = tmp_path / "m.csv"
+    write_market_csv(log, str(path))
+    header, *rows = path.read_text().splitlines()
+    spelled = range(CHUNK_ROWS, CHUNK_ROWS + 3) if where == "one_chunk" else range(len(rows))
+    for i in spelled:
+        cells = rows[i].split(",")
+        for j in (0, 1, 2, 6, 7):
+            cells[j] += ".0"
+        rows[i] = ",".join(cells)
+    assert rows[CHUNK_ROWS].startswith("2048.0,0.0,0.0,")
+    floats = tmp_path / "floats.csv"
+    _write_lines(floats, [header] + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_market_csv(str(floats), cfg.stage_plan, log.tcpa, seed=cfg.seed)
+    _assert_reads_like(back, read_market_csv(str(path), cfg.stage_plan, log.tcpa, seed=cfg.seed))
 
 
 def _edit_cell(lines, row, col, value):
@@ -619,9 +656,11 @@ def _assert_replays_live(back, log):
 
 
 # (bidders, slots) that divide each row count: 16,383 = 5,461 x 3 x 1,
-# 16,384 = 1,024 x 4 x 4 and 16,385 = 3,277 x 5 x 1 rows.
+# 16,384 = 1,024 x 4 x 4, 16,385 = 3,277 x 5 x 1 and 16,386 = 2,731 x 2 x 3
+# rows. Three slots do not divide CHUNK_ROWS, so the last grid is written as
+# 5,461 whole (round, bidder) pairs (16,383 rows) and then one more pair.
 @pytest.mark.parametrize("rows,bidders,slots", [
-    (CHUNK_ROWS - 1, 3, 1), (CHUNK_ROWS, 4, 4), (CHUNK_ROWS + 1, 5, 1),
+    (CHUNK_ROWS - 1, 3, 1), (CHUNK_ROWS, 4, 4), (CHUNK_ROWS + 1, 5, 1), (CHUNK_ROWS + 2, 2, 3),
 ])
 def test_market_csv_roundtrip_at_chunk_boundaries(tmp_path, rows, bidders, slots):
     N = rows // (bidders * slots)
@@ -630,6 +669,7 @@ def test_market_csv_roundtrip_at_chunk_boundaries(tmp_path, rows, bidders, slots
     path = tmp_path / "m.csv"
     write_market_csv(log, str(path))
     assert path.read_text().count("\n") == rows + 1
+    assert path.read_bytes() == reference_market_csv(log).encode()
     _assert_replays_live(read_market_csv(str(path), cfg.stage_plan, log.tcpa, seed=cfg.seed), log)
 
 
