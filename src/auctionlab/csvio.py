@@ -69,11 +69,11 @@ def _format_column(col: np.ndarray) -> list[str]:
 
 
 def _chunk_length(header: str, cols: list) -> int:
-    """The common length of one chunk's columns (arrays, lists of str cells
-    or newline-joined str cells), one per header field."""
+    """The common length of one chunk's columns (arrays or lists of str
+    cells), one per header field."""
     if len(cols) != header.count(",") + 1:
         raise ContractViolation(f"header {header!r} does not name {len(cols)} columns")
-    lengths = {c.count("\n") + 1 if isinstance(c, str) else len(c) for c in cols}
+    lengths = {len(c) for c in cols}
     if len(lengths) > 1:
         raise ContractViolation(f"columns under {header!r} differ in length: {sorted(lengths)}")
     return lengths.pop()
@@ -103,10 +103,8 @@ def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable]) 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for chunk in columns:
-            block = [c if isinstance(c, (str, list)) else np.asarray(c) for c in chunk]
+            block = [c.split("\n") if isinstance(c, str) else c if isinstance(c, list) else np.asarray(c)
+                     for c in chunk]
             if _chunk_length(header, block):
-                cells = [
-                    c.split("\n") if isinstance(c, str) else c if isinstance(c, list) else _format_column(c)
-                    for c in block
-                ]
+                cells = [c if isinstance(c, list) else _format_column(c) for c in block]
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -373,41 +373,38 @@ def write_market_csv(log: MarketLog, path: str) -> None:
     write_table(path, MARKET_CSV_HEADER, chunks())
 
 
-def _typed_columns(chunk: list[str], row_type: np.dtype, bounds: tuple[int, ...]) -> list[np.ndarray] | None:
-    """A market CSV chunk's columns, index and outcome cells parsed as int64,
-    or None when that parse or a check refuses the chunk: an index or outcome
-    outside [0, bound) (round, bidder, slot, click, conversion in turn) or a
-    rate that is not finite. A refused chunk is parsed again by
-    _float_columns, which says why."""
+def _chunk_columns(chunk: list[str], row_type: np.dtype, where: str, N: int, M: int, max_rows: int) -> list[np.ndarray]:
+    """The columns of a chunk of market CSV lines, each checked.
+
+    The chunk is parsed with row_type: int64 index and outcome cells, float64
+    rates. If that parse fails, or a check refuses what it gives (an index
+    or outcome outside [0, N), [0, M), [0, max_rows) or {0, 1}, or a rate
+    that is not finite), the chunk is parsed again as float64 cells, which
+    take every spelling (1.0 in an index column included), and checked
+    in turn: width, indices, rates, outcomes, then the N x M grid, so a bad
+    chunk's SchemaError names its first fault.
+    """
     try:
         data = np.loadtxt(chunk, dtype=row_type, delimiter=",", comments=None, ndmin=1)
+        cols = [data[name] for name in row_type.names]
+        ints = cols[:3] + cols[6:]
+        in_range = all(0 <= c.min() and c.max() < top for c, top in zip(ints, (N, M, max_rows, 2, 2)))
+        if in_range and np.isfinite(cols[3:6]).all():
+            return cols
     except ValueError:
-        return None
-    cols = [data[name] for name in row_type.names]
-    ints = cols[:3] + cols[6:]
-    if all(0 <= c.min() and c.max() < bound for c, bound in zip(ints, bounds)) and all(
-        np.isfinite(c).all() for c in cols[3:6]
-    ):
-        return cols
-    return None
-
-
-def _float_columns(chunk: list[str], where: str, width: int, N: int, M: int) -> list[np.ndarray]:
-    """A market CSV chunk's columns parsed as float64, after the checks that
-    name what is wrong with a chunk: its width, its indices, its rates and
-    its outcomes, and a round or bidder outside the N x M grid."""
+        pass
     try:
         data = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise SchemaError(f"{where} is not a table of numbers: {exc}") from exc
-    if data.shape[1] != width:
+    if data.shape[1] != len(row_type.names):
         raise SchemaError(f"{where}: row width does not match its header")
     idx = data[:, :3]
     if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
         raise SchemaError(f"{where}: round, bidder and slot must be non-negative integers")
     if not np.all(np.isfinite(data[:, 3:6])):
         raise SchemaError(f"{where}: ctr, cvr and value must be finite")
-    if width == 8 and not np.all((data[:, 6:] == 0) | (data[:, 6:] == 1)):
+    if not np.all((data[:, 6:] == 0) | (data[:, 6:] == 1)):
         raise SchemaError(f"{where}: click and conversion must be 0 or 1")
     top_round, top_bidder = (int(top) for top in idx[:, :2].max(axis=0))
     if top_round >= N or top_bidder >= M:
@@ -470,13 +467,8 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
         outcomes = [np.zeros((N, M, 0), np.uint8) for _ in range(width - 6)]
         cvr, value = np.full((N, M), np.nan), np.zeros((N, M))
         K = rows = 0
-        # Index and outcome cells are parsed as int64 and rates as float64.
-        # Any chunk that this parse or its checks refuse is parsed again as
-        # float64 cells, which takes every spelling (1.0 in an index column
-        # included) and names what is wrong.
         row_type = np.dtype([(name, np.float64 if name in ("ctr", "cvr", "value") else np.int64)
                              for name in base_cols[:width]])
-        bounds = (N, M, max_rows, 2, 2)
         while chunk := list(itertools.islice(fh, CHUNK_ROWS)):
             if any(map(str.isspace, chunk)):
                 # Blank and whitespace-only lines are skipped, and loadtxt,
@@ -484,7 +476,7 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
                 chunk = [line for line in chunk if not line.isspace()]
                 if not chunk:
                     continue
-            cols = _typed_columns(chunk, row_type, bounds) or _float_columns(chunk, where, width, N, M)
+            cols = _chunk_columns(chunk, row_type, where, N, M, max_rows)
             del chunk
             top_slot = int(cols[2].max())
             if top_slot >= K:
