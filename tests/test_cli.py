@@ -452,7 +452,6 @@ _CAPPED_MAIN = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
 from auctionlab.cli import main
-from auctionlab.ppo import load_checkpoint
 sys.exit(main(sys.argv[1:]))
 """
 SPARSE_PLAN = "stage_plan: {stages: 31, rounds_per_stage: 600}"

@@ -517,7 +517,8 @@ def test_market_csv_skips_blank_lines(tmp_path):
         fh.writelines(line + "\n" for line in [header, rows[0]] + ["", " \t"] * CHUNK_ROWS + rows[1:])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_reads_like(read_market_csv(spaced, cfg.stage_plan, log.tcpa), read_market_csv(path, cfg.stage_plan, log.tcpa))
+        back = read_market_csv(spaced, cfg.stage_plan, log.tcpa)
+    _assert_reads_like(back, read_market_csv(path, cfg.stage_plan, log.tcpa))
 
 
 def _assert_reads_like(back, canonical):
