@@ -145,12 +145,6 @@ def _as_float(value, key: str) -> float:
     return number
 
 
-def _as_bool(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
 def _as_list(value, key: str, item, length: int | None = None) -> tuple:
     """A list, tuple or 1-D NumPy array whose entries each go through item(entry, "key[i]")."""
     sequence = isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
@@ -162,7 +156,7 @@ def _as_list(value, key: str, item, length: int | None = None) -> tuple:
 
 def _as_value(value, hint, key: str, section=None):
     """A config value read by its field's annotation: X | None, a fixed or
-    variadic tuple, int, float or bool; any other type is kept as given. A
+    variadic tuple, int or float; any other type is kept as given. A
     nested dataclass goes through section(value, cls, key), or is kept as
     given when section is None."""
     if isinstance(hint, UnionType):  # X | None
@@ -173,7 +167,7 @@ def _as_value(value, hint, key: str, section=None):
     if get_origin(hint) is tuple:  # tuple[T, ...] or a fixed tuple[T, T], all of one type
         length = None if args[-1] is Ellipsis else len(args)
         return _as_list(value, key, lambda v, k: _as_value(v, args[0], k, section), length)
-    parse = {int: _as_int, float: _as_float, bool: _as_bool}.get(hint)
+    parse = {int: _as_int, float: _as_float}.get(hint)
     return value if parse is None else parse(value, key)
 
 
@@ -254,8 +248,8 @@ class MarketLog:
 
     ctr has shape (N, M, K) and is weakly decreasing along the slot axis;
     cvr and value have shape (N, M) and are constant across slots by
-    construction. Optional 0/1 override arrays (shape (N, M, K)) replace
-    sampled outcomes during replay; both are present or both are None.
+    construction. outcomes, when given, is a (click, conversion) pair of 0/1
+    arrays of shape (N, M, K) that replace sampled outcomes during replay.
 
     outcome_memo maps a stage to the engine's outcome pass under a run's
     opening bids, with the ``score`` text the rounds writer formatted from
@@ -272,8 +266,7 @@ class MarketLog:
     ctr: np.ndarray
     cvr: np.ndarray
     value: np.ndarray
-    click_override: np.ndarray | None = None
-    conv_override: np.ndarray | None = None
+    outcomes: tuple[np.ndarray, np.ndarray] | None = None
     outcome_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -329,9 +322,10 @@ def sample_outcomes(
     rounds = np.asarray(rounds)
     bidders = np.asarray(bidders)
     slots = np.asarray(slots)
-    if log.click_override is not None and log.conv_override is not None:
-        y = log.click_override[rounds, bidders, slots]
-        z = log.conv_override[rounds, bidders, slots] & y
+    if log.outcomes is not None:
+        click, conv = log.outcomes
+        y = click[rounds, bidders, slots]
+        z = conv[rounds, bidders, slots] & y
         return y.astype(np.uint8), z.astype(np.uint8)
     w0, w1, _, _ = philox4x64((log.config.seed, _OUTCOME_STREAM), (1, slots, bidders, rounds))
     y = _uniform_doubles(w0) < log.ctr[rounds, bidders, slots]
@@ -373,46 +367,40 @@ def write_market_csv(log: MarketLog, path: str) -> None:
     write_table(path, MARKET_CSV_HEADER, chunks())
 
 
-def _chunk_columns(chunk: list[str], row_type: np.dtype, where: str, N: int, M: int, max_rows: int) -> list[np.ndarray]:
+def _chunk_columns(chunk: list[str], row_type: np.dtype, where: str, N: int, M: int) -> list[np.ndarray]:
     """The columns of a chunk of market CSV lines, each checked.
 
     The chunk is parsed with row_type: int64 index and outcome cells, float64
-    rates. If that parse fails, or a check refuses what it gives (an index
-    or outcome outside [0, N), [0, M), [0, max_rows) or {0, 1}, or a rate
-    that is not finite), the chunk is parsed again as float64 cells, which
-    take every spelling (1.0 in an index column included), and checked
-    in turn: width, indices, rates, outcomes, then the N x M grid, so a bad
-    chunk's SchemaError names its first fault.
+    rates. If that parse fails, the chunk is parsed as float64 cells, which
+    take every spelling (1.0 in an index column included), and its rows must
+    be as wide as the header. Either parse's columns then go through one
+    check list: indices, rates, outcomes, then the N x M grid, so a bad
+    chunk's SchemaError names its first fault whichever parse read it.
     """
     try:
         data = np.loadtxt(chunk, dtype=row_type, delimiter=",", comments=None, ndmin=1)
         cols = [data[name] for name in row_type.names]
-        ints = cols[:3] + cols[6:]
-        in_range = all(0 <= c.min() and c.max() < top for c, top in zip(ints, (N, M, max_rows, 2, 2)))
-        if in_range and np.isfinite(cols[3:6]).all():
-            return cols
     except ValueError:
-        pass
-    try:
-        data = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise SchemaError(f"{where} is not a table of numbers: {exc}") from exc
-    if data.shape[1] != len(row_type.names):
-        raise SchemaError(f"{where}: row width does not match its header")
-    idx = data[:, :3]
-    if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
+        try:
+            data = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise SchemaError(f"{where} is not a table of numbers: {exc}") from exc
+        if data.shape[1] != len(row_type.names):
+            raise SchemaError(f"{where}: row width does not match its header")
+        cols = list(data.T)
+    if not all(np.all(np.isfinite(c) & (c >= 0) & (c == np.floor(c))) for c in cols[:3]):
         raise SchemaError(f"{where}: round, bidder and slot must be non-negative integers")
-    if not np.all(np.isfinite(data[:, 3:6])):
+    if not np.all(np.isfinite(cols[3:6])):
         raise SchemaError(f"{where}: ctr, cvr and value must be finite")
-    if not np.all((data[:, 6:] == 0) | (data[:, 6:] == 1)):
+    if not all(np.all((c == 0) | (c == 1)) for c in cols[6:]):
         raise SchemaError(f"{where}: click and conversion must be 0 or 1")
-    top_round, top_bidder = (int(top) for top in idx[:, :2].max(axis=0))
+    top_round, top_bidder = (int(c.max()) for c in cols[:2])
     if top_round >= N or top_bidder >= M:
         raise SchemaError(
             f"{where}: round {top_round} or bidder {top_bidder} lies outside the {N} rounds of "
             f"stage_plan and the {M} bidders of tcpa"
         )
-    return list(data.T)
+    return cols
 
 
 def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, seed: int = 0) -> MarketLog:
@@ -476,7 +464,7 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
                 chunk = [line for line in chunk if not line.isspace()]
                 if not chunk:
                     continue
-            cols = _chunk_columns(chunk, row_type, where, N, M, max_rows)
+            cols = _chunk_columns(chunk, row_type, where, N, M)
             del chunk
             top_slot = int(cols[2].max())
             if top_slot >= K:
@@ -506,8 +494,7 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
         raise SchemaError(f"{where}: duplicate rows left gaps in the (round, bidder, slot) grid")
     if np.any(ctr[:, :, 1:] > ctr[:, :, :-1]):
         raise SchemaError(f"{where}: ctr must be weakly decreasing across slots")
-    click, conv = outcomes or (None, None)
-    if click is not None and bool(np.any(conv > click)):
+    if outcomes and bool(np.any(outcomes[1] > outcomes[0])):
         raise SchemaError(f"{where}: conversion=1 requires click=1")
     try:
         config = MarketConfig(
@@ -528,6 +515,5 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
         ctr=ctr,
         cvr=cvr,
         value=value,
-        click_override=click,
-        conv_override=conv,
+        outcomes=tuple(outcomes) or None,
     )

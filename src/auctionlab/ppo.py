@@ -24,7 +24,7 @@ import copy
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,7 +72,9 @@ class RLConfig:
     updates: int = 60
     hidden: tuple[int, ...] = (64, 64)
     sigma_floor: float = 1e-3
-    adv_norm: bool = True
+    # Advantages are always normalised; the field is kept, not settable, so
+    # that asdict, and with it every recorded config_sha256, is unchanged.
+    adv_norm: bool = field(default=True, init=False)
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -193,17 +195,15 @@ def compute_reward(accuracy: float, smoothness: float, zeta: float) -> float:
     return accuracy + zeta * smoothness
 
 
-def softplus(g: float | np.ndarray) -> float | np.ndarray:
-    """log(1 + exp(g)) as np.logaddexp(0, g), which keeps large negative g
-    from underflowing to log(0).
+def softplus(g: float) -> float:
+    """log(1 + exp(g)) with the bits of np.logaddexp(0, g), which keeps large
+    negative g from underflowing to log(0).
 
-    A float g takes the libm calls that NumPy's scalar logaddexp(0, g)
-    makes, with Python floats: g + log1p(exp(-g)) above 0, log1p(exp(g))
-    below it, log 2 at 0. That gives the same bits for a fraction of the
-    cost of dispatching the ufunc on one value; arrays keep the ufunc.
+    It takes the libm calls that NumPy's scalar logaddexp(0, g) makes, with
+    Python floats: g + log1p(exp(-g)) above 0, log1p(exp(g)) below it, log 2
+    at 0. That gives the same bits for a fraction of the cost of dispatching
+    the ufunc on one value.
     """
-    if not isinstance(g, float):
-        return np.logaddexp(0.0, g)
     if g > 0.0:
         return g + math.log1p(math.exp(-g))
     if g < 0.0:
@@ -266,23 +266,21 @@ class GaussianPolicy:
         return action, g, logp
 
 
-def value_estimate(critic: MLP, features: np.ndarray) -> float | np.ndarray:
-    """Critic value of one (FEATURE_DIM,) row as a float, or of each row of a
-    (steps, FEATURE_DIM) batch as a (steps,) array.
+def value_estimate(critic: MLP, features: np.ndarray) -> np.ndarray:
+    """Critic value of each row of a (steps, FEATURE_DIM) batch, as a (steps,) array.
 
     Rows go through the net stacked as (steps, 1, FEATURE_DIM), each computed
-    alone, so a batched value has the same bits as the row's own value.
+    alone, so a row's value has the same bits whatever batch it is sent in.
 
     Raises:
         NumericalFault: a non-finite value, naming the first bad step.
     """
-    features = np.asarray(features, dtype=np.float64)
-    out, _ = critic.forward(features.reshape(-1, 1, features.shape[-1]))
+    out, _ = critic.forward(features[:, None, :])
     values = out[:, 0, 0]
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NumericalFault(f"critic output is not finite at step {bad[0]}: {values[bad[0]]}")
-    return float(values[0]) if features.ndim == 1 else values
+    return values
 
 
 def td_errors(rewards: np.ndarray, values: np.ndarray, gamma: float) -> np.ndarray:
@@ -644,8 +642,7 @@ def train(market_config: MarketConfig, rl: RLConfig, seed: int = 0) -> TrainResu
             curves.append(_curve_row(update, *[float("nan")] * 5))
             continue
         advantages, returns = trajectory_targets(traj, rl.gamma, rl.lam)
-        if rl.adv_norm:
-            advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+        advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         batch = TrainingBatch(traj.features, traj.actions_raw, traj.log_probs, advantages, returns)
 
         _, *pre = _loss_forward(policy, critic, batch, rl)[0]  # the curve logs the losses before the update

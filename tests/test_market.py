@@ -407,7 +407,7 @@ def test_market_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.cvr, log.cvr)
     np.testing.assert_array_equal(back.value, log.value)
     np.testing.assert_array_equal(back.tcpa, log.tcpa)
-    assert back.click_override is not None and back.conv_override is not None
+    assert back.outcomes is not None
     # Replayed outcomes equal live sampling for every triple.
     N, M, K = cfg.num_rounds, cfg.num_bidders, cfg.num_slots
     rr, mm, kk = np.meshgrid(np.arange(N), np.arange(M), np.arange(K), indexing="ij")
@@ -429,7 +429,7 @@ def test_market_csv_without_outcome_columns(tmp_path):
         for line in lines[1:]:
             fh.write(",".join(line.split(",")[:6]) + "\n")
     back = read_market_csv(bare, cfg.stage_plan, log.tcpa, seed=cfg.seed)
-    assert back.click_override is None and back.conv_override is None
+    assert back.outcomes is None
     np.testing.assert_array_equal(back.ctr, log.ctr)
 
 
@@ -509,7 +509,7 @@ def test_market_csv_skips_blank_lines(tmp_path):
         fh.writelines(line + "\n\n  \n" for line in lines)
     back = read_market_csv(spaced, cfg.stage_plan, log.tcpa)
     np.testing.assert_array_equal(back.ctr, log.ctr)
-    np.testing.assert_array_equal(back.click_override, read_market_csv(path, cfg.stage_plan, log.tcpa).click_override)
+    np.testing.assert_array_equal(back.outcomes, read_market_csv(path, cfg.stage_plan, log.tcpa).outcomes)
     # A run of more blank and whitespace-only lines than a chunk holds, so
     # one chunk of lines holds no data row at all.
     header, *rows = lines
@@ -522,7 +522,7 @@ def test_market_csv_skips_blank_lines(tmp_path):
 
 
 def _assert_reads_like(back, canonical):
-    for name in ("ctr", "cvr", "value", "tcpa", "click_override", "conv_override"):
+    for name in ("ctr", "cvr", "value", "tcpa", "outcomes"):
         np.testing.assert_array_equal(getattr(back, name), getattr(canonical, name), err_msg=name)
 
 
@@ -691,7 +691,7 @@ def test_market_csv_rows_in_any_order(tmp_path, order):
     _write_lines(reordered, [header] + rows)
     back = read_market_csv(reordered, cfg.stage_plan, log.tcpa, seed=cfg.seed)
     in_order = read_market_csv(path, cfg.stage_plan, log.tcpa, seed=cfg.seed)
-    for name in ("ctr", "cvr", "value", "tcpa", "click_override", "conv_override"):
+    for name in ("ctr", "cvr", "value", "tcpa", "outcomes"):
         np.testing.assert_array_equal(getattr(back, name), getattr(in_order, name), err_msg=name)
     _assert_replays_live(back, log)
 
@@ -724,7 +724,7 @@ def test_market_csv_round_trip_memory_is_bounded(tmp_path):
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in (back.ctr, back.cvr, back.value, back.click_override, back.conv_override))
+    returned = sum(a.nbytes for a in (back.ctr, back.cvr, back.value, *back.outcomes))
     assert write_peak < 640 * CHUNK_ROWS, write_peak  # 10 MiB
     assert read_peak < 3 * returned + 256 * CHUNK_ROWS, (read_peak, returned)
 
@@ -738,8 +738,7 @@ def test_replay_overrides_gate_conversions_by_click():
         ctr=log.ctr,
         cvr=log.cvr,
         value=log.value,
-        click_override=np.array([[[0]], [[1]]], dtype=np.uint8),
-        conv_override=np.array([[[1]], [[1]]], dtype=np.uint8),
+        outcomes=(np.array([[[0]], [[1]]], dtype=np.uint8), np.array([[[1]], [[1]]], dtype=np.uint8)),
     )
     y, z = sample_outcomes(log, np.array([0, 1]), np.array([0, 0]), np.array([0, 0]))
     assert list(y) == [0, 1]

@@ -308,16 +308,16 @@ def test_act_faults_on_a_stddev_or_action_that_overflows():
 
 def test_value_estimate_linear_and_fault():
     critic = _zero_critic()
-    assert value_estimate(critic, np.ones(FEATURE_DIM)) == 0.0
+    assert value_estimate(critic, np.ones((1, FEATURE_DIM)))[0] == 0.0
     flat = np.zeros(critic.num_params)
     flat[0] = 2.5  # weight on feature 0
     critic.set_flat(flat)
-    feats = np.zeros(FEATURE_DIM)
-    feats[0] = 1.5
-    assert value_estimate(critic, feats) == 2.5 * 1.5
+    feats = np.zeros((1, FEATURE_DIM))
+    feats[0, 0] = 1.5
+    assert value_estimate(critic, feats)[0] == 2.5 * 1.5
     critic.set_flat(np.full(critic.num_params, np.inf))
     with pytest.raises(NumericalFault):
-        value_estimate(critic, np.ones(FEATURE_DIM))
+        value_estimate(critic, np.ones((1, FEATURE_DIM)))
 
 
 def test_act_and_value_match_reference_bits():
@@ -330,7 +330,7 @@ def test_act_and_value_match_reference_bits():
         want = reference_act(policy, feats, rng=np.random.Generator(np.random.Philox(key=[3, 12])))
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert policy.act(feats) == reference_act(policy, feats)
-        assert np.float64(value_estimate(critic, feats)).tobytes() == np.float64(
+        assert np.float64(value_estimate(critic, feats[None])[0]).tobytes() == np.float64(
             reference_value_estimate(critic, feats)).tobytes()
 
 
@@ -358,7 +358,6 @@ def test_float_softplus_has_the_bits_of_numpy_logaddexp(g):
     assert type(got) is float
     assert _bits(got) == np.logaddexp(0.0, g).tobytes()
     assert _bits(got) == np.logaddexp(0.0, np.array([g]))[0].tobytes()
-    assert _bits(got) == softplus(np.array([g]))[0].tobytes()
 
 
 def test_float_softplus_keeps_the_special_values_bits():
@@ -423,7 +422,7 @@ def test_batched_values_match_per_row_bits(hidden, steps, seed):
     values = value_estimate(critic, feats)
     assert values.shape == (steps,)
     for row, got in zip(feats, values.tolist()):
-        assert np.float64(got).tobytes() == np.float64(value_estimate(critic, row)).tobytes()
+        assert np.float64(got).tobytes() == np.float64(value_estimate(critic, row[None])[0]).tobytes()
         assert np.float64(got).tobytes() == np.float64(reference_value_estimate(critic, row)).tobytes()
 
 
