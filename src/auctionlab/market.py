@@ -257,8 +257,9 @@ class MarketLog:
     for bids of the same bytes, its text for a piece of scores equal to its
     own (see ``mechanisms.run_auction`` and ``mechanisms.write_rounds_csv``).
     It is never copied: a log made with ``dataclasses.replace`` starts with
-    an empty memo, and the arrays above must not be changed in place once a
-    run has used the log.
+    an empty memo. ``generate_market`` and ``read_market_csv`` return their
+    arrays read-only, so a write in place raises instead of leaving the memo
+    stale.
     """
 
     config: MarketConfig
@@ -306,6 +307,8 @@ def generate_market(config: MarketConfig) -> MarketLog:
     np.negative(ctr, out=ctr)
     cvr = scale(_stream(seed, _CVR_STREAM).random((N, M)), config.cvr_range)
     value = scale(_stream(seed, _VALUE_STREAM).random((N, M)), config.value_range)
+    for a in (tcpa, ctr, cvr, value):
+        a.flags.writeable = False
     return MarketLog(config=config, tcpa=tcpa, ctr=ctr, cvr=cvr, value=value)
 
 
@@ -367,15 +370,43 @@ def write_market_csv(log: MarketLog, path: str) -> None:
     write_table(path, MARKET_CSV_HEADER, chunks())
 
 
-def _chunk_columns(chunk: list[str], row_type: np.dtype, where: str, N: int, M: int) -> list[np.ndarray]:
+def _reads_as_numbers(text: str) -> bool:
+    """Whether np.loadtxt reads text, a row of cells or one cell, as float64 numbers."""
+    try:
+        np.loadtxt([text], delimiter=",", comments=None)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_fault(chunk: list[str], lines, width: int) -> str | None:
+    """Where the float64 parse of a chunk fails: the file line (from lines,
+    one per chunk line) of the first row that is not width cells wide or
+    holds a cell that is not a number, and that cell."""
+    for n, text in zip(lines, chunk):
+        cells = text.rstrip("\r\n").split(",")
+        if len(cells) != width:
+            return f"line {n} has {len(cells)} cells, not the header's {width}"
+        if _reads_as_numbers(text):
+            continue
+        for j, cell in enumerate(cells, start=1):
+            # A blank cell alone would read as a blank line, which loadtxt skips.
+            if not cell.strip() or not _reads_as_numbers(cell):
+                return f"line {n}, column {j} holds {cell!r}"
+    return None
+
+
+def _chunk_columns(chunk: list[str], lines, row_type: np.dtype, where: str, N: int, M: int) -> list[np.ndarray]:
     """The columns of a chunk of market CSV lines, each checked.
 
     The chunk is parsed with row_type: int64 index and outcome cells, float64
     rates. If that parse fails, the chunk is parsed as float64 cells, which
     take every spelling (1.0 in an index column included), and its rows must
-    be as wide as the header. Either parse's columns then go through one
-    check list: indices, rates, outcomes, then the N x M grid, so a bad
-    chunk's SchemaError names its first fault whichever parse read it.
+    be as wide as the header; a row of another width, or a cell that neither
+    parse reads, is named by its file line (lines holds one per chunk line).
+    Either parse's columns then go through one check list: indices, rates,
+    outcomes, then the N x M grid, so a bad chunk's SchemaError names its
+    first fault whichever parse read it.
     """
     try:
         data = np.loadtxt(chunk, dtype=row_type, delimiter=",", comments=None, ndmin=1)
@@ -384,7 +415,8 @@ def _chunk_columns(chunk: list[str], row_type: np.dtype, where: str, N: int, M: 
         try:
             data = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
-            raise SchemaError(f"{where} is not a table of numbers: {exc}") from exc
+            fault = _parse_fault(chunk, lines, len(row_type.names)) or str(exc)
+            raise SchemaError(f"{where} is not a table of numbers: {fault}") from exc
         if data.shape[1] != len(row_type.names):
             raise SchemaError(f"{where}: row width does not match its header")
         cols = list(data.T)
@@ -429,7 +461,7 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
             column, or rates or a stage_plan that MarketConfig refuses.
     """
     where = f"market CSV {path}"
-    tcpa = np.asarray(tcpa, dtype=np.float64)
+    tcpa = np.array(tcpa, dtype=np.float64)
     N, M = sum(int(n) for n in stage_plan), tcpa.shape[0] if tcpa.ndim == 1 else 0
     if N < 1 or M < 1:
         raise SchemaError(f"{where}: stage_plan {tuple(stage_plan)} and tcpa of shape {tcpa.shape} give no grid")
@@ -457,14 +489,18 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
         K = rows = 0
         row_type = np.dtype([(name, np.float64 if name in ("ctr", "cvr", "value") else np.int64)
                              for name in base_cols[:width]])
+        first = 2  # the file line of the chunk's first line; the header is line 1
         while chunk := list(itertools.islice(fh, CHUNK_ROWS)):
+            lines = range(first, first + len(chunk))
+            first += len(chunk)
             if any(map(str.isspace, chunk)):
                 # Blank and whitespace-only lines are skipped, and loadtxt,
                 # which warns on input without data, never sees an empty chunk.
-                chunk = [line for line in chunk if not line.isspace()]
+                lines = [n for n, text in zip(lines, chunk) if not text.isspace()]
+                chunk = [text for text in chunk if not text.isspace()]
                 if not chunk:
                     continue
-            cols = _chunk_columns(chunk, row_type, where, N, M)
+            cols = _chunk_columns(chunk, lines, row_type, where, N, M)
             del chunk
             top_slot = int(cols[2].max())
             if top_slot >= K:
@@ -509,6 +545,8 @@ def read_market_csv(path: str, stage_plan: tuple[int, ...], tcpa: np.ndarray, se
         )
     except ConfigError as exc:
         raise SchemaError(f"{where}: {exc}") from None
+    for a in (tcpa, ctr, cvr, value, *outcomes):
+        a.flags.writeable = False
     return MarketLog(
         config=config,
         tcpa=tcpa,

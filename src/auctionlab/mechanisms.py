@@ -265,9 +265,9 @@ def run_auction(
     that meets those bids in a stage reuses the allocation and outcomes,
     with the same bits as recomputing them. A pass under moved bids is
     computed and not kept. ``write_rounds_csv`` keeps score text beside a
-    kept pass and reuses it only for scores equal to the pass's. The log's
-    arrays must not be changed in place between runs;
-    ``dataclasses.replace`` gives a copy with an empty memo.
+    kept pass and reuses it only for scores equal to the pass's. The arrays
+    of a generated or replayed log are read-only, so no write can leave the
+    memo stale; ``dataclasses.replace`` gives a copy with an empty memo.
 
     Args:
         market: generated or replayed market log.

@@ -593,6 +593,78 @@ def test_market_csv_hostile_inputs(tmp_path, edit):
             read_market_csv(bad, cfg.stage_plan, log.tcpa)
 
 
+@pytest.mark.parametrize(
+    "row,col,cell,needle",
+    [
+        pytest.param(2, 1, "-1", "must be non-negative integers", id="negative_bidder"),
+        pytest.param(2, 0, "6", "round 6 or bidder 2 lies outside", id="round_past_the_grid"),
+        pytest.param(2, 6, "2", "must be 0 or 1", id="click_two"),
+        pytest.param(2, 4, "nan", "must be finite", id="nan_rate"),
+        pytest.param(2, 3, "inf", "must be finite", id="inf_rate"),
+    ],
+)
+def test_market_csv_fault_reads_the_same_whichever_parse_reads_the_chunk(tmp_path, row, col, cell, needle):
+    # The int-spelled file goes through the typed parse; spelling one index
+    # cell 1.0 sends the same chunk through the float parse.
+    cfg = _tiny_config(seed=8)
+    log = generate_market(cfg)
+    path = str(tmp_path / "m.csv")
+    write_market_csv(log, path)
+    lines = _edit_cell(Path(path).read_text().splitlines(), row, col, cell)
+    assert lines[3].split(",")[1] == "1"
+    messages = []
+    for spelled in (lines, _edit_cell(lines, 3, 1, "1.0")):
+        _write_lines(path, spelled)
+        with pytest.raises(SchemaError, match=needle) as err:
+            read_market_csv(path, cfg.stage_plan, log.tcpa)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_market_csv_names_the_file_line_of_a_cell_that_is_not_a_number(tmp_path):
+    # 52,500 rows (1,500 rounds x 5 bidders x 7 slots), four chunks; the
+    # last row, file line 52,501, is the 3,348th of the last chunk.
+    cfg = _tiny_config(num_bidders=5, num_slots=7, stage_plan=(750, 750), seed=4)
+    log = generate_market(cfg)
+    path = str(tmp_path / "m.csv")
+    write_market_csv(log, path)
+    lines = Path(path).read_text().splitlines()
+    assert len(lines) == 52_501
+    _write_lines(path, _edit_cell(lines, -1, 3, "x"))
+    with pytest.raises(SchemaError, match="not a table of numbers: line 52501, column 4 holds 'x'"):
+        read_market_csv(path, cfg.stage_plan, log.tcpa)
+
+
+def test_market_csv_names_the_file_line_of_a_short_row_after_blank_lines(tmp_path):
+    # 16,800 rows with 100 blank lines after the tenth: the short last row,
+    # file line 16,901, falls in the second chunk of lines.
+    cfg = _tiny_config(num_bidders=4, num_slots=2, stage_plan=(1000, 1100), seed=6)
+    log = generate_market(cfg)
+    path = str(tmp_path / "m.csv")
+    write_market_csv(log, path)
+    header, *rows = Path(path).read_text().splitlines()
+    rows[-1] = rows[-1].rsplit(",", 1)[0]
+    _write_lines(path, [header] + rows[:10] + [""] * 100 + rows[10:])
+    with pytest.raises(SchemaError, match="not a table of numbers: line 16901 has 7 cells, not the header's 8"):
+        read_market_csv(path, cfg.stage_plan, log.tcpa)
+
+
+def test_market_arrays_are_read_only(tmp_path):
+    # The outcome memo is computed from a log's arrays, so a write into one
+    # raises rather than leaving the memo stale. The reader copies the
+    # caller's tcpa and leaves that array writeable.
+    cfg = _tiny_config(seed=2)
+    log = generate_market(cfg)
+    path = str(tmp_path / "m.csv")
+    write_market_csv(log, path)
+    tcpa = np.array(log.tcpa)
+    back = read_market_csv(path, cfg.stage_plan, tcpa, seed=cfg.seed)
+    for a in (log.tcpa, log.ctr, log.cvr, log.value, back.tcpa, back.ctr, back.cvr, back.value, *back.outcomes):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
+    assert tcpa.flags.writeable
+
+
 @pytest.mark.parametrize("slot_major", [False, True])
 def test_market_csv_duplicate_row_leaves_a_named_gap(tmp_path, slot_major):
     # The last slot-1 row is replaced by a copy of another. Slot-major order
