@@ -6,7 +6,8 @@ exactly what a per-row ``f"{int(v)}"``/``f"{repr(float(v))}"`` writer prints.
 The same table therefore always gives the same bytes.
 
 Tables are written one chunk of rows at a time: each chunk's columns are
-formatted whole (``tolist`` plus ``map``) and joined into one string, so peak
+formatted whole (``_repr_cells`` for floats, ``tolist`` plus ``map(str)``
+otherwise) and joined into one string, so peak
 memory holds one chunk's cells rather than a Python string per cell of the
 whole table. Whole columns are sliced CHUNK_ROWS rows at a time; a caller
 that builds its rows as it goes (the market CSV) passes an iterator of
@@ -19,16 +20,26 @@ index. A bool column prints 1/0.
 A column may also be given as one ``str``, its cells joined by newlines:
 text formatted once can then be written into later tables as it is. A float
 chunk with mostly distinct values (a rounds table's ``score``) costs one
-``repr`` per cell, the bulk of writing a table; ``write_rounds_csv`` keeps
+kernel cell per value, the bulk of writing a table; ``write_rounds_csv`` keeps
 that text with the market's outcome passes and passes it back this way. A
 chunk from an iterator may also give a column as a list of ready cells
 (``str``): ``write_market_csv`` formats each (round, bidder) pair's cvr and
 value once and repeats the text over the pair's slots.
+
+``_repr_cells`` prints exactly ``repr``'s text for a float chunk, computed
+in NumPy a block of values at a time: Ryū's shortest round-trip digits from
+64 x 128-bit products on uint64 and uint32 lanes, then the digits as ASCII
+words in one zero-padded matrix whose nonzero bytes are the cells. Values
+off the path it verifies (nan, inf, zero-exponent and huge values, exact
+powers of two, Ryū's trailing-zero case, and exponent-form text) and every
+chunk below ``_KERNEL_MIN`` values keep ``repr``.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator, Sequence
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,6 +50,203 @@ CHUNK_ROWS = 1 << 14
 # format-once path; a mostly distinct column would only pay for the sort.
 _PROBE = 256
 
+# The float kernel (_repr_cells) costs about 0.12 ms per pass before its
+# per-value work, so it only beats map(repr) from about 400 values on
+# (measured); smaller chunks keep repr.
+_KERNEL_MIN = 512
+# At most this many values per pass bounds its uint64 temporaries to 16 KiB
+# each, which measured faster than 4,096 or 8,192.
+_KERNEL_BLOCK = 2048
+_M32 = np.uint64(0xFFFFFFFF)
+_TEN = np.uint64(10)
+
+
+def _mul128(a0: np.ndarray, a1: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high uint64 words of (a0 + a1 * 2**32) * d, for a0, a1 < 2**32:
+    four 32 x 32-bit products, so every step is exact in uint64."""
+    d0 = d & _M32
+    d1 = d >> 32
+    ll = a0 * d0
+    lh = a0 * d1
+    hl = a1 * d0
+    d1 *= a1
+    mid = (ll >> 32) + (lh & _M32) + (hl & _M32)
+    ll &= _M32
+    ll |= mid << 32
+    d1 += (lh >> 32) + (hl >> 32) + (mid >> 32)
+    return ll, d1
+
+
+def _ryu_scaled(mv: np.ndarray, t: SimpleNamespace, E: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ryū's vm, vr, vp: floor((mv + d) * C / 2**j) for d = -2, 0, 2, where
+    C is the 125-bit multiplier 5**i * 2**-k of each value's exponent E."""
+    cl, ch, s, r = t.cl[E], t.ch[E], t.s[E], t.r[E]
+    a0, a1 = mv & _M32, mv >> 32
+    lo, hi = _mul128(a0, a1, cl)
+    h0, h1 = _mul128(a0, a1, ch)
+    h0 += hi
+    h1 += h0 < hi
+    # (mv +- 2) * C = mv * C +- 2C, added to the 192-bit (lo, h0, h1) with carries.
+    kl, kh = cl << 1, (ch << 1) | (cl >> 63)
+    up = kh + ((lo + kl) < kl)
+    h0p = h0 + up
+    down = kh + (lo < kl)
+    return (((h0 - down) >> s) | ((h1 - (h0 < down)) << r), (h0 >> s) | (h1 << r),
+            (h0p >> s) | ((h1 + (h0p < up)) << r))
+
+
+@functools.cache
+def _ryu_tables() -> SimpleNamespace:
+    """The kernel's tables, built on its first call (not at import).
+
+    Per biased exponent E of a double with e2 = E - 1077 < 0 (Ryū's e2,
+    two bits below the mantissa) and q = floor(log10(5**-e2)) - 1 >= 2:
+    Ryū's 125-bit 5**i multiplier (i = -e2 - q) as two uint64 words, the
+    shift j as s = j - 64 and r = 128 - j, the mask that finds a trailing-
+    zero vr (4 * m2 a multiple of 2**q), e10 = q + e2, and where vr gains a
+    digit (so decpt = dec + (vr >= thr)). Every other E has zeros: its
+    values take repr. Also the ASCII words of 4-digit groups and the masks
+    that blank a group's leading digits."""
+    i = np.arange(326)
+    bits5 = (i * 1217359 >> 19) + 1  # bit length of 5**i
+    pow5 = [5 ** k >> b - 125 if b > 125 else 5 ** k << 125 - b for k, b in enumerate(bits5.tolist())]
+    E = np.arange(2048)
+    e2 = np.minimum(E - 1077, -2)
+    q = ((-e2 * 732923) >> 20) - 1
+    ii = np.clip(-e2 - q, 0, 325)
+    j = q + 125 - bits5[ii]
+    valid = (E >= 1) & (q >= 2)  # e2 <= -5, so |x| < 2**50
+
+    def per_exponent(values, dtype=np.uint64):
+        return np.where(valid, values, 0).astype(dtype)
+
+    t = SimpleNamespace(
+        cl=per_exponent(np.array([c & 2 ** 64 - 1 for c in pow5], np.uint64)[ii]),
+        ch=per_exponent(np.array([c >> 64 for c in pow5], np.uint64)[ii]),
+        s=per_exponent(j - 64), r=per_exponent(128 - j),
+        qmask=per_exponent((np.uint64(1) << np.minimum(q, 63).astype(np.uint64)) - np.uint64(1)),
+        e10=per_exponent(q + e2, np.int64),
+        p10=np.array([10 ** k for k in range(20)], np.uint64),
+    )
+    # vr of the smallest mantissa sets each exponent's digit count; vr below
+    # twice that adds at most one digit.
+    low = _ryu_scaled(np.full(2048, 1 << 54, np.uint64), t, E)[1]
+    digits = np.searchsorted(t.p10, low, side="right")
+    t.dec = per_exponent(digits + q + e2, np.int64)
+    t.thr = per_exponent(t.p10[np.minimum(digits, 19)])
+    d = np.arange(10000)
+    ascii4 = (np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + 48).astype(np.uint8)
+    t.words = ascii4.view(np.uint32).ravel()
+    # A field's lowest group holds 3 digits and then "." (the whole part) or
+    # "\n" (the fraction, which ends the cell).
+    t.low = {end: np.concatenate([ascii4[:1000, 1:], np.full((1000, 1), ord(end), np.uint8)], axis=1)
+             .view(np.uint32).ravel() for end in ".\n"}
+    # Row 32 + k of masks[width] keeps a group's last k digits (all from
+    # k = width on), and a 3-digit group's end byte always.
+    k = np.arange(160)[:, None] - 32
+    pos = np.arange(4)
+    t.masks = {width: np.where((pos >= width - k) | (pos >= width), 255, 0).astype(np.uint8)
+               .view(np.uint32).ravel() for width in (3, 4)}
+    t.minus = np.frombuffer(b"\0\0\0-", np.uint32)[0]
+    return t
+
+
+def _digit_words(mat: np.ndarray, right: int, groups: int, val: np.ndarray, n: np.ndarray,
+                 shown: np.ndarray, low: np.ndarray, t: SimpleNamespace) -> None:
+    """Write val's last n digits (n >= its digit count, zero-filled) into
+    the groups word columns of mat that end at column right, leading bytes
+    zero: first a 3-digit group with low's end byte, then 4-digit groups
+    leftwards. Only groups that some shown cell ends inside are masked."""
+    nmin = int(n.min(where=shown, initial=99))
+    for g in range(groups):
+        width, first, base = (3, 0, np.uint64(1000)) if g == 0 else (4, 4 * g - 1, np.uint64(10000))
+        q = val // base
+        val -= q * base
+        word = (low if g == 0 else t.words)[val.view(np.int64)]
+        if nmin < first + width:
+            word &= t.masks[width][n + (32 - first)]
+        mat[:, right - g] = word
+        val = q
+
+
+def _repr_block(x: np.ndarray) -> list[str]:
+    """repr of each float64 of x, one kernel pass."""
+    t = _ryu_tables()
+    bits = x.view(np.uint64)
+    E = (bits >> 52).view(np.int64) & 0x7FF
+    mant = bits & np.uint64((1 << 52) - 1)
+    mv = (mant | np.uint64(1 << 52)) << 2
+    vm, vr, vp = _ryu_scaled(mv, t, E)
+    decpt = t.dec[E] + (vr >= t.thr[E])
+    # Off the verified path, repr writes the cell: zero or subnormal,
+    # inf or nan or |x| >= 2**50 (all through the tables' zeros), an exact
+    # power of two (a lower bound half as far), a trailing-zero vr (where
+    # Ryū needs its general path), and decpt outside repr's fixed notation.
+    ok = (mant != 0) & ((mv & t.qmask[E]) != 0) & (decpt >= -3) & (decpt <= 16)
+    # Drop digits while (vm, vp] still holds a multiple of ten: the count is
+    # where floor(vp / 10**k) > floor(vm / 10**k) stops holding.
+    removed = np.zeros(x.size, np.int64)
+    p, m = vp, vm
+    while True:
+        p = p // _TEN
+        m = m // _TEN
+        more = p > m
+        if not more.any():
+            break
+        removed += more
+    kept = vr // t.p10[removed - 1]  # every verified lane drops at least one digit
+    vr = kept // _TEN
+    out = vr + ((vr == vm // t.p10[removed]) | (kept - vr * _TEN >= 5))
+    shown = ok | ((bits << 1) == 0)  # zeros go through the kernel as 0.0 and -0.0
+    out *= ok
+    exp = (t.e10[E] + removed) * ok
+    # The cell is [-] whole "." fraction: the fraction has -exp digits
+    # (at least one), the whole part decpt (at least one).
+    frac = np.maximum(-exp, 0)
+    p = t.p10[np.minimum(frac, 19)]  # out < 10**17: a longer fraction has whole part 0
+    whole = out // p
+    fraction = out - whole * p
+    whole *= t.p10[np.maximum(exp, 0)]
+    fields = [(whole, np.maximum(decpt, 1), "."), (fraction, np.maximum(frac, 1), "\n")]
+    # Word groups of 3, 4, 4, ... digits, enough for the longest shown field.
+    groups = [1 + (max(int(n.max(where=shown, initial=1)) - 3, 0) + 3) // 4 for _, n, _ in fields]
+    neg = (bits >> 63).astype(bool)
+    sign = int(neg.any())  # a first word for "-" when some cell needs one
+    mat = np.zeros((x.size, sign + sum(groups)), np.uint32)
+    if sign:
+        mat[neg, 0] = t.minus
+    right = sign - 1
+    for (val, n, end), count in zip(fields, groups):
+        right += count
+        _digit_words(mat, right, count, val, n, shown, t.low[end], t)
+    # bytes.translate drops the zero bytes faster than np.compress does.
+    cells = mat.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    cells.pop()
+    for i in np.flatnonzero(~shown).tolist():
+        cells[i] = repr(float(x[i]))
+    return cells
+
+
+def _repr_cells(values: np.ndarray) -> list[str]:
+    """Exactly ``list(map(repr, values.tolist()))`` for a float array, the
+    text computed over whole blocks by Ryū's shortest round-trip digits
+    (Adams, PLDI 2018) in integer NumPy arithmetic, so it is the same on
+    every CPU. Chunks below _KERNEL_MIN values, and wider floats, keep repr."""
+    if values.size < _KERNEL_MIN or values.dtype.itemsize > 8:
+        return list(map(repr, values.tolist()))
+    # Widens float16/32 exactly, as tolist does; a signalling nan's quiet bit
+    # is set on the way, which tolist does silently too.
+    with np.errstate(invalid="ignore"):
+        x = np.ascontiguousarray(values, dtype=np.float64)
+    cells = []
+    for block in np.array_split(x, -(-x.size // _KERNEL_BLOCK)):  # equal passes: no short last one
+        cells += _repr_block(block)
+    return cells
+
+
+def _str_cells(values: np.ndarray) -> list[str]:
+    return list(map(str, values.tolist()))
+
 
 def _format_column(col: np.ndarray) -> list[str]:
     """The cells of one nonempty chunk of a column, top to bottom."""
@@ -46,7 +254,7 @@ def _format_column(col: np.ndarray) -> list[str]:
         col = col.view(np.uint8)  # 1/0, as int(v) prints a bool
     kind = col.dtype.kind
     if kind not in "iuf":
-        return list(map(str, col.tolist()))
+        return _str_cells(col)
     if kind in "iu":
         lo, hi = col.min(), col.max()
         if int(hi) - int(lo) < 2 * col.size:
@@ -56,7 +264,7 @@ def _format_column(col: np.ndarray) -> list[str]:
             unsigned = np.dtype(f"u{col.itemsize}")
             offset = col.view(unsigned) - np.asarray(lo).view(unsigned)
             return np.array(list(map(str, range(int(lo), int(hi) + 1))), dtype=object)[offset].tolist()
-    to_str = repr if kind == "f" else str
+    to_text = _repr_cells if kind == "f" else _str_cells
     head = col[:_PROBE]
     if (
         # A set counts the head's distinct values: np.unique without indices
@@ -66,8 +274,8 @@ def _format_column(col: np.ndarray) -> list[str]:
         and not (kind == "f" and (np.isnan(col).any() or (np.signbit(col) & (col == 0.0)).any()))
     ):
         distinct, inverse = np.unique(col, return_inverse=True)
-        return np.array(list(map(to_str, distinct.tolist())), dtype=object)[inverse].tolist()
-    return list(map(to_str, col.tolist()))
+        return np.array(to_text(distinct), dtype=object)[inverse].tolist()
+    return to_text(col)
 
 
 def _chunk_length(header: str, cols: list) -> int:

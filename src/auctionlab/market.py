@@ -40,7 +40,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .csvio import CHUNK_ROWS, write_table
+from .csvio import CHUNK_ROWS, _repr_cells, write_table
 from .errors import ConfigError, SchemaError, _open_input
 
 MARKET_CSV_HEADER = "round,bidder,slot,ctr,cvr,value,click,conversion"
@@ -357,7 +357,7 @@ def write_market_csv(log: MarketLog, path: str) -> None:
     per_chunk = max(1, CHUNK_ROWS // K)
 
     def repeated(rates: np.ndarray) -> list[str]:
-        return np.array(list(map(repr, rates.tolist())), dtype=object).repeat(K).tolist()
+        return np.array(_repr_cells(rates), dtype=object).repeat(K).tolist()
 
     def chunks():
         for lo in range(0, N * M, per_chunk):

@@ -1,9 +1,14 @@
 """write_table against the per-row f-string writer it replaced."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from auctionlab.csvio import CHUNK_ROWS, write_table
+from auctionlab.csvio import _KERNEL_MIN, CHUNK_ROWS, _repr_cells, write_table
 from auctionlab.errors import ContractViolation
 
 
@@ -129,3 +134,65 @@ def test_str_column_writes_the_cells_it_joins(tmp_path, rows):
         write_table(str(tmp_path / "t.csv"), "round,score", [index, text + "\n0.5"])
     with pytest.raises(ContractViolation):
         write_table(str(tmp_path / "t.csv"), "round,score", iter([[index[1:], text]]))
+
+
+# The float kernel against repr. Every set holds at least _KERNEL_MIN values,
+# so the kernel formats it rather than its small-chunk repr path.
+@functools.cache
+def _kernel_sets() -> dict:
+    rng = np.random.default_rng(29)
+    bits = rng.integers(0, 2 ** 63, 200_000, dtype=np.uint64) * np.uint64(2) + rng.integers(0, 2, 200_000, dtype=np.uint64)
+    decades = np.concatenate([10.0 ** k * (1 + 9 * rng.random(2000)) for k in range(-6, 18)])
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    digits = [str(rng.integers(1, 10 ** int(rng.integers(1, 18)))) for _ in range(20_000)]
+    decimal_strings = [f"{d}e{int(rng.integers(-30, 22))}" if i % 2 else f"0.{d}" for i, d in enumerate(digits)]
+    return {
+        # Every exponent, nan payloads, subnormals and both signs.
+        "bit_patterns": bits.view(np.float64),
+        "decades": np.concatenate([decades, np.nextafter(decades, -np.inf), np.nextafter(decades, np.inf)]),
+        "powers_of_two": np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers]),
+        # At most 17 digits: digit removal, down to one digit, and the strip
+        # of repr's trailing zeros.
+        "decimal_strings": np.array([float(v) for v in decimal_strings]),
+        "special": np.tile(SPECIAL_FLOATS, _KERNEL_MIN // len(SPECIAL_FLOATS) + 1),
+        # float32 widens exactly, as tolist does.
+        "float32": np.concatenate([rng.integers(0, 2 ** 32, 50_000, dtype=np.uint64).astype(np.uint32).view(np.float32),
+                                   rng.random(5000).astype(np.float32)]),
+    }
+
+
+def assert_repr_cells(values):
+    got, want = _repr_cells(values), list(map(repr, values.tolist()))
+    assert len(got) == len(want)
+    assert [(w, g) for w, g in zip(want, got) if w != g][:5] == []
+
+
+def test_kernel_sets_cover_what_they_name():
+    sets = _kernel_sets()
+    assert min(v.size for v in sets.values()) >= _KERNEL_MIN
+    bits = sets["bit_patterns"].view(np.uint64)
+    assert np.unique(bits >> np.uint64(52) & np.uint64(0x7FF)).size == 2048
+    assert (np.isnan(sets["bit_patterns"]) & (bits << np.uint64(13) != 0)).sum() > 10  # payloads beyond the quiet bit
+    assert np.signbit(sets["bit_patterns"]).any() and not np.signbit(sets["bit_patterns"]).all()
+
+
+@pytest.mark.parametrize("name", list(_kernel_sets()))
+def test_kernel_matches_repr(name):
+    assert_repr_cells(_kernel_sets()[name])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(arrays(np.float64, st.integers(_KERNEL_MIN, 3 * _KERNEL_MIN), elements=st.floats()))
+def test_kernel_matches_repr_on_any_floats(values):
+    assert_repr_cells(values)
+
+
+@pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_kernel_columns_write_reference_bytes(tmp_path, rows):
+    # Plain float columns, a float32 one, and one whose repeated values take
+    # the format-once path with more distinct values than the cut-off.
+    sets = _kernel_sets()
+    rng = np.random.default_rng(rows)
+    columns = [rng.choice(sets[name], rows) for name in ("bit_patterns", "decades", "decimal_strings", "float32")]
+    columns.append(np.repeat(sets["decades"], 4)[:rows])
+    assert_same_bytes(tmp_path, "bits,decades,decimal,f32,repeated", columns)
