@@ -141,7 +141,8 @@ def test_str_column_writes_the_cells_it_joins(tmp_path, rows):
 @functools.cache
 def _kernel_sets() -> dict:
     rng = np.random.default_rng(29)
-    bits = rng.integers(0, 2 ** 63, 200_000, dtype=np.uint64) * np.uint64(2) + rng.integers(0, 2, 200_000, dtype=np.uint64)
+    bits = rng.integers(0, 2 ** 63, 200_000, dtype=np.uint64) * np.uint64(2)
+    bits += rng.integers(0, 2, 200_000, dtype=np.uint64)
     decades = np.concatenate([10.0 ** k * (1 + 9 * rng.random(2000)) for k in range(-6, 18)])
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     digits = [str(rng.integers(1, 10 ** int(rng.integers(1, 18)))) for _ in range(20_000)]
