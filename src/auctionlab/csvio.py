@@ -17,12 +17,7 @@ once and gathers the strings by offset; any other numeric chunk that repeats
 few distinct values formats each of them once and gathers the strings by
 index. A bool column prints 1/0.
 
-A column may also be given as one ``str``, its cells joined by newlines:
-text formatted once can then be written into later tables as it is. A float
-chunk with mostly distinct values (a rounds table's ``score``) costs one
-kernel cell per value, the bulk of writing a table; ``write_rounds_csv`` keeps
-that text with the market's outcome passes and passes it back this way. A
-chunk from an iterator may also give a column as a list of ready cells
+A chunk from an iterator may also give a column as a list of ready cells
 (``str``): ``write_market_csv`` formats each (round, bidder) pair's cvr and
 value once and repeats the text over the pair's slots.
 
@@ -305,23 +300,21 @@ def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable]) 
         columns: one array-like per header field, all the same length; or
             an iterator of such lists, one per chunk of rows, written in
             turn. A chunk of at most CHUNK_ROWS rows keeps memory to one
-            chunk's cells. A column given as one ``str`` holds its cells
-            joined by newlines and is written as it is; so is a chunk's
-            column given as a list of str cells.
+            chunk's cells. A chunk's column given as a list of str cells is
+            written as it is.
 
     Raises:
         ContractViolation: column count or lengths do not match; whole
             columns are checked before the file is opened.
     """
     if not isinstance(columns, Iterator):
-        cols = [np.asarray(c.split("\n") if isinstance(c, str) else c) for c in columns]
+        cols = [np.asarray(c) for c in columns]
         n = _chunk_length(header, cols)
         columns = ([c[start:start + CHUNK_ROWS] for c in cols] for start in range(0, n, CHUNK_ROWS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for chunk in columns:
-            block = [c.split("\n") if isinstance(c, str) else c if isinstance(c, list) else np.asarray(c)
-                     for c in chunk]
+            block = [c if isinstance(c, list) else np.asarray(c) for c in chunk]
             if _chunk_length(header, block):
                 cells = [c if isinstance(c, list) else _format_column(c) for c in block]
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -234,7 +234,7 @@ def _run_one(config: ExperimentConfig, mech: MechanismConfig, market, run_dir: s
     result = run_auction(market, mech, agents, controller=controller)
 
     os.makedirs(run_dir, exist_ok=True)
-    write_rounds_csv(result, os.path.join(run_dir, "rounds.csv"), memo=market.outcome_memo)
+    write_rounds_csv(result, os.path.join(run_dir, "rounds.csv"))
     write_summary_csv(result, os.path.join(run_dir, "summary.csv"))
 
     stage_table = cpa_ratio_table(result)
@@ -279,9 +279,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     Each seed's market is generated once and shared by every mechanism, then
     dropped before the next seed, so one market is live at a time. The
     mechanisms of a seed share the market's memo of outcome passes under
-    their opening bids and the score text formatted from them, dropped with
-    the market. Pooled metrics are concatenated per mechanism in seed order,
-    which fixes the bits of their means and quantiles.
+    their opening bids, dropped with the market. Pooled metrics are
+    concatenated per mechanism in seed order, which fixes the bits of their
+    means and quantiles.
 
     A DFP:rl checkpoint is loaded once, before the first run, so a missing
     one fails before any artifact is written; so does a checkpoint given to

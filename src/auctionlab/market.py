@@ -252,14 +252,12 @@ class MarketLog:
     arrays of shape (N, M, K) that replace sampled outcomes during replay.
 
     outcome_memo maps a stage to the engine's outcome pass under a run's
-    opening bids, with the ``score`` text the rounds writer formatted from
-    it, so that mechanisms run on the same log share both: a pass is reused
-    for bids of the same bytes, its text for a piece of scores equal to its
-    own (see ``mechanisms.run_auction`` and ``mechanisms.write_rounds_csv``).
-    It is never copied: a log made with ``dataclasses.replace`` starts with
-    an empty memo. ``generate_market`` and ``read_market_csv`` return their
-    arrays read-only, so a write in place raises instead of leaving the memo
-    stale.
+    opening bids, as (bid bytes, pass), so that mechanisms run on the same
+    log share it: a pass is reused for bids of the same bytes (see
+    ``mechanisms.run_auction``). It is never copied: a log made with
+    ``dataclasses.replace`` starts with an empty memo. ``generate_market``
+    and ``read_market_csv`` return their arrays read-only, so a write in
+    place raises instead of leaving the memo stale.
     """
 
     config: MarketConfig

@@ -36,7 +36,7 @@ from typing import Protocol
 import numpy as np
 
 from .controllers import stage_pacing_oracle
-from .csvio import CHUNK_ROWS, _format_column, write_table
+from .csvio import write_table
 from .errors import ConfigError, ContractViolation
 from .market import MarketLog, sample_outcomes, stage_starts
 
@@ -213,12 +213,10 @@ def _outcome_pass(market: MarketLog, t: int, s0: int, bids: np.ndarray, opening:
     The result depends only on (market, stage, bid vector): outcomes come
     from counter-addressed Philox streams, never from payments. A pass under
     the run's opening bids (``opening``, their bytes) is kept in
-    ``market.outcome_memo[t]`` as (bid bytes, pass, score text by piece), so
-    a later run on the same log that meets those bids in that stage reads
-    it back instead of recomputing it. Every mechanism opens at tCPA, and the
-    offline baselines keep their bids, so those are the bids runs share.
-    ``write_rounds_csv`` fills the text, for pieces whose scores equal the
-    pass's.
+    ``market.outcome_memo[t]`` as (bid bytes, pass), so a later run on the
+    same log that meets those bids in that stage reads it back instead of
+    recomputing it. Every mechanism opens at tCPA, and the offline baselines
+    keep their bids, so those are the bids runs share.
 
     Returns read-only (rows, slots, bidders, score, click, conversion): the
     displayed (stage row, slot) pairs in round-then-slot order and their
@@ -239,7 +237,7 @@ def _outcome_pass(market: MarketLog, t: int, s0: int, bids: np.ndarray, opening:
     for column in outcome:
         column.flags.writeable = False
     if key == opening:
-        market.outcome_memo[t] = (key, outcome, {})
+        market.outcome_memo[t] = (key, outcome)
     return outcome
 
 
@@ -264,10 +262,9 @@ def run_auction(
     entry per stage matched by the bids' bytes: a later run on the same log
     that meets those bids in a stage reuses the allocation and outcomes,
     with the same bits as recomputing them. A pass under moved bids is
-    computed and not kept. ``write_rounds_csv`` keeps score text beside a
-    kept pass and reuses it only for scores equal to the pass's. The arrays
-    of a generated or replayed log are read-only, so no write can leave the
-    memo stale; ``dataclasses.replace`` gives a copy with an empty memo.
+    computed and not kept. The arrays of a generated or replayed log are
+    read-only, so no write can leave the memo stale; ``dataclasses.replace``
+    gives a copy with an empty memo.
 
     Args:
         market: generated or replayed market log.
@@ -414,45 +411,11 @@ def _price_in_hindsight(rounds: RoundsTable, clicks: np.ndarray, convs: np.ndarr
         payments[:] = np.bincount(stage * M + bidder, weights=pay, minlength=T * M).reshape(T, M)
 
 
-def write_rounds_csv(result: SimulationResult, path: str, memo: dict | None = None) -> None:
-    """One row per displayed (round, slot), in round order.
-
-    The table is written one stage at a time, in pieces of at most
-    CHUNK_ROWS rows. ``memo`` is a market's ``outcome_memo``: a piece whose
-    ``score`` values equal (``np.array_equal``, same dtype) the matching
-    slice of its stage's kept outcome pass takes the score text kept there,
-    formatting and keeping it on the first such piece. So the rounds tables
-    of one market's mechanisms format each shared stage's score text once,
-    and a memo from another market can cost a miss but never a wrong byte.
-    Score is the one plain float column the outcome pass alone fixes; a
-    payment column is one pricing rule's own.
-    """
+def write_rounds_csv(result: SimulationResult, path: str) -> None:
+    """One row per displayed (round, slot), in round order, CHUNK_ROWS rows
+    at a time (see ``csvio.write_table``)."""
     r = result.rounds
-    columns = [getattr(r, name) for name in ROUNDS_CSV_HEADER.split(",")]
-    edges = [0, *(np.flatnonzero(np.diff(r.stage)) + 1).tolist(), r.stage.size]
-
-    def pieces():
-        for first, stop in zip(edges, edges[1:]):
-            for lo in range(first, stop, CHUNK_ROWS):
-                piece = [c[lo:min(lo + CHUNK_ROWS, stop)] for c in columns]
-                kept = memo.get(int(r.stage[lo])) if memo else None
-                if kept is not None:
-                    piece[4] = _score_text(piece[4], kept, lo - first)  # column 4 is score
-                yield piece
-
-    write_table(path, ROUNDS_CSV_HEADER, pieces())
-
-
-def _score_text(score: np.ndarray, kept: tuple, offset: int) -> np.ndarray | str:
-    """A piece's score column as the text kept with the stage's outcome pass
-    (formatted and kept on a first match), or as it is if its values are not
-    the pass's own from offset on."""
-    _, outcome, texts = kept
-    if not (score.dtype == outcome[3].dtype and np.array_equal(score, outcome[3][offset:offset + score.size])):
-        return score
-    if offset not in texts:
-        texts[offset] = "\n".join(_format_column(score))
-    return texts[offset]
+    write_table(path, ROUNDS_CSV_HEADER, [getattr(r, name) for name in ROUNDS_CSV_HEADER.split(",")])
 
 
 def write_summary_csv(result: SimulationResult, path: str) -> None:

@@ -116,26 +116,6 @@ def test_mismatched_columns_are_refused(tmp_path):
         write_table(str(tmp_path / "t.csv"), "a,b", [np.zeros(3), np.zeros(2)])
 
 
-@pytest.mark.parametrize("rows", [300, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
-def test_str_column_writes_the_cells_it_joins(tmp_path, rows):
-    # A column given as one str of newline-joined cells, whole or as one
-    # chunk, writes the bytes of the array it was formatted from.
-    rng = np.random.default_rng(rows)
-    index, score = np.arange(rows), rng.random(rows)
-    score[::7] = -0.0
-    text = "\n".join(map(repr, score.tolist()))
-    want = tmp_path / "want.csv"
-    write_table(str(want), "round,score", [index, score])
-    for i, columns in enumerate(([index, text], iter([[index, text]]))):
-        got = tmp_path / f"got{i}.csv"
-        write_table(str(got), "round,score", columns)
-        assert got.read_bytes() == want.read_bytes(), i
-    with pytest.raises(ContractViolation):
-        write_table(str(tmp_path / "t.csv"), "round,score", [index, text + "\n0.5"])
-    with pytest.raises(ContractViolation):
-        write_table(str(tmp_path / "t.csv"), "round,score", iter([[index[1:], text]]))
-
-
 # The float kernel against repr. Every set holds at least _KERNEL_MIN values,
 # so the kernel formats it rather than its small-chunk repr path.
 @functools.cache

@@ -21,8 +21,6 @@ from auctionlab import (
     run_auction,
     stage_pacing_oracle,
 )
-from auctionlab import mechanisms
-from auctionlab.agents import FixedBidAgent
 from auctionlab.csvio import CHUNK_ROWS
 from auctionlab.mechanisms import (
     ROUNDS_CSV_HEADER,
@@ -35,6 +33,7 @@ from auctionlab.mechanisms import (
     write_summary_csv,
 )
 from reference import rank_and_allocate, sample_round, stage_of
+from test_csvio import reference_write
 
 
 def _market(**kw):
@@ -506,7 +505,7 @@ def test_hindsight_rules_keep_bids_static_and_online_rules_update_each_stage(mec
         np.testing.assert_array_equal(result.bid_by_stage, np.tile(market.tcpa, (result.num_stages, 1)))
 
 
-def test_withdrawn_flags_zero_final_bids():
+def test_withdrawn_flags_zero_final_bids(tmp_path):
     market = _market(seed=59)
 
     class ZeroAgent:
@@ -519,61 +518,53 @@ def test_withdrawn_flags_zero_final_bids():
     result = run_auction(market, MechanismConfig("CFP"), [ZeroAgent() for _ in range(4)])
     assert result.withdrawn.all()
     assert result.rounds.round.size == 0
+    write_rounds_csv(result, str(tmp_path / "rounds.csv"))  # a table with no rows is its header alone
+    assert (tmp_path / "rounds.csv").read_text() == ROUNDS_CSV_HEADER + "\n"
     truthful = run_auction(market, MechanismConfig("CFP"), _truthful(market))
     assert not truthful.withdrawn.any()
 
 
-def _score_texts(memo):
-    return {(t, lo): text for t, (_, _, texts) in memo.items() for lo, text in texts.items()}
-
-
-def test_one_memo_keeps_only_score_text_across_the_five_desk_mechanisms(tmp_path, monkeypatch):
-    # desk's mechanisms and agents; the first two stages span two pieces each.
-    market = _market(num_bidders=10, num_slots=5, stage_plan=(3500, 3500, 500, 500), seed=3)
+def test_one_memo_keeps_the_opening_passes_across_the_five_desk_mechanisms(tmp_path):
+    # desk's mechanisms and agents, run one after another on one market and
+    # each on a fresh one: the shared memo must not change a byte.
+    config = dict(num_bidders=10, num_slots=5, stage_plan=(3500, 3500, 500, 500), seed=3)
+    market = _market(**config)
     mechs = [MechanismConfig("CFP"), MechanismConfig("CPA_OFFLINE"), MechanismConfig("PACING_OFFLINE"),
              MechanismConfig("DFP", controller="debt"), MechanismConfig("DFP", controller="oracle")]
-    formatted = []
-    format_column = mechanisms._format_column
-    monkeypatch.setattr(mechanisms, "_format_column", lambda col: formatted.append(col.size) or format_column(col))
     for i, mech in enumerate(mechs):
-        controller = DebtController(market.tcpa) if mech.controller == "debt" else None
-        result = run_auction(market, mech, [RiskAverseAgent() for _ in range(10)], controller)
-        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
-        formatted.clear()
-        write_rounds_csv(result, str(got), memo=market.outcome_memo)
-        write_rounds_csv(result, str(want))
-        assert got.read_bytes() == want.read_bytes(), mech.label
-    assert formatted == []  # DFP:oracle took every score piece from the memo
-    # One outcome pass per stage, under the opening bids, and beside it one
-    # score text per piece of the stage: the pass's own scores, no payments.
+        paths = []
+        for log in (market, _market(**config)):
+            controller = DebtController(log.tcpa) if mech.controller == "debt" else None
+            result = run_auction(log, mech, [RiskAverseAgent() for _ in range(10)], controller)
+            paths.append(tmp_path / f"{i}_{len(paths)}.csv")
+            write_rounds_csv(result, str(paths[-1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes(), mech.label
+    # One entry per stage: the outcome pass under the opening bids, tCPA,
+    # keyed by their bytes, its arrays read-only.
     opening = market.tcpa.tobytes()
     assert sorted(market.outcome_memo) == [0, 1, 2, 3]
-    for t, (key, outcome, texts) in market.outcome_memo.items():
-        score = outcome[3]
-        assert key == opening and sorted(texts) == list(range(0, score.size, CHUNK_ROWS)), t
-        for lo, text in texts.items():
-            assert text == "\n".join(map(repr, score[lo:lo + CHUNK_ROWS].tolist())), (t, lo)
-    assert len(market.outcome_memo[0][2]) == 2
+    for t, (key, outcome) in market.outcome_memo.items():
+        assert key == opening and len(outcome) == 6, t
+        assert not any(column.flags.writeable for column in outcome), t
 
 
-def test_a_memo_from_another_market_writes_the_same_bytes(tmp_path):
-    # Same stage plan and opening bids (one tCPA for all), other draws: the
-    # content check finds no score piece of one market in the other's memo.
-    markets = [_market(num_slots=3, stage_plan=(6000, 2000), tcpa_range=(2.0, 2.0), seed=seed)
-               for seed in (5, 6)]
-    results = [run_auction(m, MechanismConfig("CPA_OFFLINE"), _truthful(m)) for m in markets]
-    write_rounds_csv(results[0], str(tmp_path / "first.csv"), memo=markets[0].outcome_memo)
-    kept = _score_texts(markets[0].outcome_memo)
-    assert markets[0].tcpa.tobytes() == markets[1].tcpa.tobytes() and len(kept) == 3
+@pytest.mark.parametrize("mech", [
+    MechanismConfig("CFP"), MechanismConfig("PACING_OFFLINE"), MechanismConfig("DFP", controller="oracle"),
+], ids=lambda mech: mech.label)
+def test_rounds_csv_chunks_that_cross_stage_edges_write_the_reference_bytes(tmp_path, mech):
+    # Every round fills its 3 slots: 36,000 rows in three stages, so the
+    # writer's chunk edges (rows 16,384 and 32,768) fall inside stages 1
+    # and 2, and the stage edges (rows 15,000 and 27,000) inside chunks.
+    market = _market(num_bidders=6, num_slots=3, stage_plan=(5000, 4000, 3000), seed=17)
+    result = run_auction(market, mech, _truthful(market))
+    r = result.rounds
+    assert r.round.size == 36_000 > 2 * CHUNK_ROWS
+    for edge in (CHUNK_ROWS, 2 * CHUNK_ROWS):
+        assert r.stage[edge - 1] == r.stage[edge] > 0
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_rounds_csv(results[1], str(got), memo=markets[0].outcome_memo)
-    write_rounds_csv(results[1], str(want))
+    write_rounds_csv(result, str(got))
+    reference_write(str(want), ROUNDS_CSV_HEADER, [getattr(r, name) for name in ROUNDS_CSV_HEADER.split(",")])
     assert got.read_bytes() == want.read_bytes()
-    assert _score_texts(markets[0].outcome_memo) == kept
-    # A table with no rows writes its header alone through a full memo.
-    empty = run_auction(markets[0], MechanismConfig("CFP"), [FixedBidAgent(0.0) for _ in range(4)])
-    write_rounds_csv(empty, str(got), memo=markets[0].outcome_memo)
-    assert got.read_text() == ROUNDS_CSV_HEADER + "\n"
 
 
 def test_rounds_and_summary_csv(tmp_path):
