@@ -5,26 +5,23 @@ shortest string that reads back as the same double) and ``str`` otherwise,
 exactly what a per-row ``f"{int(v)}"``/``f"{repr(float(v))}"`` writer prints.
 The same table therefore always gives the same bytes.
 
-Tables are written one chunk of rows at a time: each chunk's columns are
-formatted whole (``_repr_cells`` for floats, ``tolist`` plus ``map(str)``
-otherwise) and joined into one string, so peak
-memory holds one chunk's cells rather than a Python string per cell of the
-whole table. Whole columns are sliced CHUNK_ROWS rows at a time; a caller
-that builds its rows as it goes (the market CSV) passes an iterator of
-chunks instead, so the whole table never exists at once. An integer chunk
-whose values span less than twice its length formats each value of the span
-once and gathers the strings by offset; any other numeric chunk that repeats
-few distinct values formats each of them once and gathers the strings by
-index. A bool column prints 1/0.
-
-A chunk from an iterator may also give a column as a list of ready cells
-(``str``): ``write_market_csv`` formats each (round, bidder) pair's cvr and
-value once and repeats the text over the pair's slots.
+Tables are written one chunk of rows at a time. Each column of a chunk is
+formatted whole into one cell matrix: zero-padded uint8, one row per cell
+holding its UTF-8 text and separator ("," or, in the last column, a
+newline). The chunk is its matrices side by side with the zero bytes
+dropped, so memory holds one chunk's cells and no Python string per cell.
+Whole columns are sliced CHUNK_ROWS rows at a time; a caller that builds its
+rows as it goes (the market CSV) passes an iterator of chunks instead, so
+the whole table never exists at once. An integer chunk whose values span
+less than twice its length formats each value of the span once and gathers
+rows by offset; a float chunk that repeats few distinct values (told apart
+by their bits) formats each once and gathers rows by index. A bool column
+prints 1/0.
 
 ``_repr_cells`` prints exactly ``repr``'s text for a float chunk, computed
 in NumPy a block of values at a time: Ryū's shortest round-trip digits from
 64 x 128-bit products on uint64 lanes of 32-bit halves, then the digits as
-ASCII words in one zero-padded matrix whose nonzero bytes are the cells. Values
+ASCII words in one zero-padded matrix, the block's cell matrix. Values
 off the path it verifies (nan, inf, zero-exponent and huge values, exact
 powers of two, Ryū's trailing-zero case, and exponent-form text) and every
 chunk below ``_KERNEL_MIN`` values keep ``repr``.
@@ -41,7 +38,7 @@ import numpy as np
 from .errors import ContractViolation
 
 CHUNK_ROWS = 1 << 14
-# Numeric columns whose first _PROBE values are at most half distinct take the
+# Float columns whose first _PROBE values are at most half distinct take the
 # format-once path; a mostly distinct column would only pay for the sort.
 _PROBE = 256
 
@@ -134,9 +131,9 @@ def _ryu_tables() -> SimpleNamespace:
     ascii4 = (np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + 48).astype(np.uint8)
     t.words = ascii4.view(np.uint32).ravel()
     # A field's lowest group holds 3 digits and then "." (the whole part) or
-    # "\n" (the fraction, which ends the cell).
+    # the cell's separator, "," or "\n" (the fraction, which ends the cell).
     t.low = {end: np.concatenate([ascii4[:1000, 1:], np.full((1000, 1), ord(end), np.uint8)], axis=1)
-             .view(np.uint32).ravel() for end in ".\n"}
+             .view(np.uint32).ravel() for end in ".,\n"}
     # Row 32 + k of masks[width] keeps a group's last k digits (all from
     # k = width on), and a 3-digit group's end byte always.
     k = np.arange(160)[:, None] - 32
@@ -165,8 +162,8 @@ def _digit_words(mat: np.ndarray, right: int, groups: int, val: np.ndarray, n: n
         val = q
 
 
-def _repr_block(x: np.ndarray) -> list[str]:
-    """repr of each float64 of x, one kernel pass."""
+def _repr_block(x: np.ndarray, end: str) -> np.ndarray:
+    """The cell matrix of repr + end for each float64 of x, one kernel pass."""
     t = _ryu_tables()
     bits = x.view(np.uint64)
     E = (bits >> 52).view(np.int64) & 0x7FF
@@ -209,7 +206,7 @@ def _repr_block(x: np.ndarray) -> list[str]:
     whole = out // p
     fraction = out - whole * p
     whole *= t.p10[np.maximum(exp, 0)]
-    fields = [(whole, np.maximum(decpt, 1), "."), (fraction, np.maximum(frac, 1), "\n")]
+    fields = [(whole, np.maximum(decpt, 1), "."), (fraction, np.maximum(frac, 1), end)]
     # Word groups of 3, 4, 4, ... digits, enough for the longest shown field.
     groups = [1 + (max(int(n.max(where=shown, initial=1)) - 3, 0) + 3) // 4 for _, n, _ in fields]
     neg = (bits >> 63).astype(bool)
@@ -218,71 +215,76 @@ def _repr_block(x: np.ndarray) -> list[str]:
     if sign:
         mat[neg, 0] = t.minus
     right = sign - 1
-    for (val, n, end), count in zip(fields, groups):
+    for (val, n, sep), count in zip(fields, groups):
         right += count
-        _digit_words(mat, right, count, val, n, shown, t.low[end], t)
-    # bytes.translate drops the zero bytes faster than np.compress does.
-    cells = mat.tobytes().translate(None, b"\0").decode("ascii").split("\n")
-    cells.pop()
-    for i in np.flatnonzero(~shown).tolist():
-        cells[i] = repr(float(x[i]))
+        _digit_words(mat, right, count, val, n, shown, t.low[sep], t)
+    cells = mat.view(np.uint8)
+    if not shown.all():
+        # repr over the lanes off the verified path, widened on the left to fit.
+        text = _text_matrix(map(repr, x[~shown].tolist()), end)
+        width = max(cells.shape[1], text.shape[1])
+        cells = np.pad(cells, ((0, 0), (width - cells.shape[1], 0)))
+        cells[~shown] = np.pad(text, ((0, 0), (width - text.shape[1], 0)))
     return cells
 
 
-def _repr_cells(values: np.ndarray) -> list[str]:
-    """Exactly ``list(map(repr, values.tolist()))`` for a float array, the
-    text computed over whole blocks by Ryū's shortest round-trip digits
-    (Adams, PLDI 2018) in integer NumPy arithmetic, so it is the same on
-    every CPU. Chunks below _KERNEL_MIN values, and wider floats, keep repr."""
-    if values.size < _KERNEL_MIN or values.dtype.itemsize > 8:
-        return list(map(repr, values.tolist()))
-    # Widens float16/32 exactly, as tolist does; a signalling nan's quiet bit
-    # is set on the way, which tolist does silently too.
+def _text_matrix(texts: Iterable[str], end: str) -> np.ndarray:
+    """One zero-padded uint8 row per text, its UTF-8 bytes followed by end."""
+    cells = np.array([(text + end).encode() for text in texts], dtype=bytes)
+    return cells.view(np.uint8).reshape(cells.size, -1)
+
+
+def _float64(values: np.ndarray) -> np.ndarray:
+    """values as contiguous float64, as float(v) reads each (a signalling
+    nan's quiet bit is set on the way, which float(v) does silently too)."""
     with np.errstate(invalid="ignore"):
-        x = np.ascontiguousarray(values, dtype=np.float64)
-    cells = []
-    for block in np.array_split(x, -(-x.size // _KERNEL_BLOCK)):  # equal passes: no short last one
-        cells += _repr_block(block)
-    return cells
+        return np.ascontiguousarray(values, dtype=np.float64)
 
 
-def _str_cells(values: np.ndarray) -> list[str]:
-    return list(map(str, values.tolist()))
+def _repr_cells(values: np.ndarray, end: str) -> np.ndarray:
+    """The cell matrix of ``repr(float(v)) + end`` for each v of a float array:
+    the text computed over whole blocks by Ryū's shortest round-trip digits
+    (Adams, PLDI 2018) in integer NumPy arithmetic, so it is the same on
+    every CPU. Chunks below _KERNEL_MIN values keep repr."""
+    x = _float64(values)
+    if x.size < _KERNEL_MIN:
+        return _text_matrix(map(repr, x.tolist()), end)
+    # Equal passes, no short last one, left-padded to one width.
+    blocks = [_repr_block(block, end) for block in np.array_split(x, -(-x.size // _KERNEL_BLOCK))]
+    width = max(block.shape[1] for block in blocks)
+    return np.vstack([np.pad(block, ((0, 0), (width - block.shape[1], 0))) for block in blocks])
 
 
-def _format_column(col: np.ndarray) -> list[str]:
-    """The cells of one nonempty chunk of a column, top to bottom."""
+def _format_column(col: np.ndarray, end: str) -> np.ndarray:
+    """The cell matrix of one nonempty chunk of a column, top to bottom,
+    each row ending in end."""
     if col.dtype.kind == "b":
         col = col.view(np.uint8)  # 1/0, as int(v) prints a bool
     kind = col.dtype.kind
-    if kind not in "iuf":
-        return _str_cells(col)
     if kind in "iu":
         lo, hi = col.min(), col.max()
         if int(hi) - int(lo) < 2 * col.size:
-            # A dense range: format each value in it once and gather by the
-            # offset from lo, taken in the unsigned type of the same width,
-            # where it cannot overflow.
+            # A dense range: format each value in it once and take rows (take
+            # is faster than indexing) by the offset from lo, in the unsigned
+            # type of the same width, where it cannot overflow.
             unsigned = np.dtype(f"u{col.itemsize}")
             offset = col.view(unsigned) - np.asarray(lo).view(unsigned)
-            return np.array(list(map(str, range(int(lo), int(hi) + 1))), dtype=object)[offset].tolist()
-    to_text = _repr_cells if kind == "f" else _str_cells
-    head = col[:_PROBE]
-    if (
-        # A set counts the head's distinct values: np.unique without indices
-        # imports numpy.ma (14 ms, 0.5 MB) in the middle of a table.
-        2 * len(set(head.tolist())) <= head.size
-        # np.unique merges -0.0 into 0.0; nan gets the plain path too.
-        and not (kind == "f" and (np.isnan(col).any() or (np.signbit(col) & (col == 0.0)).any()))
-    ):
-        distinct, inverse = np.unique(col, return_inverse=True)
-        return np.array(to_text(distinct), dtype=object)[inverse].tolist()
-    return to_text(col)
+            return _text_matrix(map(str, range(int(lo), int(hi) + 1)), end).take(offset, axis=0)
+    if kind == "f":
+        # Keyed on the float64 bits, so -0.0 and 0.0, and each nan, stay
+        # apart. A set counts the head's distinct values: np.unique without
+        # indices imports numpy.ma (14 ms, 0.5 MB) in the middle of a table.
+        bits = _float64(col).view(np.uint64)
+        head = bits[:_PROBE]
+        if 2 * len(set(head.tolist())) <= head.size:
+            distinct, inverse = np.unique(bits, return_inverse=True)
+            return _repr_cells(distinct.view(np.float64), end).take(inverse, axis=0)
+        return _repr_cells(bits.view(np.float64), end)
+    return _text_matrix(map(str, col.tolist()), end)
 
 
-def _chunk_length(header: str, cols: list) -> int:
-    """The common length of one chunk's columns (arrays or lists of str
-    cells), one per header field."""
+def _chunk_length(header: str, cols: list[np.ndarray]) -> int:
+    """The common length of one chunk's columns, one per header field."""
     if len(cols) != header.count(",") + 1:
         raise ContractViolation(f"header {header!r} does not name {len(cols)} columns")
     lengths = {len(c) for c in cols}
@@ -300,8 +302,7 @@ def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable]) 
         columns: one array-like per header field, all the same length; or
             an iterator of such lists, one per chunk of rows, written in
             turn. A chunk of at most CHUNK_ROWS rows keeps memory to one
-            chunk's cells. A chunk's column given as a list of str cells is
-            written as it is.
+            chunk's cell matrices (see the module docstring).
 
     Raises:
         ContractViolation: column count or lengths do not match; whole
@@ -311,10 +312,12 @@ def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable]) 
         cols = [np.asarray(c) for c in columns]
         n = _chunk_length(header, cols)
         columns = ([c[start:start + CHUNK_ROWS] for c in cols] for start in range(0, n, CHUNK_ROWS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
         for chunk in columns:
-            block = [c if isinstance(c, list) else np.asarray(c) for c in chunk]
+            block = [np.asarray(c) for c in chunk]
             if _chunk_length(header, block):
-                cells = [c if isinstance(c, list) else _format_column(c) for c in block]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                ends = [","] * (len(block) - 1) + ["\n"]
+                cells = [_format_column(c, end) for c, end in zip(block, ends)]
+                # bytes.translate drops the zero bytes faster than np.compress does.
+                fh.write(np.hstack(cells).tobytes().translate(None, b"\0"))

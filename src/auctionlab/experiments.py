@@ -168,9 +168,9 @@ def _as_section(obj, cls, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """PyYAML's safe loader, refusing a mapping that lists a key twice
-    rather than keeping the last value."""
+class _ConfigLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """PyYAML's safe loader, on libyaml where PyYAML is built with it,
+    refusing a mapping that lists a key twice rather than keeping the last value."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()

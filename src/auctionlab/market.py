@@ -40,7 +40,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .csvio import CHUNK_ROWS, _repr_cells, write_table
+from .csvio import CHUNK_ROWS, write_table
 from .errors import ConfigError, SchemaError, _open_input
 
 MARKET_CSV_HEADER = "round,bidder,slot,ctr,cvr,value,click,conversion"
@@ -347,15 +347,12 @@ def write_market_csv(log: MarketLog, path: str) -> None:
     live run exactly, whatever the allocation turns out to be. Rows are built
     and written a chunk of whole (round, bidder) pairs at a time, at most
     CHUNK_ROWS rows unless one pair has more slots, so memory holds one
-    chunk's rows. A pair's cvr and value are formatted once and their text
-    repeated over its K rows.
+    chunk's rows. A pair's cvr and value are repeated over its K rows, so
+    csvio's format-once path formats each distinct value once.
     """
     N, M, K = log.num_rounds, log.num_bidders, log.num_slots
     ctr, cvr, value = log.ctr.reshape(-1), log.cvr.reshape(-1), log.value.reshape(-1)
     per_chunk = max(1, CHUNK_ROWS // K)
-
-    def repeated(rates: np.ndarray) -> list[str]:
-        return np.array(_repr_cells(rates), dtype=object).repeat(K).tolist()
 
     def chunks():
         for lo in range(0, N * M, per_chunk):
@@ -363,7 +360,7 @@ def write_market_csv(log: MarketLog, path: str) -> None:
             rr, mm = np.divmod(np.arange(lo, hi).repeat(K), M)
             kk = np.tile(np.arange(K), hi - lo)
             y, z = sample_outcomes(log, rr, mm, kk)
-            yield [rr, mm, kk, ctr[lo * K:hi * K], repeated(cvr[lo:hi]), repeated(value[lo:hi]), y, z]
+            yield [rr, mm, kk, ctr[lo * K:hi * K], cvr[lo:hi].repeat(K), value[lo:hi].repeat(K), y, z]
 
     write_table(path, MARKET_CSV_HEADER, chunks())
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from auctionlab.csvio import _KERNEL_MIN, CHUNK_ROWS, _repr_cells, write_table
+from auctionlab.csvio import _KERNEL_MIN, CHUNK_ROWS, _format_column, _repr_cells, write_table
 from auctionlab.errors import ContractViolation
 
 
@@ -52,6 +52,34 @@ def test_special_floats(tmp_path, repeats):
 )
 def test_repeated_and_distinct_float_columns(tmp_path, values):
     assert_same_bytes(tmp_path, "v", [np.array(values)])
+
+
+def test_repeated_floats_keep_zeros_and_nans_apart(tmp_path):
+    # Each value four times in a row: the format-once path, keyed on the bits,
+    # with more distinct values than the kernel's cut-off. Both zeros, both
+    # infinities, a negative nan and a nan with a payload.
+    special = np.array([1 << 63, 0, 0x7FF << 52, 0xFFF << 52, 0xFFF8 << 48, 0x7FF0000000000123], dtype=np.uint64)
+    distinct = np.concatenate([special.view(np.float64), np.random.default_rng(31).standard_normal(2 * _KERNEL_MIN)])
+    assert_same_bytes(tmp_path, "v", [np.repeat(distinct, 4)])
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+def test_narrow_and_wide_float_columns(tmp_path, dtype):
+    # Written as float(v) prints each value: float16/32 widened exactly,
+    # longdouble rounded to a double. Mostly distinct, and each value of the
+    # first _KERNEL_MIN four times in a row.
+    values = (np.random.default_rng(5).standard_normal(4 * _KERNEL_MIN) * 1000).astype(dtype) / dtype(3)
+    values[:5] = [-0.0, 0.0, np.inf, -np.inf, np.nan]
+    assert_same_bytes(tmp_path, "distinct,repeated", [values, np.repeat(values[:_KERNEL_MIN], 4)])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.arange(5), np.array([3, 10 ** 6]), np.array([True, False]), np.array([0.5] * 600), np.array(["é", ""])],
+)
+def test_cells_are_one_uint8_matrix(values):
+    cells = _format_column(values, ",")
+    assert cells.dtype == np.uint8 and cells.shape[0] == values.size and cells.ndim == 2
 
 
 def test_integer_columns(tmp_path):
@@ -105,8 +133,9 @@ def test_chunk_boundaries(tmp_path, rows):
 
 
 def test_string_columns_and_lists(tmp_path):
-    write_table(str(tmp_path / "t.csv"), "name,rate", [["per_stage", "checkpoint"], [0.5, float("nan")]])
-    assert (tmp_path / "t.csv").read_text() == "name,rate\nper_stage,0.5\ncheckpoint,nan\n"
+    # A str cell is written as its UTF-8 text, an empty one as nothing.
+    write_table(str(tmp_path / "t.csv"), "name,rate", [["per_stage", "checkpoint", "DFP:débito", ""], [0.5, float("nan"), 1.0, 2.0]])
+    assert (tmp_path / "t.csv").read_bytes() == "name,rate\nper_stage,0.5\ncheckpoint,nan\nDFP:débito,1.0\n,2.0\n".encode()
 
 
 def test_mismatched_columns_are_refused(tmp_path):
@@ -143,7 +172,8 @@ def _kernel_sets() -> dict:
 
 
 def assert_repr_cells(values):
-    got, want = _repr_cells(values), list(map(repr, values.tolist()))
+    got = [row.tobytes().replace(b"\0", b"").decode() for row in _repr_cells(values, "\n")]
+    want = [repr(v) + "\n" for v in values.tolist()]
     assert len(got) == len(want)
     assert [(w, g) for w, g in zip(want, got) if w != g][:5] == []
 
