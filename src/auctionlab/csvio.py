@@ -12,11 +12,12 @@ newline). The chunk is its matrices side by side with the zero bytes
 dropped, so memory holds one chunk's cells and no Python string per cell.
 Whole columns are sliced CHUNK_ROWS rows at a time; a caller that builds its
 rows as it goes (the market CSV) passes an iterator of chunks instead, so
-the whole table never exists at once. An integer chunk whose values span
-less than twice its length formats each value of the span once and gathers
-rows by offset; a float chunk that repeats few distinct values (told apart
-by their bits) formats each once and gathers rows by index. A bool column
-prints 1/0.
+the whole table never exists at once. Integer cells are built from the
+float kernel's ASCII digit words, with no Python string per value; an
+integer chunk whose values span less than twice its length formats each
+value of the span once and gathers rows by offset; a float chunk that
+repeats few distinct values (told apart by their bits) formats each once
+and gathers rows by index. A bool column prints 1/0.
 
 ``_repr_cells`` prints exactly ``repr``'s text for a float chunk, computed
 in NumPy a block of values at a time: Ryū's shortest round-trip digits from
@@ -228,6 +229,25 @@ def _repr_block(x: np.ndarray, end: str) -> np.ndarray:
     return cells
 
 
+def _int_cells(values: np.ndarray, end: str) -> np.ndarray:
+    """The cell matrix of str(v) + end for each v of an integer array: its
+    decimal digits as the float kernel's ASCII words, after a "-" word in
+    every row when some value is negative."""
+    t = _ryu_tables()
+    neg = values < 0
+    # Magnitudes as uint64, where -(2**63) and 2**64 - 1 both fit.
+    mag = values.astype(np.int64 if values.dtype.kind == "i" else np.uint64).view(np.uint64)
+    np.negative(mag, out=mag, where=neg)
+    n = np.maximum(np.searchsorted(t.p10, mag, side="right"), 1)
+    groups = 1 + (max(int(n.max()) - 3, 0) + 3) // 4
+    sign = int(neg.any())
+    mat = np.zeros((values.size, sign + groups), np.uint32)
+    if sign:
+        mat[neg, 0] = t.minus
+    _digit_words(mat, sign + groups - 1, groups, mag, n, True, t.low[end], t)
+    return mat.view(np.uint8)
+
+
 def _text_matrix(texts: Iterable[str], end: str) -> np.ndarray:
     """One zero-padded uint8 row per text, its UTF-8 bytes followed by end."""
     cells = np.array([(text + end).encode() for text in texts], dtype=bytes)
@@ -263,13 +283,16 @@ def _format_column(col: np.ndarray, end: str) -> np.ndarray:
     kind = col.dtype.kind
     if kind in "iu":
         lo, hi = col.min(), col.max()
-        if int(hi) - int(lo) < 2 * col.size:
-            # A dense range: format each value in it once and take rows (take
-            # is faster than indexing) by the offset from lo, in the unsigned
-            # type of the same width, where it cannot overflow.
-            unsigned = np.dtype(f"u{col.itemsize}")
-            offset = col.view(unsigned) - np.asarray(lo).view(unsigned)
-            return _text_matrix(map(str, range(int(lo), int(hi) + 1)), end).take(offset, axis=0)
+        if int(hi) - int(lo) >= 2 * col.size:
+            return _int_cells(col, end)
+        # A dense range: format each value in it once and take rows (take is
+        # faster than indexing) by the offset from lo, in the unsigned type
+        # of the same width, where it cannot overflow.
+        unsigned = np.dtype(f"u{col.itemsize}")
+        base = np.asarray(lo).view(unsigned)
+        offset = col.view(unsigned) - base
+        span = (np.arange(int(hi) - int(lo) + 1, dtype=unsigned) + base).view(col.dtype)
+        return _int_cells(span, end).take(offset, axis=0)
     if kind == "f":
         # Keyed on the float64 bits, so -0.0 and 0.0, and each nan, stay
         # apart. A set counts the head's distinct values: np.unique without

@@ -41,11 +41,12 @@ from .controllers import DebtController
 from .csvio import write_table
 from .errors import ConfigError, _open_input
 from .market import MAX_MARKET_BYTES, MarketConfig, _as_float, _as_int, _as_list, _as_value, _check_fields, _check_seed
-from .market import generate_market
+from .market import draw_stages, draw_tcpa, generate_market
 from .mechanisms import (
     MechanismConfig,
     SimulationResult,
     run_auction,
+    run_lockstep,
     write_rounds_csv,
     write_summary_csv,
 )
@@ -222,17 +223,9 @@ def _write_drift_csv(path: str, drift: np.ndarray, withdrawn: np.ndarray) -> Non
     write_table(path, DRIFT_CSV_HEADER, [np.arange(drift.size), drift, withdrawn])
 
 
-def _run_one(config: ExperimentConfig, mech: MechanismConfig, market, run_dir: str,
-             rl_policy, pool: dict[str, list[np.ndarray]]) -> None:
-    """Simulate one (mechanism, seed) pair, write its run directory, append its metrics to pool.
-
-    A function of its own so the result and controller are freed on return,
-    before the caller generates the next seed's market.
-    """
-    agents = make_agents(config, market.num_bidders)
-    controller = _make_controller(mech, market.tcpa, config.rl, rl_policy)
-    result = run_auction(market, mech, agents, controller=controller)
-
+def _write_run(config: ExperimentConfig, mech: MechanismConfig, result: SimulationResult, run_dir: str,
+               pool: dict[str, list[np.ndarray]]) -> None:
+    """Write one (mechanism, seed) pair's run directory and append its metrics to pool."""
     os.makedirs(run_dir, exist_ok=True)
     write_rounds_csv(result, os.path.join(run_dir, "rounds.csv"))
     write_summary_csv(result, os.path.join(run_dir, "summary.csv"))
@@ -276,10 +269,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     fluctuation,etic,drift}.csv plus top-level summary.csv, optional
     chernoff.csv and cfp_tau.csv, and manifest.json (written last).
 
-    Each seed's market is generated once and shared by every mechanism, then
-    dropped before the next seed, so one market is live at a time. The
-    mechanisms of a seed share the market's memo of outcome passes under
-    their opening bids, dropped with the market. Pooled metrics are
+    The mechanisms of a seed run in lockstep (``run_lockstep``) over the
+    seed's market, drawn one stage at a time (``draw_stages``): every
+    mechanism goes through a stage before the next is drawn, so one stage
+    of the market is live at a time, and the runs of a stage share its
+    outcome passes where their bids are equal. Each result is then written
+    and analysed in config order and dropped. Pooled metrics are
     concatenated per mechanism in seed order, which fixes the bits of their
     means and quantiles.
 
@@ -302,12 +297,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     run_dirs: dict[str, list[str]] = {label: [] for label in labels}
     pools: dict[str, dict[str, list[np.ndarray]]] = {label: {} for label in labels}
     for seed in config.seeds:
-        market = generate_market(replace(config.market, seed=seed))
+        market_config = replace(config.market, seed=seed)
+        tcpa = draw_tcpa(market_config)
+        runs = [(mech, make_agents(config, tcpa.size), _make_controller(mech, tcpa, config.rl, rl_policy))
+                for mech in config.mechanisms]
+        results = run_lockstep(market_config, tcpa, draw_stages(market_config), runs)
         for mech in config.mechanisms:
             run_dir = os.path.join(out_dir, mech.label.replace(":", "_"), f"seed_{seed}")
-            _run_one(config, mech, market, run_dir, rl_policy, pools[mech.label])
+            _write_run(config, mech, results.pop(0), run_dir, pools[mech.label])
             run_dirs[mech.label].append(run_dir)
-        del market
 
     summary_rows: list[tuple[str, str, float, float, float]] = []
     tau_rows: list[tuple[str, str, float, float, float]] = []

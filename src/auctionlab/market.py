@@ -20,6 +20,9 @@ RNG layout (Philox-4x64-10 throughout, one purpose id per quantity):
 
 Generation streams (1-4) draw doubles from numpy's
 ``Generator(Philox(key=np.array([seed, purpose], dtype=np.uint64)))``.
+Streams 2-4 are drawn one stage of rounds at a time, which gives the same
+doubles as one whole draw, so a stage drawn alone (``draw_stages``) holds
+the same bits as its rows of a whole log (``generate_market``).
 Outcome sub-streams are evaluated with the raw Philox block function below,
 which runs its ten rounds once over all of a call's counters. Each output
 word depends only on (key, counter), so it is bit-identical to
@@ -34,6 +37,7 @@ import itertools
 import math
 import numbers
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -60,7 +64,8 @@ _INV53 = 2.0 ** -53
 
 # The most bytes a market's float64 rate arrays may hold together: ctr
 # (rounds, bidders, slots) plus cvr and value (rounds, bidders), that is
-# N·M·(K + 2)·8 bytes. Desk holds 156 MB of them.
+# N·M·(K + 2)·8 bytes. A generated desk log holds 156 MB of them; a run
+# draws them a stage at a time.
 MAX_MARKET_BYTES = 2 ** 31
 
 _TCPA_STREAM = 1
@@ -242,6 +247,23 @@ class MarketConfig:
         _check_seed(self.seed, "seed")
 
 
+@dataclass(frozen=True)
+class MarketStage:
+    """One stage of a market: its rounds start .. start + n - 1.
+
+    ctr (n, M, K), cvr and value (n, M) are the stage's rows of the market's
+    rate arrays, and outcomes, when given, its rows of the replay (click,
+    conversion) pair; config is the whole market's.
+    """
+
+    config: MarketConfig
+    start: int
+    ctr: np.ndarray
+    cvr: np.ndarray
+    value: np.ndarray
+    outcomes: tuple[np.ndarray, np.ndarray] | None = None
+
+
 @dataclass
 class MarketLog:
     """A fully generated market: rates for every (round, bidder, slot).
@@ -250,14 +272,8 @@ class MarketLog:
     cvr and value have shape (N, M) and are constant across slots by
     construction. outcomes, when given, is a (click, conversion) pair of 0/1
     arrays of shape (N, M, K) that replace sampled outcomes during replay.
-
-    outcome_memo maps a stage to the engine's outcome pass under a run's
-    opening bids, as (bid bytes, pass), so that mechanisms run on the same
-    log share it: a pass is reused for bids of the same bytes (see
-    ``mechanisms.run_auction``). It is never copied: a log made with
-    ``dataclasses.replace`` starts with an empty memo. ``generate_market``
-    and ``read_market_csv`` return their arrays read-only, so a write in
-    place raises instead of leaving the memo stale.
+    ``generate_market`` and ``read_market_csv`` return their arrays
+    read-only, so the stage views that runs share cannot be written.
     """
 
     config: MarketConfig
@@ -266,7 +282,6 @@ class MarketLog:
     cvr: np.ndarray
     value: np.ndarray
     outcomes: tuple[np.ndarray, np.ndarray] | None = None
-    outcome_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_bidders(self) -> int:
@@ -280,57 +295,105 @@ class MarketLog:
     def num_slots(self) -> int:
         return self.config.num_slots
 
+    def stages(self) -> Iterator[MarketStage]:
+        """Each stage of the log in turn, as views of its arrays (no copy)."""
+        plan = self.config.stage_plan
+        for start, n in zip(stage_starts(plan).tolist(), plan):
+            rows = slice(start, start + n)
+            outcomes = None if self.outcomes is None else (self.outcomes[0][rows], self.outcomes[1][rows])
+            yield MarketStage(self.config, start, self.ctr[rows], self.cvr[rows], self.value[rows], outcomes)
+
+
+def _scale(u: np.ndarray, rng: tuple[float, float]) -> np.ndarray:
+    # lo + (hi - lo) * u, in place, so no block-size temporaries.
+    u *= rng[1] - rng[0]
+    u += rng[0]
+    return u
+
+
+def _rate_streams(seed: int) -> list[np.random.Generator]:
+    return [_stream(seed, purpose) for purpose in (_CTR_STREAM, _CVR_STREAM, _VALUE_STREAM)]
+
+
+def _draw_stage(streams: list[np.random.Generator], stage: MarketStage) -> None:
+    """Fill the stage's ctr, cvr and value blocks in place with the next
+    rounds of their streams, scaled, and sort each ctr row best slot first.
+    Philox gives the same doubles drawn a block at a time as drawn whole,
+    so the blocks hold the same bits however the rounds are split."""
+    config = stage.config
+    for stream, block, rng in zip(streams, (stage.ctr, stage.cvr, stage.value),
+                                  (config.ctr_range, config.cvr_range, config.value_range)):
+        _scale(stream.random(out=block), rng)
+    # Slot position effect: best slot first (a descending sort, in place).
+    np.negative(stage.ctr, out=stage.ctr)
+    stage.ctr.sort(axis=2)
+    np.negative(stage.ctr, out=stage.ctr)
+
+
+def draw_tcpa(config: MarketConfig) -> np.ndarray:
+    """The market's (M,) tCPA targets, as ``generate_market`` draws them, read-only."""
+    tcpa = _scale(_stream(config.seed, _TCPA_STREAM).random(config.num_bidders), config.tcpa_range)
+    tcpa.flags.writeable = False
+    return tcpa
+
+
+def draw_stages(config: MarketConfig) -> Iterator[MarketStage]:
+    """The market of config one stage at a time, bit for bit
+    ``generate_market``'s rows of each stage. A stage's blocks are made
+    only when it is reached, so a caller that drops each stage before
+    taking the next holds one stage of the market at a time."""
+    M, K = config.num_bidders, config.num_slots
+    streams = _rate_streams(config.seed)
+    for start, n in zip(stage_starts(config.stage_plan).tolist(), config.stage_plan):
+        stage = MarketStage(config, start, np.empty((n, M, K)), np.empty((n, M)), np.empty((n, M)))
+        _draw_stage(streams, stage)
+        yield stage
+
 
 def generate_market(config: MarketConfig) -> MarketLog:
     """Deterministically generate a market from its config.
 
     The draw order per purpose stream is fixed by the module docstring; two
-    calls with equal (config, seed) produce bit-identical logs.
+    calls with equal (config, seed) produce bit-identical logs. The rate
+    arrays are filled a stage at a time through their stage views, by the
+    draw ``draw_stages`` makes, and returned read-only.
     """
     M, N, K = config.num_bidders, config.num_rounds, config.num_slots
-    seed = config.seed
-
-    def scale(u: np.ndarray, rng: tuple[float, float]) -> np.ndarray:
-        # lo + (hi - lo) * u, in place: the (N, M, K) ctr block is the
-        # largest array a run holds, so no full-size temporaries.
-        u *= rng[1] - rng[0]
-        u += rng[0]
-        return u
-
-    tcpa = scale(_stream(seed, _TCPA_STREAM).random(M), config.tcpa_range)
-    ctr = scale(_stream(seed, _CTR_STREAM).random((N, M, K)), config.ctr_range)
-    # Slot position effect: best slot first (a descending sort, in place).
-    np.negative(ctr, out=ctr)
-    ctr.sort(axis=2)
-    np.negative(ctr, out=ctr)
-    cvr = scale(_stream(seed, _CVR_STREAM).random((N, M)), config.cvr_range)
-    value = scale(_stream(seed, _VALUE_STREAM).random((N, M)), config.value_range)
-    for a in (tcpa, ctr, cvr, value):
+    log = MarketLog(config, draw_tcpa(config), np.empty((N, M, K)), np.empty((N, M)), np.empty((N, M)))
+    streams = _rate_streams(config.seed)
+    for stage in log.stages():
+        _draw_stage(streams, stage)
+    for a in (log.ctr, log.cvr, log.value):
         a.flags.writeable = False
-    return MarketLog(config=config, tcpa=tcpa, ctr=ctr, cvr=cvr, value=value)
+    return log
 
 
 def sample_outcomes(
-    log: MarketLog, rounds: np.ndarray, bidders: np.ndarray, slots: np.ndarray
+    log: MarketLog | MarketStage, rounds: np.ndarray, bidders: np.ndarray, slots: np.ndarray,
+    ctr: np.ndarray | None = None, cvr: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample (click, conversion) for displayed triples, honoring replay overrides.
 
     Each triple's click and conversion uniforms are words 0 and 1 of its own
     Philox block under the log's seed, whatever the allocation or payments.
+    log is a whole log or one stage of it; rounds are the market's round
+    indices either way. ctr and cvr, when the caller has gathered them, are
+    the rates at the triples, and are then not gathered again.
     Returns two uint8 arrays shaped like the inputs. A conversion requires its
     click (z <= y elementwise).
     """
     rounds = np.asarray(rounds)
     bidders = np.asarray(bidders)
     slots = np.asarray(slots)
+    rows = rounds - log.start if isinstance(log, MarketStage) else rounds
     if log.outcomes is not None:
         click, conv = log.outcomes
-        y = click[rounds, bidders, slots]
-        z = conv[rounds, bidders, slots] & y
+        y = click[rows, bidders, slots]
+        z = conv[rows, bidders, slots] & y
         return y.astype(np.uint8), z.astype(np.uint8)
     w0, w1, _, _ = philox4x64((log.config.seed, _OUTCOME_STREAM), (1, slots, bidders, rounds))
-    y = _uniform_doubles(w0) < log.ctr[rounds, bidders, slots]
-    z = y & (_uniform_doubles(w1) < log.cvr[rounds, bidders])
+    y = _uniform_doubles(w0) < (log.ctr[rows, bidders, slots] if ctr is None else ctr)
+    z = y & (_uniform_doubles(w1) < (log.cvr[rows, bidders] if cvr is None else cvr))
     return y.astype(np.uint8), z.astype(np.uint8)
 
 

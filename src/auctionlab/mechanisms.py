@@ -17,9 +17,11 @@ given the bids at its start; the engine exploits that to vectorize scoring,
 allocation, and outcome sampling stage by stage. Each stage runs two passes:
 the outcome pass (score -> allocate -> sample), a function of the market,
 the stage and the bid vector alone, and the pricing pass that sets the
-payments of the online rules. The outcome pass under a run's opening bids
-is memoised on the MarketLog, so mechanisms run on the same log that open
-with the same bids and keep them share it. Each stage fills a row of every
+payments of the online rules. The engine reads the market one stage at a
+time, so several mechanisms run over one market in lockstep
+(``run_lockstep``): each stage is read once for all of them, and the runs
+of a stage that bid the same share its outcome pass. ``run_auction`` is
+the lockstep of a single run over a whole log. Each stage fills a row of every
 stage table (one (8, T, M) block) and its rows of the rounds columns, which
 are allocated once per run at the most rows a run can display. Agent bid
 updates fire at stage boundaries for CFP, CPA_OFFLINE, and online DFP. The
@@ -30,6 +32,7 @@ and conversions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -38,7 +41,7 @@ import numpy as np
 from .controllers import stage_pacing_oracle
 from .csvio import write_table
 from .errors import ConfigError, ContractViolation
-from .market import MarketLog, sample_outcomes, stage_starts
+from .market import MarketConfig, MarketLog, MarketStage, sample_outcomes
 
 ROUNDS_CSV_HEADER = "round,stage,bidder,slot,score,click,conversion,payment,bid"
 SUMMARY_CSV_HEADER = (
@@ -207,131 +210,93 @@ def _check_bids(bids: np.ndarray, source: str) -> None:
         raise ContractViolation(f"bidder {m} returned a non-finite bid {float(bids[m])!r} from {source}")
 
 
-def _outcome_pass(market: MarketLog, t: int, s0: int, bids: np.ndarray, opening: bytes) -> tuple[np.ndarray, ...]:
-    """Score -> allocate -> sample for stage t under the stage's bids.
+def _outcome_pass(stage: MarketStage, slot0: np.ndarray, bids: np.ndarray, passes: dict) -> tuple[np.ndarray, ...]:
+    """Score -> allocate -> sample for one stage under the stage's bids.
 
-    The result depends only on (market, stage, bid vector): outcomes come
-    from counter-addressed Philox streams, never from payments. A pass under
-    the run's opening bids (``opening``, their bytes) is kept in
-    ``market.outcome_memo[t]`` as (bid bytes, pass), so a later run on the
-    same log that meets those bids in that stage reads it back instead of
-    recomputing it. Every mechanism opens at tCPA, and the offline baselines
-    keep their bids, so those are the bids runs share.
+    The result depends only on (stage, bid vector): outcomes come from
+    counter-addressed Philox streams, never from payments. slot0 is the
+    stage's contiguous slot-0 ctr block. A pass is kept in passes, the
+    stage's dict shared by every run of the lockstep, under its bids'
+    bytes, so another run that bids the same in that stage reads it back
+    instead of recomputing it. Every mechanism opens at tCPA, and the
+    offline baselines keep their bids, so those are the bids runs share.
 
-    Returns read-only (rows, slots, bidders, score, click, conversion): the
-    displayed (stage row, slot) pairs in round-then-slot order and their
-    winners as int32, each winner's entry of the stage's score matrix, and
-    the uint8 outcomes of ``sample_outcomes``.
+    Returns read-only (rows, slots, bidders, score, click, conversion, ctr,
+    cvr): the displayed (stage row, slot) pairs in round-then-slot order and
+    their winners as int32, each winner's entry of the stage's score matrix,
+    the uint8 outcomes of ``sample_outcomes``, and the ctr and cvr at the
+    displayed triples, gathered once for sampling and pricing alike.
     """
     key = bids.tobytes()
-    kept = market.outcome_memo.get(t)
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    sl = slice(s0, s0 + market.config.stage_plan[t])
-    scores = ranking_score(bids[None, :], market.ctr[sl, :, 0], market.cvr[sl])
-    winner, valid = _stage_allocation(scores, market.num_slots)
+    kept = passes.get(key)
+    if kept is not None:
+        return kept
+    scores = ranking_score(bids[None, :], slot0, stage.cvr)
+    winner, valid = _stage_allocation(scores, stage.ctr.shape[2])
     rows, slots = np.nonzero(valid)
     bidders = winner[rows, slots]
-    y, z = sample_outcomes(market, rows + s0, bidders, slots)
-    outcome = (rows.astype(np.int32), slots.astype(np.int32), bidders.astype(np.int32), scores[rows, bidders], y, z)
+    ctr_at, cvr_at = stage.ctr[rows, bidders, slots], stage.cvr[rows, bidders]
+    y, z = sample_outcomes(stage, rows + stage.start, bidders, slots, ctr_at, cvr_at)
+    outcome = (rows.astype(np.int32), slots.astype(np.int32), bidders.astype(np.int32), scores[rows, bidders], y, z,
+               ctr_at, cvr_at)
     for column in outcome:
         column.flags.writeable = False
-    if key == opening:
-        market.outcome_memo[t] = (key, outcome)
+    passes[key] = outcome
     return outcome
 
 
-def run_auction(
-    market: MarketLog,
-    mech: MechanismConfig,
-    agents: list[BidderAgent],
-    controller: OnlineController | None = None,
-) -> SimulationResult:
-    """Simulate every round of the market under one mechanism.
+class _Run:
+    """One mechanism's run over a market, advanced a stage at a time by
+    ``run_lockstep``: the bids, the (8, T, M) stage-table block and the
+    rounds columns, which are allocated once at the most rows a run can
+    display (min(K, M) a round); each stage fills the next rows."""
 
-    Per stage: the outcome pass (score -> allocate -> sample outcomes),
-    then the pricing pass (pay -> accumulate); at each boundary conversions
-    are released and (for CFP, CPA_OFFLINE, and online DFP) agents update
-    bids from their cumulative checkpoint ratio conversions * tcpa /
-    payments. The hindsight rules keep bids static and are priced after the
-    last stage: the DFP "oracle" from each stage's own clicks and
-    conversions, PACING_OFFLINE from the whole run's.
+    def __init__(self, config: MarketConfig, tcpa: np.ndarray, mech: MechanismConfig, agents: list[BidderAgent],
+                 controller: OnlineController | None) -> None:
+        plan, M = config.stage_plan, config.num_bidders
+        if len(agents) != M:
+            raise ContractViolation(f"need {M} agents, got {len(agents)}")
+        self.hindsight = mech.kind == "PACING_OFFLINE" or mech.controller == "oracle"
+        self.online_dfp = mech.kind == "DFP" and not self.hindsight
+        if self.online_dfp and controller is None:
+            raise ContractViolation(f"DFP with controller {mech.controller!r} needs a controller instance")
+        self.mech, self.agents, self.controller, self.tcpa, self.plan = mech, agents, controller, tcpa, plan
+        self.bids = np.array([float(agents[m].initial_bid(float(tcpa[m]))) for m in range(M)])
+        _check_bids(self.bids, "initial_bid for stage 0")
+        self.tables = np.zeros((len(_STAGE_TABLES), len(plan), M))
+        self.named = dict(zip(_STAGE_TABLES, self.tables))
+        self.bid_by_stage = np.zeros((len(plan), M))
+        self.columns = [np.empty(sum(plan) * min(config.num_slots, M), dtype=dtype) for dtype in _ROUNDS_DTYPES]
+        self.filled = 0
+        self.t = 0
 
-    The outcome pass under the run's opening bids (those of
-    ``initial_bid``) is memoised per market in ``market.outcome_memo``, one
-    entry per stage matched by the bids' bytes: a later run on the same log
-    that meets those bids in a stage reuses the allocation and outcomes,
-    with the same bits as recomputing them. A pass under moved bids is
-    computed and not kept. The arrays of a generated or replayed log are
-    read-only, so no write can leave the memo stale; ``dataclasses.replace``
-    gives a copy with an empty memo.
-
-    Args:
-        market: generated or replayed market log.
-        mech: mechanism configuration; for kind DFP with controller "debt"
-            or "rl", pass the controller object.
-        agents: one BidderAgent per bidder.
-        controller: online controller instance (DFP only, except "oracle").
-
-    Returns:
-        SimulationResult with the rounds table and stage tables.
-
-    Raises:
-        ContractViolation: wrong agent count, a missing online controller,
-            a NaN or infinite bid from ``initial_bid`` or ``stage_update``
-            (naming the bidder and stage), or a negative or non-finite
-            controller payment.
-    """
-    plan = market.config.stage_plan
-    T, M = len(plan), market.num_bidders
-    if len(agents) != M:
-        raise ContractViolation(f"need {M} agents, got {len(agents)}")
-    hindsight = mech.kind == "PACING_OFFLINE" or mech.controller == "oracle"
-    online_dfp = mech.kind == "DFP" and not hindsight
-    if online_dfp and controller is None:
-        raise ContractViolation(f"DFP with controller {mech.controller!r} needs a controller instance")
-
-    tcpa = market.tcpa
-    bids = np.array([float(agents[m].initial_bid(float(tcpa[m]))) for m in range(M)])
-    _check_bids(bids, "initial_bid for stage 0")
-    opening = bids.tobytes()
-
-    starts = stage_starts(plan)
-    tables = np.zeros((len(_STAGE_TABLES), T, M))
-    named = dict(zip(_STAGE_TABLES, tables))
-    clicks_table, convs_table, pay_table = named["stage_clicks"], named["stage_conversions"], named["stage_payments"]
-    bid_by_stage = np.zeros((T, M))
-    # The rounds columns, sized for the most rows a run can display (min(K, M)
-    # a round); each stage fills the next rows.
-    columns = [np.empty(sum(plan) * min(market.num_slots, M), dtype=dtype) for dtype in _ROUNDS_DTYPES]
-    filled = 0
-
-    for t in range(T):
-        s0, n_t = int(starts[t]), plan[t]
-        bid_by_stage[t] = bids
-        rows, slots, bidders, score, y, z = _outcome_pass(market, t, s0, bids, opening)
+    def step(self, stage: MarketStage, slot0: np.ndarray, passes: dict) -> None:
+        """Run the next stage: the outcome pass, then the pricing pass; at
+        the boundary, the feedback release and the agents' bid updates."""
+        t, s0, bids, tcpa, controller = self.t, stage.start, self.bids, self.tcpa, self.controller
+        n_t, M = stage.cvr.shape
+        self.t += 1
+        self.bid_by_stage[t] = bids
+        rows, slots, bidders, score, y, z, ctr_at, cvr_at = _outcome_pass(stage, slot0, bids, passes)
         rounds_global = rows.astype(np.int64) + s0
 
         # Pricing pass.
-        ctr_at = market.ctr[rounds_global, bidders, slots]
-        cvr_at = market.cvr[rounds_global, bidders]
         bid_at = bids[bidders]
         # Expected conversions under the stage's fixed allocation.
         e_convs = ctr_at * cvr_at
 
         pay = np.zeros(y.shape)  # the hindsight rules are priced after the last stage
-        if mech.kind == "CFP":
+        if self.mech.kind == "CFP":
             pay = cfp_payment(bid_at, y, cvr_at)
-        elif mech.kind == "CPA_OFFLINE":
+        elif self.mech.kind == "CPA_OFFLINE":
             pay = cpa_offline_payment(z, tcpa[bidders])
-        elif online_dfp:
+        elif self.online_dfp:
             # Expected-click suffix schedule, then clicks in (round, slot)
             # order through the controller.
             x_ctr = np.zeros((n_t, M))
             x_ctr[rows, bidders] = ctr_at
             suffix = np.vstack([np.cumsum(x_ctr[::-1], axis=0)[::-1][1:], np.zeros((1, M))])
-            cvr = market.cvr[s0:s0 + n_t]
-            controller.begin_stage(x_ctr.sum(axis=0), (x_ctr * cvr).sum(axis=0), bids, s0, n_t)
+            controller.begin_stage(x_ctr.sum(axis=0), (x_ctr * stage.cvr).sum(axis=0), bids, s0, n_t)
             clicked = np.flatnonzero(y)
             on_click = controller.on_click
             paid = np.array([
@@ -350,46 +315,120 @@ def run_auction(
         # One weight column per stage table, in _STAGE_TABLES order. bincount
         # sums each bidder's entries in input order from 0.0; the tables'
         # bits depend on that order.
-        weights = (None, y, z, ctr_at, e_convs, bid_at * e_convs, pay, market.value[rounds_global, bidders] * z)
+        weights = (None, y, z, ctr_at, e_convs, bid_at * e_convs, pay, stage.value[rows, bidders] * z)
         for k, w in enumerate(weights):
-            tables[k, t] = np.bincount(bidders, weights=w, minlength=M)
-        at = slice(filled, filled + rows.size)
-        filled = at.stop
-        for column, values in zip(columns, (rounds_global, t, bidders, slots, score, y, z, pay, bid_at)):
+            self.tables[k, t] = np.bincount(bidders, weights=w, minlength=M)
+        at = slice(self.filled, self.filled + rows.size)
+        self.filled = at.stop
+        for column, values in zip(self.columns, (rounds_global, t, bidders, slots, score, y, z, pay, bid_at)):
             column[at] = values
-        if hindsight:
-            continue
+        if self.hindsight:
+            return
 
         # Boundary: conversions for stages <= t become visible, and each agent
         # sees its checkpoint ratio (None before its first conversion).
-        visible = convs_table[: t + 1].sum(axis=0)
-        if online_dfp:
+        visible = self.named["stage_conversions"][: t + 1].sum(axis=0)
+        if self.online_dfp:
             controller.end_stage(visible)
-        paid_cum = pay_table[: t + 1].sum(axis=0)
+        paid_cum = self.named["stage_payments"][: t + 1].sum(axis=0)
         ratio = np.divide(visible * tcpa, paid_cum, out=np.full(M, np.inf), where=paid_cum > 0)
-        bids = np.array([agents[m].stage_update(
+        agents = self.agents
+        self.bids = np.array([agents[m].stage_update(
             float(bids[m]), float(tcpa[m]), ratio[m] if visible[m] >= 1.0 else None, bool(paid_cum[m] > 0)
         ) for m in range(M)], dtype=np.float64)
-        _check_bids(bids, f"stage_update at the end of stage {t}")
+        _check_bids(self.bids, f"stage_update at the end of stage {t}")
 
-    # Withdrawals can leave rows unfilled: shrink each column to its filled
-    # rows in place (a realloc, no copy). No view of a column exists.
-    for column in columns:
-        column.resize(filled, refcheck=False)
-    rounds = RoundsTable(*columns)
-    if hindsight:
-        _price_in_hindsight(rounds, clicks_table, convs_table, pay_table, tcpa, per_stage=mech.kind == "DFP")
+    def result(self) -> SimulationResult:
+        """The finished run, after its last stage."""
+        # Withdrawals can leave rows unfilled: shrink each column to its filled
+        # rows in place (a realloc, no copy). No view of a column exists.
+        for column in self.columns:
+            column.resize(self.filled, refcheck=False)
+        rounds = RoundsTable(*self.columns)
+        named = self.named
+        if self.hindsight:
+            _price_in_hindsight(rounds, named["stage_clicks"], named["stage_conversions"], named["stage_payments"],
+                                self.tcpa, per_stage=self.mech.kind == "DFP")
+        return SimulationResult(
+            mechanism=self.mech.label,
+            stage_plan=self.plan,
+            tcpa=self.tcpa.copy(),
+            rounds=rounds,
+            **named,
+            bid_by_stage=self.bid_by_stage,
+            final_bids=self.bids.copy(),
+            withdrawn=(self.bids == 0.0),
+        )
 
-    return SimulationResult(
-        mechanism=mech.label,
-        stage_plan=plan,
-        tcpa=tcpa.copy(),
-        rounds=rounds,
-        **named,
-        bid_by_stage=bid_by_stage,
-        final_bids=bids.copy(),
-        withdrawn=(bids == 0.0),
-    )
+
+def run_lockstep(
+    config: MarketConfig,
+    tcpa: np.ndarray,
+    stages: Iterable[MarketStage],
+    runs: list[tuple[MechanismConfig, list[BidderAgent], OnlineController | None]],
+) -> list[SimulationResult]:
+    """Run several mechanisms over one market in lockstep, a stage at a time.
+
+    Every run goes through a stage before the next stage is read, so stages
+    may be drawn as they are reached (``market.draw_stages``) and only one
+    is needed at a time. The runs of a stage share its contiguous slot-0 ctr
+    block and a local dict of outcome passes keyed by bid bytes (see
+    ``_outcome_pass``), dropped with the stage. Each run's bits are those it
+    has alone, since a pass depends only on the stage and the bids.
+
+    Args:
+        config: the market's config; tcpa its (M,) targets.
+        stages: the market's stages in order, as ``MarketLog.stages`` or
+            ``draw_stages`` gives them.
+        runs: one (mechanism, agents, controller) per run, as
+            ``run_auction`` takes them.
+
+    Returns:
+        One SimulationResult per run, in order.
+    """
+    steps = [_Run(config, tcpa, mech, agents, controller) for mech, agents, controller in runs]
+    for stage in stages:
+        slot0 = np.ascontiguousarray(stage.ctr[:, :, 0])
+        passes: dict[bytes, tuple[np.ndarray, ...]] = {}
+        for run in steps:
+            run.step(stage, slot0, passes)
+    return [run.result() for run in steps]
+
+
+def run_auction(
+    market: MarketLog,
+    mech: MechanismConfig,
+    agents: list[BidderAgent],
+    controller: OnlineController | None = None,
+) -> SimulationResult:
+    """Simulate every round of the market under one mechanism: the lockstep
+    of one run over the log's stage views (``run_lockstep``).
+
+    Per stage: the outcome pass (score -> allocate -> sample outcomes),
+    then the pricing pass (pay -> accumulate); at each boundary conversions
+    are released and (for CFP, CPA_OFFLINE, and online DFP) agents update
+    bids from their cumulative checkpoint ratio conversions * tcpa /
+    payments. The hindsight rules keep bids static and are priced after the
+    last stage: the DFP "oracle" from each stage's own clicks and
+    conversions, PACING_OFFLINE from the whole run's.
+
+    Args:
+        market: generated or replayed market log.
+        mech: mechanism configuration; for kind DFP with controller "debt"
+            or "rl", pass the controller object.
+        agents: one BidderAgent per bidder.
+        controller: online controller instance (DFP only, except "oracle").
+
+    Returns:
+        SimulationResult with the rounds table and stage tables.
+
+    Raises:
+        ContractViolation: wrong agent count, a missing online controller,
+            a NaN or infinite bid from ``initial_bid`` or ``stage_update``
+            (naming the bidder and stage), or a negative or non-finite
+            controller payment.
+    """
+    return run_lockstep(market.config, market.tcpa, market.stages(), [(mech, agents, controller)])[0]
 
 
 def _price_in_hindsight(rounds: RoundsTable, clicks: np.ndarray, convs: np.ndarray, payments: np.ndarray,

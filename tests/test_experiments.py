@@ -573,13 +573,13 @@ def test_run_experiment_generates_each_market_once(tmp_path, monkeypatch):
     import auctionlab.experiments as experiments
 
     generated = []
-    real = experiments.generate_market
+    real = experiments.draw_stages
 
     def counting(market_config):
         generated.append(market_config.seed)
         return real(market_config)
 
-    monkeypatch.setattr(experiments, "generate_market", counting)
+    monkeypatch.setattr(experiments, "draw_stages", counting)
     config = _tiny_config(seeds=(3, 1, 2))
     out = run_experiment(config, str(tmp_path))
     assert generated == [3, 1, 2]
@@ -589,6 +589,31 @@ def test_run_experiment_generates_each_market_once(tmp_path, monkeypatch):
         for label in ("CFP", "DFP_debt")
         for seed in (3, 1, 2)
     ]
+
+
+def test_lockstep_run_writes_the_bytes_of_each_mechanism_run_alone(tmp_path):
+    # Every artifact of each (mechanism, seed) run directory against the same
+    # mechanism run alone through run_auction on a fresh generate_market.
+    import auctionlab.experiments as experiments
+
+    mechs = (MechanismConfig("CFP"), MechanismConfig("CPA_OFFLINE"), MechanismConfig("PACING_OFFLINE"),
+             MechanismConfig("DFP", controller="debt"), MechanismConfig("DFP", controller="oracle"))
+    config = _tiny_config(mechanisms=mechs, seeds=(4, 0), market=dataclasses.replace(
+        _tiny_config().market, num_bidders=6, stage_plan=(30, 1, 45, 7)))
+    out = run_experiment(config, str(tmp_path / "run"))
+    run_dirs = iter(out["run_dirs"])
+    for mech in mechs:
+        for seed in config.seeds:
+            market = generate_market(dataclasses.replace(config.market, seed=seed))
+            controller = experiments._make_controller(mech, market.tcpa, config.rl, None)
+            alone = run_auction(market, mech, experiments.make_agents(config, market.num_bidders), controller)
+            alone_dir = tmp_path / "alone" / mech.label.replace(":", "_") / f"seed_{seed}"
+            experiments._write_run(config, mech, alone, str(alone_dir), {})
+            run_dir = Path(next(run_dirs))
+            names = sorted(p.name for p in alone_dir.iterdir())
+            assert names == sorted(p.name for p in run_dir.iterdir()) and len(names) == 7
+            for name in names:
+                assert (run_dir / name).read_bytes() == (alone_dir / name).read_bytes(), (mech.label, seed, name)
 
 
 def test_rerun_is_byte_identical_outside_manifest(tmp_path):

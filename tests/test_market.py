@@ -232,20 +232,36 @@ def test_seeds_below_two_to_the_63_keep_their_list_keyed_streams():
         np.testing.assert_array_equal(log.tcpa, lo + (hi - lo) * u)
 
 
-def test_replaced_market_starts_with_an_empty_outcome_memo():
+def test_replaced_market_runs_on_its_own_arrays():
     market = generate_market(_tiny_config())
     agents = [TruthfulAgent() for _ in range(market.num_bidders)]
     before = run_auction(market, MechanismConfig("CFP"), agents)
-    assert len(market.outcome_memo) == len(market.config.stage_plan)
-    assert "outcome_memo" not in repr(market)
 
     twin = dataclasses.replace(market, ctr=market.ctr * 0.5)
-    assert len(twin.outcome_memo) == 0 and twin.outcome_memo is not market.outcome_memo
     after = run_auction(twin, MechanismConfig("CFP"), agents)
     direct = MarketLog(market.config, market.tcpa, market.ctr * 0.5, market.cvr, market.value)
     want = run_auction(direct, MechanismConfig("CFP"), agents)
     assert after.rounds.score.tobytes() == want.rounds.score.tobytes()
     assert after.rounds.score.tobytes() != before.rounds.score.tobytes()
+
+
+def test_log_stages_are_views_of_its_arrays():
+    live = generate_market(_tiny_config())
+    click = np.zeros(live.ctr.shape, np.uint8)
+    replay = dataclasses.replace(live, outcomes=(click, click.copy()))
+    starts = stage_starts(live.config.stage_plan)
+    for log in (live, replay):
+        stages = list(log.stages())
+        assert [s.start for s in stages] == starts.tolist()
+        for stage, n in zip(stages, live.config.stage_plan):
+            rows = slice(stage.start, stage.start + n)
+            held = [(stage.ctr, log.ctr), (stage.cvr, log.cvr), (stage.value, log.value)]
+            if log.outcomes is not None:
+                held += list(zip(stage.outcomes, log.outcomes))
+            for view, whole in held:
+                assert view.base is whole and view.shape[0] == n
+                assert view.tobytes() == whole[rows].tobytes()
+        assert (stages[0].outcomes is None) == (log is live)
 
 
 def test_degenerate_ranges_force_exact_values():
@@ -650,9 +666,9 @@ def test_market_csv_names_the_file_line_of_a_short_row_after_blank_lines(tmp_pat
 
 
 def test_market_arrays_are_read_only(tmp_path):
-    # The outcome memo is computed from a log's arrays, so a write into one
-    # raises rather than leaving the memo stale. The reader copies the
-    # caller's tcpa and leaves that array writeable.
+    # Runs share a log's arrays through its stage views, so a write into one
+    # raises. The reader copies the caller's tcpa and leaves that array
+    # writeable.
     cfg = _tiny_config(seed=2)
     log = generate_market(cfg)
     path = str(tmp_path / "m.csv")

@@ -21,6 +21,7 @@ from auctionlab import (
     run_auction,
     stage_pacing_oracle,
 )
+from auctionlab import mechanisms
 from auctionlab.csvio import CHUNK_ROWS
 from auctionlab.mechanisms import (
     ROUNDS_CSV_HEADER,
@@ -29,6 +30,7 @@ from auctionlab.mechanisms import (
     cfp_payment,
     cpa_offline_payment,
     ranking_score,
+    run_lockstep,
     write_rounds_csv,
     write_summary_csv,
 )
@@ -265,9 +267,10 @@ def test_rounds_table_of_a_run_with_short_stages_matches_the_reference():
 
 
 def _traced_peak_over_kept_bytes(market, agents):
-    """run_auction's tracemalloc peak above its start, over the bytes it
-    keeps: the rounds table plus a fresh market's outcome memo, which holds
-    3 int32 columns, the float64 score and 2 uint8 outcomes a displayed row."""
+    """run_auction's tracemalloc peak above its start, over the rounds
+    table's bytes plus 22 bytes a displayed row: an outcome pass's 3 int32
+    columns, float64 score and 2 uint8 outcomes, as if every stage's pass
+    were kept (the engine keeps each only while its stage runs)."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -286,7 +289,7 @@ def _traced_peak_over_kept_bytes(market, agents):
 ])
 def test_run_auction_holds_the_rounds_table_once(agent, rows, bound):
     # At 50 bidders, 31 stages of 180 rounds and desk's rate ranges, this
-    # ratio measured 1.21 (full) and 1.42 (withdrawals). Stage row tuples
+    # ratio measured 0.92 (full) and 1.20 (withdrawals). Stage row tuples
     # concatenated at the end read 1.70 and 1.72, and copying a short
     # table's filled rows would read above 2.
     market = generate_market(MarketConfig(
@@ -524,28 +527,47 @@ def test_withdrawn_flags_zero_final_bids(tmp_path):
     assert not truthful.withdrawn.any()
 
 
-def test_one_memo_keeps_the_opening_passes_across_the_five_desk_mechanisms(tmp_path):
-    # desk's mechanisms and agents, run one after another on one market and
-    # each on a fresh one: the shared memo must not change a byte.
+def test_lockstep_shares_the_opening_passes_across_the_five_desk_mechanisms(tmp_path, monkeypatch):
+    # desk's mechanisms and agents, run in lockstep over one market and each
+    # alone on a fresh one: sharing the stages' passes must not change a byte.
     config = dict(num_bidders=10, num_slots=5, stage_plan=(3500, 3500, 500, 500), seed=3)
     market = _market(**config)
     mechs = [MechanismConfig("CFP"), MechanismConfig("CPA_OFFLINE"), MechanismConfig("PACING_OFFLINE"),
              MechanismConfig("DFP", controller="debt"), MechanismConfig("DFP", controller="oracle")]
-    for i, mech in enumerate(mechs):
-        paths = []
-        for log in (market, _market(**config)):
-            controller = DebtController(log.tcpa) if mech.controller == "debt" else None
-            result = run_auction(log, mech, [RiskAverseAgent() for _ in range(10)], controller)
-            paths.append(tmp_path / f"{i}_{len(paths)}.csv")
-            write_rounds_csv(result, str(paths[-1]))
+
+    def run(log, mech):
+        return mech, [RiskAverseAgent() for _ in range(10)], DebtController(log.tcpa) if mech.controller == "debt" else None
+
+    passes = []  # (stage start, bid bytes, the pass) per run and stage
+    real = mechanisms._outcome_pass
+
+    def recording(stage, slot0, bids, shared):
+        outcome = real(stage, slot0, bids, shared)
+        passes.append((stage.start, bids.tobytes(), outcome))
+        return outcome
+
+    monkeypatch.setattr(mechanisms, "_outcome_pass", recording)
+    together = run_lockstep(market.config, market.tcpa, market.stages(), [run(market, mech) for mech in mechs])
+    monkeypatch.undo()
+    for i, (mech, result) in enumerate(zip(mechs, together)):
+        fresh = _market(**config)
+        alone = run_auction(fresh, *run(fresh, mech))
+        paths = [tmp_path / f"{i}_together.csv", tmp_path / f"{i}_alone.csv"]
+        for r, path in zip((result, alone), paths):
+            write_rounds_csv(r, str(path))
         assert paths[0].read_bytes() == paths[1].read_bytes(), mech.label
-    # One entry per stage: the outcome pass under the opening bids, tCPA,
-    # keyed by their bytes, its arrays read-only.
+    # Runs of a stage that bid the same get the same pass, its arrays
+    # read-only: all five at the opening bids, tCPA, in stage 0, and the two
+    # hindsight rules, which keep those bids, in every stage.
+    assert [start for start, _, _ in passes] == [s for s in (0, 3500, 7000, 7500) for _ in mechs]
     opening = market.tcpa.tobytes()
-    assert sorted(market.outcome_memo) == [0, 1, 2, 3]
-    for t, (key, outcome) in market.outcome_memo.items():
-        assert key == opening and len(outcome) == 6, t
-        assert not any(column.flags.writeable for column in outcome), t
+    for start in (0, 3500, 7000, 7500):
+        stage = [(key, outcome) for s, key, outcome in passes if s == start]
+        for key, outcome in stage:
+            assert len(outcome) == 8 and not any(column.flags.writeable for column in outcome), start
+            assert all(o is outcome for k, o in stage if k == key), start
+        assert stage[2][0] == stage[4][0] == opening and stage[2][1] is stage[4][1], start
+    assert all(key == opening for start, key, _ in passes if start == 0)
 
 
 @pytest.mark.parametrize("mech", [

@@ -4,16 +4,18 @@ The per-round reference in reference.py states the invariants one round at
 a time; these properties hold the stage-vectorized engine's own output to
 them, for every mechanism, on markets hypothesis generates. The online DFP
 payers are also held bit for bit to the per-click reference forms there,
-runs that share a log's memoised outcome pass to runs on fresh logs, and
-the stage tables to their recount from the rounds log, summary.csv to the
-stage tables' per-bidder totals, and runs on a market read back from its
-replay CSV to runs on the live market. Outcomes
+runs in lockstep over the stage-by-stage draw to runs alone on fresh logs,
+that draw to the whole market, the stage tables to their recount from the
+rounds log, summary.csv to the stage tables' per-bidder totals, and runs on
+a market read back from its replay CSV to runs on the live market. Outcomes
 are held to their address: the seed and the (round, bidder, slot) triple.
 """
 
 import dataclasses
 import os
 import tempfile
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -29,11 +31,13 @@ from auctionlab import (
     generate_market,
     run_auction,
     sample_outcomes,
+    stage_starts,
     write_market_csv,
 )
+from auctionlab import mechanisms
 from auctionlab.controllers import DEFAULT_CAP_FACTOR, stage_pacing_oracle
-from auctionlab.market import read_market_csv
-from auctionlab.mechanisms import SUMMARY_CSV_HEADER, write_summary_csv
+from auctionlab.market import draw_stages, draw_tcpa, read_market_csv
+from auctionlab.mechanisms import SUMMARY_CSV_HEADER, run_lockstep, write_summary_csv
 from auctionlab.nets import MLP
 from auctionlab.ppo import FEATURE_DIM, GaussianPolicy, RLPaymentController
 from reference import ROUNDS_COLUMNS, ReferenceRLController, online_dfp_reference
@@ -205,17 +209,46 @@ def _assert_same_run(result, fresh, label):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(market_configs(), st.booleans())
-def test_memoised_outcome_pass_matches_fresh_markets(config, risk_averse):
-    # Every mechanism, twice over, back to back on one log (so each run meets
-    # the outcome memo in another state) against runs on fresh logs.
-    def run(market, mech):
-        agents = [RiskAverseAgent() if risk_averse else TruthfulAgent() for _ in range(market.num_bidders)]
-        return run_auction(market, mech, agents, controller=_controller(mech, market))
+def test_lockstep_runs_match_runs_on_fresh_markets(config, risk_averse):
+    # Every mechanism, twice over, in one lockstep over the stage-by-stage
+    # draw (so each stage's passes are shared between the twins) against
+    # each run alone on a fresh log.
+    def run(tcpa, mech):
+        agents = [RiskAverseAgent() if risk_averse else TruthfulAgent() for _ in range(config.num_bidders)]
+        return mech, agents, _controller(mech, SimpleNamespace(tcpa=tcpa))
 
-    shared = generate_market(config)
-    for mech in SHARED_MECHANISMS * 2:
-        _assert_same_run(run(shared, mech), run(generate_market(config), mech), mech.label)
-    assert 0 < len(shared.outcome_memo) <= len(config.stage_plan)
+    tcpa = draw_tcpa(config)
+    with mock.patch.object(mechanisms, "sample_outcomes", wraps=mechanisms.sample_outcomes) as sampled:
+        together = run_lockstep(config, tcpa, draw_stages(config), [run(tcpa, mech) for mech in SHARED_MECHANISMS * 2])
+    for mech, result in zip(SHARED_MECHANISMS * 2, together):
+        fresh = generate_market(config)
+        _assert_same_run(result, run_auction(fresh, *run(fresh.tcpa, mech)), mech.label)
+    # Each twin reads its pass from the other, so at most half are computed.
+    assert 0 < sampled.call_count <= len(SHARED_MECHANISMS) * len(config.stage_plan)
+
+
+@st.composite
+def uneven_market_configs(draw):
+    # Uneven plans, 1-round stages, and one slot or one bidder.
+    return MarketConfig(
+        num_bidders=draw(st.sampled_from([1, 2, 7])),
+        num_slots=draw(st.sampled_from([1, 3])),
+        stage_plan=tuple(draw(st.lists(st.sampled_from([1, 2, 5, 13]), min_size=1, max_size=6))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(uneven_market_configs())
+def test_stage_by_stage_draw_equals_the_whole_market(config):
+    log = generate_market(config)
+    assert draw_tcpa(config).tobytes() == log.tcpa.tobytes()
+    stages = list(draw_stages(config))
+    assert [(s.start, s.cvr.shape[0]) for s in stages] == list(zip(stage_starts(config.stage_plan).tolist(),
+                                                                   config.stage_plan))
+    for name in ("ctr", "cvr", "value"):
+        drawn = np.concatenate([getattr(s, name) for s in stages])
+        assert drawn.shape == getattr(log, name).shape and drawn.tobytes() == getattr(log, name).tobytes(), name
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
