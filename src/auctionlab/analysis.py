@@ -179,16 +179,20 @@ class FluctuationTable:
 def clicked_payments_by_bidder(result: SimulationResult) -> list[np.ndarray]:
     """Each bidder's per-click payments (zero payments included), in round order.
 
-    One stable sort of the clicked rows by bidder, then a contiguous slice
-    per bidder: the same values in the same order as masking the rounds
-    table once per bidder, at one pass instead of M.
+    The clicked rows come from the rounds table, or, for a run that streamed
+    its table, from the clicked rows it carries, the same values in the same
+    order. One stable sort of them by bidder, then a contiguous slice per
+    bidder: the same values in the same order as masking the rounds table
+    once per bidder, at one pass instead of M.
     """
     r = result.rounds
-    clicked = np.flatnonzero(r.click)
-    bidder = r.bidder[clicked]
-    pays = r.payment[clicked[np.argsort(bidder, kind="stable")]]
+    if r is None:
+        bidder, pays = result.clicked
+    else:
+        clicked = np.flatnonzero(r.click)
+        bidder, pays = r.bidder[clicked], r.payment[clicked]
     ends = np.cumsum(np.bincount(bidder, minlength=result.num_bidders))
-    return np.split(pays, ends[:-1])
+    return np.split(pays[np.argsort(bidder, kind="stable")], ends[:-1])
 
 
 def payment_fluctuation(result: SimulationResult) -> FluctuationTable:

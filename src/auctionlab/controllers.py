@@ -48,7 +48,14 @@ class DebtController:
     def on_click(self, bidder: int, round_index: int, cvr: float, expected_remaining_clicks: float) -> float:
         self.pending[bidder] = pending = self.pending[bidder] + cvr
         debt = self.carry[bidder] + pending * self.tcpa[bidder] - self.paid_stage[bidder]
-        payment = min(max(debt / max(1.0, expected_remaining_clicks), 0.0), self.cap[bidder])
+        # min(max(debt / max(1.0, r), 0.0), cap) as conditional expressions,
+        # each returning the operand the builtin returns (so -0.0 and nan
+        # pass the lower clamp as max lets them), without three calls a click.
+        r = expected_remaining_clicks
+        payment = debt / (r if r > 1.0 else 1.0)
+        payment = 0.0 if 0.0 > payment else payment
+        cap = self.cap[bidder]
+        payment = cap if cap < payment else payment
         self.paid_stage[bidder] += payment
         self.paid_total[bidder] += payment
         return payment

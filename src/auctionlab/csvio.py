@@ -10,12 +10,15 @@ formatted whole into one cell matrix: zero-padded uint8, one row per cell
 holding its UTF-8 text and separator ("," or, in the last column, a
 newline). The chunk is its matrices side by side with the zero bytes
 dropped, so memory holds one chunk's cells and no Python string per cell.
-Whole columns are sliced CHUNK_ROWS rows at a time; a caller that builds its
-rows as it goes (the market CSV) passes an iterator of chunks instead, so
-the whole table never exists at once. Integer cells are built from the
-float kernel's ASCII digit words, with no Python string per value; an
-integer chunk whose values span less than twice its length formats each
-value of the span once and gathers rows by offset; a float chunk that
+One writer, ``TableWriter``, takes the rows as they come: open it, write
+columns as often as rows are ready (each write sliced CHUNK_ROWS rows at a
+time), and leave its ``with`` block to close it. A caller that builds its
+rows as it goes (the market CSV, a streamed rounds table) therefore never
+holds the whole table; ``write_table`` is one write of whole columns.
+Integer cells are built from the float kernel's ASCII digit words, with
+no Python string per value; an integer chunk whose values span less than
+twice its length formats each value of the span once and gathers rows by
+offset; a float chunk that
 repeats few distinct values (told apart by their bits) formats each once
 and gathers rows by index. A bool column prints 1/0.
 
@@ -31,7 +34,7 @@ chunk below ``_KERNEL_MIN`` values keep ``repr``.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from types import SimpleNamespace
 
 import numpy as np
@@ -306,8 +309,8 @@ def _format_column(col: np.ndarray, end: str) -> np.ndarray:
     return _text_matrix(map(str, col.tolist()), end)
 
 
-def _chunk_length(header: str, cols: list[np.ndarray]) -> int:
-    """The common length of one chunk's columns, one per header field."""
+def _column_length(header: str, cols: list[np.ndarray]) -> int:
+    """The common length of the columns, one per header field."""
     if len(cols) != header.count(",") + 1:
         raise ContractViolation(f"header {header!r} does not name {len(cols)} columns")
     lengths = {len(c) for c in cols}
@@ -316,31 +319,59 @@ def _chunk_length(header: str, cols: list[np.ndarray]) -> int:
     return lengths.pop()
 
 
-def write_table(path: str, header: str, columns: Sequence | Iterator[Iterable]) -> None:
-    """Write equal-length columns under a comma-separated header line.
+class TableWriter:
+    """A CSV table written as its rows become ready: the header line when
+    opened, then each ``write``'s rows. A context manager, which closes the
+    file on any exit.
 
     Args:
         path: output file, overwritten.
         header: the first line, without its newline.
-        columns: one array-like per header field, all the same length; or
-            an iterator of such lists, one per chunk of rows, written in
-            turn. A chunk of at most CHUNK_ROWS rows keeps memory to one
-            chunk's cell matrices (see the module docstring).
+    """
+
+    def __init__(self, path: str, header: str) -> None:
+        self.header = header
+        self._fh = open(path, "wb")
+        self._fh.write(f"{header}\n".encode())
+
+    def write(self, columns: Sequence) -> None:
+        """Append rows: one array-like per header field, all the same
+        length (none is fine), formatted CHUNK_ROWS rows at a time, so memory
+        holds one chunk's cell matrices (see the module docstring).
+
+        Raises:
+            ContractViolation: column count or lengths do not match; nothing
+                of this write reaches the file.
+        """
+        cols = [np.asarray(c) for c in columns]
+        n = _column_length(self.header, cols)
+        ends = [","] * (len(cols) - 1) + ["\n"]
+        for start in range(0, n, CHUNK_ROWS):
+            cells = [_format_column(c[start:start + CHUNK_ROWS], end) for c, end in zip(cols, ends)]
+            # bytes.translate drops the zero bytes faster than np.compress does.
+            self._fh.write(np.hstack(cells).tobytes().translate(None, b"\0"))
+
+    def __enter__(self) -> TableWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+
+def write_table(path: str, header: str, columns: Sequence) -> None:
+    """Write equal-length columns under a comma-separated header line: one
+    ``TableWriter`` write of whole columns.
+
+    Args:
+        path: output file, overwritten.
+        header: the first line, without its newline.
+        columns: one array-like per header field, all the same length.
 
     Raises:
-        ContractViolation: column count or lengths do not match; whole
+        ContractViolation: column count or lengths do not match; the
             columns are checked before the file is opened.
     """
-    if not isinstance(columns, Iterator):
-        cols = [np.asarray(c) for c in columns]
-        n = _chunk_length(header, cols)
-        columns = ([c[start:start + CHUNK_ROWS] for c in cols] for start in range(0, n, CHUNK_ROWS))
-    with open(path, "wb") as fh:
-        fh.write(f"{header}\n".encode())
-        for chunk in columns:
-            block = [np.asarray(c) for c in chunk]
-            if _chunk_length(header, block):
-                ends = [","] * (len(block) - 1) + ["\n"]
-                cells = [_format_column(c, end) for c, end in zip(block, ends)]
-                # bytes.translate drops the zero bytes faster than np.compress does.
-                fh.write(np.hstack(cells).tobytes().translate(None, b"\0"))
+    cols = [np.asarray(c) for c in columns]
+    _column_length(header, cols)
+    with TableWriter(path, header) as out:
+        out.write(cols)

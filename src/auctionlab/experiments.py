@@ -2,10 +2,10 @@
 
 An experiment is a market template, a set of mechanisms, and a list of
 seeds. Each (mechanism, seed) pair gets its own artifact directory with
-the full rounds table plus derived metric tables; pooled summaries land at
-the top level. Every float is written with repr, so a rerun of the same
-config produces byte-identical CSVs; the manifest carries the only
-timestamp and is written last.
+the full rounds table, written as its stages finish, plus derived metric
+tables; pooled summaries land at the top level. Every float is written
+with repr, so a rerun of the same config produces byte-identical CSVs; the
+manifest carries the only timestamp and is written last.
 """
 
 from __future__ import annotations
@@ -225,9 +225,12 @@ def _write_drift_csv(path: str, drift: np.ndarray, withdrawn: np.ndarray) -> Non
 
 def _write_run(config: ExperimentConfig, mech: MechanismConfig, result: SimulationResult, run_dir: str,
                pool: dict[str, list[np.ndarray]]) -> None:
-    """Write one (mechanism, seed) pair's run directory and append its metrics to pool."""
+    """Write one (mechanism, seed) pair's run directory and append its metrics
+    to pool. rounds.csv is written here only for a result that kept its
+    rounds table; a streamed run wrote it during the lockstep."""
     os.makedirs(run_dir, exist_ok=True)
-    write_rounds_csv(result, os.path.join(run_dir, "rounds.csv"))
+    if result.rounds is not None:
+        write_rounds_csv(result, os.path.join(run_dir, "rounds.csv"))
     write_summary_csv(result, os.path.join(run_dir, "summary.csv"))
 
     stage_table = cpa_ratio_table(result)
@@ -273,10 +276,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
     seed's market, drawn one stage at a time (``draw_stages``): every
     mechanism goes through a stage before the next is drawn, so one stage
     of the market is live at a time, and the runs of a stage share its
-    outcome passes where their bids are equal. Each result is then written
-    and analysed in config order and dropped. Pooled metrics are
-    concatenated per mechanism in seed order, which fixes the bits of their
-    means and quantiles.
+    outcome passes where their bids are equal. Each run streams its
+    rounds.csv as its stages finish, so a seed holds about one stage of rows
+    per run (PACING_OFFLINE, priced over the whole run, holds its table
+    until the last stage). The rest of each result is then written and
+    analysed in config order and dropped. Pooled metrics are concatenated
+    per mechanism in seed order, which fixes the bits of their means and
+    quantiles.
 
     A DFP:rl checkpoint is loaded once, before the first run, so a missing
     one fails before any artifact is written; so does a checkpoint given to
@@ -301,9 +307,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str, rl_checkpoint: str | 
         tcpa = draw_tcpa(market_config)
         runs = [(mech, make_agents(config, tcpa.size), _make_controller(mech, tcpa, config.rl, rl_policy))
                 for mech in config.mechanisms]
-        results = run_lockstep(market_config, tcpa, draw_stages(market_config), runs)
-        for mech in config.mechanisms:
-            run_dir = os.path.join(out_dir, mech.label.replace(":", "_"), f"seed_{seed}")
+        seed_dirs = [os.path.join(out_dir, mech.label.replace(":", "_"), f"seed_{seed}") for mech in config.mechanisms]
+        for run_dir in seed_dirs:
+            os.makedirs(run_dir, exist_ok=True)
+        results = run_lockstep(market_config, tcpa, draw_stages(market_config), runs,
+                               [os.path.join(run_dir, "rounds.csv") for run_dir in seed_dirs])
+        for mech, run_dir in zip(config.mechanisms, seed_dirs):
             _write_run(config, mech, results.pop(0), run_dir, pools[mech.label])
             run_dirs[mech.label].append(run_dir)
 

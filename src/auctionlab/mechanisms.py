@@ -22,24 +22,27 @@ time, so several mechanisms run over one market in lockstep
 (``run_lockstep``): each stage is read once for all of them, and the runs
 of a stage that bid the same share its outcome pass. ``run_auction`` is
 the lockstep of a single run over a whole log. Each stage fills a row of every
-stage table (one (8, T, M) block) and its rows of the rounds columns, which
-are allocated once per run at the most rows a run can display. Agent bid
-updates fire at stage boundaries for CFP, CPA_OFFLINE, and online DFP. The
-two hindsight rules, PACING_OFFLINE and the DFP oracle, keep bids static and
-are priced in one pass after the last stage, from the stage tables of clicks
-and conversions.
+stage table (one (8, T, M) block) and its rounds rows: a kept run writes them
+into its rounds columns, allocated once at the most rows a run can display;
+a streamed run (given a rounds.csv path) writes them to the file as soon as
+their payments are final. Agent bid updates fire at stage boundaries for
+CFP, CPA_OFFLINE, and online DFP. The two hindsight rules keep bids static:
+the DFP oracle is priced at each stage's end from the stage's clicks and
+conversions, PACING_OFFLINE after the last stage from the whole run's, so
+it keeps its columns until then.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
 from .controllers import stage_pacing_oracle
-from .csvio import write_table
+from .csvio import TableWriter, write_table
 from .errors import ConfigError, ContractViolation
 from .market import MarketConfig, MarketLog, MarketStage, sample_outcomes
 
@@ -141,13 +144,17 @@ class SimulationResult:
     """Outcome stream plus per-stage accounting.
 
     Stage tables are (num_stages, num_bidders) arrays; rounds is the flat
-    per-displayed-slot log in round order.
+    per-displayed-slot log in round order, or None for a run that streamed
+    its rows to a rounds.csv (``run_lockstep``). Such a run carries clicked
+    instead: the bidder and the payment of each clicked row, in round order,
+    which ``analysis.clicked_payments_by_bidder`` otherwise reads from the
+    rounds table.
     """
 
     mechanism: str
     stage_plan: tuple[int, ...]
     tcpa: np.ndarray
-    rounds: RoundsTable
+    rounds: RoundsTable | None
     stage_impressions: np.ndarray
     stage_clicks: np.ndarray
     stage_conversions: np.ndarray
@@ -159,6 +166,7 @@ class SimulationResult:
     bid_by_stage: np.ndarray
     final_bids: np.ndarray
     withdrawn: np.ndarray
+    clicked: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def num_bidders(self) -> int:
@@ -248,16 +256,21 @@ def _outcome_pass(stage: MarketStage, slot0: np.ndarray, bids: np.ndarray, passe
 class _Run:
     """One mechanism's run over a market, advanced a stage at a time by
     ``run_lockstep``: the bids, the (8, T, M) stage-table block and the
-    rounds columns, which are allocated once at the most rows a run can
-    display (min(K, M) a round); each stage fills the next rows."""
+    rounds rows. A kept run fills its rounds columns, allocated once at the
+    most rows a run can display (min(K, M) a round), each stage the next
+    rows. A streamed run (given out, its rounds.csv writer) writes each
+    stage's rows there and keeps only its clicked rows' bidders and
+    payments; PACING_OFFLINE, priced over the whole run, keeps its columns
+    until the end either way."""
 
     def __init__(self, config: MarketConfig, tcpa: np.ndarray, mech: MechanismConfig, agents: list[BidderAgent],
-                 controller: OnlineController | None) -> None:
+                 controller: OnlineController | None, out: TableWriter | None) -> None:
         plan, M = config.stage_plan, config.num_bidders
         if len(agents) != M:
             raise ContractViolation(f"need {M} agents, got {len(agents)}")
-        self.hindsight = mech.kind == "PACING_OFFLINE" or mech.controller == "oracle"
-        self.online_dfp = mech.kind == "DFP" and not self.hindsight
+        self.whole_run = mech.kind == "PACING_OFFLINE"
+        self.oracle = mech.controller == "oracle"
+        self.online_dfp = mech.kind == "DFP" and not self.oracle
         if self.online_dfp and controller is None:
             raise ContractViolation(f"DFP with controller {mech.controller!r} needs a controller instance")
         self.mech, self.agents, self.controller, self.tcpa, self.plan = mech, agents, controller, tcpa, plan
@@ -266,13 +279,18 @@ class _Run:
         self.tables = np.zeros((len(_STAGE_TABLES), len(plan), M))
         self.named = dict(zip(_STAGE_TABLES, self.tables))
         self.bid_by_stage = np.zeros((len(plan), M))
-        self.columns = [np.empty(sum(plan) * min(config.num_slots, M), dtype=dtype) for dtype in _ROUNDS_DTYPES]
+        self.out = out
+        self.clicked: list[tuple[np.ndarray, np.ndarray]] = []  # a streamed run's, per stage
+        self.columns = None
+        if out is None or self.whole_run:
+            self.columns = [np.empty(sum(plan) * min(config.num_slots, M), dtype=dtype) for dtype in _ROUNDS_DTYPES]
         self.filled = 0
         self.t = 0
 
     def step(self, stage: MarketStage, slot0: np.ndarray, passes: dict) -> None:
-        """Run the next stage: the outcome pass, then the pricing pass; at
-        the boundary, the feedback release and the agents' bid updates."""
+        """Run the next stage: the outcome pass, then the pricing pass and
+        the stage's rounds rows; at the boundary, the feedback release and
+        the agents' bid updates."""
         t, s0, bids, tcpa, controller = self.t, stage.start, self.bids, self.tcpa, self.controller
         n_t, M = stage.cvr.shape
         self.t += 1
@@ -284,8 +302,9 @@ class _Run:
         bid_at = bids[bidders]
         # Expected conversions under the stage's fixed allocation.
         e_convs = ctr_at * cvr_at
+        clicked = np.flatnonzero(y)
 
-        pay = np.zeros(y.shape)  # the hindsight rules are priced after the last stage
+        pay = np.zeros(y.shape)  # the hindsight rules are priced from the stage tables
         if self.mech.kind == "CFP":
             pay = cfp_payment(bid_at, y, cvr_at)
         elif self.mech.kind == "CPA_OFFLINE":
@@ -297,7 +316,6 @@ class _Run:
             x_ctr[rows, bidders] = ctr_at
             suffix = np.vstack([np.cumsum(x_ctr[::-1], axis=0)[::-1][1:], np.zeros((1, M))])
             controller.begin_stage(x_ctr.sum(axis=0), (x_ctr * stage.cvr).sum(axis=0), bids, s0, n_t)
-            clicked = np.flatnonzero(y)
             on_click = controller.on_click
             paid = np.array([
                 on_click(m, n, c, r)
@@ -318,12 +336,24 @@ class _Run:
         weights = (None, y, z, ctr_at, e_convs, bid_at * e_convs, pay, stage.value[rows, bidders] * z)
         for k, w in enumerate(weights):
             self.tables[k, t] = np.bincount(bidders, weights=w, minlength=M)
-        at = slice(self.filled, self.filled + rows.size)
-        self.filled = at.stop
-        for column, values in zip(self.columns, (rounds_global, t, bidders, slots, score, y, z, pay, bid_at)):
-            column[at] = values
-        if self.hindsight:
-            return
+        if self.oracle:
+            # Each click pays its bidder's stage conversions * tcpa / clicks
+            # (elementwise, so the same bits as pricing every stage at once),
+            # and the stage's payments are that price times its clicks.
+            clicks = self.named["stage_clicks"][t]
+            price = stage_pacing_oracle(clicks, self.named["stage_conversions"][t], tcpa)
+            pay[clicked] = price[bidders[clicked]]
+            self.named["stage_payments"][t] = price * clicks
+        if self.columns is not None:
+            at = slice(self.filled, self.filled + rows.size)
+            self.filled = at.stop
+            for column, values in zip(self.columns, (rounds_global, t, bidders, slots, score, y, z, pay, bid_at)):
+                column[at] = values
+        else:
+            self.out.write([rounds_global, np.full(rows.size, t), bidders, slots, score, y, z, pay, bid_at])
+            self.clicked.append((bidders[clicked], pay[clicked]))
+        if self.whole_run or self.oracle:
+            return  # static bids
 
         # Boundary: conversions for stages <= t become visible, and each agent
         # sees its checkpoint ratio (None before its first conversion).
@@ -339,26 +369,50 @@ class _Run:
         _check_bids(self.bids, f"stage_update at the end of stage {t}")
 
     def result(self) -> SimulationResult:
-        """The finished run, after its last stage."""
-        # Withdrawals can leave rows unfilled: shrink each column to its filled
-        # rows in place (a realloc, no copy). No view of a column exists.
-        for column in self.columns:
-            column.resize(self.filled, refcheck=False)
-        rounds = RoundsTable(*self.columns)
-        named = self.named
-        if self.hindsight:
-            _price_in_hindsight(rounds, named["stage_clicks"], named["stage_conversions"], named["stage_payments"],
-                                self.tcpa, per_stage=self.mech.kind == "DFP")
+        """The finished run, after its last stage: a kept run with its rounds
+        table, or a streamed one with its clicked rows (PACING_OFFLINE's
+        priced and written first)."""
+        rounds = clicked = None
+        if self.columns is not None:
+            # Withdrawals can leave rows unfilled: shrink each column to its
+            # filled rows in place (a realloc, no copy). No view of a column exists.
+            for column in self.columns:
+                column.resize(self.filled, refcheck=False)
+            rounds = RoundsTable(*self.columns)
+            if self.whole_run:
+                named = self.named
+                _price_in_hindsight(rounds, named["stage_clicks"], named["stage_conversions"],
+                                    named["stage_payments"], self.tcpa)
+        if self.out is not None:
+            if rounds is not None:
+                self.out.write(self.columns)
+                kept = np.flatnonzero(rounds.click)
+                self.clicked.append((rounds.bidder[kept], rounds.payment[kept]))
+                rounds = None
+            bidders, pays = zip(*self.clicked)
+            clicked = np.concatenate(bidders), np.concatenate(pays)
         return SimulationResult(
             mechanism=self.mech.label,
             stage_plan=self.plan,
             tcpa=self.tcpa.copy(),
             rounds=rounds,
-            **named,
+            **self.named,
             bid_by_stage=self.bid_by_stage,
             final_bids=self.bids.copy(),
             withdrawn=(self.bids == 0.0),
+            clicked=clicked,
         )
+
+
+def _run_stages(steps: list[_Run], stages: Iterable[MarketStage]) -> None:
+    """Advance every run through each stage before the next is read. The
+    last stage's blocks, its slot-0 block and its passes are dropped with
+    this frame, before the runs finish."""
+    for stage in stages:
+        slot0 = np.ascontiguousarray(stage.ctr[:, :, 0])
+        passes: dict[bytes, tuple[np.ndarray, ...]] = {}
+        for run in steps:
+            run.step(stage, slot0, passes)
 
 
 def run_lockstep(
@@ -366,6 +420,7 @@ def run_lockstep(
     tcpa: np.ndarray,
     stages: Iterable[MarketStage],
     runs: list[tuple[MechanismConfig, list[BidderAgent], OnlineController | None]],
+    rounds_paths: Sequence[str | None] | None = None,
 ) -> list[SimulationResult]:
     """Run several mechanisms over one market in lockstep, a stage at a time.
 
@@ -376,23 +431,33 @@ def run_lockstep(
     ``_outcome_pass``), dropped with the stage. Each run's bits are those it
     has alone, since a pass depends only on the stage and the bids.
 
+    A run given a rounds.csv path streams its rounds table: each stage's
+    rows go to the file through one ``csvio.TableWriter`` as soon as their
+    payments are final (PACING_OFFLINE's, priced over the whole run, after
+    the last stage), with the bytes ``write_rounds_csv`` writes for the kept
+    table. Memory then holds about one stage of rows per run, not whole
+    tables. Every writer is closed when this returns or raises.
+
     Args:
         config: the market's config; tcpa its (M,) targets.
         stages: the market's stages in order, as ``MarketLog.stages`` or
             ``draw_stages`` gives them.
         runs: one (mechanism, agents, controller) per run, as
             ``run_auction`` takes them.
+        rounds_paths: None (every run keeps its table), or one rounds.csv
+            path or None per run.
 
     Returns:
-        One SimulationResult per run, in order.
+        One SimulationResult per run, in order; a streamed run's has no
+        rounds table and carries its clicked rows instead.
     """
-    steps = [_Run(config, tcpa, mech, agents, controller) for mech, agents, controller in runs]
-    for stage in stages:
-        slot0 = np.ascontiguousarray(stage.ctr[:, :, 0])
-        passes: dict[bytes, tuple[np.ndarray, ...]] = {}
-        for run in steps:
-            run.step(stage, slot0, passes)
-    return [run.result() for run in steps]
+    paths = [None] * len(runs) if rounds_paths is None else rounds_paths
+    with ExitStack() as files:
+        steps = [_Run(config, tcpa, *run, None if path is None else
+                      files.enter_context(TableWriter(path, ROUNDS_CSV_HEADER)))
+                 for run, path in zip(runs, paths, strict=True)]
+        _run_stages(steps, stages)
+        return [run.result() for run in steps]
 
 
 def run_auction(
@@ -408,9 +473,9 @@ def run_auction(
     then the pricing pass (pay -> accumulate); at each boundary conversions
     are released and (for CFP, CPA_OFFLINE, and online DFP) agents update
     bids from their cumulative checkpoint ratio conversions * tcpa /
-    payments. The hindsight rules keep bids static and are priced after the
-    last stage: the DFP "oracle" from each stage's own clicks and
-    conversions, PACING_OFFLINE from the whole run's.
+    payments. The hindsight rules keep bids static: the DFP "oracle" is
+    priced at each stage's end from the stage's own clicks and conversions,
+    PACING_OFFLINE after the last stage from the whole run's.
 
     Args:
         market: generated or replayed market log.
@@ -432,27 +497,24 @@ def run_auction(
 
 
 def _price_in_hindsight(rounds: RoundsTable, clicks: np.ndarray, convs: np.ndarray, payments: np.ndarray,
-                        tcpa: np.ndarray, per_stage: bool) -> None:
-    """Pay every click of a hindsight rule conversions * tcpa / clicks of its
-    bidder, from the (T, M) clicks and conversions tables: per stage for the
-    DFP oracle, whose payments table is price * clicks; over the whole run
-    for PACING_OFFLINE, whose table sums each (stage, bidder)'s payments in
-    round order. Fills rounds.payment and payments in place."""
+                        tcpa: np.ndarray) -> None:
+    """Price PACING_OFFLINE after its last stage, the one rule that needs
+    the whole run: every click pays conversions * tcpa / clicks of its
+    bidder over the run, from the (T, M) clicks and conversions tables, and
+    the payments table sums each (stage, bidder)'s payments in round order.
+    Fills rounds.payment and payments in place. (The DFP oracle is priced at
+    each stage's end, in ``_Run.step``.)"""
     T, M = clicks.shape
     clicked = np.flatnonzero(rounds.click)
     stage, bidder = rounds.stage[clicked], rounds.bidder[clicked]
-    if per_stage:
-        price = stage_pacing_oracle(clicks, convs, tcpa)
-        rounds.payment[clicked] = price[stage, bidder]
-        payments[:] = price * clicks
-    else:
-        rounds.payment[clicked] = pay = stage_pacing_oracle(clicks.sum(axis=0), convs.sum(axis=0), tcpa)[bidder]
-        payments[:] = np.bincount(stage * M + bidder, weights=pay, minlength=T * M).reshape(T, M)
+    rounds.payment[clicked] = pay = stage_pacing_oracle(clicks.sum(axis=0), convs.sum(axis=0), tcpa)[bidder]
+    payments[:] = np.bincount(stage * M + bidder, weights=pay, minlength=T * M).reshape(T, M)
 
 
 def write_rounds_csv(result: SimulationResult, path: str) -> None:
     """One row per displayed (round, slot), in round order, CHUNK_ROWS rows
-    at a time (see ``csvio.write_table``)."""
+    at a time (see ``csvio.write_table``), from a run that kept its rounds
+    table; a streamed run wrote the same bytes as it went (``run_lockstep``)."""
     r = result.rounds
     write_table(path, ROUNDS_CSV_HEADER, [getattr(r, name) for name in ROUNDS_CSV_HEADER.split(",")])
 

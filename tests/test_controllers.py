@@ -2,6 +2,7 @@
 the online payers' shared protocol."""
 
 import inspect
+import struct
 
 import numpy as np
 import pytest
@@ -39,6 +40,22 @@ def test_step_clamps_to_zero_when_overpaid():
 def test_step_clamps_to_payment_cap():
     assert _one_click(100.0, 0.0) == 20.0
     assert _one_click(100.0, 0.0, cap_factor=3.0) == 6.0
+
+
+def test_payment_clamp_returns_the_builtin_forms_operand():
+    # on_click clamps with conditional expressions; each returns the operand
+    # min(max(debt / max(1.0, r), 0.0), cap) returns, so -0.0 and nan pass
+    # the lower clamp as max lets them.
+    tcpa = 2.0
+    cap = DEFAULT_CAP_FACTOR * tcpa
+    for debt in (-1.0, -0.0, 0.0, 1e-300, cap, 2 * cap, float("nan")):
+        for remaining in (0.0, 0.5, 1.0, 1.5, 1e9):
+            ctrl = DebtController(np.array([tcpa]))
+            # debt = carry + pending * tcpa - paid_stage: -0.0 terms keep carry's bits.
+            ctrl.carry[0], ctrl.pending[0] = debt, -0.0
+            got = ctrl.on_click(0, 0, -0.0, remaining)
+            want = min(max(debt / max(1.0, remaining), 0.0), cap)
+            assert struct.pack("<d", got) == struct.pack("<d", want), (debt, remaining)
 
 
 def test_step_settles_on_final_expected_click():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from auctionlab.csvio import _KERNEL_MIN, CHUNK_ROWS, _format_column, _repr_cells, write_table
+from auctionlab.csvio import _KERNEL_MIN, CHUNK_ROWS, TableWriter, _format_column, _repr_cells, write_table
 from auctionlab.errors import ContractViolation
 
 
@@ -143,6 +143,29 @@ def test_mismatched_columns_are_refused(tmp_path):
         write_table(str(tmp_path / "t.csv"), "a,b", [np.zeros(3)])
     with pytest.raises(ContractViolation):
         write_table(str(tmp_path / "t.csv"), "a,b", [np.zeros(3), np.zeros(2)])
+
+
+def test_table_writer_appends_each_write(tmp_path):
+    # Rows written in uneven pieces, empty ones and one longer than a chunk
+    # among them, give write_table's bytes for the whole columns.
+    rng = np.random.default_rng(5)
+    n = CHUNK_ROWS + 700
+    columns = [np.arange(n), rng.random(n), (rng.random(n) < 0.5).astype(np.uint8)]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_table(str(want), "a,b,c", columns)
+    edges = [0, 0, 3, 600, 600, CHUNK_ROWS + 650, n]
+    with TableWriter(str(got), "a,b,c") as out:
+        for lo, hi in zip(edges, edges[1:]):
+            out.write([c[lo:hi] for c in columns])
+    assert got.read_bytes() == want.read_bytes()
+    # A refused write adds nothing to the rows written before it.
+    with TableWriter(str(got), "a,b,c") as out:
+        out.write([c[:3] for c in columns])
+        with pytest.raises(ContractViolation):
+            out.write([columns[0][3:5], columns[1][3:6], columns[2][3:6]])
+        with pytest.raises(ContractViolation):
+            out.write(columns[:2])
+    assert got.read_bytes().splitlines() == want.read_bytes().splitlines()[:4]
 
 
 # The float kernel against repr. Every set holds at least _KERNEL_MIN values,

@@ -16,6 +16,7 @@ import yaml
 from auctionlab import (
     AuctionLabError,
     ConfigError,
+    ContractViolation,
     ExperimentConfig,
     MarketConfig,
     MechanismConfig,
@@ -614,6 +615,32 @@ def test_lockstep_run_writes_the_bytes_of_each_mechanism_run_alone(tmp_path):
             assert names == sorted(p.name for p in run_dir.iterdir()) and len(names) == 7
             for name in names:
                 assert (run_dir / name).read_bytes() == (alone_dir / name).read_bytes(), (mech.label, seed, name)
+
+
+def test_a_nan_bid_mid_run_closes_every_rounds_csv_and_writes_no_manifest(tmp_path, monkeypatch):
+    # Every bidder bids NaN for the third stage. The run fails in its first
+    # seed's lockstep with each mechanism's rounds.csv open; under the
+    # suite's -W error::ResourceWarning a writer left open fails the test.
+    import auctionlab.experiments as experiments
+
+    class NanAtStage2:
+        def __init__(self):
+            self.updates = 0
+
+        def initial_bid(self, tcpa):
+            return tcpa
+
+        def stage_update(self, bid, tcpa, ratio, paid):
+            self.updates += 1
+            return float("nan") if self.updates == 2 else bid
+
+    monkeypatch.setattr(experiments, "make_agents", lambda config, n: [NanAtStage2() for _ in range(n)])
+    config = _tiny_config(market=dataclasses.replace(_tiny_config().market, stage_plan=(20, 20, 20)))
+    out = tmp_path / "run"
+    with pytest.raises(ContractViolation, match="at the end of stage 1"):
+        run_experiment(config, str(out))
+    assert not (out / "manifest.json").exists()
+    assert sorted(p.name for p in (out / "CFP" / "seed_0").iterdir()) == ["rounds.csv"]
 
 
 def test_rerun_is_byte_identical_outside_manifest(tmp_path):

@@ -21,7 +21,7 @@ from auctionlab import (
     run_auction,
     stage_pacing_oracle,
 )
-from auctionlab import mechanisms
+from auctionlab import csvio, mechanisms
 from auctionlab.csvio import CHUNK_ROWS
 from auctionlab.mechanisms import (
     ROUNDS_CSV_HEADER,
@@ -299,6 +299,93 @@ def test_run_auction_holds_the_rounds_table_once(agent, rows, bound):
     ratio, displayed = _traced_peak_over_kept_bytes(market, [agent() for _ in range(50)])
     assert displayed == rows
     assert ratio <= bound, f"traced peak is {ratio:.3f} x the kept bytes"
+
+
+_DESK_MECHANISMS = (MechanismConfig("CFP"), MechanismConfig("CPA_OFFLINE"), MechanismConfig("PACING_OFFLINE"),
+                    MechanismConfig("DFP", controller="debt"), MechanismConfig("DFP", controller="oracle"))
+
+
+@pytest.mark.parametrize("agent,bound", [
+    (TruthfulAgent, 1.5),  # every round fills its 5 slots
+    (RiskAverseAgent, 2.0),  # bidders withdraw: a smaller table, the same per-stage work
+])
+def test_streamed_lockstep_holds_about_a_stage_of_rows(tmp_path, agent, bound):
+    # Four of desk's mechanisms (all but PACING_OFFLINE, which holds its table
+    # until it is priced) stream their rounds.csv over 31 stages of 180
+    # rounds at 50 bidders. Their traced peak over one kept run's table
+    # bytes measured 1.21 (full) and 1.61 (withdrawals); kept, the four
+    # tables alone are 4.
+    market = generate_market(MarketConfig(
+        num_bidders=50, num_slots=5, stage_plan=(180,) * 31, ctr_range=(0.3, 0.9),
+        cvr_range=(0.05, 0.15), value_range=(1.0, 5.0), tcpa_range=(1.0, 10.0), seed=0,
+    ))
+    mechs = [mech for mech in _DESK_MECHANISMS if mech.kind != "PACING_OFFLINE"]
+
+    def runs():
+        return [(mech, [agent() for _ in range(50)], DebtController(market.tcpa) if mech.controller == "debt" else None)
+                for mech in mechs]
+
+    kept = run_auction(market, MechanismConfig("CFP"), [agent() for _ in range(50)]).rounds
+    table = sum(getattr(kept, name).nbytes for name in ROUNDS_CSV_HEADER.split(","))
+    paths = [str(tmp_path / f"{i}.csv") for i in range(len(mechs))]
+    csvio._ryu_tables()  # the float kernel's tables, built once per process, outside the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        streamed = run_lockstep(market.config, market.tcpa, market.stages(), runs(), paths)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert all(result.rounds is None for result in streamed)
+    assert peak / table <= bound, f"traced peak is {peak / table:.3f} x one kept table"
+
+
+def test_oracle_priced_at_each_stage_end_keeps_the_whole_run_bits():
+    # The oracle's price, conversions * tcpa / clicks, is elementwise, so
+    # pricing each stage at its end gives the bits of pricing the whole
+    # (T, M) tables after the last stage: each click's payment, and the
+    # payments table as price * clicks.
+    market = _market(num_bidders=6, num_slots=3, stage_plan=(40, 1, 25, 60), seed=37)
+    result = run_auction(market, MechanismConfig("DFP", controller="oracle"), [RiskAverseAgent() for _ in range(6)])
+    r = result.rounds
+    price = stage_pacing_oracle(result.stage_clicks, result.stage_conversions, market.tcpa)
+    clicked = np.flatnonzero(r.click)
+    want = np.zeros(r.payment.shape)
+    want[clicked] = price[r.stage[clicked], r.bidder[clicked]]
+    assert clicked.size and r.payment.tobytes() == want.tobytes()
+    assert result.stage_payments.tobytes() == (price * result.stage_clicks).tobytes()
+
+
+class _NanAtStage2:
+    """Bids tcpa, then a NaN bid for stage 2 (from its second update)."""
+
+    def __init__(self):
+        self.updates = 0
+
+    def initial_bid(self, tcpa):
+        return tcpa
+
+    def stage_update(self, bid, tcpa, ratio, paid):
+        self.updates += 1
+        return float("nan") if self.updates == 2 else bid
+
+
+def test_a_nan_bid_in_a_streamed_lockstep_closes_every_writer(tmp_path, monkeypatch):
+    opened = []
+
+    class Recording(mechanisms.TableWriter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            opened.append(self)
+
+    monkeypatch.setattr(mechanisms, "TableWriter", Recording)
+    market = _market(seed=43)
+    runs = [(mech, _truthful(market) if mech.kind == "PACING_OFFLINE" else [_NanAtStage2() for _ in range(4)],
+             DebtController(market.tcpa) if mech.controller == "debt" else None) for mech in _DESK_MECHANISMS]
+    paths = [str(tmp_path / f"{i}.csv") for i in range(len(runs))]
+    with pytest.raises(ContractViolation, match="non-finite bid nan from stage_update at the end of stage 1"):
+        run_lockstep(market.config, market.tcpa, market.stages(), runs, paths)
+    assert len(opened) == len(runs) and all(writer._fh.closed for writer in opened)
 
 
 def test_outcome_stream_invariant_across_mechanisms():

@@ -37,7 +37,8 @@ from auctionlab import (
 from auctionlab import mechanisms
 from auctionlab.controllers import DEFAULT_CAP_FACTOR, stage_pacing_oracle
 from auctionlab.market import draw_stages, draw_tcpa, read_market_csv
-from auctionlab.mechanisms import SUMMARY_CSV_HEADER, run_lockstep, write_summary_csv
+from auctionlab.analysis import clicked_payments_by_bidder
+from auctionlab.mechanisms import ROUNDS_CSV_HEADER, SUMMARY_CSV_HEADER, run_lockstep, write_rounds_csv, write_summary_csv
 from auctionlab.nets import MLP
 from auctionlab.ppo import FEATURE_DIM, GaussianPolicy, RLPaymentController
 from reference import ROUNDS_COLUMNS, ReferenceRLController, online_dfp_reference
@@ -225,6 +226,62 @@ def test_lockstep_runs_match_runs_on_fresh_markets(config, risk_averse):
         _assert_same_run(result, run_auction(fresh, *run(fresh.tcpa, mech)), mech.label)
     # Each twin reads its pass from the other, so at most half are computed.
     assert 0 < sampled.call_count <= len(SHARED_MECHANISMS) * len(config.stage_plan)
+
+
+class _WithdrawsAfterFirstStage:
+    """Bids tcpa in the first stage, then 0: the later stages of a rule
+    that updates bids display nothing."""
+
+    def initial_bid(self, tcpa):
+        return tcpa
+
+    def stage_update(self, bid, tcpa, ratio, paid):
+        return 0.0
+
+
+class _NeverBids:
+    """Bids 0 throughout: a run with no rows."""
+
+    def initial_bid(self, tcpa):
+        return 0.0
+
+    def stage_update(self, bid, tcpa, ratio, paid):
+        return 0.0
+
+
+AGENTS = {"truthful": TruthfulAgent, "risk_averse": RiskAverseAgent, "withdraws": _WithdrawsAfterFirstStage,
+          "never_bids": _NeverBids}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(market_configs(), st.sampled_from(sorted(AGENTS)))
+def test_streamed_rounds_csv_is_the_kept_runs_table(config, agent):
+    # Every mechanism twice in one lockstep, kept and streamed: the streamed
+    # rounds.csv is write_rounds_csv of the kept table, byte for byte, and
+    # the streamed result's clicked payments and stage tables are the kept
+    # one's, bit for bit.
+    def run(tcpa, mech):
+        agents = [AGENTS[agent]() for _ in range(config.num_bidders)]
+        return mech, agents, _controller(mech, SimpleNamespace(tcpa=tcpa))
+
+    tcpa = draw_tcpa(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{i}.csv") for i in range(len(MECHANISMS))]
+        results = run_lockstep(config, tcpa, draw_stages(config), [run(tcpa, mech) for mech in MECHANISMS * 2],
+                               [None] * len(MECHANISMS) + paths)
+        want = os.path.join(tmp, "kept.csv")
+        for mech, kept, streamed, path in zip(MECHANISMS, results, results[len(MECHANISMS):], paths):
+            assert kept.rounds is not None and streamed.rounds is None, mech.label
+            write_rounds_csv(kept, want)
+            with open(path, "rb") as got, open(want, "rb") as fh:
+                text = got.read()
+                assert text == fh.read(), mech.label
+            if agent == "never_bids":
+                assert text == f"{ROUNDS_CSV_HEADER}\n".encode(), mech.label
+            pairs = list(zip(clicked_payments_by_bidder(kept), clicked_payments_by_bidder(streamed), strict=True))
+            assert all(_same_bits(a, b) for a, b in pairs), mech.label
+            for name in (*STAGE_TABLES, "final_bids", "withdrawn"):
+                assert _same_bits(getattr(kept, name), getattr(streamed, name)), (mech.label, name)
 
 
 @st.composite
