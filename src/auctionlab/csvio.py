@@ -23,9 +23,9 @@ repeats few distinct values (told apart by their bits) formats each once
 and gathers rows by index. A bool column prints 1/0.
 
 ``_repr_cells`` prints exactly ``repr``'s text for a float chunk, computed
-in NumPy a block of values at a time: Ryū's shortest round-trip digits from
+in NumPy in one pass over the chunk: Ryū's shortest round-trip digits from
 64 x 128-bit products on uint64 lanes of 32-bit halves, then the digits as
-ASCII words in one zero-padded matrix, the block's cell matrix. Values
+ASCII words in one zero-padded matrix, the chunk's cell matrix. Values
 off the path it verifies (nan, inf, zero-exponent and huge values, exact
 powers of two, Ryū's trailing-zero case, and exponent-form text) and every
 chunk below ``_KERNEL_MIN`` values keep ``repr``.
@@ -50,10 +50,6 @@ _PROBE = 256
 # per-value work; measured, it first beats map(repr) between 256 and 512
 # values, so smaller chunks keep repr.
 _KERNEL_MIN = 512
-# At most this many values per pass bounds its uint64 temporaries to 32 KiB
-# each; on 9,000- and 16,384-value chunks this measured about 10% faster
-# than 2,048 and within 3% of 8,192.
-_KERNEL_BLOCK = 4096
 _M32 = np.uint64(0xFFFFFFFF)
 _TEN = np.uint64(10)
 
@@ -166,8 +162,16 @@ def _digit_words(mat: np.ndarray, right: int, groups: int, val: np.ndarray, n: n
         val = q
 
 
-def _repr_block(x: np.ndarray, end: str) -> np.ndarray:
-    """The cell matrix of repr + end for each float64 of x, one kernel pass."""
+def _repr_cells(values: np.ndarray, end: str) -> np.ndarray:
+    """The cell matrix of ``repr(float(v)) + end`` for each v of a float array:
+    the text computed in one pass over the whole array by Ryū's shortest
+    round-trip digits (Adams, PLDI 2018) in integer NumPy arithmetic, so it
+    is the same on every CPU. Every writer slices its columns to CHUNK_ROWS
+    rows, which bounds a pass's uint64 temporaries to 128 KiB each. Chunks
+    below _KERNEL_MIN values keep repr."""
+    x = _float64(values)
+    if x.size < _KERNEL_MIN:
+        return _text_matrix(map(repr, x.tolist()), end)
     t = _ryu_tables()
     bits = x.view(np.uint64)
     E = (bits >> 52).view(np.int64) & 0x7FF
@@ -181,22 +185,18 @@ def _repr_block(x: np.ndarray, end: str) -> np.ndarray:
     # Ryū needs its general path), and decpt outside repr's fixed notation.
     ok = (mant != 0) & ((mv & t.qmask[E]) != 0) & (decpt >= -3) & (decpt <= 16)
     # Drop digits while (vm, vp] still holds a multiple of ten: the count is
-    # where floor(vp / 10**k) > floor(vm / 10**k) stops holding. Every
-    # verified lane drops at least one; the few that drop many more go on
-    # as a subset.
+    # where floor(vp / 10**k) > floor(vm / 10**k) stops holding, and once it
+    # fails for a lane it fails for every larger k. Every verified lane
+    # drops at least one.
     removed = np.ones(x.size, np.int64)
-    p, m, lanes = vp // _TEN, vm // _TEN, slice(None)
+    p, m = vp // _TEN, vm // _TEN
     while True:
         p //= _TEN
         m //= _TEN
         more = p > m
-        count = int(np.count_nonzero(more))
-        if not count:
+        if not more.any():
             break
-        if 16 * count < more.size:
-            lanes = np.flatnonzero(more) if isinstance(lanes, slice) else lanes[more]
-            p, m, more = p[more], m[more], True
-        removed[lanes] += more
+        removed += more
     kept = vr // t.p10[removed - 1]
     vr = kept // _TEN
     out = vr + ((vr == vm // t.p10[removed]) | (kept - vr * _TEN >= 5))
@@ -262,20 +262,6 @@ def _float64(values: np.ndarray) -> np.ndarray:
     nan's quiet bit is set on the way, which float(v) does silently too)."""
     with np.errstate(invalid="ignore"):
         return np.ascontiguousarray(values, dtype=np.float64)
-
-
-def _repr_cells(values: np.ndarray, end: str) -> np.ndarray:
-    """The cell matrix of ``repr(float(v)) + end`` for each v of a float array:
-    the text computed over whole blocks by Ryū's shortest round-trip digits
-    (Adams, PLDI 2018) in integer NumPy arithmetic, so it is the same on
-    every CPU. Chunks below _KERNEL_MIN values keep repr."""
-    x = _float64(values)
-    if x.size < _KERNEL_MIN:
-        return _text_matrix(map(repr, x.tolist()), end)
-    # Equal passes, no short last one, left-padded to one width.
-    blocks = [_repr_block(block, end) for block in np.array_split(x, -(-x.size // _KERNEL_BLOCK))]
-    width = max(block.shape[1] for block in blocks)
-    return np.vstack([np.pad(block, ((0, 0), (width - block.shape[1], 0))) for block in blocks])
 
 
 def _format_column(col: np.ndarray, end: str) -> np.ndarray:

@@ -422,8 +422,9 @@ def write_market_csv(log: MarketLog, path: str) -> None:
             hi = min(lo + per_chunk, N * M)
             rr, mm = np.divmod(np.arange(lo, hi).repeat(K), M)
             kk = np.tile(np.arange(K), hi - lo)
-            y, z = sample_outcomes(log, rr, mm, kk)
-            out.write([rr, mm, kk, ctr[lo * K:hi * K], cvr[lo:hi].repeat(K), value[lo:hi].repeat(K), y, z])
+            ctr_rows, cvr_rows = ctr[lo * K:hi * K], cvr[lo:hi].repeat(K)
+            y, z = sample_outcomes(log, rr, mm, kk, ctr_rows, cvr_rows)
+            out.write([rr, mm, kk, ctr_rows, cvr_rows, value[lo:hi].repeat(K), y, z])
 
 
 def _reads_as_numbers(text: str) -> bool:

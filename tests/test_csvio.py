@@ -179,7 +179,7 @@ def _kernel_sets() -> dict:
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     digits = [str(rng.integers(1, 10 ** int(rng.integers(1, 18)))) for _ in range(20_000)]
     decimal_strings = [f"{d}e{int(rng.integers(-30, 22))}" if i % 2 else f"0.{d}" for i, d in enumerate(digits)]
-    return {
+    sets = {
         # Every exponent, nan payloads, subnormals and both signs.
         "bit_patterns": bits.view(np.float64),
         "decades": np.concatenate([decades, np.nextafter(decades, -np.inf), np.nextafter(decades, np.inf)]),
@@ -192,6 +192,14 @@ def _kernel_sets() -> dict:
         "float32": np.concatenate([rng.integers(0, 2 ** 32, 50_000, dtype=np.uint64).astype(np.uint32).view(np.float32),
                                    rng.random(5000).astype(np.float32)]),
     }
+    # A stage write of random doubles whose lanes are about 1% short decimals
+    # and whole numbers: a few lanes go on dropping digits long after the
+    # rest have stopped, all inside one pass.
+    mixed = rng.standard_normal(9000) * 10.0 ** rng.integers(-3, 6, 9000)
+    short = rng.integers(1, 1000, 86) / 10.0 ** rng.integers(0, 4, 86)
+    mixed[rng.choice(mixed.size, 90, replace=False)] = np.concatenate([short, [0.25, 3.0, 2.5e-3, 1e15]])
+    sets["short_decimal_lanes"] = mixed
+    return sets
 
 
 def assert_repr_cells(values):
